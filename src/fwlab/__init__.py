@@ -28,7 +28,6 @@ from .objectives import (
     make_t_alpha,
     modulus_of_continuity,
     objective_from_descriptor,
-    zero_part,
 )
 from .stepsize import (
     DHRecursion,

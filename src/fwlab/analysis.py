@@ -32,7 +32,6 @@ class CurvatureEstimate:
     sigma: float
     sampled_value: float
     holder_upper_bound: float | None
-    modulus_upper_bound: float | None
     n_samples: int
     seed: int
 
@@ -41,7 +40,6 @@ class CurvatureEstimate:
             "sigma": self.sigma,
             "sampled_value": self.sampled_value,
             "holder_upper_bound": self.holder_upper_bound,
-            "modulus_upper_bound": self.modulus_upper_bound,
             "n_samples": self.n_samples,
             "seed": self.seed,
         }
@@ -122,7 +120,6 @@ def estimate_curvature(
         sigma=sigma,
         sampled_value=best,
         holder_upper_bound=holder_upper,
-        modulus_upper_bound=None,
         n_samples=n_samples,
         seed=seed,
     )

@@ -223,7 +223,6 @@ CASES: dict[str, list[dict]] = {
             "rule": {"kind": "line_search", "tol": 1e-10, "max_evals": 200},
             "x0": [0.0, 0.0, 1.0],
             "stop": {"max_iter": 100},
-            "sharp_alpha": 0.7071067811865475,
             "checks": [
                 {"kind": "finite-termination", "at_k": 1,
                  "final_x": [1.0, 0.0, 0.0], "tol": 1e-12},

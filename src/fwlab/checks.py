@@ -7,6 +7,8 @@ check never aborts the remaining ones.
 """
 from __future__ import annotations
 
+import os
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -407,5 +409,10 @@ def evaluate_check(desc: dict, ctx: CheckContext) -> CheckResult:
     try:
         return _CHECK_KINDS[kind][1](desc, ctx)
     except Exception as exc:  # a failing check must not abort the report
+        # the type and the innermost frame tell a bug in the check apart from
+        # a failed measurement; the bare file name keeps summaries portable
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
         return CheckResult(kind, False, measured=f"check errored: {exc}",
-                           required="clean evaluation")
+                           required="clean evaluation",
+                           detail=f"{type(exc).__name__} at {where}")

@@ -18,7 +18,7 @@ from .objectives import composite_from_descriptor, objective_from_descriptor
 from .solver import Problem, StopRule, config_fingerprint
 from .stepsize import StepsizeRule, rule_from_descriptor
 
-_SPEC_FIELDS = {"name", "problem", "rule", "x0", "stop", "checks", "sharp_alpha", "seed"}
+_SPEC_FIELDS = {"name", "problem", "rule", "x0", "stop", "checks", "seed"}
 _PROBLEM_FIELDS = {"set", "objective", "composite"}
 
 _X0_VERTEX = re.compile(r"^vertex\((\d+)\)$")
@@ -34,7 +34,6 @@ class ExperimentSpec:
     x0: list | str | None = None
     stop: dict | None = None
     checks: list = field(default_factory=list)
-    sharp_alpha: float | None = None
 
     def is_solving(self) -> bool:
         return self.rule is not None
@@ -48,7 +47,6 @@ class ExperimentSpec:
             "x0": self.x0,
             "stop": self.stop,
             "checks": self.checks,
-            "sharp_alpha": self.sharp_alpha,
         }
 
 
@@ -96,12 +94,8 @@ def parse_spec(raw: dict, source: str = "<spec>") -> ExperimentSpec:
         if "kind" not in c:
             raise ValueError(f"{source}: checks[{i}] is missing 'kind'")
 
-    sharp_alpha = raw.get("sharp_alpha")
-    if sharp_alpha is not None and not (isinstance(sharp_alpha, (int, float)) and sharp_alpha > 0):
-        raise ValueError(f"{source}: 'sharp_alpha' must be a positive number")
-
     return ExperimentSpec(name=name, seed=seed, problem=problem, rule=rule,
-                          x0=x0, stop=stop, checks=checks, sharp_alpha=sharp_alpha)
+                          x0=x0, stop=stop, checks=checks)
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -119,7 +113,10 @@ def build_problem(spec: ExperimentSpec) -> Problem:
     feasible_set = set_from_descriptor(spec.problem["set"])
     objective = objective_from_descriptor(spec.problem["objective"], feasible_set)
     composite = composite_from_descriptor(spec.problem.get("composite"))
-    return Problem(feasible_set, objective, composite)
+    try:
+        return Problem(feasible_set, objective, composite)
+    except ValueError as exc:
+        raise ValueError(f"{spec.name}: 'problem.composite': {exc}") from None
 
 
 def build_rule(spec: ExperimentSpec) -> StepsizeRule | dict:

@@ -2,8 +2,10 @@
 
 Every set kind supports five operations: lmo (linear minimization oracle),
 project (Euclidean projection, where closed-form), diameter, contains, and
-seeded sampling. All operations are pure; sampling is pure given its seed.
-The norm is l2 throughout.
+seeded sampling. The simplex, the two balls and the box also solve the
+L1-composite subproblem argmin <c, x> + lam*||x||_1 exactly (lmo_l1); on
+every set the origin wins that subproblem only strictly. All operations are
+pure; sampling is pure given its seed. The norm is l2 throughout.
 """
 from __future__ import annotations
 
@@ -35,6 +37,10 @@ class FeasibleSet:
     dimension: int
 
     def lmo(self, c: Vector) -> Vector:
+        raise NotImplementedError
+
+    def lmo_l1(self, c: Vector, lam: float) -> Vector:
+        """argmin_{x in C} <c, x> + lam * ||x||_1, in closed form."""
         raise NotImplementedError
 
     def project(self, x: Vector) -> Vector:
@@ -78,6 +84,10 @@ class Simplex(FeasibleSet):
         out[int(np.argmin(c))] = 1.0
         return out
 
+    def lmo_l1(self, c: Vector, lam: float) -> Vector:
+        # ||x||_1 = 1 on the whole simplex, so the l1 term is a constant
+        return self.lmo(c)
+
     def project(self, x: Vector) -> Vector:
         return _project_onto_simplex_face(x, 1.0)
 
@@ -118,6 +128,14 @@ class L1Ball(FeasibleSet):
         out = np.zeros(self.dimension)
         out[i] = -self.radius * s
         return out
+
+    def lmo_l1(self, c: Vector, lam: float) -> Vector:
+        # <c, x> + lam*||x||_1 >= (lam - ||c||_inf) * ||x||_1, with equality at
+        # the plain oracle's vertex, whose value r*(lam - ||c||_inf) beats the
+        # origin's 0 only when ||c||_inf > lam; at equality the vertex keeps it
+        if float(np.max(np.abs(c))) < lam:
+            return np.zeros(self.dimension)
+        return self.lmo(c)
 
     def project(self, x: Vector) -> Vector:
         a = np.abs(x)
@@ -166,6 +184,16 @@ class L2Ball(FeasibleSet):
         if n == 0.0:
             return np.zeros(self.dimension)
         return -self.radius / n * c
+
+    def lmo_l1(self, c: Vector, lam: float) -> Vector:
+        # minimax: min over the ball of max_{|u|_inf <= lam} <c + u, x> is
+        # -r*||S||, attained at -r*S/||S||, where S = sign(c)*max(|c| - lam, 0)
+        # is the soft-threshold of c; S = 0 leaves the origin as the minimizer
+        s = np.sign(c) * np.maximum(np.abs(c) - lam, 0.0)
+        n = float(np.linalg.norm(s))
+        if n == 0.0:
+            return np.zeros(self.dimension)
+        return -self.radius / n * s
 
     def project(self, x: Vector) -> Vector:
         n = float(np.linalg.norm(x))
@@ -217,6 +245,19 @@ class Box(FeasibleSet):
     def lmo(self, c: Vector) -> Vector:
         # c_i = 0 picks the lower corner: deterministic vertex on ties
         return np.where(c > 0, self.lower, np.where(c < 0, self.upper, self.lower))
+
+    def lmo_l1(self, c: Vector, lam: float) -> Vector:
+        # coordinate-wise: c_i*y + lam*|y| on [l_i, u_i] is piecewise linear
+        # with its only kink at 0, so the minimum sits in {l_i, u_i, 0}
+        lo, up = self.lower, self.upper
+        at_lo = c * lo + lam * np.abs(lo)
+        at_up = c * up + lam * np.abs(up)
+        out = np.where(at_lo <= at_up, lo, up)
+        best = np.minimum(at_lo, at_up)
+        # the kink value is 0; it wins only strictly, so endpoint ties keep
+        # the candidate order (lower, upper, zero)
+        zero_ok = (lo <= 0.0) & (0.0 <= up)
+        return np.where(zero_ok & (best > 0.0), 0.0, out)
 
     def project(self, x: Vector) -> Vector:
         return np.clip(x, self.lower, self.upper)

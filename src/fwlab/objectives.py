@@ -60,40 +60,26 @@ class Objective:
 
 @dataclass(frozen=True)
 class CompositePart:
-    """Convex additive term g for composite problems. Kinds: L1(lam) or Zero."""
+    """Convex additive term g for composite problems: g(x) = lam * ||x||_1."""
 
-    kind: str  # "l1" | "zero"
-    lam: float = 0.0
+    kind: str  # "l1"
+    lam: float
 
     def __post_init__(self):
-        if self.kind not in ("l1", "zero"):
+        if self.kind != "l1":
             raise ValueError(f"unknown composite kind {self.kind!r}")
-        if self.kind == "l1" and not self.lam > 0:
+        if not self.lam > 0:
             raise ValueError(f"l1 weight must be positive, got {self.lam}")
 
     def value(self, x: Vector) -> float:
-        if self.kind == "l1":
-            return self.lam * float(np.abs(x).sum())
-        return 0.0
-
-    def subgrad(self, x: Vector) -> Vector:
-        # one element of the subdifferential; sign(0) = 0 is a valid choice
-        if self.kind == "l1":
-            return self.lam * np.sign(x)
-        return np.zeros_like(x)
+        return self.lam * float(np.abs(x).sum())
 
     def descriptor(self) -> dict:
-        if self.kind == "l1":
-            return {"kind": "l1", "lam": self.lam}
-        return {"kind": "zero"}
+        return {"kind": "l1", "lam": self.lam}
 
 
 def l1_part(lam: float) -> CompositePart:
     return CompositePart("l1", lam)
-
-
-def zero_part() -> CompositePart:
-    return CompositePart("zero")
 
 
 def make_quadratic(b, feasible_set: FeasibleSet | None = None) -> Objective:
@@ -133,9 +119,10 @@ def make_quadratic(b, feasible_set: FeasibleSet | None = None) -> Objective:
 def make_power_norm(sigma: float, b, feasible_set: FeasibleSet | None = None) -> Objective:
     """f(x) = ||x - b||_2^sigma for sigma in (1, 2].
 
-    grad(x) = sigma * ||x-b||^(sigma-2) * (x-b), set to 0 at x = b (the unique
-    subgradient at the singular point). The gradient is (sigma-1)-Holder; the
-    constant is left unset until estimated on a concrete set.
+    grad(x) = sigma * ||x-b||^(sigma-2) * (x-b), set to 0 at x = b (f is
+    differentiable there for sigma > 1, with gradient 0). The gradient is
+    (sigma-1)-Holder; the constant is left unset until estimated on a
+    concrete set.
     """
     if not 1.0 < sigma <= 2.0:
         raise ValueError(f"sigma must lie in (1, 2], got {sigma}")
@@ -339,6 +326,4 @@ def composite_from_descriptor(desc: dict | None) -> CompositePart | None:
             return l1_part(desc["lam"])
         except KeyError:
             raise ValueError("composite descriptor for 'l1' is missing field 'lam'") from None
-    if kind == "zero":
-        return zero_part()
     raise ValueError(f"unknown composite kind {kind!r}")

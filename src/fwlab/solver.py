@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, FeasibleSet, Vector
+from .geometry import FeasibleSet, Vector, VertexPolytope
 from .objectives import CompositePart, Objective
 from .stepsize import (
     LineSearch,
@@ -37,6 +37,11 @@ class Problem:
     feasible_set: FeasibleSet
     objective: Objective
     composite: CompositePart | None = None
+
+    def __post_init__(self):
+        if self.composite is not None and isinstance(self.feasible_set, VertexPolytope):
+            raise ValueError("composite terms need a set with an exact composite oracle "
+                             "(simplex, l1_ball, l2_ball or box), not vertex_polytope")
 
     def phi(self, x: Vector) -> float:
         v = self.objective.value(x)
@@ -93,7 +98,6 @@ class SolveTrace:
     iterations: list[IterationRecord]
     termination: Termination
     config_fingerprint: str = ""
-    approximate_oracle: bool = False
 
     @property
     def ks(self) -> np.ndarray:
@@ -117,59 +121,8 @@ class SolveTrace:
 
 
 def composite_lmo(feasible_set: FeasibleSet, c: Vector, g: CompositePart) -> Vector:
-    """argmin over the set of <c, x> + g(x). See _composite_lmo for routing."""
-    x, _ = _composite_lmo(feasible_set, c, g)
-    return x
-
-
-def _composite_lmo(feasible_set: FeasibleSet, c: Vector, g: CompositePart) -> tuple[Vector, bool]:
-    """Returns (minimizer, approximate_flag).
-
-    Exact routes: any set with a zero part (plain linear minimization), and
-    box + L1 coordinate-wise: c_i*y + lam*|y| on [l_i, u_i] is piecewise
-    linear with its only kink at 0, so the minimum sits in {l_i, u_i, 0}.
-    Everything else runs a projected-subgradient inner loop and is flagged
-    approximate.
-    """
-    if g.kind == "zero":
-        return feasible_set.lmo(c), False
-    if isinstance(feasible_set, Box):
-        lo, up = feasible_set.lower, feasible_set.upper
-        at_lo = c * lo + g.lam * np.abs(lo)
-        at_up = c * up + g.lam * np.abs(up)
-        out = np.where(at_lo <= at_up, lo, up)
-        best = np.minimum(at_lo, at_up)
-        # the kink value is 0; it wins only strictly, so endpoint ties keep
-        # the candidate order (lower, upper, zero)
-        zero_ok = (lo <= 0.0) & (0.0 <= up)
-        out = np.where(zero_ok & (best > 0.0), 0.0, out)
-        return out, False
-    return _composite_lmo_subgradient(feasible_set, c, g), True
-
-
-def _composite_lmo_subgradient(feasible_set: FeasibleSet, c: Vector, g: CompositePart,
-                               n_iter: int = 10_000) -> Vector:
-    # deterministic fallback: projected subgradient with diminishing steps,
-    # best-iterate tracking; requires the set to support projection
-    x = feasible_set.lmo(c)
-    try:
-        x = feasible_set.project(x)
-    except ValueError:
-        raise ValueError(
-            "composite linear subproblem has no closed form for this set kind "
-            "and the projection fallback is unavailable"
-        ) from None
-    scale = float(np.linalg.norm(c)) + g.lam * math.sqrt(x.size) + 1e-12
-    s0 = max(feasible_set.diameter(), 1.0) / scale
-    best_x = x.copy()
-    best_v = float(c @ x) + g.value(x)
-    for t in range(n_iter):
-        sub = c + g.subgrad(x)
-        x = feasible_set.project(x - s0 / math.sqrt(t + 1.0) * sub)
-        v = float(c @ x) + g.value(x)
-        if v < best_v:
-            best_v, best_x = v, x.copy()
-    return best_x
+    """argmin over the set of <c, x> + g(x), by the set's exact closed form."""
+    return feasible_set.lmo_l1(c, g.lam)
 
 
 def fw_gap(problem: Problem, x: Vector) -> tuple[float, Vector]:
@@ -178,18 +131,13 @@ def fw_gap(problem: Problem, x: Vector) -> tuple[float, Vector]:
     x_bar is the linear-subproblem minimizer; for convex problems the gap upper
     bounds the current suboptimality, so it doubles as a stopping certificate.
     """
-    gap, x_bar, _ = _fw_gap(problem, x)
-    return gap, x_bar
-
-
-def _fw_gap(problem: Problem, x: Vector) -> tuple[float, Vector, bool]:
     grad = problem.objective.grad(x)
     if problem.composite is None:
         x_bar = problem.feasible_set.lmo(grad)
-        return float(grad @ (x - x_bar)), x_bar, False
-    x_bar, approx = _composite_lmo(problem.feasible_set, grad, problem.composite)
+        return float(grad @ (x - x_bar)), x_bar
+    x_bar = composite_lmo(problem.feasible_set, grad, problem.composite)
     gap = float(grad @ (x - x_bar)) + problem.composite.value(x) - problem.composite.value(x_bar)
-    return gap, x_bar, approx
+    return gap, x_bar
 
 
 def config_fingerprint(problem_desc: dict, rule_desc: dict, x0, stop_desc: dict,
@@ -244,15 +192,13 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
         gammas = schedule_values(rule, stop.max_iter)
 
     records: list[IterationRecord] = []
-    approximate = False
     reason = None
 
     for k in range(stop.max_iter + 1):
         obj_k = problem.phi(x)
         if not math.isfinite(obj_k):
             raise ValueError(f"objective value is not finite at iteration {k}: {obj_k}")
-        gap_k, x_bar, approx = _fw_gap(problem, x)
-        approximate = approximate or approx
+        gap_k, x_bar = fw_gap(problem, x)
 
         if stop.gap_tol > 0 and gap_k <= stop.gap_tol:
             records.append(IterationRecord(k, x.copy(), obj_k, gap_k, 0.0, 0.0))
@@ -286,7 +232,6 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
         iterations=records,
         termination=termination,
         config_fingerprint=_try_fingerprint(problem, rule, x0, stop, seed),
-        approximate_oracle=approximate,
     )
 
 
@@ -317,7 +262,7 @@ def solve_gpa(problem: Problem, step: float, x0, max_iter: int,
         obj_k = problem.phi(x)
         if not math.isfinite(obj_k):
             raise ValueError(f"objective value is not finite at iteration {k}: {obj_k}")
-        gap_k, _, _ = _fw_gap(problem, x)
+        gap_k, _ = fw_gap(problem, x)
         if k == max_iter:
             records.append(IterationRecord(k, x.copy(), obj_k, gap_k, 0.0, 0.0))
             reason = REASON_MAX_ITER
@@ -378,6 +323,5 @@ def trace_summary(trace: SolveTrace) -> dict:
             "final_obj": trace.termination.final_obj,
         },
         "config_fingerprint": trace.config_fingerprint,
-        "approximate_oracle": trace.approximate_oracle,
         "final_gap": float(trace.iterations[-1].gap) if trace.iterations else None,
     }

@@ -106,11 +106,6 @@ def test_parse_rejects_malformed_checks():
         parse_spec(_solving_raw(checks=[{"tol": 1e-9}]))
 
 
-def test_parse_rejects_nonpositive_sharp_alpha():
-    with pytest.raises(ValueError, match="'sharp_alpha'"):
-        parse_spec(_solving_raw(sharp_alpha=0.0))
-
-
 def test_parse_error_names_the_source():
     with pytest.raises(ValueError, match="myfile.json:"):
         parse_spec({"name": "x", "seed": "bad"}, source="myfile.json")
@@ -202,6 +197,15 @@ def test_validate_rejects_gpa_with_composite_part():
     raw = _solving_raw(rule={"kind": "gpa", "step": 0.5})
     raw["problem"]["composite"] = {"kind": "l1", "lam": 0.1}
     with pytest.raises(ValueError, match="composite"):
+        validate_spec(parse_spec(raw))
+
+
+def test_validate_rejects_composite_on_a_vertex_polytope():
+    raw = _solving_raw(x0=[1.0, 0.0, 0.0])
+    raw["problem"]["set"] = {"kind": "vertex_polytope",
+                             "vertices": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
+    raw["problem"]["composite"] = {"kind": "l1", "lam": 0.1}
+    with pytest.raises(ValueError, match=r"smoke: 'problem\.composite': .*vertex_polytope"):
         validate_spec(parse_spec(raw))
 
 

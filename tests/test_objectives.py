@@ -17,7 +17,6 @@ from fwlab import (
     make_t_alpha,
     modulus_of_continuity,
     objective_from_descriptor,
-    zero_part,
 )
 
 from conftest import fd_grad
@@ -145,17 +144,10 @@ def test_linear_rejects_zero_cost():
 
 # --- composite parts ---------------------------------------------------------------
 
-def test_l1_part_value_and_subgradient():
+def test_l1_part_value():
     g = l1_part(0.5)
     x = np.array([2.0, -3.0, 0.0])
     assert g.value(x) == pytest.approx(2.5, abs=1e-15)
-    assert np.array_equal(g.subgrad(x), [0.5, -0.5, 0.0])  # sign(0) = 0
-
-
-def test_zero_part_is_identically_zero():
-    g = zero_part()
-    assert g.value(np.array([4.0, -7.0])) == 0.0
-    assert np.array_equal(g.subgrad(np.array([4.0, -7.0])), np.zeros(2))
 
 
 def test_composite_descriptor_round_trip():

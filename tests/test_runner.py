@@ -1,8 +1,10 @@
 """Experiment runner: artifacts, summaries, reproduction, and comparison."""
 import json
+import sys
 
 import pytest
 
+from fwlab import checks
 from fwlab.config import parse_spec
 from fwlab.runner import compare, reproduce, run_experiment
 
@@ -77,6 +79,20 @@ def test_failing_check_does_not_abort_the_report(tmp_path):
     assert len(summary["checks"]) == 2
     # the trace still got written despite the failing check
     assert (tmp_path / "exp.trace.csv").exists()
+
+
+def test_errored_check_keeps_the_exception_type_and_frame(monkeypatch):
+    def broken(desc, ctx):
+        line = sys._getframe().f_lineno + 1
+        raise KeyError(line)
+
+    validate, _ = checks._CHECK_KINDS["monotonicity"]
+    monkeypatch.setitem(checks._CHECK_KINDS, "monotonicity", (validate, broken))
+    result = checks.evaluate_check({"kind": "monotonicity"}, checks.CheckContext(None, None))
+    assert not result.passed
+    assert result.measured.startswith("check errored: ")
+    line = int(result.measured.removeprefix("check errored: "))
+    assert result.detail == f"KeyError at test_runner.py:{line}"
 
 
 def test_analysis_only_spec_writes_summary_without_trace(tmp_path):

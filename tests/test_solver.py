@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fwlab import (
     Box,
     Harmonic,
+    L1Ball,
     L2Ball,
     LineSearch,
     Problem,
@@ -169,14 +170,37 @@ def test_composite_lmo_prefers_zero_only_strictly():
     # cost +0.5: endpoint value 0.5 > 0, zero wins strictly
     s = composite_lmo(fs, np.array([0.5]), g)
     assert s[0] == 0.0
+    # the L1 ball follows the same rule: ||c||_inf = lam ties the vertex with
+    # the origin and keeps the vertex; ||c||_inf < lam hands the win to zero
+    ball = L1Ball(2, 2.0)
+    assert np.array_equal(composite_lmo(ball, np.array([0.5, -1.0]), g), [0.0, 2.0])
+    assert np.array_equal(composite_lmo(ball, np.array([0.5, -0.75]), g), [0.0, 0.0])
 
 
-def test_composite_lmo_zero_part_reduces_to_plain_lmo():
-    fs = Simplex(3)
-    from fwlab import zero_part
-
-    c = np.array([0.3, -0.2, 0.9])
-    assert np.array_equal(composite_lmo(fs, c, zero_part()), fs.lmo(c))
+@given(kind=st.sampled_from(["simplex", "l1_ball", "l2_ball"]),
+       d=st.integers(1, 30),
+       lam_exp=st.integers(-3, 3),
+       c_exp=st.integers(-3, 3),
+       r_exp=st.integers(-2, 2),
+       seed=st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=200, deadline=None)
+def test_composite_lmo_meets_a_weak_duality_bound(kind, d, lam_exp, c_exp, r_exp, seed):
+    rng = np.random.default_rng(seed)
+    lam = 10.0 ** lam_exp * rng.uniform(0.5, 2.0)
+    c = 10.0 ** c_exp * rng.standard_normal(d)
+    r = 10.0 ** r_exp
+    fs = {"simplex": Simplex(d), "l1_ball": L1Ball(d, r), "l2_ball": L2Ball(d, r)}[kind]
+    x = composite_lmo(fs, c, l1_part(lam))
+    assert fs.contains(x, 1e-12 * max(r, 1.0))
+    value = float(c @ x) + lam * float(np.abs(x).sum())
+    # lam*||y||_1 >= <u, y> on the whole set whenever ||u||_inf <= lam, so the
+    # plain oracle's value for c + u bounds the composite minimum from below
+    # (on the simplex ||y||_1 = <1, y>, so u = lam*1 is tight)
+    u = np.full(d, lam) if kind == "simplex" else np.clip(-c, -lam, lam)
+    w = c + u
+    bound = float(w @ fs.lmo(w))
+    scale = float(np.abs(c) @ np.abs(x)) + lam * float(np.abs(x).sum())
+    assert abs(value - bound) <= 1e-12 * max(scale, abs(bound))
 
 
 def test_composite_solve_is_monotone_under_line_search():
