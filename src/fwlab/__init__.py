@@ -7,12 +7,6 @@ from .geometry import (
     L2Ball,
     Simplex,
     VertexPolytope,
-    contains,
-    diameter,
-    extreme_points,
-    lmo,
-    project,
-    sample,
     set_from_descriptor,
 )
 from .objectives import (
@@ -68,7 +62,6 @@ from .analysis import (
     beta_recursion,
     curvature_bound_holder,
     curvature_bound_modulus,
-    curvature_floor_strongly_convex,
     delta_from,
     estimate_curvature,
     fit_rate,

@@ -210,23 +210,6 @@ def curvature_bound_modulus(omega_table, sigma: float, delta: float, gamma_grid)
     return max(sigma / g**sigma * integral(g * delta) for g in grid)
 
 
-def curvature_floor_strongly_convex(mu_sigma: float, sigma: float, delta: float) -> float:
-    """Diagnostic lower bound sigma * mu_sigma * delta^sigma on the curvature.
-
-    Holds when f satisfies the power-sigma strong-convexity inequality
-    f(x) >= f(y) + <f'(y), x-y> + mu_sigma*||x-y||^sigma: take the defining
-    supremum at gamma = 1 over a diameter-attaining pair. Reported only; no
-    shipped objective declares mu_sigma, so nothing downstream consumes it.
-    """
-    if not mu_sigma > 0:
-        raise ValueError(f"mu_sigma must be positive, got {mu_sigma}")
-    if not 1.0 < sigma <= 2.0:
-        raise ValueError(f"sigma must lie in (1, 2], got {sigma}")
-    if not delta > 0:
-        raise ValueError(f"diameter must be positive, got {delta}")
-    return sigma * mu_sigma * delta**sigma
-
-
 KIND_LINE_SEARCH_ORDER_SIGMA = "line_search_order_sigma"
 KIND_OPEN_LOOP_ORDER_SIGMA = "open_loop_order_sigma"
 KIND_HARMONIC_CLASSIC = "harmonic_classic"
@@ -305,13 +288,6 @@ def rate_bound_classic(C_f: float) -> RateBound:
 def delta_from(theta0: float, c_sigma: float, sigma: float) -> float:
     """The open-loop bound's Delta = max(theta0, C_sigma/sigma)."""
     return max(theta0, c_sigma / sigma)
-
-
-def bound_to_csv(bound: RateBound, ks) -> str:
-    lines = ["k,bound"]
-    for k in ks:
-        lines.append("%d,%.17g" % (int(k), bound.bound(int(k))))
-    return "\n".join(lines) + "\n"
 
 
 def beta_recursion(rule: StepsizeRule, sigma: float, K: int) -> np.ndarray:

@@ -22,13 +22,14 @@ import dataclasses
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from .analysis import estimate_curvature
-from .cases import CASE_NAMES, case_specs
+from .cases import CASE_NAMES
 from .checks import CheckResult
 from .config import ExperimentSpec, build_problem, load_spec
-from .runner import ExperimentReport, compare, run_experiment
+from .runner import ExperimentReport, compare, reproduce, run_experiment
 from .stepsize import is_open_loop, rule_from_descriptor, validate_open_loop
 
 
@@ -77,12 +78,21 @@ def _cmd_solve(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     names = list(CASE_NAMES) if args.case == "all" else [args.case]
-    ok = True
+    rows = []
     for name in names:
-        for spec in case_specs(name):
-            report = run_experiment(spec, args.out)
+        t0 = time.perf_counter()
+        reports = reproduce(name, args.out)
+        elapsed = time.perf_counter() - t0
+        for report in reports:
             _print_report(report)
-            ok = ok and report.passed
+        rows.append((name, all(r.passed for r in reports),
+                     sum(len(r.check_results) for r in reports), elapsed))
+    width = max(len(name) for name, *_ in rows)
+    print(f"\n{'case':<{width}}  verdict  checks  seconds")
+    for name, passed, n_checks, elapsed in rows:
+        print(f"{name:<{width}}  {'pass' if passed else 'FAIL':<7}  "
+              f"{n_checks:>6}  {elapsed:7.2f}")
+    ok = all(passed for _, passed, *_ in rows)
     print("reproduce:", "all checks passed" if ok else "SOME CHECKS FAILED")
     return 0 if ok else 1
 

@@ -379,40 +379,6 @@ def _project_onto_simplex_face(x: Vector, total: float) -> Vector:
     return np.maximum(x - theta, 0.0)
 
 
-# Functional forms of the five operations (validated entry points).
-
-def lmo(feasible_set: FeasibleSet, c) -> Vector:
-    """argmin_{x in C} <c, x>. Vertex for polytopes; ties broken by lowest index."""
-    arr = _as_vector(c, feasible_set.dimension, "c")
-    _require_finite(arr, "c")
-    return feasible_set.lmo(arr)
-
-
-def project(feasible_set: FeasibleSet, x) -> Vector:
-    """Euclidean nearest point of C. Unsupported for VertexPolytope."""
-    arr = _as_vector(x, feasible_set.dimension, "x")
-    return feasible_set.project(arr)
-
-
-def diameter(feasible_set: FeasibleSet) -> float:
-    return feasible_set.diameter()
-
-
-def contains(feasible_set: FeasibleSet, x, tol: float = 1e-9) -> bool:
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    arr = _as_vector(x, feasible_set.dimension, "x")
-    return feasible_set.contains(arr, tol)
-
-
-def sample(feasible_set: FeasibleSet, rng_seed: int) -> Vector:
-    return feasible_set.sample(rng_seed)
-
-
-def extreme_points(feasible_set: FeasibleSet) -> np.ndarray:
-    return feasible_set.extreme_points()
-
-
 _SET_KINDS = {
     "simplex": lambda d: Simplex(d["dim"]),
     "l1_ball": lambda d: L1Ball(d["dim"], d["radius"]),

@@ -6,29 +6,25 @@ and, when a feasible set is supplied, the known constrained optimum.
 
 The nonsmooth max objective carries a pointwise gradient selection with a fixed
 tie rule; it exists to demonstrate failure, and certificate invariants do not
-apply to it (tagged nonconvex_or_nonsmooth).
+apply to it (it records no smoothness constant).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .geometry import FeasibleSet, Vector
 
-CONVEX = "convex"
-STRICTLY_CONVEX = "strictly_convex"
-STRONGLY_CONVEX = "strongly_convex"
-NONCONVEX_OR_NONSMOOTH = "nonconvex_or_nonsmooth"
-
 
 @dataclass(frozen=True)
 class HolderInfo:
     """Gradient Holder regularity ||f'(x)-f'(y)|| <= const * ||x-y||^nu.
 
-    const is None until filled by estimate_holder_constant (no closed form is
-    asserted for the shipped power-norm objective in general dimension).
+    const is None where no closed form is known, as for the shipped power-norm
+    objective in general dimension. estimate_holder_constant samples a lower
+    estimate of it, which is never recorded here.
     """
 
     nu: float
@@ -43,19 +39,12 @@ class Objective:
     holder: HolderInfo | None = None
     x_star: Vector | None = None
     f_star: float | None = None
-    convexity: str = CONVEX
-    mu: float | None = None  # strong-convexity modulus when tagged strongly_convex
     descriptor_dict: dict | None = None
 
     def descriptor(self) -> dict:
         if self.descriptor_dict is None:
             raise ValueError("objective has no serializable descriptor")
         return self.descriptor_dict
-
-    def with_holder_constant(self, const: float) -> "Objective":
-        if self.holder is None:
-            raise ValueError("objective carries no holder exponent to attach to")
-        return replace(self, holder=HolderInfo(self.holder.nu, const))
 
 
 @dataclass(frozen=True)
@@ -111,7 +100,6 @@ def make_quadratic(b, feasible_set: FeasibleSet | None = None) -> Objective:
         lipschitz=1.0,
         holder=HolderInfo(1.0, 1.0),  # exactly 1-Lipschitz, a true constant
         x_star=x_star, f_star=f_star,
-        convexity=STRONGLY_CONVEX, mu=1.0,
         descriptor_dict={"kind": "quadratic", "b": [float(v) for v in b]},
     )
 
@@ -145,7 +133,6 @@ def make_power_norm(sigma: float, b, feasible_set: FeasibleSet | None = None) ->
         value, grad,
         holder=HolderInfo(sigma - 1.0, None),
         x_star=x_star, f_star=f_star,
-        convexity=STRICTLY_CONVEX,
         descriptor_dict={"kind": "power_norm", "sigma": sigma, "b": [float(v) for v in b]},
     )
 
@@ -170,7 +157,6 @@ def make_t_alpha(alpha: float) -> Objective:
         value, grad,
         holder=HolderInfo(alpha - 1.0, alpha),
         x_star=np.array([0.0]), f_star=0.0,
-        convexity=STRICTLY_CONVEX,
         descriptor_dict={"kind": "t_alpha", "alpha": alpha},
     )
 
@@ -197,7 +183,6 @@ def make_nesterov_max() -> Objective:
     return Objective(
         value, grad,
         x_star=np.array([-inv_sqrt2, -inv_sqrt2]), f_star=-inv_sqrt2,
-        convexity=NONCONVEX_OR_NONSMOOTH,
         descriptor_dict={"kind": "nesterov_max"},
     )
 
@@ -221,7 +206,6 @@ def make_linear(c, feasible_set: FeasibleSet | None = None) -> Objective:
     return Objective(
         value, grad,
         x_star=x_star, f_star=f_star,
-        convexity=CONVEX,
         descriptor_dict={"kind": "linear", "c": [float(v) for v in c]},
     )
 

@@ -4,7 +4,7 @@ The main iteration picks the feasible point minimizing the linearized
 objective (plus the composite term when present), then steps toward it by a
 convex combination. Feasibility of every iterate is structural: no projection
 happens and the update is never renormalized. A fixed-step projected-gradient
-baseline shares the trace format for side-by-side comparison.
+baseline runs through the same loop, so both record the same trace rows.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .objectives import CompositePart, Objective
 from .stepsize import (
     LineSearch,
     StepsizeRule,
-    is_open_loop,
     line_search,
     schedule_values,
 )
@@ -79,7 +79,6 @@ class StopRule:
 @dataclass(frozen=True)
 class IterationRecord:
     k: int
-    x: Vector
     obj: float
     gap: float
     gamma: float
@@ -164,36 +163,28 @@ def config_fingerprint(problem_desc: dict, rule_desc: dict, x0, stop_desc: dict,
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _try_fingerprint(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
+def _try_fingerprint(problem: Problem, rule_desc: dict, x0, stop: StopRule,
                      seed: int | None) -> str:
     try:
-        return config_fingerprint(problem.descriptor(), rule.descriptor(), x0,
+        return config_fingerprint(problem.descriptor(), rule_desc, x0,
                                   stop.descriptor(), seed)
     except ValueError:
         return ""  # objective not expressible as a descriptor
 
 
-def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
-          seed: int | None = None) -> SolveTrace:
-    """Run the projection-free iteration from x0 under the given stepsize rule.
+def _iterate(problem: Problem, x0, stop: StopRule,
+             advance: Callable[[int, Vector, Vector], tuple[float, Vector]],
+             rule_desc: dict, seed: int | None) -> SolveTrace:
+    """The loop `solve` and `solve_gpa` share; they differ only in `advance`.
 
-    Records one row per iteration k with the pre-step iterate. Stops on a gap
-    certificate (only when stop.gap_tol > 0), on the iteration budget, or on an
-    exact fixed point x_{k+1} == x_k (bitwise), which sharp minima produce.
-    The `seed` enters only the config fingerprint; the loop itself draws no
-    randomness.
+    `advance(k, x, x_bar)` returns the step taken and x_{k+1}, given x_k and
+    the linear-subproblem minimizer x_bar_k.
     """
     x = np.array(x0, dtype=float)
     if not problem.feasible_set.contains(x, 1e-9):
         raise ValueError("x0 is not feasible (tolerance 1e-9)")
 
-    gammas = None
-    if is_open_loop(rule):
-        gammas = schedule_values(rule, stop.max_iter)
-
     records: list[IterationRecord] = []
-    reason = None
-
     for k in range(stop.max_iter + 1):
         obj_k = problem.phi(x)
         if not math.isfinite(obj_k):
@@ -201,38 +192,54 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
         gap_k, x_bar = fw_gap(problem, x)
 
         if stop.gap_tol > 0 and gap_k <= stop.gap_tol:
-            records.append(IterationRecord(k, x.copy(), obj_k, gap_k, 0.0, 0.0))
+            records.append(IterationRecord(k, obj_k, gap_k, 0.0, 0.0))
             reason = REASON_GAP_TOL
             break
         if k == stop.max_iter:
-            records.append(IterationRecord(k, x.copy(), obj_k, gap_k, 0.0, 0.0))
+            records.append(IterationRecord(k, obj_k, gap_k, 0.0, 0.0))
             reason = REASON_MAX_ITER
             break
 
-        d = x_bar - x
-        if isinstance(rule, LineSearch):
-            try:
-                gamma_k = line_search(lambda t: problem.phi(x + t * d),
-                                      rule.tol, rule.max_evals)
-            except ValueError as exc:
-                raise ValueError(f"line search failed at iteration {k}: {exc}") from exc
-        else:
-            gamma_k = float(gammas[k])
-
-        x_next = x + gamma_k * d
+        gamma_k, x_next = advance(k, x, x_bar)
         records.append(IterationRecord(
-            k, x.copy(), obj_k, gap_k, gamma_k, float(np.linalg.norm(x_next - x))))
+            k, obj_k, gap_k, gamma_k, float(np.linalg.norm(x_next - x))))
         if np.array_equal(x_next, x):
             reason = REASON_FINITE_TERMINATION
             break
         x = x_next
 
     termination = Termination(reason, x.copy(), problem.phi(x))
-    return SolveTrace(
-        iterations=records,
-        termination=termination,
-        config_fingerprint=_try_fingerprint(problem, rule, x0, stop, seed),
-    )
+    return SolveTrace(records, termination,
+                      _try_fingerprint(problem, rule_desc, x0, stop, seed))
+
+
+def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
+          seed: int | None = None) -> SolveTrace:
+    """Run the projection-free iteration from x0 under the given stepsize rule.
+
+    x_{k+1} = x_k + gamma_k (x_bar_k - x_k), with gamma_k from the open-loop
+    schedule or from a line search on the segment. Row k records the values
+    at x_k; the final point is `termination.final_x`. Stops on a gap
+    certificate (only when stop.gap_tol > 0), on the iteration budget, or on
+    an exact fixed point x_{k+1} == x_k (bitwise), which sharp minima produce.
+    The `seed` enters only the config fingerprint; the loop itself draws no
+    randomness.
+    """
+    gammas = None if isinstance(rule, LineSearch) else schedule_values(rule, stop.max_iter)
+
+    def advance(k: int, x: Vector, x_bar: Vector) -> tuple[float, Vector]:
+        d = x_bar - x
+        if gammas is not None:
+            gamma_k = float(gammas[k])
+        else:
+            try:
+                gamma_k = line_search(lambda t: problem.phi(x + t * d),
+                                      rule.tol, rule.max_evals)
+            except ValueError as exc:
+                raise ValueError(f"line search failed at iteration {k}: {exc}") from exc
+        return gamma_k, x + gamma_k * d
+
+    return _iterate(problem, x0, stop, advance, rule.descriptor(), seed)
 
 
 def solve_gpa(problem: Problem, step: float, x0, max_iter: int,
@@ -250,39 +257,12 @@ def solve_gpa(problem: Problem, step: float, x0, max_iter: int,
         raise ValueError("objective has no recorded gradient Lipschitz constant")
     if not 0 < step < 2.0 / L:
         raise ValueError(f"step must lie in (0, 2/L) = (0, {2.0 / L}), got {step}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    x = np.array(x0, dtype=float)
-    if not problem.feasible_set.contains(x, 1e-9):
-        raise ValueError("x0 is not feasible (tolerance 1e-9)")
+    stop = StopRule(max_iter)
 
-    records: list[IterationRecord] = []
-    reason = None
-    for k in range(max_iter + 1):
-        obj_k = problem.phi(x)
-        if not math.isfinite(obj_k):
-            raise ValueError(f"objective value is not finite at iteration {k}: {obj_k}")
-        gap_k, _ = fw_gap(problem, x)
-        if k == max_iter:
-            records.append(IterationRecord(k, x.copy(), obj_k, gap_k, 0.0, 0.0))
-            reason = REASON_MAX_ITER
-            break
-        x_next = problem.feasible_set.project(x - step * problem.objective.grad(x))
-        records.append(IterationRecord(
-            k, x.copy(), obj_k, gap_k, step, float(np.linalg.norm(x_next - x))))
-        if np.array_equal(x_next, x):
-            reason = REASON_FINITE_TERMINATION
-            break
-        x = x_next
+    def advance(k: int, x: Vector, x_bar: Vector) -> tuple[float, Vector]:
+        return step, problem.feasible_set.project(x - step * problem.objective.grad(x))
 
-    termination = Termination(reason, x.copy(), problem.phi(x))
-    rule_desc = {"kind": "gpa", "step": step}
-    try:
-        fp = config_fingerprint(problem.descriptor(), rule_desc, x0,
-                                {"max_iter": max_iter, "gap_tol": 0.0}, seed)
-    except ValueError:
-        fp = ""
-    return SolveTrace(records, termination, config_fingerprint=fp)
+    return _iterate(problem, x0, stop, advance, {"kind": "gpa", "step": step}, seed)
 
 
 def trace_to_csv(trace: SolveTrace) -> str:

@@ -36,3 +36,22 @@ def small_sets():
 def projectable_sets():
     """The set kinds whose Euclidean projection is implemented."""
     return [s for s in small_sets() if type(s).__name__ != "VertexPolytope"]
+
+
+def replay_iterates(problem, x0, trace):
+    """The iterates x_0, x_1, ... behind a projection-free trace, one per row.
+
+    Trace rows keep no iterates, so this rebuilds them from the gamma column:
+    x <- x + gamma_k * (x_bar_k - x) for every row but the last, with x_bar_k
+    from the same gap oracle the solver calls. The replay must land on the
+    reported final point bitwise.
+    """
+    from fwlab import fw_gap
+
+    x = np.array(x0, dtype=float)
+    iterates = [x]
+    for rec in trace.iterations[:-1]:
+        x = x + rec.gamma * (fw_gap(problem, x)[1] - x)
+        iterates.append(x)
+    assert np.array_equal(x, trace.termination.final_x)
+    return iterates

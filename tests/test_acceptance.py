@@ -59,6 +59,8 @@ from fwlab import (
     xu_recursion_check,
 )
 
+from conftest import replay_iterates
+
 # interior anchor for the power-norm instances, |b| = 0.85 inside L2Ball(5, 1);
 # same frozen vector the canned cases use
 _ANCHOR = np.array([
@@ -395,10 +397,10 @@ def test_criterion_13_randomized_invariant_suite():
         b = rng.standard_normal(fs.dimension)
         problem = Problem(fs, make_quadratic(b, fs))
         for rule in (Harmonic(2.0), LineSearch(1e-10, 200)):
-            trace = solve(problem, rule, x0=fs.sample(0),
-                          stop=StopRule(max_iter=300))
-            for rec in trace.iterations:
-                if not fs.contains(rec.x, 1e-9):
+            x0 = fs.sample(0)
+            trace = solve(problem, rule, x0=x0, stop=StopRule(max_iter=300))
+            for x, rec in zip(replay_iterates(problem, x0, trace), trace.iterations):
+                if not fs.contains(x, 1e-9):
                     failures.append(f"iterate left {type(fs).__name__}")
                 if rec.gap < -1e-12:
                     failures.append(f"negative gap on {type(fs).__name__}")

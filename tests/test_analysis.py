@@ -19,7 +19,6 @@ from fwlab import (
     beta_recursion,
     curvature_bound_holder,
     curvature_bound_modulus,
-    curvature_floor_strongly_convex,
     delta_from,
     estimate_curvature,
     fit_rate,
@@ -132,12 +131,6 @@ def test_modulus_bound_input_validation():
         curvature_bound_modulus([(0.5, 1.0), (0.2, 2.0)], 2.0, 1.0, DEFAULT_GAMMA_GRID)
     with pytest.raises(ValueError, match="nondecreasing"):
         curvature_bound_modulus([(0.2, 2.0), (0.5, 1.0)], 2.0, 1.0, DEFAULT_GAMMA_GRID)
-
-
-def test_strong_convexity_floor_diagnostic():
-    assert curvature_floor_strongly_convex(0.5, 2.0, 2.0) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        curvature_floor_strongly_convex(0.0, 2.0, 1.0)
 
 
 # --- rate bound curves ----------------------------------------------------------------
@@ -364,7 +357,7 @@ def test_xu_recursion_input_validation():
 # --- empirical rate fitting --------------------------------------------------------------
 
 def _synthetic_trace(objs):
-    records = [IterationRecord(k, np.zeros(1), float(v), 0.0, 0.0, 0.0)
+    records = [IterationRecord(k, float(v), 0.0, 0.0, 0.0)
                for k, v in enumerate(objs)]
     return SolveTrace(records, Termination("max_iter", np.zeros(1), float(objs[-1])))
 

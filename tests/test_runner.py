@@ -1,6 +1,8 @@
 """Experiment runner: artifacts, summaries, reproduction, and comparison."""
+import hashlib
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +134,17 @@ def test_reproduce_single_case_produces_reports(tmp_path):
     reports = reproduce("sharp_finite_termination", tmp_path)
     assert all(r.passed for r in reports)
     assert (tmp_path / "sharp_finite_termination.summary.json").exists()
+
+
+def test_reproduce_all_matches_the_recorded_artifact_hashes(tmp_path):
+    """The equivalence oracle: every canned trace and bounds file, byte for byte."""
+    table = Path(__file__).resolve().parent.parent / "bench" / "reproduce_sha256.json"
+    recorded = json.loads(table.read_text())
+    reports = reproduce("all", tmp_path)
+    assert all(r.passed for r in reports)
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(recorded)
+    for name, digest in recorded.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_compare_writes_wide_csv_with_padding(tmp_path):

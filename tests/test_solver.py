@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from fwlab.solver import (
     TRACE_CSV_COLUMNS,
 )
 
+from conftest import replay_iterates
+
 
 def _simplex_quadratic(n=3):
     fs = Simplex(n)
@@ -47,13 +50,30 @@ def test_trace_records_pre_step_rows_zero_through_max_iter():
                   x0=np.array([1.0, 0.0, 0.0]), stop=StopRule(max_iter=5))
     assert [r.k for r in trace.iterations] == [0, 1, 2, 3, 4, 5]
     assert trace.termination.reason == REASON_MAX_ITER
-    # row 0 holds the start point before any step
-    assert np.array_equal(trace.iterations[0].x, [1.0, 0.0, 0.0])
+    # row 0 holds the values at the start point, before any step
     assert trace.iterations[0].obj == 0.5
-    # the budget row is recorded without stepping
+    # the budget row is recorded without stepping, at the final point
     last = trace.iterations[-1]
     assert last.gamma == 0.0 and last.step_norm == 0.0
-    assert np.array_equal(trace.termination.final_x, last.x)
+    assert trace.termination.final_obj == last.obj
+
+
+def test_trace_rows_hold_no_copy_of_the_iterate():
+    n = 10_000
+    fs = Simplex(n)
+    problem = Problem(fs, make_quadratic(np.zeros(n), fs))
+    x0 = np.zeros(n)
+    x0[0] = 1.0
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = solve(problem, Harmonic(2.0), x0=x0, stop=StopRule(max_iter=300))
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(trace.iterations) == 301
+    # one 8n-byte copy per row would hold 24 MB
+    assert held < 1_000_000
 
 
 def test_open_loop_gamma_column_matches_schedule():
@@ -71,7 +91,8 @@ def test_gap_tol_stop_certifies_the_reported_point():
     last = trace.iterations[-1]
     assert last.gap <= 1e-3
     # stop fires before stepping: the certified iterate is the final point
-    assert np.array_equal(trace.termination.final_x, last.x)
+    assert trace.termination.final_obj == last.obj
+    assert fw_gap(problem, trace.termination.final_x)[0] == last.gap
     assert len(trace.iterations) < 10_001
 
 
@@ -247,10 +268,10 @@ def test_all_iterates_stay_feasible(seed):
     rng = np.random.default_rng(seed)
     fs = L2Ball(3, 1.0)
     problem = Problem(fs, make_quadratic(rng.normal(scale=0.4, size=3), fs))
-    trace = solve(problem, Harmonic(2.0), x0=fs.sample(seed),
-                  stop=StopRule(max_iter=30))
-    for rec in trace.iterations:
-        assert fs.contains(rec.x, 1e-9)
+    x0 = fs.sample(seed)
+    trace = solve(problem, Harmonic(2.0), x0=x0, stop=StopRule(max_iter=30))
+    for x, rec in zip(replay_iterates(problem, x0, trace), trace.iterations):
+        assert fs.contains(x, 1e-9)
         assert rec.gap >= -1e-12  # oracle roundoff only
 
 
