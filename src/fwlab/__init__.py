@@ -14,13 +14,11 @@ from .objectives import (
     Objective,
     composite_from_descriptor,
     estimate_holder_constant,
-    l1_part,
     make_linear,
     make_nesterov_max,
     make_power_norm,
     make_quadratic,
     make_t_alpha,
-    modulus_of_continuity,
     objective_from_descriptor,
 )
 from .stepsize import (
@@ -28,15 +26,14 @@ from .stepsize import (
     Harmonic,
     LineSearch,
     Power,
-    ScheduleReport,
     StepsizeRule,
+    dh_envelope_holds,
     is_open_loop,
     line_search,
     line_search_quadratic_exact,
     rule_from_descriptor,
     schedule_value,
     schedule_values,
-    validate_open_loop,
 )
 from .solver import (
     Problem,
@@ -46,7 +43,6 @@ from .solver import (
     composite_lmo,
     config_fingerprint,
     fw_gap,
-    read_trace_csv,
     solve,
     solve_gpa,
     trace_summary,
@@ -61,7 +57,6 @@ from .analysis import (
     beta_bound_report,
     beta_recursion,
     curvature_bound_holder,
-    curvature_bound_modulus,
     delta_from,
     estimate_curvature,
     fit_rate,

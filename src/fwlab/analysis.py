@@ -5,8 +5,7 @@ compact convex set: the supremum over feasible pairs (x, s) and gamma in (0,1]
 of (sigma/gamma^sigma) * (f(x + gamma(s-x)) - f(x) - <f'(x), gamma(s-x)>).
 It is finite when the gradient is (sigma-1)-Holder on the set, and it feeds
 every convergence bound in this module. Sampled estimates are suprema over
-finite samples, hence lower estimates; upper bounds come from Holder constants
-or from a tabulated modulus of continuity of the gradient.
+finite samples, hence lower estimates; upper bounds come from Holder constants.
 """
 from __future__ import annotations
 
@@ -168,46 +167,6 @@ def curvature_bound_holder(L_nu: float, nu: float, delta: float) -> float:
     if not delta > 0:
         raise ValueError(f"diameter must be positive, got {delta}")
     return L_nu * delta ** (1.0 + nu)
-
-
-def curvature_bound_modulus(omega_table, sigma: float, delta: float, gamma_grid) -> float:
-    """Curvature upper bound from a tabulated gradient modulus of continuity.
-
-    Evaluates sup over the gamma grid of (sigma/gamma^sigma) times the integral
-    of the tabulated omega from 0 to gamma*delta. The table interpolates
-    piecewise-linearly, is anchored at (0, 0) (any continuous gradient has
-    omega(0) = 0, and the anchor is what makes an exactly-linear omega
-    integrate exactly), and extends as a constant beyond the last tau. The
-    integral of the interpolant is computed segment-exactly (trapezoids).
-    """
-    table = [(float(t), float(w)) for t, w in omega_table]
-    if not table:
-        raise ValueError("omega table is empty")
-    taus = [t for t, _ in table]
-    oms = [w for _, w in table]
-    if any(t <= 0 for t in taus) or any(b <= a for a, b in zip(taus, taus[1:])):
-        raise ValueError("taus must be strictly increasing and positive")
-    if any(w < 0 for w in oms) or any(b < a for a, b in zip(oms, oms[1:])):
-        raise ValueError("omega values must be nonnegative and nondecreasing")
-    grid = _validate_gamma_grid(gamma_grid)
-
-    taus = [0.0] + taus
-    oms = [0.0] + oms
-    cum = [0.0]
-    for i in range(1, len(taus)):
-        cum.append(cum[-1] + 0.5 * (oms[i] + oms[i - 1]) * (taus[i] - taus[i - 1]))
-
-    def integral(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        if u >= taus[-1]:
-            return cum[-1] + oms[-1] * (u - taus[-1])
-        j = int(np.searchsorted(taus, u)) - 1
-        frac = (u - taus[j]) / (taus[j + 1] - taus[j])
-        om_u = oms[j] + frac * (oms[j + 1] - oms[j])
-        return cum[j] + 0.5 * (oms[j] + om_u) * (u - taus[j])
-
-    return max(sigma / g**sigma * integral(g * delta) for g in grid)
 
 
 KIND_LINE_SEARCH_ORDER_SIGMA = "line_search_order_sigma"
@@ -382,7 +341,6 @@ def polyak_recursion(alpha0: float, betas, eta: float) -> np.ndarray:
 class XuReport:
     final_alpha: float
     tail_max: float  # max of alpha over the second half of the horizon
-    eta_partial_sum: float
     eta_sum_keeps_growing: bool  # partial sums still increased in the second half
 
 
@@ -391,8 +349,8 @@ def xu_recursion_check(alpha0: float, etas, epsilons) -> XuReport:
 
     Under the driving conditions (eta_k -> 0 with divergent sum, eps_k -> 0)
     the sequence tends to 0; the report carries what a finite horizon can
-    honestly say: the final value, the max over the tail half, the eta partial
-    sum, and whether that sum was still growing late (a constant-zero eta, for
+    honestly say: the final value, the max over the tail half, and whether
+    the eta partial sum was still growing late (a constant-zero eta, for
     which the sequence provably stalls, reports False).
     """
     if alpha0 < 0:
@@ -417,7 +375,6 @@ def xu_recursion_check(alpha0: float, etas, epsilons) -> XuReport:
     return XuReport(
         final_alpha=a,
         tail_max=tail_max,
-        eta_partial_sum=math.fsum(e),
         eta_sum_keeps_growing=second_half_sum > 0.0,
     )
 

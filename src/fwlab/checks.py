@@ -24,7 +24,7 @@ from .analysis import (
     rate_bound_open_loop,
 )
 from .solver import Problem, SolveTrace, composite_lmo, REASON_FINITE_TERMINATION
-from .stepsize import DHRecursion, validate_open_loop
+from .stepsize import DHRecursion, dh_envelope_holds
 from .geometry import Box
 
 
@@ -370,11 +370,8 @@ def _validate_schedule_bounds(desc, spec, problem):
 
 
 def _eval_schedule_bounds(desc, ctx: CheckContext) -> CheckResult:
-    failed = []
-    for g0 in desc["gamma0s"]:
-        report = validate_open_loop(DHRecursion(float(g0)), int(desc["horizon"]))
-        if not (report.c1_ok and report.dh_bounds_ok):
-            failed.append(float(g0))
+    failed = [float(g0) for g0 in desc["gamma0s"]
+              if not dh_envelope_holds(DHRecursion(float(g0)), int(desc["horizon"]))]
     return CheckResult("schedule-bounds", not failed,
                        measured=("envelope broken for gamma0 in " + repr(failed)) if failed
                        else f"exact envelope holds for all gamma0 to k={desc['horizon']}",

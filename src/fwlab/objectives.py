@@ -51,12 +51,9 @@ class Objective:
 class CompositePart:
     """Convex additive term g for composite problems: g(x) = lam * ||x||_1."""
 
-    kind: str  # "l1"
     lam: float
 
     def __post_init__(self):
-        if self.kind != "l1":
-            raise ValueError(f"unknown composite kind {self.kind!r}")
         if not self.lam > 0:
             raise ValueError(f"l1 weight must be positive, got {self.lam}")
 
@@ -65,10 +62,6 @@ class CompositePart:
 
     def descriptor(self) -> dict:
         return {"kind": "l1", "lam": self.lam}
-
-
-def l1_part(lam: float) -> CompositePart:
-    return CompositePart("l1", lam)
 
 
 def make_quadratic(b, feasible_set: FeasibleSet | None = None) -> Objective:
@@ -243,39 +236,6 @@ def estimate_holder_constant(
     return best
 
 
-def modulus_of_continuity(
-    obj: Objective,
-    feasible_set: FeasibleSet,
-    taus,
-    n_pairs: int,
-    seed: int,
-) -> list[tuple[float, float]]:
-    """Sampled modulus of continuity of the gradient at each distance scale tau.
-
-    omega_hat(tau) = max gradient variation over sampled pairs at distance
-    <= tau; a running maximum makes the output nondecreasing by construction.
-    """
-    taus = [float(t) for t in taus]
-    if any(t <= 0 for t in taus) or any(b <= a for a, b in zip(taus, taus[1:])):
-        raise ValueError("taus must be strictly increasing and positive")
-    rng = np.random.default_rng(seed)
-    dists = np.empty(n_pairs)
-    variations = np.empty(n_pairs)
-    for i in range(n_pairs):
-        x = feasible_set.draw(rng)
-        y = feasible_set.draw(rng)
-        dists[i] = np.linalg.norm(x - y)
-        variations[i] = np.linalg.norm(obj.grad(x) - obj.grad(y))
-    out: list[tuple[float, float]] = []
-    running = 0.0
-    for tau in taus:
-        inside = variations[dists <= tau]
-        if inside.size:
-            running = max(running, float(inside.max()))
-        out.append((tau, running))
-    return out
-
-
 _OBJECTIVE_KINDS = {
     "quadratic": lambda d, fs: make_quadratic(np.asarray(d["b"]), fs),
     "power_norm": lambda d, fs: make_power_norm(d["sigma"], np.asarray(d["b"]), fs),
@@ -307,7 +267,7 @@ def composite_from_descriptor(desc: dict | None) -> CompositePart | None:
         raise ValueError(f"composite descriptor needs a 'kind' field, got {desc!r}") from None
     if kind == "l1":
         try:
-            return l1_part(desc["lam"])
+            return CompositePart(desc["lam"])
         except KeyError:
             raise ValueError("composite descriptor for 'l1' is missing field 'lam'") from None
     raise ValueError(f"unknown composite kind {kind!r}")

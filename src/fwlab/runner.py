@@ -39,15 +39,6 @@ class ExperimentReport:
     trace_path: str | None
     summary_path: str
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checks": [c.as_dict() for c in self.check_results],
-            "trace_path": self.trace_path,
-            "summary_path": self.summary_path,
-        }
-
 
 def _run_trace(spec: ExperimentSpec) -> SolveTrace:
     problem = build_problem(spec)

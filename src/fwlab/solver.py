@@ -49,10 +49,6 @@ class Problem:
             v += self.composite.value(x)
         return v
 
-    def optimum(self) -> float | None:
-        """Known optimal value of the full objective, when recorded."""
-        return self.objective.f_star
-
     def descriptor(self) -> dict:
         return {
             "set": self.feasible_set.descriptor(),
@@ -106,18 +102,6 @@ class SolveTrace:
     def objs(self) -> np.ndarray:
         return np.array([r.obj for r in self.iterations])
 
-    @property
-    def gaps(self) -> np.ndarray:
-        return np.array([r.gap for r in self.iterations])
-
-    @property
-    def gammas(self) -> np.ndarray:
-        return np.array([r.gamma for r in self.iterations])
-
-    @property
-    def step_norms(self) -> np.ndarray:
-        return np.array([r.step_norm for r in self.iterations])
-
 
 def composite_lmo(feasible_set: FeasibleSet, c: Vector, g: CompositePart) -> Vector:
     """argmin over the set of <c, x> + g(x), by the set's exact closed form."""
@@ -130,7 +114,10 @@ def fw_gap(problem: Problem, x: Vector) -> tuple[float, Vector]:
     x_bar is the linear-subproblem minimizer; for convex problems the gap upper
     bounds the current suboptimality, so it doubles as a stopping certificate.
     """
-    grad = problem.objective.grad(x)
+    return _gap(problem, x, problem.objective.grad(x))
+
+
+def _gap(problem: Problem, x: Vector, grad: Vector) -> tuple[float, Vector]:
     if problem.composite is None:
         x_bar = problem.feasible_set.lmo(grad)
         return float(grad @ (x - x_bar)), x_bar
@@ -173,12 +160,12 @@ def _try_fingerprint(problem: Problem, rule_desc: dict, x0, stop: StopRule,
 
 
 def _iterate(problem: Problem, x0, stop: StopRule,
-             advance: Callable[[int, Vector, Vector], tuple[float, Vector]],
+             advance: Callable[[int, Vector, Vector, Vector], tuple[float, Vector]],
              rule_desc: dict, seed: int | None) -> SolveTrace:
     """The loop `solve` and `solve_gpa` share; they differ only in `advance`.
 
-    `advance(k, x, x_bar)` returns the step taken and x_{k+1}, given x_k and
-    the linear-subproblem minimizer x_bar_k.
+    `advance(k, x, grad, x_bar)` returns the step taken and x_{k+1}, given
+    x_k, the gradient at x_k and the linear-subproblem minimizer x_bar_k.
     """
     x = np.array(x0, dtype=float)
     if not problem.feasible_set.contains(x, 1e-9):
@@ -189,7 +176,8 @@ def _iterate(problem: Problem, x0, stop: StopRule,
         obj_k = problem.phi(x)
         if not math.isfinite(obj_k):
             raise ValueError(f"objective value is not finite at iteration {k}: {obj_k}")
-        gap_k, x_bar = fw_gap(problem, x)
+        grad = problem.objective.grad(x)
+        gap_k, x_bar = _gap(problem, x, grad)
 
         if stop.gap_tol > 0 and gap_k <= stop.gap_tol:
             records.append(IterationRecord(k, obj_k, gap_k, 0.0, 0.0))
@@ -200,7 +188,7 @@ def _iterate(problem: Problem, x0, stop: StopRule,
             reason = REASON_MAX_ITER
             break
 
-        gamma_k, x_next = advance(k, x, x_bar)
+        gamma_k, x_next = advance(k, x, grad, x_bar)
         records.append(IterationRecord(
             k, obj_k, gap_k, gamma_k, float(np.linalg.norm(x_next - x))))
         if np.array_equal(x_next, x):
@@ -227,7 +215,7 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
     """
     gammas = None if isinstance(rule, LineSearch) else schedule_values(rule, stop.max_iter)
 
-    def advance(k: int, x: Vector, x_bar: Vector) -> tuple[float, Vector]:
+    def advance(k: int, x: Vector, grad: Vector, x_bar: Vector) -> tuple[float, Vector]:
         d = x_bar - x
         if gammas is not None:
             gamma_k = float(gammas[k])
@@ -259,8 +247,8 @@ def solve_gpa(problem: Problem, step: float, x0, max_iter: int,
         raise ValueError(f"step must lie in (0, 2/L) = (0, {2.0 / L}), got {step}")
     stop = StopRule(max_iter)
 
-    def advance(k: int, x: Vector, x_bar: Vector) -> tuple[float, Vector]:
-        return step, problem.feasible_set.project(x - step * problem.objective.grad(x))
+    def advance(k: int, x: Vector, grad: Vector, x_bar: Vector) -> tuple[float, Vector]:
+        return step, problem.feasible_set.project(x - step * grad)
 
     return _iterate(problem, x0, stop, advance, {"kind": "gpa", "step": step}, seed)
 
@@ -276,21 +264,6 @@ def trace_to_csv(trace: SolveTrace) -> str:
 def write_trace_csv(trace: SolveTrace, path) -> None:
     with open(path, "w") as fh:
         fh.write(trace_to_csv(trace))
-
-
-def read_trace_csv(path) -> list[tuple[int, float, float, float, float]]:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != ",".join(TRACE_CSV_COLUMNS):
-            raise ValueError(f"unexpected trace CSV header: {header!r}")
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            k, obj, gap, gamma, step_norm = line.split(",")
-            rows.append((int(k), float(obj), float(gap), float(gamma), float(step_norm)))
-    return rows
 
 
 def trace_summary(trace: SolveTrace) -> dict:

@@ -190,38 +190,16 @@ def dh_terms_iterative(gamma0: float, upto: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ScheduleReport:
-    c1_ok: bool
-    partial_sum: float
-    dh_bounds_ok: bool | None  # None for non-DH rules
-
-
-def validate_open_loop(rule: StepsizeRule, horizon: int) -> ScheduleReport:
-    """Check the open-loop conditions over a finite horizon.
-
-    c1_ok: the tail stepsize has visibly decayed, or the kind's analytic limit
-    is zero (true for every shipped open-loop kind). partial_sum: sum of the
-    first `horizon` stepsizes, reported for divergence inspection. dh_bounds_ok:
-    for the DH rule only, exact envelope gamma0/(k+1) <= gamma_k <=
-    gamma0/(gamma0*k+1) for every k <= horizon, compared with no tolerance.
-    """
+def dh_envelope_holds(rule: DHRecursion, horizon: int) -> bool:
+    """Exact envelope gamma0/(k+1) <= gamma_k <= gamma0/(gamma0*k+1) of the DH
+    rule for every k <= horizon, compared with no tolerance."""
     if horizon < 10:
         raise ValueError(f"horizon must be >= 10, got {horizon}")
-    if not is_open_loop(rule):
-        raise ValueError(f"{type(rule).__name__} is not an open-loop rule")
     g = schedule_values(rule, horizon)
-    numeric_decay = bool(g[horizon] < g[0] and g[horizon] < 0.01)
-    analytic_zero_limit = isinstance(rule, _OPEN_LOOP)  # all three kinds decay to 0
-    c1_ok = numeric_decay or analytic_zero_limit
-    partial_sum = math.fsum(g[:horizon])
-    dh_bounds_ok = None
-    if isinstance(rule, DHRecursion):
-        k = np.arange(horizon + 1, dtype=float)
-        lower = rule.gamma0 / (k + 1.0)
-        upper = rule.gamma0 / (rule.gamma0 * k + 1.0)
-        dh_bounds_ok = bool(np.all(lower <= g) and np.all(g <= upper))
-    return ScheduleReport(c1_ok=c1_ok, partial_sum=partial_sum, dh_bounds_ok=dh_bounds_ok)
+    k = np.arange(horizon + 1, dtype=float)
+    lower = rule.gamma0 / (k + 1.0)
+    upper = rule.gamma0 / (rule.gamma0 * k + 1.0)
+    return bool(np.all(lower <= g) and np.all(g <= upper))
 
 
 _RULE_KINDS = {

@@ -27,6 +27,7 @@ import numpy as np
 
 from fwlab import (
     Box,
+    CompositePart,
     DHRecursion,
     Harmonic,
     L1Ball,
@@ -42,7 +43,6 @@ from fwlab import (
     estimate_curvature,
     fit_rate,
     fw_gap,
-    l1_part,
     make_linear,
     make_nesterov_max,
     make_power_norm,
@@ -267,7 +267,7 @@ def test_criterion_10_composite_split_solver_on_the_box():
     fs = Box(5, -np.ones(5), np.ones(5))
     b = np.array([0.9, -0.4, 0.2, -1.5, 0.0])
     lam = 0.5
-    problem = Problem(fs, make_quadratic(b, fs), l1_part(lam))
+    problem = Problem(fs, make_quadratic(b, fs), CompositePart(lam))
     # coordinate-wise soft-threshold-then-clip optimum of f + g on the box
     x_star = np.clip(np.sign(b) * np.maximum(np.abs(b) - lam, 0.0), -1.0, 1.0)
     phi_star = 0.5 * float(((x_star - b) ** 2).sum()) + lam * float(np.abs(x_star).sum())
@@ -378,7 +378,7 @@ def test_criterion_13_randomized_invariant_suite():
     # for both plain and composite problems
     for fs in sets:
         b = rng.standard_normal(fs.dimension)
-        for composite in (None, l1_part(0.3)):
+        for composite in (None, CompositePart(0.3)):
             problem = Problem(fs, make_quadratic(b, fs), composite)
             for i in range(20):
                 x = fs.sample(100 + i)

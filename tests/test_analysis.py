@@ -18,7 +18,6 @@ from fwlab import (
     beta_bound_report,
     beta_recursion,
     curvature_bound_holder,
-    curvature_bound_modulus,
     delta_from,
     estimate_curvature,
     fit_rate,
@@ -100,37 +99,6 @@ def test_holder_curvature_bound_values():
     assert curvature_bound_holder(1.5, 0.5, 1.0) == pytest.approx(1.5, abs=1e-15)
     # scalar power family: constant alpha with nu = alpha-1 on a unit segment
     assert curvature_bound_holder(1.5, 0.5, 1.0) == pytest.approx(1.5)
-
-
-def test_modulus_bound_linear_omega_recovers_lipschitz_bound():
-    table = [(t, t) for t in np.linspace(0.01, 2.0, 50)]
-    got = curvature_bound_modulus(table, sigma=2.0, delta=math.sqrt(2.0),
-                                  gamma_grid=DEFAULT_GAMMA_GRID)
-    assert got == pytest.approx(2.0, rel=1e-12)
-
-
-def test_modulus_bound_zero_omega_is_zero():
-    table = [(t, 0.0) for t in np.linspace(0.1, 1.0, 5)]
-    assert curvature_bound_modulus(table, 2.0, 1.0, DEFAULT_GAMMA_GRID) == 0.0
-
-
-def test_modulus_bound_tracks_holder_bound_within_quadrature_error():
-    nu = 0.5
-    taus = np.linspace(1e-4, 2.0, 1000)
-    table = [(t, 1.3 * t ** nu) for t in taus]
-    got = curvature_bound_modulus(table, sigma=1.0 + nu, delta=2.0,
-                                  gamma_grid=DEFAULT_GAMMA_GRID)
-    want = curvature_bound_holder(1.3, nu, 2.0)
-    assert abs(got - want) / want < 0.01
-
-
-def test_modulus_bound_input_validation():
-    with pytest.raises(ValueError):
-        curvature_bound_modulus([], 2.0, 1.0, DEFAULT_GAMMA_GRID)
-    with pytest.raises(ValueError, match="increasing"):
-        curvature_bound_modulus([(0.5, 1.0), (0.2, 2.0)], 2.0, 1.0, DEFAULT_GAMMA_GRID)
-    with pytest.raises(ValueError, match="nondecreasing"):
-        curvature_bound_modulus([(0.2, 2.0), (0.5, 1.0)], 2.0, 1.0, DEFAULT_GAMMA_GRID)
 
 
 # --- rate bound curves ----------------------------------------------------------------

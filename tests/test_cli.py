@@ -1,8 +1,10 @@
 """Command-line interface, driven in process through main(argv)."""
 import json
 
+import numpy as np
 import pytest
 
+from fwlab import checks, stepsize
 from fwlab.cli import main
 
 
@@ -169,8 +171,9 @@ def test_compare_mismatched_problems_exit_two(tmp_path, capsys):
 def test_validate_schedule_harmonic(capsys):
     assert run_cli("validate-schedule", "harmonic:c=2", "--horizon", "1000") == 0
     stdout = capsys.readouterr().out
-    assert "decays to zero: yes" in stdout
-    assert "partial sum of steps:" in stdout
+    assert stdout == "schedule harmonic:c=2 over horizon 1000:\n"
+    assert "decays to zero" not in stdout
+    assert "partial sum" not in stdout
 
 
 def test_validate_schedule_reports_exact_envelope(capsys):
@@ -178,6 +181,21 @@ def test_validate_schedule_reports_exact_envelope(capsys):
                    "--horizon", "5000")
     assert code == 0
     assert "exact two-sided envelope: holds" in capsys.readouterr().out
+
+
+def test_schedule_checks_fail_when_a_step_leaves_the_envelope(monkeypatch, capsys):
+    # one ulp above the closed form is above the upper envelope it equals
+    exact = stepsize.schedule_values
+    monkeypatch.setattr(stepsize, "schedule_values",
+                        lambda rule, upto: np.nextafter(exact(rule, upto), 2))
+    desc = {"kind": "schedule-bounds", "gamma0s": [0.5], "horizon": 100}
+    result = checks.evaluate_check(desc, checks.CheckContext(None, None))
+    assert result.passed is False
+    assert result.measured == "envelope broken for gamma0 in [0.5]"
+    code = run_cli("validate-schedule", "dh_recursion:gamma0=0.7",
+                   "--horizon", "100")
+    assert code == 1
+    assert "exact two-sided envelope: VIOLATED" in capsys.readouterr().out
 
 
 def test_validate_schedule_rejects_closed_loop_rule(capsys):
@@ -191,6 +209,7 @@ def test_validate_schedule_rejects_malformed_parameters(capsys):
     assert run_cli("validate-schedule", "harmonic:c", "--horizon", "10") == 2
     assert run_cli("validate-schedule", "harmonic:c=two", "--horizon", "10") == 2
     assert run_cli("validate-schedule", "mystery:a=1", "--horizon", "10") == 2
+    assert run_cli("validate-schedule", "harmonic:c=2", "--horizon", "5") == 2
 
 
 def test_missing_subcommand_is_usage_error(capsys):

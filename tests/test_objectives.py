@@ -5,17 +5,16 @@ from hypothesis import strategies as st
 
 from fwlab import (
     Box,
+    CompositePart,
     L2Ball,
     Simplex,
     composite_from_descriptor,
     estimate_holder_constant,
-    l1_part,
     make_linear,
     make_nesterov_max,
     make_power_norm,
     make_quadratic,
     make_t_alpha,
-    modulus_of_continuity,
     objective_from_descriptor,
 )
 
@@ -145,7 +144,7 @@ def test_linear_rejects_zero_cost():
 # --- composite parts ---------------------------------------------------------------
 
 def test_l1_part_value():
-    g = l1_part(0.5)
+    g = CompositePart(0.5)
     x = np.array([2.0, -3.0, 0.0])
     assert g.value(x) == pytest.approx(2.5, abs=1e-15)
 
@@ -190,15 +189,3 @@ def test_holder_estimate_quadratic_is_sharp_from_below():
     est = estimate_holder_constant(f, L2Ball(3, 1.0), nu=1.0, n_pairs=400, seed=0)
     # identity gradient: every pair ratio equals 1 exactly
     assert est == pytest.approx(1.0, abs=1e-9)
-
-
-def test_modulus_of_continuity_is_nondecreasing_and_linear_for_quadratic():
-    f = make_quadratic(np.zeros(3))
-    taus = [0.1, 0.2, 0.5, 1.0]
-    table = modulus_of_continuity(f, L2Ball(3, 1.0), taus, n_pairs=200, seed=1)
-    oms = [w for _, w in table]
-    assert all(b >= a for a, b in zip(oms, oms[1:]))
-    for (tau, om) in table:
-        assert om <= tau + 1e-12  # identity gradient: omega(tau) = tau
-    # sampling from below: small scales may see no pairs, but tau = 1 must
-    assert table[-1][1] >= 0.5

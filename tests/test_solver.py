@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from fwlab import (
     Box,
+    CompositePart,
     Harmonic,
     L1Ball,
     L2Ball,
@@ -18,11 +20,9 @@ from fwlab import (
     composite_lmo,
     config_fingerprint,
     fw_gap,
-    l1_part,
     make_linear,
     make_nesterov_max,
     make_quadratic,
-    read_trace_csv,
     solve,
     solve_gpa,
     trace_to_csv,
@@ -153,7 +153,7 @@ def test_gap_certifies_suboptimality_on_convex_problems():
 
 def test_composite_gap_includes_the_nonsmooth_part():
     fs = Box(2, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    problem = Problem(fs, make_quadratic(np.array([0.9, -0.4])), l1_part(0.5))
+    problem = Problem(fs, make_quadratic(np.array([0.9, -0.4])), CompositePart(0.5))
     x = np.array([1.0, 1.0])
     gap, x_bar = fw_gap(problem, x)
     grad = problem.objective.grad(x)
@@ -166,7 +166,7 @@ def test_composite_gap_includes_the_nonsmooth_part():
 
 def test_composite_lmo_box_l1_brute_force_grid():
     fs = Box(3, np.array([-1.0, -0.5, -2.0]), np.array([0.5, 1.0, 1.0]))
-    g = l1_part(0.7)
+    g = CompositePart(0.7)
     rng = np.random.default_rng(11)
     grid = np.linspace(-2.0, 1.0, 3001)
     for _ in range(25):
@@ -183,7 +183,7 @@ def test_composite_lmo_box_l1_brute_force_grid():
 
 def test_composite_lmo_prefers_zero_only_strictly():
     fs = Box(1, np.array([-1.0]), np.array([1.0]))
-    g = l1_part(1.0)
+    g = CompositePart(1.0)
     # cost +1: endpoint value at -1 is -1+1 = 0, ties the zero candidate;
     # the endpoint wins ties so the oracle stays extreme-point-valued
     s = composite_lmo(fs, np.array([1.0]), g)
@@ -211,7 +211,7 @@ def test_composite_lmo_meets_a_weak_duality_bound(kind, d, lam_exp, c_exp, r_exp
     c = 10.0 ** c_exp * rng.standard_normal(d)
     r = 10.0 ** r_exp
     fs = {"simplex": Simplex(d), "l1_ball": L1Ball(d, r), "l2_ball": L2Ball(d, r)}[kind]
-    x = composite_lmo(fs, c, l1_part(lam))
+    x = composite_lmo(fs, c, CompositePart(lam))
     assert fs.contains(x, 1e-12 * max(r, 1.0))
     value = float(c @ x) + lam * float(np.abs(x).sum())
     # lam*||y||_1 >= <u, y> on the whole set whenever ||u||_inf <= lam, so the
@@ -226,7 +226,7 @@ def test_composite_lmo_meets_a_weak_duality_bound(kind, d, lam_exp, c_exp, r_exp
 
 def test_composite_solve_is_monotone_under_line_search():
     fs = Box(2, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    problem = Problem(fs, make_quadratic(np.array([0.9, -1.5])), l1_part(0.5))
+    problem = Problem(fs, make_quadratic(np.array([0.9, -1.5])), CompositePart(0.5))
     trace = solve(problem, LineSearch(1e-10, 200), x0=np.array([-1.0, -1.0]),
                   stop=StopRule(max_iter=60))
     objs = trace.objs
@@ -248,9 +248,21 @@ def test_gpa_rejects_bad_steps_and_composite_problems():
     with pytest.raises(ValueError, match=r"step must lie in \(0, 2/L\)"):
         solve_gpa(problem, step=2.0, x0=np.eye(3)[0], max_iter=10)
     fs = Box(2, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    comp = Problem(fs, make_quadratic(np.zeros(2)), l1_part(0.5))
+    comp = Problem(fs, make_quadratic(np.zeros(2)), CompositePart(0.5))
     with pytest.raises(ValueError, match="composite"):
         solve_gpa(comp, step=1.0, x0=np.zeros(2), max_iter=10)
+
+
+def test_gpa_evaluates_one_gradient_per_row():
+    problem = _simplex_quadratic(4)
+    calls = []
+    objective = problem.objective
+    counted = dataclasses.replace(
+        objective, grad=lambda x: calls.append(1) or objective.grad(x))
+    problem = dataclasses.replace(problem, objective=counted)
+    trace = solve_gpa(problem, step=0.5, x0=np.eye(4)[0], max_iter=10)
+    assert len(trace.iterations) == 11
+    assert len(calls) == 11
 
 
 def test_gpa_gamma_column_is_the_fixed_step():
@@ -318,18 +330,14 @@ def test_trace_csv_round_trips_exact_floats(tmp_path):
                   stop=StopRule(max_iter=50))
     path = tmp_path / "t.csv"
     write_trace_csv(trace, path)
-    rows = read_trace_csv(path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(TRACE_CSV_COLUMNS)
+    rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == len(trace.iterations)
     for rec, (k, obj, gap, gamma, step_norm) in zip(trace.iterations, rows):
-        assert k == rec.k
+        obj, gap, gamma, step_norm = map(float, (obj, gap, gamma, step_norm))
+        assert int(k) == rec.k
         assert obj == rec.obj  # %.17g reproduces doubles exactly
         assert gap == rec.gap
         assert gamma == rec.gamma
         assert step_norm == rec.step_norm
-
-
-def test_read_trace_csv_rejects_foreign_headers(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("iteration,value\n0,1.0\n")
-    with pytest.raises(ValueError, match="header"):
-        read_trace_csv(path)

@@ -16,9 +16,8 @@ from fwlab import (
     rule_from_descriptor,
     schedule_value,
     schedule_values,
-    validate_open_loop,
 )
-from fwlab.stepsize import dh_terms_iterative
+from fwlab.stepsize import dh_envelope_holds, dh_terms_iterative
 
 
 # --- golden-section line search ------------------------------------------------
@@ -136,22 +135,11 @@ def test_schedule_vectorization_agrees_pointwise(rule, k):
     assert 0.0 < vals[k] <= 1.0
 
 
-def test_validate_open_loop_reports():
-    rep = validate_open_loop(Harmonic(2.0), horizon=1000)
-    assert rep.c1_ok
-    assert rep.dh_bounds_ok is None
-    assert rep.partial_sum == pytest.approx(
-        math.fsum(2.0 / (k + 2.0) for k in range(1000)), abs=0.0
-    )
-
-    rep = validate_open_loop(DHRecursion(0.5), horizon=10_000)
-    assert rep.c1_ok
-    assert rep.dh_bounds_ok is True
-
-
-def test_validate_open_loop_rejects_line_search():
-    with pytest.raises(ValueError):
-        validate_open_loop(LineSearch(1e-10, 200), horizon=100)
+def test_dh_envelope_holds_exactly_and_needs_a_horizon_of_ten():
+    for gamma0 in (0.1, 0.5, 1.0):
+        assert dh_envelope_holds(DHRecursion(gamma0), horizon=10_000)
+    with pytest.raises(ValueError, match="horizon"):
+        dh_envelope_holds(DHRecursion(0.5), horizon=9)
 
 
 def test_is_open_loop_classification():
