@@ -2,7 +2,8 @@
 
 Each factory returns an immutable Objective bundling evaluation, gradient,
 optional smoothness metadata (Lipschitz or Holder constants for the gradient),
-and, when a feasible set is supplied, the known constrained optimum.
+when a feasible set is supplied, the known constrained optimum, and, where
+it has a closed form, the minimizer of the objective along a segment.
 
 The nonsmooth max objective carries a pointwise gradient selection with a fixed
 tie rule; it exists to demonstrate failure, and certificate invariants do not
@@ -16,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import FeasibleSet, Vector
+from .stepsize import line_search_quadratic_exact
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,12 @@ class HolderInfo:
 
 @dataclass(frozen=True)
 class Objective:
+    """An objective and what is known about it.
+
+    `segment_min(x, d, grad)`, when set, is the exact minimizer over
+    gamma in [0,1] of f(x + gamma d), given grad = f'(x).
+    """
+
     value: Callable[[Vector], float]
     grad: Callable[[Vector], Vector]
     lipschitz: float | None = None
@@ -40,6 +48,7 @@ class Objective:
     x_star: Vector | None = None
     f_star: float | None = None
     descriptor_dict: dict | None = None
+    segment_min: Callable[[Vector, Vector, Vector], float] | None = None
 
     def descriptor(self) -> dict:
         if self.descriptor_dict is None:
@@ -80,6 +89,10 @@ def make_quadratic(b, feasible_set: FeasibleSet | None = None) -> Objective:
     def grad(x: Vector) -> Vector:
         return x - b
 
+    def segment_min(x: Vector, d: Vector, grad: Vector) -> float:
+        # f(x + gamma d) = f(x) + gamma <grad, d> + 0.5 gamma^2 ||d||^2
+        return line_search_quadratic_exact(float(grad @ d), float(d @ d))
+
     x_star = f_star = None
     if feasible_set is not None:
         try:
@@ -94,6 +107,7 @@ def make_quadratic(b, feasible_set: FeasibleSet | None = None) -> Objective:
         holder=HolderInfo(1.0, 1.0),  # exactly 1-Lipschitz, a true constant
         x_star=x_star, f_star=f_star,
         descriptor_dict={"kind": "quadratic", "b": [float(v) for v in b]},
+        segment_min=segment_min,
     )
 
 

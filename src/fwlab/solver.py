@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -94,13 +95,20 @@ class SolveTrace:
     termination: Termination
     config_fingerprint: str = ""
 
-    @property
+    # columns built once on first access; read-only, since every reader shares them
+    @cached_property
     def ks(self) -> np.ndarray:
-        return np.array([r.k for r in self.iterations], dtype=int)
+        return _frozen_column([r.k for r in self.iterations], int)
 
-    @property
+    @cached_property
     def objs(self) -> np.ndarray:
-        return np.array([r.obj for r in self.iterations])
+        return _frozen_column([r.obj for r in self.iterations], float)
+
+
+def _frozen_column(values: list, dtype) -> np.ndarray:
+    column = np.array(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
 
 
 def composite_lmo(feasible_set: FeasibleSet, c: Vector, g: CompositePart) -> Vector:
@@ -206,23 +214,27 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
     """Run the projection-free iteration from x0 under the given stepsize rule.
 
     x_{k+1} = x_k + gamma_k (x_bar_k - x_k), with gamma_k from the open-loop
-    schedule or from a line search on the segment. Row k records the values
-    at x_k; the final point is `termination.final_x`. Stops on a gap
+    schedule or from a line search on the segment (in closed form where the
+    objective has one and the problem no composite term). Row k records the
+    values at x_k; the final point is `termination.final_x`. Stops on a gap
     certificate (only when stop.gap_tol > 0), on the iteration budget, or on
     an exact fixed point x_{k+1} == x_k (bitwise), which sharp minima produce.
     The `seed` enters only the config fingerprint; the loop itself draws no
     randomness.
     """
     gammas = None if isinstance(rule, LineSearch) else schedule_values(rule, stop.max_iter)
+    # the closed form minimizes f alone, so it serves only when phi = f
+    segment_min = problem.objective.segment_min if problem.composite is None else None
 
     def advance(k: int, x: Vector, grad: Vector, x_bar: Vector) -> tuple[float, Vector]:
         d = x_bar - x
         if gammas is not None:
             gamma_k = float(gammas[k])
         else:
+            gamma_star = None if segment_min is None else segment_min(x, d, grad)
             try:
                 gamma_k = line_search(lambda t: problem.phi(x + t * d),
-                                      rule.tol, rule.max_evals)
+                                      rule.tol, rule.max_evals, gamma_star)
             except ValueError as exc:
                 raise ValueError(f"line search failed at iteration {k}: {exc}") from exc
         return gamma_k, x + gamma_k * d

@@ -2,9 +2,11 @@
 
 Open-loop rules are predetermined sequences gamma_k in [0,1] with gamma_k -> 0
 and divergent partial sums; they never look at function values. The line-search
-rule minimizes the objective along the current segment with a derivative-free
-golden-section search (the composite objective can be kinked, so derivative
-methods are out).
+rule minimizes the objective along the current segment. Where the objective
+gives the segment minimizer in closed form (the plain quadratic with no
+composite term), the search only compares it with the two endpoints. Every
+other objective gets a derivative-free golden-section search (the composite
+objective can be kinked, so derivative methods are out).
 """
 from __future__ import annotations
 
@@ -17,6 +19,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class LineSearch:
+    """gamma_k minimizes the objective on the segment [x_k, x_bar_k].
+
+    `tol` (final bracket width) and `max_evals` (objective evaluations per
+    search) govern only the golden-section route; a closed-form segment
+    minimizer always costs three evaluations.
+    """
+
     tol: float = 1e-10
     max_evals: int = 200
 
@@ -95,9 +104,13 @@ def is_open_loop(rule: StepsizeRule) -> bool:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio conjugate, ~0.618
 
 
-def line_search(phi: Callable[[float], float], tol: float = 1e-10, max_evals: int = 200) -> float:
-    """Minimize phi over [0,1] by golden-section search.
+def line_search(phi: Callable[[float], float], tol: float = 1e-10, max_evals: int = 200,
+                gamma_star: float | None = None) -> float:
+    """Minimize phi over [0,1]: golden section, or a known minimizer checked.
 
+    Given gamma_star, the exact minimizer from a closed form, phi is evaluated
+    at 0, 1 and gamma_star only; otherwise golden-section search runs until
+    the bracket is narrower than tol or max_evals evaluations are spent.
     Returns the best evaluated point; both endpoints are always evaluated, so
     the result never exceeds min(phi(0), phi(1)). Ties go to the smaller gamma
     (a zero step beats an equal-valued nonzero one). Raises on non-finite phi.
@@ -106,6 +119,8 @@ def line_search(phi: Callable[[float], float], tol: float = 1e-10, max_evals: in
         raise ValueError(f"tol must be positive, got {tol}")
     if max_evals < 2:
         raise ValueError(f"max_evals must be >= 2, got {max_evals}")
+    if gamma_star is not None and not 0.0 <= gamma_star <= 1.0:
+        raise ValueError(f"segment minimizer must lie in [0,1], got {gamma_star}")
 
     best_g = 0.0
     best_v = math.inf
@@ -123,6 +138,9 @@ def line_search(phi: Callable[[float], float], tol: float = 1e-10, max_evals: in
 
     ev(0.0)
     ev(1.0)
+    if gamma_star is not None:
+        ev(gamma_star)
+        return best_g
 
     a, b = 0.0, 1.0
     c = b - _INVPHI * (b - a)

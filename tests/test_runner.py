@@ -148,18 +148,26 @@ def test_reproduce_all_matches_the_recorded_artifact_hashes(tmp_path):
 
 
 def test_compare_writes_wide_csv_with_padding(tmp_path):
-    short = parse_spec(_raw(name="short", stop={"max_iter": 5}))
-    long = parse_spec(_raw(name="long", stop={"max_iter": 9},
-                           rule={"kind": "line_search", "tol": 1e-10,
-                                 "max_evals": 200}))
+    # the exact line-search step reaches x* = (1/4, ..., 1/4) at k = 3 and
+    # stops there; the harmonic run uses its whole budget of 9 steps
+    short = parse_spec(_raw(name="short", stop={"max_iter": 9},
+                            rule={"kind": "line_search", "tol": 1e-10,
+                                  "max_evals": 200}))
+    long = parse_spec(_raw(name="long", stop={"max_iter": 9}))
+    report = run_experiment(short, tmp_path / "alone")
+    summary = json.loads(Path(report.summary_path).read_text())["trace"]
+    assert summary["termination"]["reason"] == "finite_termination"
+    assert summary["n_iterations"] == 4
+
     path = compare([short, long], tmp_path)
     lines = path.read_text().splitlines()
     assert lines[0] == "k,obj_short,gap_short,obj_long,gap_long"
     assert len(lines) == 11  # header + rows k=0..9
-    # short trace has rows 0..5; its cells are empty afterwards
-    k6 = lines[7].split(",")
-    assert k6[1] == "" and k6[2] == ""
-    assert k6[3] != "" and k6[4] != ""
+    # short trace has rows 0..3; its cells are empty afterwards
+    rows = [line.split(",") for line in lines[1:]]
+    assert all(r[1] != "" and r[2] != "" for r in rows[:4])
+    assert all(r[1] == "" and r[2] == "" for r in rows[4:])
+    assert all(r[3] != "" and r[4] != "" for r in rows)
 
 
 def test_compare_single_spec_is_degenerate_but_valid(tmp_path):

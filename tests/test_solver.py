@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fwlab.solver
 from fwlab import (
     Box,
     CompositePart,
@@ -20,8 +21,10 @@ from fwlab import (
     composite_lmo,
     config_fingerprint,
     fw_gap,
+    line_search,
     make_linear,
     make_nesterov_max,
+    make_power_norm,
     make_quadratic,
     solve,
     solve_gpa,
@@ -76,6 +79,17 @@ def test_trace_rows_hold_no_copy_of_the_iterate():
     assert held < 1_000_000
 
 
+def test_trace_columns_are_built_once_and_read_only():
+    trace = solve(_simplex_quadratic(), Harmonic(2.0),
+                  x0=np.array([1.0, 0.0, 0.0]), stop=StopRule(max_iter=5))
+    assert trace.ks is trace.ks
+    assert trace.objs is trace.objs
+    assert trace.ks.tolist() == [r.k for r in trace.iterations]
+    assert trace.objs.tolist() == [r.obj for r in trace.iterations]
+    with pytest.raises(ValueError, match="read-only"):
+        trace.objs[0] = 0.0
+
+
 def test_open_loop_gamma_column_matches_schedule():
     trace = solve(_simplex_quadratic(), Harmonic(2.0),
                   x0=np.array([1.0, 0.0, 0.0]), stop=StopRule(max_iter=4))
@@ -124,6 +138,79 @@ def test_stop_rule_validation():
         StopRule(max_iter=0)
     with pytest.raises(ValueError):
         StopRule(max_iter=10, gap_tol=-1.0)
+
+
+def _phi_evals_per_search(monkeypatch, problem, x0, max_iter):
+    """Solve under LineSearch and count phi evaluations, one entry per search.
+
+    Counts through the module global the solver calls, as bench/tracer.py does.
+    """
+    counts = []
+    line_search_in_solver = fwlab.solver.line_search
+
+    def counting(phi, *args):
+        counts.append(0)
+
+        def counted(t):
+            counts[-1] += 1
+            return phi(t)
+        return line_search_in_solver(counted, *args)
+
+    monkeypatch.setattr(fwlab.solver, "line_search", counting)
+    trace = solve(problem, LineSearch(1e-10, 200), x0=x0, stop=StopRule(max_iter))
+    # every row steps but a budget row
+    assert len(counts) == sum(r.k < max_iter for r in trace.iterations)
+    assert len(counts) >= 10
+    return counts
+
+
+def test_plain_quadratic_searches_take_three_phi_evaluations(monkeypatch):
+    fs = L2Ball(3, 1.0)
+    problem = Problem(fs, make_quadratic(np.array([2.0, -1.0, 0.5])))
+    counts = _phi_evals_per_search(monkeypatch, problem, np.array([0.0, 1.0, 0.0]), 20)
+    assert set(counts) == {3}
+
+
+def test_power_norm_and_composite_searches_keep_golden_section(monkeypatch):
+    fs = L2Ball(3, 1.0)
+    b = np.array([2.0, -1.0, 0.5])
+    x0 = np.array([0.0, 1.0, 0.0])
+    power = Problem(fs, make_power_norm(1.5, b))
+    assert min(_phi_evals_per_search(monkeypatch, power, x0, 20)) > 3
+    # the quadratic's closed form ignores the composite term, so it must not run
+    composite = Problem(fs, make_quadratic(b), CompositePart(0.5))
+    assert min(_phi_evals_per_search(monkeypatch, composite, x0, 20)) > 3
+
+
+def _segment_case(kind, dim, rng):
+    half = rng.uniform(0.5, 1.5, dim)
+    radius = rng.uniform(0.5, 2.0)
+    return {"simplex": Simplex(dim), "l1_ball": L1Ball(dim, radius),
+            "l2_ball": L2Ball(dim, radius), "box": Box(dim, -half, half)}[kind]
+
+
+@given(kind=st.sampled_from(["simplex", "l1_ball", "l2_ball", "box"]),
+       dim=st.integers(1, 20),
+       seed=st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=200)
+def test_exact_quadratic_step_beats_a_grid_and_golden_section(kind, dim, seed):
+    rng = np.random.default_rng(seed)
+    fs = _segment_case(kind, dim, rng)
+    problem = Problem(fs, make_quadratic(rng.normal(scale=2.0, size=dim)))
+    x = fs.draw(rng)
+    trace = solve(problem, LineSearch(1e-10, 200), x0=x, stop=StopRule(max_iter=1))
+    gamma = trace.iterations[0].gamma
+    d = fs.lmo(problem.objective.grad(x)) - x
+
+    def phi(t):
+        return problem.phi(x + t * d)
+
+    assert 0.0 <= gamma <= 1.0
+    scale = max(1.0, phi(0.0), phi(1.0))
+    grid_min = min(phi(t) for t in np.linspace(0.0, 1.0, 2001))
+    assert phi(gamma) <= grid_min + 1e-12 * scale
+    golden = line_search(phi, 1e-10, 200)
+    assert phi(gamma) <= phi(golden) + 1e-12 * scale
 
 
 def test_line_search_failure_carries_iteration_context():

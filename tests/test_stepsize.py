@@ -67,6 +67,32 @@ def test_line_search_rejects_non_finite_values():
         line_search(lambda g: float("nan"), tol=1e-8, max_evals=50)
 
 
+def test_line_search_given_a_minimizer_compares_it_with_the_endpoints():
+    calls = []
+
+    def phi(g):
+        calls.append(g)
+        return (g - 0.3) ** 2
+
+    assert line_search(phi, gamma_star=0.3) == 0.3
+    assert calls == [0.0, 1.0, 0.3]
+    # a claimed minimizer worse than an endpoint loses to it
+    assert line_search(lambda g: g, gamma_star=0.5) == 0.0
+    assert line_search(lambda g: -g, gamma_star=0.5) == 1.0
+    # ties still go to the smaller gamma
+    assert line_search(lambda g: 5.0, gamma_star=0.5) == 0.0
+    with pytest.raises(ValueError, match="not finite"):
+        line_search(lambda g: math.inf if g == 0.5 else g, gamma_star=0.5)
+
+
+@pytest.mark.parametrize("gamma_star", [-1e-12, 1.5, math.nan])
+def test_line_search_rejects_a_minimizer_off_the_segment(gamma_star):
+    calls = []
+    with pytest.raises(ValueError, match=r"must lie in \[0,1\]"):
+        line_search(lambda g: calls.append(g) or g, gamma_star=gamma_star)
+    assert calls == []
+
+
 @given(st.floats(-2.0, 2.0), st.floats(1e-6, 2.0))
 def test_exact_quadratic_step_matches_clipped_vertex(a, b):
     gamma = line_search_quadratic_exact(a, b)
