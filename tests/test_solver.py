@@ -182,20 +182,16 @@ def test_power_norm_and_composite_searches_keep_golden_section(monkeypatch):
     assert min(_phi_evals_per_search(monkeypatch, composite, x0, 20)) > 3
 
 
-def _segment_case(kind, dim, rng):
-    half = rng.uniform(0.5, 1.5, dim)
-    radius = rng.uniform(0.5, 2.0)
-    return {"simplex": Simplex(dim), "l1_ball": L1Ball(dim, radius),
-            "l2_ball": L2Ball(dim, radius), "box": Box(dim, -half, half)}[kind]
-
-
 @given(kind=st.sampled_from(["simplex", "l1_ball", "l2_ball", "box"]),
        dim=st.integers(1, 20),
        seed=st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=200)
 def test_exact_quadratic_step_beats_a_grid_and_golden_section(kind, dim, seed):
     rng = np.random.default_rng(seed)
-    fs = _segment_case(kind, dim, rng)
+    half = rng.uniform(0.5, 1.5, dim)
+    radius = rng.uniform(0.5, 2.0)
+    fs = {"simplex": Simplex(dim), "l1_ball": L1Ball(dim, radius),
+          "l2_ball": L2Ball(dim, radius), "box": Box(dim, -half, half)}[kind]
     problem = Problem(fs, make_quadratic(rng.normal(scale=2.0, size=dim)))
     x = fs.draw(rng)
     trace = solve(problem, LineSearch(1e-10, 200), x0=x, stop=StopRule(max_iter=1))
