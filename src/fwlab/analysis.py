@@ -97,7 +97,7 @@ def estimate_curvature(
         x = feasible_set.draw(rng)
         s = feasible_set.draw(rng)
         pairs.append((x, s))
-    pts = feasible_set.extreme_points()[:_EXTREME_PAIR_CAP]
+    pts = feasible_set.extreme_points(_EXTREME_PAIR_CAP)
     for i in range(len(pts)):
         for j in range(len(pts)):
             if i != j:

@@ -74,6 +74,15 @@ def _require(desc: dict, allowed: set, required: set) -> None:
         raise ValueError(f"missing fields {sorted(missing)}")
 
 
+def _positive(desc: dict, key: str) -> None:
+    """Reject a non-numeric or non-positive value of field `key`, naming it."""
+    v = desc[key]
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"'{key}' must be a number, got {v!r}")
+    if not v > 0:
+        raise ValueError(f"'{key}' must be positive")
+
+
 def _build_bound(desc: dict, problem: Problem | None,
                  trace: SolveTrace | None, opt: float | None) -> RateBound:
     kind = desc.get("kind")
@@ -166,8 +175,10 @@ def _validate_lower_bound(desc, spec, problem):
              {"coeff", "k_min", "k_max"})
     if not spec.is_solving():
         raise ValueError("lower-bound needs a solve trace")
-    if not desc["coeff"] > 0:
-        raise ValueError("'coeff' must be positive")
+    _positive(desc, "coeff")
+    for key in ("k_min", "k_max"):
+        if isinstance(desc[key], bool) or not isinstance(desc[key], int):
+            raise ValueError(f"'{key}' must be an integer, got {desc[key]!r}")
     if desc["k_min"] > desc["k_max"]:
         raise ValueError("'k_min' must be <= 'k_max'")
     _resolve_opt(desc, problem, for_validation=True)
@@ -201,6 +212,15 @@ def _validate_finite_termination(desc, spec, problem):
     _require(desc, {"at_k", "final_x", "tol"}, set())
     if not spec.is_solving():
         raise ValueError("finite-termination needs a solve trace")
+    if "final_x" in desc:
+        try:
+            final_x = np.asarray(desc["final_x"], dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError("'final_x' must be a vector of numbers") from None
+        dim = problem.feasible_set.dimension
+        if final_x.shape != (dim,):
+            raise ValueError(f"'final_x' has shape {final_x.shape}, "
+                             f"set dimension is {dim}")
 
 
 def _eval_finite_termination(desc, ctx: CheckContext) -> CheckResult:
@@ -229,8 +249,7 @@ def _validate_non_convergence(desc, spec, problem):
     _require(desc, {"margin", "k_min", "k_max", "opt"}, {"margin", "k_min", "k_max"})
     if not spec.is_solving():
         raise ValueError("non-convergence-margin needs a solve trace")
-    if not desc["margin"] > 0:
-        raise ValueError("'margin' must be positive")
+    _positive(desc, "margin")
     _resolve_opt(desc, problem, for_validation=True)
 
 
@@ -273,8 +292,7 @@ def _validate_optimum_proximity(desc, spec, problem):
     _require(desc, {"tol", "opt"}, {"tol"})
     if not spec.is_solving():
         raise ValueError("optimum-proximity needs a solve trace")
-    if not desc["tol"] > 0:
-        raise ValueError("'tol' must be positive")
+    _positive(desc, "tol")
     _resolve_opt(desc, problem, for_validation=True)
 
 

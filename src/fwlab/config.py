@@ -145,8 +145,10 @@ def resolve_x0(spec: ExperimentSpec, feasible_set: FeasibleSet) -> np.ndarray:
     if isinstance(x0, str):
         m = _X0_VERTEX.match(x0)
         if m:
-            pts = feasible_set.extreme_points()
             i = int(m.group(1))
+            # a table shorter than i + 1 rows is the whole table, so its
+            # length is the full count the error reports
+            pts = feasible_set.extreme_points(i + 1)
             if i >= len(pts):
                 raise ValueError(f"{spec.name}: vertex({i}) out of range, "
                                  f"set has {len(pts)} listed extreme points")

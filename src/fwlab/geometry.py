@@ -55,9 +55,13 @@ class FeasibleSet:
     def draw(self, rng: np.random.Generator) -> Vector:
         raise NotImplementedError
 
-    def extreme_points(self) -> np.ndarray:
+    def extreme_points(self, limit: int | None = None) -> np.ndarray:
         """A finite family of extreme points, one per row (representative for the
-        l2 ball, whose true extreme set is the whole sphere)."""
+        l2 ball, whose true extreme set is the whole sphere).
+
+        With a limit, only the first `limit` rows of that same sequence are
+        built, at O(limit * dimension) cost.
+        """
         raise NotImplementedError
 
     def descriptor(self) -> dict:
@@ -102,8 +106,9 @@ class Simplex(FeasibleSet):
         e = rng.exponential(1.0, self.dimension)
         return e / e.sum()
 
-    def extreme_points(self) -> np.ndarray:
-        return np.eye(self.dimension)
+    def extreme_points(self, limit: int | None = None) -> np.ndarray:
+        d = self.dimension
+        return np.eye(_row_count(d, limit), d)
 
     def descriptor(self) -> dict:
         return {"kind": "simplex", "dim": self.dimension}
@@ -158,9 +163,8 @@ class L1Ball(FeasibleSet):
         u = rng.random()
         return self.radius * u ** (1.0 / self.dimension) * boundary
 
-    def extreme_points(self) -> np.ndarray:
-        eye = np.eye(self.dimension)
-        return np.vstack([self.radius * eye, -self.radius * eye])
+    def extreme_points(self, limit: int | None = None) -> np.ndarray:
+        return _signed_axes(self.dimension, self.radius, limit)
 
     def descriptor(self) -> dict:
         return {"kind": "l1_ball", "dim": self.dimension, "radius": self.radius}
@@ -216,9 +220,8 @@ class L2Ball(FeasibleSet):
         u = rng.random()
         return self.radius * u ** (1.0 / self.dimension) / n * g
 
-    def extreme_points(self) -> np.ndarray:
-        eye = np.eye(self.dimension)
-        return np.vstack([self.radius * eye, -self.radius * eye])
+    def extreme_points(self, limit: int | None = None) -> np.ndarray:
+        return _signed_axes(self.dimension, self.radius, limit)
 
     def descriptor(self) -> dict:
         return {"kind": "l2_ball", "dim": self.dimension, "radius": self.radius}
@@ -271,21 +274,25 @@ class Box(FeasibleSet):
     def draw(self, rng: np.random.Generator) -> Vector:
         return self.lower + rng.random(self.dimension) * (self.upper - self.lower)
 
-    def extreme_points(self) -> np.ndarray:
+    def extreme_points(self, limit: int | None = None) -> np.ndarray:
         d = self.dimension
         if d <= 12:
-            corners = np.array(list(itertools.product(*zip(self.lower, self.upper))))
-            return corners
+            rows, total = itertools.product(*zip(self.lower, self.upper)), 2 ** d
+        else:
+            rows, total = self._corners_and_flips(), 2 + 2 * d
+        return np.array(list(itertools.islice(rows, _row_count(total, limit)))).reshape(-1, d)
+
+    def _corners_and_flips(self):
         # too many corners to enumerate: both extreme corners plus single flips
-        rows = [self.lower.copy(), self.upper.copy()]
-        for i in range(d):
+        yield self.lower.copy()
+        yield self.upper.copy()
+        for i in range(self.dimension):
             a = self.lower.copy()
             a[i] = self.upper[i]
-            rows.append(a)
+            yield a
             b = self.upper.copy()
             b[i] = self.lower[i]
-            rows.append(b)
-        return np.array(rows)
+            yield b
 
     def descriptor(self) -> dict:
         return {
@@ -330,10 +337,14 @@ class VertexPolytope(FeasibleSet):
         return best
 
     def contains(self, x: Vector, tol: float = 1e-9) -> bool:
+        v = self.vertices
+        x = np.asarray(x, dtype=float)
+        # a listed vertex (every vertex(i) start) is in the hull at any tol
+        if x.shape == (v.shape[1],) and bool(np.any(np.all(v == x, axis=1))):
+            return True
         # min t s.t. |V^T lam - x|_inf <= t, sum lam = 1, lam >= 0
         from scipy.optimize import linprog
 
-        v = self.vertices
         m, d = v.shape
         c_obj = np.zeros(m + 1)
         c_obj[-1] = 1.0
@@ -359,14 +370,33 @@ class VertexPolytope(FeasibleSet):
         w = rng.exponential(1.0, self.vertices.shape[0])
         return (w / w.sum()) @ self.vertices
 
-    def extreme_points(self) -> np.ndarray:
-        return self.vertices.copy()
+    def extreme_points(self, limit: int | None = None) -> np.ndarray:
+        return self.vertices[:_row_count(len(self.vertices), limit)].copy()
 
     def descriptor(self) -> dict:
         return {
             "kind": "vertex_polytope",
             "vertices": [[float(v) for v in row] for row in self.vertices],
         }
+
+
+def _row_count(total: int, limit: int | None) -> int:
+    """How many of a table's `total` rows a call with this limit returns."""
+    if limit is None:
+        return total
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    return min(total, limit)
+
+
+def _signed_axes(dim: int, radius: float, limit: int | None) -> np.ndarray:
+    """The first rows of [r * I; -r * I], the listed extreme points of both balls.
+
+    The negative half keeps the -0.0 entries that -r * I holds off the diagonal.
+    """
+    n = _row_count(2 * dim, limit)
+    return np.vstack([radius * np.eye(min(n, dim), dim),
+                      -radius * np.eye(max(n - dim, 0), dim)])
 
 
 def _project_onto_simplex_face(x: Vector, total: float) -> Vector:

@@ -2,8 +2,9 @@
 
 Each factory returns an immutable Objective bundling evaluation, gradient,
 optional smoothness metadata (Lipschitz or Holder constants for the gradient),
-when a feasible set is supplied, the known constrained optimum, and, where
-it has a closed form, the minimizer of the objective along a segment.
+when a feasible set is supplied, the known constrained optimum (computed on
+first read), and, where it has a closed form, the minimizer of the objective
+along a segment.
 
 The nonsmooth max objective carries a pointwise gradient selection with a fixed
 tie rule; it exists to demonstrate failure, and certificate invariants do not
@@ -11,6 +12,7 @@ apply to it (it records no smoothness constant).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,16 +41,32 @@ class Objective:
 
     `segment_min(x, d, grad)`, when set, is the exact minimizer over
     gamma in [0,1] of f(x + gamma d), given grad = f'(x).
+
+    `optimum()`, when set, returns the known constrained optimum as
+    (x_star, f_star), either of which may be None. It runs once, on the
+    first read of `x_star` or `f_star`, so building an objective never pays
+    for a projection or a membership LP that no check reads.
     """
 
     value: Callable[[Vector], float]
     grad: Callable[[Vector], Vector]
     lipschitz: float | None = None
     holder: HolderInfo | None = None
-    x_star: Vector | None = None
-    f_star: float | None = None
     descriptor_dict: dict | None = None
     segment_min: Callable[[Vector, Vector, Vector], float] | None = None
+    optimum: Callable[[], tuple[Vector | None, float | None]] | None = None
+
+    @functools.cached_property
+    def _optimum(self) -> tuple[Vector | None, float | None]:
+        return (None, None) if self.optimum is None else self.optimum()
+
+    @property
+    def x_star(self) -> Vector | None:
+        return self._optimum[0]
+
+    @property
+    def f_star(self) -> float | None:
+        return self._optimum[1]
 
     def descriptor(self) -> dict:
         if self.descriptor_dict is None:
@@ -73,6 +91,13 @@ class CompositePart:
         return {"kind": "l1", "lam": self.lam}
 
 
+def _optimum_if_inside(b: Vector, feasible_set: FeasibleSet) -> tuple:
+    """(b, 0) when the unconstrained minimizer b is feasible, else unknown."""
+    if feasible_set.contains(b, 0.0):
+        return b.copy(), 0.0
+    return None, None
+
+
 def make_quadratic(b, feasible_set: FeasibleSet | None = None) -> Objective:
     """f(x) = 0.5 * ||x - b||^2, gradient x - b, 1-Lipschitz and 1-strongly convex.
 
@@ -93,21 +118,20 @@ def make_quadratic(b, feasible_set: FeasibleSet | None = None) -> Objective:
         # f(x + gamma d) = f(x) + gamma <grad, d> + 0.5 gamma^2 ||d||^2
         return line_search_quadratic_exact(float(grad @ d), float(d @ d))
 
-    x_star = f_star = None
-    if feasible_set is not None:
+    def optimum():
         try:
             x_star = feasible_set.project(b)
-            f_star = value(x_star)
         except ValueError:
-            if feasible_set.contains(b, 0.0):
-                x_star, f_star = b.copy(), 0.0
+            return _optimum_if_inside(b, feasible_set)
+        return x_star, value(x_star)
+
     return Objective(
         value, grad,
         lipschitz=1.0,
         holder=HolderInfo(1.0, 1.0),  # exactly 1-Lipschitz, a true constant
-        x_star=x_star, f_star=f_star,
         descriptor_dict={"kind": "quadratic", "b": [float(v) for v in b]},
         segment_min=segment_min,
+        optimum=None if feasible_set is None else optimum,
     )
 
 
@@ -133,13 +157,10 @@ def make_power_norm(sigma: float, b, feasible_set: FeasibleSet | None = None) ->
             return np.zeros_like(d)
         return sigma * n ** (sigma - 2.0) * d
 
-    x_star = f_star = None
-    if feasible_set is not None and feasible_set.contains(b, 0.0):
-        x_star, f_star = b.copy(), 0.0
     return Objective(
         value, grad,
         holder=HolderInfo(sigma - 1.0, None),
-        x_star=x_star, f_star=f_star,
+        optimum=None if feasible_set is None else lambda: _optimum_if_inside(b, feasible_set),
         descriptor_dict={"kind": "power_norm", "sigma": sigma, "b": [float(v) for v in b]},
     )
 
@@ -163,7 +184,7 @@ def make_t_alpha(alpha: float) -> Objective:
     return Objective(
         value, grad,
         holder=HolderInfo(alpha - 1.0, alpha),
-        x_star=np.array([0.0]), f_star=0.0,
+        optimum=lambda: (np.array([0.0]), 0.0),
         descriptor_dict={"kind": "t_alpha", "alpha": alpha},
     )
 
@@ -189,7 +210,7 @@ def make_nesterov_max() -> Objective:
 
     return Objective(
         value, grad,
-        x_star=np.array([-inv_sqrt2, -inv_sqrt2]), f_star=-inv_sqrt2,
+        optimum=lambda: (np.array([-inv_sqrt2, -inv_sqrt2]), -inv_sqrt2),
         descriptor_dict={"kind": "nesterov_max"},
     )
 
@@ -206,13 +227,13 @@ def make_linear(c, feasible_set: FeasibleSet | None = None) -> Objective:
     def grad(x: Vector) -> Vector:
         return c.copy()
 
-    x_star = f_star = None
-    if feasible_set is not None:
+    def optimum():
         x_star = feasible_set.lmo(c)
-        f_star = value(x_star)
+        return x_star, value(x_star)
+
     return Objective(
         value, grad,
-        x_star=x_star, f_star=f_star,
+        optimum=None if feasible_set is None else optimum,
         descriptor_dict={"kind": "linear", "c": [float(v) for v in c]},
     )
 

@@ -1,5 +1,6 @@
 """Spec parsing, materialization, validation, and fingerprint stability."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fwlab.config import (
     spec_fingerprint,
     validate_spec,
 )
-from fwlab.geometry import Simplex
+from fwlab.geometry import Box, L1Ball, Simplex
 from fwlab.stepsize import Harmonic
 
 
@@ -152,6 +153,31 @@ def test_resolve_x0_vertex_out_of_range():
         resolve_x0(spec, Simplex(3))
 
 
+def test_resolve_x0_vertex_out_of_range_reports_the_full_count():
+    for fs, i, count in ((L1Ball(3, 1.0), 6, 6),
+                         (Box(13, np.zeros(13), np.ones(13)), 100, 28),
+                         (Simplex(3), 3, 3)):
+        spec = parse_spec(_solving_raw(x0=f"vertex({i})"))
+        with pytest.raises(ValueError) as err:
+            resolve_x0(spec, fs)
+        assert str(err.value) == (f"smoke: vertex({i}) out of range, "
+                                  f"set has {count} listed extreme points")
+
+
+def test_resolve_x0_vertex_builds_one_row_not_the_table():
+    # the whole [r*I; -r*I] table at n = 2000 is 64 MB
+    fs = L1Ball(2000, 1.0)
+    spec = parse_spec(_solving_raw(x0="vertex(0)"))
+    tracemalloc.start()
+    try:
+        x0 = resolve_x0(spec, fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert x0[0] == 1.0 and not x0[1:].any()
+
+
 def test_resolve_x0_rejects_unknown_string():
     spec = parse_spec(_solving_raw(x0="center"))
     with pytest.raises(ValueError, match="'vertex\\(i\\)' or 'sample\\(seed\\)'"):
@@ -229,6 +255,32 @@ def test_validate_names_the_offending_check():
     spec = parse_spec(_solving_raw(checks=[{"kind": "no-such-check"}]))
     with pytest.raises(ValueError, match=r"checks\[0\]: unknown check kind"):
         validate_spec(spec)
+
+
+@pytest.mark.parametrize("check, field", [
+    ({"kind": "optimum-proximity", "tol": "1e-6"}, "tol"),
+    ({"kind": "lower-bound", "coeff": "0.1", "k_min": 1, "k_max": 4}, "coeff"),
+    ({"kind": "lower-bound", "coeff": 0.1, "k_min": "1", "k_max": 4}, "k_min"),
+    ({"kind": "non-convergence-margin", "margin": "0.1", "k_min": 1, "k_max": 4}, "margin"),
+    ({"kind": "optimum-proximity", "tol": True}, "tol"),
+])
+def test_validate_names_a_non_numeric_check_field(check, field):
+    spec = parse_spec(_solving_raw(checks=[check]))
+    with pytest.raises(ValueError, match=rf"checks\[0\]: '{field}' must be a"):
+        validate_spec(spec)
+
+
+def test_validate_rejects_final_x_of_the_wrong_dimension():
+    check = {"kind": "finite-termination", "final_x": [1.0, 0.0]}
+    spec = parse_spec(_solving_raw(checks=[check]))
+    with pytest.raises(ValueError, match=r"checks\[0\]: 'final_x' has shape \(2,\), "
+                                         r"set dimension is 3"):
+        validate_spec(spec)
+    check["final_x"] = [1.0, "a", 0.0]
+    with pytest.raises(ValueError, match=r"checks\[0\]: 'final_x' must be a vector"):
+        validate_spec(parse_spec(_solving_raw(checks=[check])))
+    check["final_x"] = [1.0, 0.0, 0.0]
+    validate_spec(parse_spec(_solving_raw(checks=[check])))
 
 
 # --- fingerprints ------------------------------------------------------------

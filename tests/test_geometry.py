@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -161,6 +163,105 @@ def test_vertex_polytope_membership_via_hull():
     assert p.contains(np.array([0.0, -0.3]))
     assert p.contains(np.array([1.0, 0.0]))
     assert not p.contains(np.array([0.5, -0.8]))
+
+
+def test_listed_vertex_membership_needs_no_lp(monkeypatch):
+    import scipy.optimize
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("membership of a listed vertex ran an LP")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
+    v = np.random.default_rng(3).normal(size=(40, 7))
+    p = VertexPolytope(v)
+    assert all(p.contains(row.copy()) for row in v)
+    assert all(p.contains(row, 0.0) for row in p.extreme_points())
+
+
+def _in_hull_by_lp(v, x):
+    """Independent reference: is V^T lam = x feasible for some lam in the simplex?"""
+    from scipy.optimize import linprog
+
+    m = v.shape[0]
+    res = linprog(np.zeros(m), A_eq=np.vstack([v.T, np.ones(m)]),
+                  b_eq=np.append(x, 1.0), bounds=[(0, None)] * m, method="highs")
+    return res.status == 0
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 12), st.integers(1, 6))
+def test_vertex_polytope_membership_agrees_with_the_lp(seed, m, d):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(m, d))
+    p = VertexPolytope(v)
+    # a vertex, a convex combination, and a point beyond the vertex that
+    # maximizes a random direction (so outside the hull by a margin)
+    i = int(rng.integers(m))
+    inside = rng.dirichlet(np.ones(m)) @ v
+    u = rng.normal(size=d)
+    u /= np.linalg.norm(u)
+    outside = v[int(np.argmax(v @ u))] + 0.5 * u
+    for x, want in ((v[i], True), (inside, True), (outside, False)):
+        assert _in_hull_by_lp(v, x) == want
+        assert p.contains(x) == want
+
+
+def _full_table(fs):
+    """Every set kind's extreme-point table, written out as a whole."""
+    d = fs.dimension
+    if isinstance(fs, Simplex):
+        return np.eye(d)
+    if isinstance(fs, (L1Ball, L2Ball)):
+        eye = np.eye(d)
+        return np.vstack([fs.radius * eye, -fs.radius * eye])
+    if isinstance(fs, Box):
+        if d <= 12:
+            return np.array(list(itertools.product(*zip(fs.lower, fs.upper))))
+        rows = [fs.lower.copy(), fs.upper.copy()]
+        for i in range(d):
+            a, b = fs.lower.copy(), fs.upper.copy()
+            a[i], b[i] = fs.upper[i], fs.lower[i]
+            rows += [a, b]
+        return np.array(rows)
+    return fs.vertices.copy()
+
+
+@st.composite
+def sets_of_every_kind(draw):
+    kind = draw(st.sampled_from(["simplex", "l1_ball", "l2_ball", "box", "vertex_polytope"]))
+    d = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    radius = draw(st.sampled_from([0.5, 1, 1.0, 2.5]))
+    if kind == "simplex":
+        return Simplex(d)
+    if kind == "l1_ball":
+        return L1Ball(d, radius)
+    if kind == "l2_ball":
+        return L2Ball(d, radius)
+    if kind == "box":
+        lower = rng.normal(size=d).round(1)
+        return Box(d, lower, lower + rng.uniform(0.1, 2.0, size=d))
+    return VertexPolytope(rng.normal(size=(draw(st.integers(1, 10)), d)))
+
+
+@given(sets_of_every_kind(), st.data())
+def test_bounded_extreme_points_are_a_bitwise_prefix(fs, data):
+    full = fs.extreme_points()
+    assert full.tobytes() == _full_table(fs).tobytes()
+    k = data.draw(st.integers(0, len(full) + 3), label="limit")
+    head = fs.extreme_points(k)
+    assert head.shape == full[:k].shape
+    # bytes, not values: -0.0 == 0.0 would hide a lost sign
+    assert head.tobytes() == full[:k].tobytes()
+
+
+def test_bounded_extreme_points_keep_negative_zeros():
+    head = L1Ball(3, 2.0).extreme_points(4)
+    assert np.signbit(head[3, 1:]).all() and not np.signbit(head[:3]).any()
+
+
+def test_extreme_points_reject_a_negative_limit():
+    with pytest.raises(ValueError, match="limit"):
+        Simplex(3).extreme_points(-1)
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.integers(0, len(small_sets()) - 1))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -46,6 +48,35 @@ def test_quadratic_optimum_on_hull_set_needs_membership():
     # b inside the hull: optimum is b itself despite no projection operator
     assert np.allclose(f.x_star, [0.0, -0.25])
     assert f.f_star == 0.0
+
+
+@pytest.mark.parametrize("make", [make_quadratic, lambda b, fs: make_power_norm(1.5, b, fs)])
+def test_polytope_optimum_runs_one_lp_on_first_read(make, monkeypatch):
+    from fwlab import VertexPolytope
+
+    calls = []
+    contains = VertexPolytope.contains
+
+    def counted(self, x, tol=1e-9):
+        calls.append(tol)
+        return contains(self, x, tol)
+
+    monkeypatch.setattr(VertexPolytope, "contains", counted)
+    tri = VertexPolytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]))
+    f = make(np.array([0.0, -0.25]), tri)
+    assert calls == []
+    assert f.f_star == 0.0
+    assert np.array_equal(f.x_star, [0.0, -0.25])
+    assert f.f_star == 0.0 and f.x_star is f.x_star
+    assert calls == [0.0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.x_star = None
+
+
+def test_objective_without_a_set_records_no_optimum():
+    for f in (make_quadratic(np.zeros(2)), make_power_norm(1.5, np.zeros(2)),
+              make_linear(np.ones(2))):
+        assert f.x_star is None and f.f_star is None
 
 
 @given(st.integers(0, 2 ** 31 - 1))
