@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FeasibleSet
+from .geometry import FeasibleSet, Vector
 from .objectives import Objective
 from .stepsize import StepsizeRule, is_open_loop, schedule_values
 from .solver import SolveTrace
@@ -44,17 +44,6 @@ class CurvatureEstimate:
         }
 
 
-def _curvature_term(obj: Objective, x, s, gamma: float, sigma: float) -> float:
-    g = obj.grad(x)
-    if not np.all(np.isfinite(g)):
-        raise ValueError(f"gradient unavailable at sampled point {x}")
-    d = s - x
-    inner = obj.value(x + gamma * d) - obj.value(x) - gamma * float(g @ d)
-    if inner < 0.0:
-        inner = 0.0  # convexity makes it >= 0; clip roundoff
-    return sigma / gamma**sigma * inner
-
-
 def _validate_gamma_grid(gamma_grid) -> list[float]:
     grid = [float(g) for g in gamma_grid]
     if not grid:
@@ -82,6 +71,10 @@ def estimate_curvature(
     sequentially from one seeded generator, so for a fixed seed the sample set
     grows by extension: the estimate is nondecreasing in n_samples.
 
+    Each pair costs one gradient and len(gamma_grid) + 1 values, and pairs
+    are evaluated as they are drawn, so memory is O(n) in the dimension
+    whatever n_samples is.
+
     When the objective carries a true Holder constant matching sigma = 1 + nu,
     the corresponding upper bound L_nu * diam^(1+nu) is attached for contrast.
     """
@@ -91,24 +84,38 @@ def estimate_curvature(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     grid = _validate_gamma_grid(DEFAULT_GAMMA_GRID if gamma_grid is None else gamma_grid)
 
+    weights = [sigma / gamma**sigma for gamma in grid]
+
+    def pair_max(x: Vector, s: Vector, best: float) -> float:
+        # f'(x), f(x) and <f'(x), d> once per pair, one value per gamma; each
+        # term is the same double that evaluating the pair per gamma gives
+        g = obj.grad(x)
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"gradient unavailable at sampled point {x}")
+        d = s - x
+        fx = obj.value(x)
+        slope = float(g @ d)
+        for gamma, weight in zip(grid, weights):
+            inner = obj.value(x + gamma * d) - fx - gamma * slope
+            if inner < 0.0:
+                inner = 0.0  # convexity makes it >= 0; clip roundoff
+            v = weight * inner
+            if v > best:
+                best = v
+        return best
+
+    # each random pair is evaluated before the next is drawn: the generator
+    # sees the same calls in the same order, and only one pair is held
     rng = np.random.default_rng(seed)
-    pairs = []
+    best = 0.0
     for _ in range(n_samples):
         x = feasible_set.draw(rng)
-        s = feasible_set.draw(rng)
-        pairs.append((x, s))
+        best = pair_max(x, feasible_set.draw(rng), best)
     pts = feasible_set.extreme_points(_EXTREME_PAIR_CAP)
     for i in range(len(pts)):
         for j in range(len(pts)):
             if i != j:
-                pairs.append((pts[i], pts[j]))
-
-    best = 0.0
-    for x, s in pairs:
-        for gamma in grid:
-            v = _curvature_term(obj, x, s, gamma, sigma)
-            if v > best:
-                best = v
+                best = pair_max(pts[i], pts[j], best)
 
     holder_upper = None
     if (obj.holder is not None and obj.holder.const is not None

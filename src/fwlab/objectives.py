@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import FeasibleSet, Vector
+from .geometry import FeasibleSet, Vector, l2_norm
 from .stepsize import line_search_quadratic_exact
 
 
@@ -129,7 +129,7 @@ def make_quadratic(b, feasible_set: FeasibleSet | None = None) -> Objective:
         value, grad,
         lipschitz=1.0,
         holder=HolderInfo(1.0, 1.0),  # exactly 1-Lipschitz, a true constant
-        descriptor_dict={"kind": "quadratic", "b": [float(v) for v in b]},
+        descriptor_dict={"kind": "quadratic", "b": b.tolist()},
         segment_min=segment_min,
         optimum=None if feasible_set is None else optimum,
     )
@@ -148,11 +148,11 @@ def make_power_norm(sigma: float, b, feasible_set: FeasibleSet | None = None) ->
     b = np.asarray(b, dtype=float)
 
     def value(x: Vector) -> float:
-        return float(np.linalg.norm(x - b)) ** sigma
+        return l2_norm(x - b) ** sigma
 
     def grad(x: Vector) -> Vector:
         d = x - b
-        n = float(np.linalg.norm(d))
+        n = l2_norm(d)
         if n == 0.0:
             return np.zeros_like(d)
         return sigma * n ** (sigma - 2.0) * d
@@ -161,7 +161,7 @@ def make_power_norm(sigma: float, b, feasible_set: FeasibleSet | None = None) ->
         value, grad,
         holder=HolderInfo(sigma - 1.0, None),
         optimum=None if feasible_set is None else lambda: _optimum_if_inside(b, feasible_set),
-        descriptor_dict={"kind": "power_norm", "sigma": sigma, "b": [float(v) for v in b]},
+        descriptor_dict={"kind": "power_norm", "sigma": sigma, "b": b.tolist()},
     )
 
 
@@ -234,7 +234,7 @@ def make_linear(c, feasible_set: FeasibleSet | None = None) -> Objective:
     return Objective(
         value, grad,
         optimum=None if feasible_set is None else optimum,
-        descriptor_dict={"kind": "linear", "c": [float(v) for v in c]},
+        descriptor_dict={"kind": "linear", "c": c.tolist()},
     )
 
 

@@ -13,11 +13,11 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import FeasibleSet, Vector, VertexPolytope
+from .geometry import FeasibleSet, Vector, VertexPolytope, l2_norm
 from .objectives import CompositePart, Objective
 from .stepsize import (
     LineSearch,
@@ -73,8 +73,7 @@ class StopRule:
         return {"max_iter": self.max_iter, "gap_tol": self.gap_tol}
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     k: int
     obj: float
     gap: float
@@ -140,7 +139,7 @@ def config_fingerprint(problem_desc: dict, rule_desc: dict, x0, stop_desc: dict,
     payload = {
         "problem": problem_desc,
         "rule": rule_desc,
-        "x0": list(np.asarray(x0, dtype=float)),
+        "x0": np.asarray(x0, dtype=float).tolist(),
         "stop": stop_desc,
         "seed": seed,
     }
@@ -197,9 +196,11 @@ def _iterate(problem: Problem, x0, stop: StopRule,
             break
 
         gamma_k, x_next = advance(k, x, grad, x_bar)
-        records.append(IterationRecord(
-            k, obj_k, gap_k, gamma_k, float(np.linalg.norm(x_next - x))))
-        if np.array_equal(x_next, x):
+        step_norm = l2_norm(x_next - x)
+        records.append(IterationRecord(k, obj_k, gap_k, gamma_k, step_norm))
+        # equal iterates step by 0 (NaN where both hold the same infinity),
+        # so a positive step skips the elementwise comparison
+        if not step_norm > 0.0 and np.array_equal(x_next, x):
             reason = REASON_FINITE_TERMINATION
             break
         x = x_next
@@ -222,14 +223,14 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
     The `seed` enters only the config fingerprint; the loop itself draws no
     randomness.
     """
-    gammas = None if isinstance(rule, LineSearch) else schedule_values(rule, stop.max_iter)
+    gammas = None if isinstance(rule, LineSearch) else schedule_values(rule, stop.max_iter).tolist()
     # the closed form minimizes f alone, so it serves only when phi = f
     segment_min = problem.objective.segment_min if problem.composite is None else None
 
     def advance(k: int, x: Vector, grad: Vector, x_bar: Vector) -> tuple[float, Vector]:
         d = x_bar - x
         if gammas is not None:
-            gamma_k = float(gammas[k])
+            gamma_k = gammas[k]
         else:
             gamma_star = None if segment_min is None else segment_min(x, d, grad)
             try:
@@ -284,7 +285,7 @@ def trace_summary(trace: SolveTrace) -> dict:
         "n_iterations": len(trace.iterations),
         "termination": {
             "reason": trace.termination.reason,
-            "final_x": [float(v) for v in trace.termination.final_x],
+            "final_x": trace.termination.final_x.tolist(),
             "final_obj": trace.termination.final_obj,
         },
         "config_fingerprint": trace.config_fingerprint,

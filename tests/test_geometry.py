@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fwlab import (
     VertexPolytope,
     set_from_descriptor,
 )
+from fwlab.geometry import l2_norm
 
 from conftest import projectable_sets, small_sets
 
@@ -300,3 +302,28 @@ def test_set_constructor_validation():
         L2Ball(3, -1.0)
     with pytest.raises(ValueError):
         Box(2, np.array([0.0, 0.0]), np.array([1.0, -1.0]))
+
+
+# --- the norm helper ---------------------------------------------------------
+
+_NORM_ENTRIES = st.one_of(
+    st.floats(width=64),  # NaN and infinities included
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160,
+                     1e154, 1e155, -1e200, 1.7976931348623157e308, math.nan, -math.inf]),
+)
+
+
+@given(st.lists(_NORM_ENTRIES, max_size=64),
+       st.sampled_from(["contiguous", "strided", "reversed"]))
+def test_l2_norm_is_bitwise_numpy_norm(entries, layout):
+    v = np.array(entries, dtype=float)
+    if layout == "strided":
+        w = np.full(2 * v.size, 3.0)
+        w[::2] = v
+        v = w[::2]
+    elif layout == "reversed":
+        v = v[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # squares that overflow
+        got, want = l2_norm(v), np.linalg.norm(v)
+    # bytes, not ==: NaN != NaN, and -0.0 == 0.0 would hide a lost sign
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()

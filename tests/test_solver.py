@@ -127,6 +127,19 @@ def test_finite_termination_on_sharp_linear_problem():
     assert np.array_equal(trace.termination.final_x, [1.0, 0.0, 0.0])
 
 
+def test_finite_termination_compares_iterates_not_step_norms():
+    # row 0 moves x from 0 to 1e-300, whose square underflows: the step norm
+    # reads 0 although the iterate changed, so only row 1 is a fixed point
+    fs = Box(1, np.array([0.0]), np.array([1e-300]))
+    trace = solve(Problem(fs, make_linear(np.array([-1.0]))), Harmonic(2.0),
+                  x0=np.array([0.0]), stop=StopRule(max_iter=10))
+    assert trace.iterations[0].step_norm == 0.0
+    assert trace.iterations[0].gamma == 1.0
+    assert np.array_equal(trace.termination.final_x, [1e-300])
+    assert trace.termination.reason == REASON_FINITE_TERMINATION
+    assert len(trace.iterations) == 2
+    assert trace.iterations[-1].k == 1
+
 def test_infeasible_start_rejected():
     with pytest.raises(ValueError, match="x0 is not feasible"):
         solve(_simplex_quadratic(), Harmonic(2.0), x0=np.array([0.6, 0.6, 0.0]),
