@@ -223,7 +223,8 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
     The `seed` enters only the config fingerprint; the loop itself draws no
     randomness.
     """
-    gammas = None if isinstance(rule, LineSearch) else schedule_values(rule, stop.max_iter).tolist()
+    gammas = (None if isinstance(rule, LineSearch)
+              else schedule_values(rule, stop.max_iter).tolist())
     # the closed form minimizes f alone, so it serves only when phi = f
     segment_min = problem.objective.segment_min if problem.composite is None else None
 
