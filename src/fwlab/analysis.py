@@ -166,13 +166,16 @@ def probe_curvature_divergence(
 
 
 def curvature_bound_holder(L_nu: float, nu: float, delta: float) -> float:
-    """Upper bound L_nu * delta^(1+nu) on the order-(1+nu) curvature."""
+    """Upper bound L_nu * delta^(1+nu) on the order-(1+nu) curvature.
+
+    delta = 0 is a one-point set, whose curvature is exactly 0.
+    """
     if not L_nu > 0:
         raise ValueError(f"holder constant must be positive, got {L_nu}")
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"nu must lie in (0, 1], got {nu}")
-    if not delta > 0:
-        raise ValueError(f"diameter must be positive, got {delta}")
+    if not delta >= 0:
+        raise ValueError(f"diameter must be >= 0, got {delta}")
     return L_nu * delta ** (1.0 + nu)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -61,14 +62,35 @@ def _run_trace(spec: ExperimentSpec) -> SolveTrace:
 
 
 def _write_bounds_csv(path: Path, bounds: list[tuple[RateBound, np.ndarray]]) -> None:
-    lines = []
+    blocks = []
     for bound, ks in bounds:
-        lines.append(f"# bound kind={bound.kind}")
-        lines.append("k,bound")
-        values = bound.curve(ks)
-        for k, v in zip(ks, values):
-            lines.append("%d,%.17g" % (int(k), v))
-    path.write_text("\n".join(lines) + "\n")
+        pairs = tuple(chain.from_iterable(zip(ks.tolist(), bound.curve(ks).tolist())))
+        blocks.append(f"# bound kind={bound.kind}\nk,bound\n"
+                      + ("%d,%.17g\n" * (len(pairs) // 2)) % pairs)
+    path.write_text("".join(blocks))
+
+
+def _indented_json(v, pad: str = "") -> str:
+    """json.dumps(v, indent=2, sort_keys=True), indented by pad past the first line.
+
+    A flat list of plain floats and ints goes through the stdlib's C encoder
+    in one call; a number's JSON text never contains ", ", so splitting the
+    compact text there gives the indented items.
+    """
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(v, dict) and v and all(isinstance(k, str) for k in v):
+        body = sep.join(json.dumps(k) + ": " + _indented_json(u, inner)
+                        for k, u in sorted(v.items()))
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(v, (list, tuple)) and v:
+        if set(map(type, v)) <= {float, int}:
+            body = json.dumps(v)[1:-1].replace(", ", sep)
+        else:
+            body = sep.join(_indented_json(u, inner) for u in v)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    # scalars, empty containers and dicts with non-string keys
+    return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> ExperimentReport:
@@ -108,7 +130,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> ExperimentRepor
     if bounds_path is not None:
         summary["bounds_csv"] = bounds_path.name
     summary_path = out / f"{spec.name}.summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    summary_path.write_text(_indented_json(summary) + "\n")
 
     return ExperimentReport(
         name=spec.name,

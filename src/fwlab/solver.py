@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -135,7 +136,13 @@ def _gap(problem: Problem, x: Vector, grad: Vector) -> tuple[float, Vector]:
 
 def config_fingerprint(problem_desc: dict, rule_desc: dict, x0, stop_desc: dict,
                        seed: int | None) -> str:
-    """sha256 over a canonical rendering of the full solve configuration."""
+    """sha256 over a canonical rendering of the full solve configuration.
+
+    The canonical form is compact JSON (separators "," and ":") with the keys
+    of every object sorted and every float written as the string of its
+    "%.17g" rendering, so equal doubles always hash alike. Keys must be
+    strings.
+    """
     payload = {
         "problem": problem_desc,
         "rule": rule_desc,
@@ -143,18 +150,24 @@ def config_fingerprint(problem_desc: dict, rule_desc: dict, x0, stop_desc: dict,
         "stop": stop_desc,
         "seed": seed,
     }
+    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
 
-    def canon(v):
-        if isinstance(v, float):
-            return "%.17g" % v
-        if isinstance(v, dict):
-            return {k: canon(u) for k, u in sorted(v.items())}
-        if isinstance(v, (list, tuple)):
-            return [canon(u) for u in v]
-        return v
 
-    blob = json.dumps(canon(payload), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _canonical_json(v) -> str:
+    """The canonical text of v; a list of plain floats takes one format call."""
+    if isinstance(v, float):
+        return '"%.17g"' % v
+    if isinstance(v, dict):
+        for k in v:
+            if not isinstance(k, str):
+                raise TypeError(f"fingerprint keys must be strings, got {k!r}")
+        return "{" + ",".join(json.dumps(k) + ":" + _canonical_json(v[k])
+                              for k in sorted(v)) + "}"
+    if isinstance(v, (list, tuple)):
+        if set(map(type, v)) == {float}:
+            return "[" + ('"%.17g",' * len(v))[:-1] % tuple(v) + "]"
+        return "[" + ",".join(map(_canonical_json, v)) + "]"
+    return json.dumps(v)
 
 
 def _try_fingerprint(problem: Problem, rule_desc: dict, x0, stop: StopRule,
@@ -269,10 +282,9 @@ def solve_gpa(problem: Problem, step: float, x0, max_iter: int,
 
 def trace_to_csv(trace: SolveTrace) -> str:
     """CSV rendering with 17-significant-digit floats (exact round-trip)."""
-    lines = [",".join(TRACE_CSV_COLUMNS)]
-    for r in trace.iterations:
-        lines.append("%d,%.17g,%.17g,%.17g,%.17g" % (r.k, r.obj, r.gap, r.gamma, r.step_norm))
-    return "\n".join(lines) + "\n"
+    rows = trace.iterations  # each row holds its fields in column order
+    return (",".join(TRACE_CSV_COLUMNS) + "\n"
+            + ("%d,%.17g,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(chain.from_iterable(rows)))
 
 
 def write_trace_csv(trace: SolveTrace, path) -> None:

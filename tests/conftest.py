@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 settings.register_profile(
     "suite",
@@ -55,3 +58,35 @@ def replay_iterates(problem, x0, trace):
         iterates.append(x)
     assert np.array_equal(x, trace.termination.final_x)
     return iterates
+
+
+# the floats a renderer must keep apart: signed zeros, infinities, NaN, the
+# subnormal range and the top of the range
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320,
+                2.2250738585072009e-308, 1e308, -1.7976931348623157e308, 0.1]
+
+
+def json_floats():
+    return st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+
+
+def json_values():
+    """Nested JSON-ready values in the shapes artifacts hold.
+
+    Float lists (plain, np.float64 and mixed with ints and bools), lists of
+    float lists (polytope vertices), tuples, empty containers, and strings
+    with quotes, backslashes and non-ASCII text.
+    """
+    floats = json_floats()
+    numbers = st.one_of(floats, floats.map(np.float64), st.integers(), st.booleans())
+    text = st.one_of(st.sampled_from(["", ", ", 'a "q", \\b', "é→\n"]),
+                     st.text(st.one_of(st.sampled_from('"\\, é→\n\u2028'), st.characters())))
+    float_lists = st.lists(floats, max_size=6)
+    leaves = st.one_of(numbers, text, st.none(), float_lists,
+                       st.lists(numbers, max_size=6), st.lists(float_lists, max_size=3),
+                       st.lists(st.one_of(numbers, text, st.none()), max_size=6))
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(text, kids, max_size=4),
+    ), max_leaves=12)

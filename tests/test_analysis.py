@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fwlab import (
@@ -152,6 +152,8 @@ def _curvature_cases(draw):
 
 @given(_curvature_cases(), st.integers(1, 24), st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=60)
+# a one-point set: diameter 0 once made the Holder bound raise
+@example(case=(make_quadratic(np.array([0.0])), Simplex(1), 2.0, None), n_samples=1, seed=0)
 def test_curvature_estimate_equals_the_per_gamma_reference(case, n_samples, seed):
     obj, fs, sigma, grid = case
     est = estimate_curvature(obj, fs, sigma, n_samples=n_samples, gamma_grid=grid, seed=seed)
@@ -196,6 +198,22 @@ def test_holder_curvature_bound_values():
     assert curvature_bound_holder(1.5, 0.5, 1.0) == pytest.approx(1.5, abs=1e-15)
     # scalar power family: constant alpha with nu = alpha-1 on a unit segment
     assert curvature_bound_holder(1.5, 0.5, 1.0) == pytest.approx(1.5)
+
+
+def test_holder_curvature_bound_is_zero_on_a_one_point_set():
+    assert curvature_bound_holder(1.0, 1.0, 0.0) == 0.0
+    for delta in (-1.0, -1e-300, math.nan):
+        with pytest.raises(ValueError, match="diameter"):
+            curvature_bound_holder(1.0, 1.0, delta)
+
+
+@pytest.mark.parametrize("fs", [Simplex(1), VertexPolytope(np.array([[0.5, -0.2]]))],
+                         ids=["simplex_1", "one_vertex"])
+def test_curvature_estimate_of_a_one_point_set_is_zero(fs):
+    obj = make_quadratic(np.full(fs.dimension, 0.3))
+    est = estimate_curvature(obj, fs, sigma=2.0, n_samples=8, seed=1)
+    assert est.sampled_value == 0.0
+    assert est.holder_upper_bound == 0.0
 
 
 # --- rate bound curves ----------------------------------------------------------------

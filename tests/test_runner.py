@@ -5,10 +5,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import json_floats, json_values
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwlab import checks
 from fwlab.config import parse_spec
-from fwlab.runner import compare, reproduce, run_experiment
+from fwlab.runner import _indented_json, compare, reproduce, run_experiment
 
 
 def _raw(name="exp", **over):
@@ -136,15 +139,40 @@ def test_reproduce_single_case_produces_reports(tmp_path):
     assert (tmp_path / "sharp_finite_termination.summary.json").exists()
 
 
-def test_reproduce_all_matches_the_recorded_artifact_hashes(tmp_path):
+@pytest.fixture(scope="module")
+def reproduced_all(tmp_path_factory):
+    out = tmp_path_factory.mktemp("reproduce_all")
+    return out, reproduce("all", out)
+
+
+def test_reproduce_all_matches_the_recorded_artifact_hashes(reproduced_all):
     """The equivalence oracle: every canned trace and bounds file, byte for byte."""
+    out, reports = reproduced_all
     table = Path(__file__).resolve().parent.parent / "bench" / "reproduce_sha256.json"
     recorded = json.loads(table.read_text())
-    reports = reproduce("all", tmp_path)
     assert all(r.passed for r in reports)
-    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(recorded)
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(recorded)
     for name, digest in recorded.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_reproduce_all_summaries_are_the_stdlib_indented_json(reproduced_all):
+    """No recorded hash covers the summaries, so pin their rendering instead."""
+    out, reports = reproduced_all
+    assert sorted(p.name for p in out.glob("*.summary.json")) == \
+        sorted(Path(r.summary_path).name for r in reports)
+    for path in out.glob("*.summary.json"):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
+
+
+@given(st.one_of(json_values(),
+                 st.dictionaries(st.integers(), json_values(), max_size=3),
+                 st.dictionaries(json_floats(), st.integers(), max_size=3)))
+@settings(max_examples=300)
+def test_indented_json_equals_the_stdlib_rendering(v):
+    assert _indented_json(v) == json.dumps(v, indent=2, sort_keys=True)
+    assert _indented_json({"v": [v]}) == json.dumps({"v": [v]}, indent=2, sort_keys=True)
 
 
 def test_compare_writes_wide_csv_with_padding(tmp_path):

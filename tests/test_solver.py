@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import json_values
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +38,7 @@ from fwlab.solver import (
     REASON_GAP_TOL,
     REASON_MAX_ITER,
     TRACE_CSV_COLUMNS,
+    _canonical_json,
 )
 
 from conftest import replay_iterates
@@ -410,6 +413,51 @@ def test_config_fingerprint_canonicalizes_float_rendering():
     fp2 = config_fingerprint({"kind": "simplex", "dim": 3}, {"kind": "harmonic", "c": 2.0},
                              [1.0, 0.0, 0.0], {"gap_tol": 0.0, "max_iter": 5}, 0)
     assert fp1 == fp2
+
+
+
+def _canon(v):
+    """The fingerprint's first canonical form: every float becomes its "%.17g"
+    string, then json.dumps renders the result compactly with sorted keys.
+    This is the reference that `_canonical_json` must match as text."""
+    if isinstance(v, float):
+        return "%.17g" % v
+    if isinstance(v, dict):
+        return {k: _canon(u) for k, u in sorted(v.items())}
+    if isinstance(v, (list, tuple)):
+        return [_canon(u) for u in v]
+    return v
+
+
+@given(json_values())
+@settings(max_examples=300)
+def test_canonical_json_equals_the_canon_reference(v):
+    want = json.dumps(_canon(v), sort_keys=True, separators=(",", ":"))
+    assert _canonical_json(v) == want
+    assert _canonical_json({"v": v}) == json.dumps(_canon({"v": v}), sort_keys=True,
+                                                   separators=(",", ":"))
+
+
+def test_canonical_json_rejects_keys_that_are_not_strings():
+    for key in (1, 1.5, True, None):
+        with pytest.raises(TypeError, match="keys must be strings"):
+            _canonical_json({"problem": {key: 2.0}})
+
+
+def test_config_fingerprint_at_large_n_holds_no_string_per_float():
+    n = 100_000
+    rng = np.random.default_rng(0)
+    problem_desc = Problem(Simplex(n), make_quadratic(rng.normal(size=n))).descriptor()
+    x0 = rng.random(n)
+    tracemalloc.start()
+    try:
+        config_fingerprint(problem_desc, Harmonic(2.0).descriptor(), x0,
+                           StopRule(10).descriptor(), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one str object per float, as json.dumps of a canonicalized list needs, peaks at 28 MB
+    assert peak < 16_000_000
 
 
 # --- CSV round-trip ---------------------------------------------------------------------
