@@ -13,7 +13,6 @@ from .objectives import (
     CompositePart,
     Objective,
     composite_from_descriptor,
-    estimate_holder_constant,
     make_linear,
     make_nesterov_max,
     make_power_norm,
@@ -32,7 +31,6 @@ from .stepsize import (
     line_search,
     line_search_quadratic_exact,
     rule_from_descriptor,
-    schedule_value,
     schedule_values,
 )
 from .solver import (

@@ -45,7 +45,7 @@ class CheckResult:
 class CheckContext:
     problem: Problem | None
     trace: SolveTrace | None
-    # bound curves produced while checking, exported to <name>.bounds.csv
+    # (bound, ks, values) of each curve checked, exported to <name>.bounds.csv
     bounds: list = field(default_factory=list)
 
 
@@ -157,7 +157,7 @@ def _eval_bound_domination(desc, ctx: CheckContext) -> CheckResult:
     mask = ks >= k_min
     theta = ctx.trace.objs[mask] - opt
     bvals = bound.curve(ks[mask])
-    ctx.bounds.append((bound, ks[mask]))
+    ctx.bounds.append((bound, ks[mask], bvals))
     allowed = bvals * (1.0 + tol_rel) + tol_add
     excess = theta - allowed
     worst = float(excess.max()) if excess.size else 0.0

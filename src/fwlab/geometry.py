@@ -95,9 +95,9 @@ class Simplex(FeasibleSet):
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
 
     def lmo(self, c: Vector) -> Vector:
-        # argmin over vertices; np.argmin takes the lowest index on ties
+        # argmin over vertices; argmin takes the lowest index on ties
         out = np.zeros(self.dimension)
-        out[int(np.argmin(c))] = 1.0
+        out[int(c.argmin())] = 1.0
         return out
 
     def lmo_l1(self, c: Vector, lam: float) -> Vector:
@@ -140,7 +140,7 @@ class L1Ball(FeasibleSet):
             raise ValueError(f"radius must be positive, got {self.radius}")
 
     def lmo(self, c: Vector) -> Vector:
-        i = int(np.argmax(np.abs(c)))
+        i = int(np.abs(c).argmax())
         s = 1.0 if c[i] >= 0 else -1.0  # c[i] == 0 only when c == 0; any vertex then ties
         out = np.zeros(self.dimension)
         out[i] = -self.radius * s
@@ -258,8 +258,8 @@ class Box(FeasibleSet):
         object.__setattr__(self, "upper", hi)
 
     def lmo(self, c: Vector) -> Vector:
-        # c_i = 0 picks the lower corner: deterministic vertex on ties
-        return np.where(c > 0, self.lower, np.where(c < 0, self.upper, self.lower))
+        # c_i = 0 (and NaN) picks the lower corner: deterministic vertex on ties
+        return np.where(c < 0, self.upper, self.lower)
 
     def lmo_l1(self, c: Vector, lam: float) -> Vector:
         # coordinate-wise: c_i*y + lam*|y| on [l_i, u_i] is piecewise linear
@@ -334,7 +334,7 @@ class VertexPolytope(FeasibleSet):
 
     def lmo(self, c: Vector) -> Vector:
         scores = self.vertices @ c
-        return self.vertices[int(np.argmin(scores))].copy()
+        return self.vertices[int(scores.argmin())].copy()
 
     def project(self, x: Vector) -> Vector:
         raise ValueError("projection not available for this set kind")

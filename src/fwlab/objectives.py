@@ -1,4 +1,4 @@
-"""Differentiable convex test objectives and gradient-regularity estimators.
+"""Differentiable convex test objectives.
 
 Each factory returns an immutable Objective bundling evaluation, gradient,
 optional smoothness metadata (Lipschitz or Holder constants for the gradient),
@@ -27,8 +27,8 @@ class HolderInfo:
     """Gradient Holder regularity ||f'(x)-f'(y)|| <= const * ||x-y||^nu.
 
     const is None where no closed form is known, as for the shipped power-norm
-    objective in general dimension. estimate_holder_constant samples a lower
-    estimate of it, which is never recorded here.
+    objective in general dimension. Sampling gradient pairs gives only a lower
+    estimate of it, so no sampled value is ever recorded here.
     """
 
     nu: float
@@ -109,14 +109,15 @@ def make_quadratic(b, feasible_set: FeasibleSet | None = None) -> Objective:
 
     def value(x: Vector) -> float:
         d = x - b
-        return 0.5 * float(d @ d)
+        return 0.5 * float(d.dot(d))
 
     def grad(x: Vector) -> Vector:
         return x - b
 
     def segment_min(x: Vector, d: Vector, grad: Vector) -> float:
         # f(x + gamma d) = f(x) + gamma <grad, d> + 0.5 gamma^2 ||d||^2
-        return line_search_quadratic_exact(float(grad @ d), float(d @ d))
+        # .dot may give -0.0 where @ gives +0.0 (n = 1); the step is the same
+        return line_search_quadratic_exact(float(grad.dot(d)), float(d.dot(d)))
 
     def optimum():
         try:
@@ -236,39 +237,6 @@ def make_linear(c, feasible_set: FeasibleSet | None = None) -> Objective:
         optimum=None if feasible_set is None else optimum,
         descriptor_dict={"kind": "linear", "c": c.tolist()},
     )
-
-
-def estimate_holder_constant(
-    obj: Objective,
-    feasible_set: FeasibleSet,
-    nu: float,
-    n_pairs: int,
-    seed: int,
-) -> float:
-    """Sampled lower estimate of the nu-Holder constant of the gradient.
-
-    max over feasible pairs of ||grad(x)-grad(y)|| / ||x-y||^nu; pairs closer
-    than 1e-12 are skipped. Never an upper bound; callers needing one inflate
-    by a safety factor.
-    """
-    if not 0.0 < nu <= 1.0:
-        raise ValueError(f"nu must lie in (0, 1], got {nu}")
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(n_pairs):
-        x = feasible_set.draw(rng)
-        y = feasible_set.draw(rng)
-        dist = float(np.linalg.norm(x - y))
-        if dist < 1e-12:
-            continue
-        ratio = float(np.linalg.norm(obj.grad(x) - obj.grad(y))) / dist**nu
-        if best is None or ratio > best:
-            best = ratio
-    if best is None:
-        raise ValueError("all sampled pairs were degenerate (distance < 1e-12)")
-    return best
 
 
 _OBJECTIVE_KINDS = {

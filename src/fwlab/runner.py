@@ -61,10 +61,11 @@ def _run_trace(spec: ExperimentSpec) -> SolveTrace:
     return trace
 
 
-def _write_bounds_csv(path: Path, bounds: list[tuple[RateBound, np.ndarray]]) -> None:
+def _write_bounds_csv(path: Path,
+                      bounds: list[tuple[RateBound, np.ndarray, np.ndarray]]) -> None:
     blocks = []
-    for bound, ks in bounds:
-        pairs = tuple(chain.from_iterable(zip(ks.tolist(), bound.curve(ks).tolist())))
+    for bound, ks, values in bounds:
+        pairs = tuple(chain.from_iterable(zip(ks.tolist(), values.tolist())))
         blocks.append(f"# bound kind={bound.kind}\nk,bound\n"
                       + ("%d,%.17g\n" * (len(pairs) // 2)) % pairs)
     path.write_text("".join(blocks))

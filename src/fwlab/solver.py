@@ -122,16 +122,26 @@ def fw_gap(problem: Problem, x: Vector) -> tuple[float, Vector]:
     x_bar is the linear-subproblem minimizer; for convex problems the gap upper
     bounds the current suboptimality, so it doubles as a stopping certificate.
     """
-    return _gap(problem, x, problem.objective.grad(x))
-
-
-def _gap(problem: Problem, x: Vector, grad: Vector) -> tuple[float, Vector]:
-    if problem.composite is None:
-        x_bar = problem.feasible_set.lmo(grad)
-        return float(grad @ (x - x_bar)), x_bar
-    x_bar = composite_lmo(problem.feasible_set, grad, problem.composite)
-    gap = float(grad @ (x - x_bar)) + problem.composite.value(x) - problem.composite.value(x_bar)
+    g_x = None if problem.composite is None else problem.composite.value(x)
+    gap, x_bar, _ = _gap(problem, x, problem.objective.grad(x), g_x)
     return gap, x_bar
+
+
+def _gap(problem: Problem, x: Vector, grad: Vector,
+         g_x: float | None) -> tuple[float, Vector, Vector]:
+    """The gap, x_bar and the direction d = x_bar - x, given g_x = g(x).
+
+    x - x_bar is -d elementwise, so <grad, x - x_bar> is -<grad, d>; `0.0 -`
+    turns a zero of either sign into +0.0, which is what <grad, x - x_bar> gives.
+    """
+    composite = problem.composite
+    if composite is None:
+        x_bar = problem.feasible_set.lmo(grad)
+        d = x_bar - x
+        return 0.0 - float(grad.dot(d)), x_bar, d
+    x_bar = composite_lmo(problem.feasible_set, grad, composite)
+    d = x_bar - x
+    return (0.0 - float(grad.dot(d))) + g_x - composite.value(x_bar), x_bar, d
 
 
 def config_fingerprint(problem_desc: dict, rule_desc: dict, x0, stop_desc: dict,
@@ -184,20 +194,29 @@ def _iterate(problem: Problem, x0, stop: StopRule,
              rule_desc: dict, seed: int | None) -> SolveTrace:
     """The loop `solve` and `solve_gpa` share; they differ only in `advance`.
 
-    `advance(k, x, grad, x_bar)` returns the step taken and x_{k+1}, given
-    x_k, the gradient at x_k and the linear-subproblem minimizer x_bar_k.
+    `advance(k, x, grad, d)` returns the step taken and x_{k+1}, given x_k,
+    the gradient at x_k and the direction d_k = x_bar_k - x_k to the
+    linear-subproblem minimizer.
     """
     x = np.array(x0, dtype=float)
     if not problem.feasible_set.contains(x, 1e-9):
         raise ValueError("x0 is not feasible (tolerance 1e-9)")
+    # rendered before the loop, while no row's vectors are alive
+    fingerprint = _try_fingerprint(problem, rule_desc, x0, stop, seed)
 
+    composite = problem.composite
+    g_x = None
     records: list[IterationRecord] = []
     for k in range(stop.max_iter + 1):
-        obj_k = problem.phi(x)
+        # phi(x) with g(x) taken once, for the objective and the gap alike
+        obj_k = problem.objective.value(x)
+        if composite is not None:
+            g_x = composite.value(x)
+            obj_k += g_x
         if not math.isfinite(obj_k):
             raise ValueError(f"objective value is not finite at iteration {k}: {obj_k}")
         grad = problem.objective.grad(x)
-        gap_k, x_bar = _gap(problem, x, grad)
+        gap_k, _, d = _gap(problem, x, grad, g_x)
 
         if stop.gap_tol > 0 and gap_k <= stop.gap_tol:
             records.append(IterationRecord(k, obj_k, gap_k, 0.0, 0.0))
@@ -208,7 +227,7 @@ def _iterate(problem: Problem, x0, stop: StopRule,
             reason = REASON_MAX_ITER
             break
 
-        gamma_k, x_next = advance(k, x, grad, x_bar)
+        gamma_k, x_next = advance(k, x, grad, d)
         step_norm = l2_norm(x_next - x)
         records.append(IterationRecord(k, obj_k, gap_k, gamma_k, step_norm))
         # equal iterates step by 0 (NaN where both hold the same infinity),
@@ -219,8 +238,7 @@ def _iterate(problem: Problem, x0, stop: StopRule,
         x = x_next
 
     termination = Termination(reason, x.copy(), problem.phi(x))
-    return SolveTrace(records, termination,
-                      _try_fingerprint(problem, rule_desc, x0, stop, seed))
+    return SolveTrace(records, termination, fingerprint)
 
 
 def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
@@ -241,8 +259,7 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
     # the closed form minimizes f alone, so it serves only when phi = f
     segment_min = problem.objective.segment_min if problem.composite is None else None
 
-    def advance(k: int, x: Vector, grad: Vector, x_bar: Vector) -> tuple[float, Vector]:
-        d = x_bar - x
+    def advance(k: int, x: Vector, grad: Vector, d: Vector) -> tuple[float, Vector]:
         if gammas is not None:
             gamma_k = gammas[k]
         else:
@@ -274,7 +291,7 @@ def solve_gpa(problem: Problem, step: float, x0, max_iter: int,
         raise ValueError(f"step must lie in (0, 2/L) = (0, {2.0 / L}), got {step}")
     stop = StopRule(max_iter)
 
-    def advance(k: int, x: Vector, grad: Vector, x_bar: Vector) -> tuple[float, Vector]:
+    def advance(k: int, x: Vector, grad: Vector, d: Vector) -> tuple[float, Vector]:
         return step, problem.feasible_set.project(x - step * grad)
 
     return _iterate(problem, x0, stop, advance, {"kind": "gpa", "step": step}, seed)

@@ -168,21 +168,8 @@ def line_search_quadratic_exact(a: float, b: float) -> float:
     return min(1.0, max(0.0, -a / b))
 
 
-def schedule_value(rule: StepsizeRule, k: int) -> float:
-    """The k-th stepsize of an open-loop rule, k >= 0."""
-    if k < 0:
-        raise ValueError(f"iteration index must be >= 0, got {k}")
-    if isinstance(rule, Harmonic):
-        return rule.c / (k + rule.c)
-    if isinstance(rule, Power):
-        return rule.gamma0 / (k + 1.0) ** rule.p
-    if isinstance(rule, DHRecursion):
-        return rule.gamma0 / (rule.gamma0 * k + 1.0)
-    raise ValueError(f"{type(rule).__name__} has no schedule; stepsizes come from the search")
-
-
 def schedule_values(rule: StepsizeRule, upto: int) -> np.ndarray:
-    """Vectorized schedule_value for k = 0..upto inclusive."""
+    """The stepsizes of an open-loop rule for k = 0..upto inclusive."""
     if upto < 0:
         raise ValueError(f"horizon must be >= 0, got {upto}")
     k = np.arange(upto + 1, dtype=float)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fwlab import (
@@ -54,6 +54,47 @@ def test_box_lmo_is_cornerwise():
     s = box.lmo(np.array([2.0, -3.0, 0.0]))
     # zero cost coordinate resolves to the lower corner
     assert np.array_equal(s, [-1.0, 1.0, -1.0])
+
+
+_COST_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, math.nan, math.inf, -math.inf]),  # ties
+    st.floats(width=64),
+)
+_BOX_SIDES = [(-1.0, 2.0), (-0.0, 1.0), (0.0, 1.5), (-2.0, -0.0), (-3.0, 0.0)]
+
+
+@given(st.lists(st.tuples(_COST_ENTRIES, st.sampled_from(_BOX_SIDES)), min_size=1,
+                max_size=12))
+def test_box_lmo_is_bitwise_the_two_sided_rule(entries):
+    c = np.array([e for e, _ in entries])
+    lo = np.array([side[0] for _, side in entries])
+    hi = np.array([side[1] for _, side in entries])
+    box = Box(c.size, lo, hi)
+    want = np.where(c > 0, lo, np.where(c < 0, hi, lo))
+    assert box.lmo(c).tobytes() == want.tobytes()
+
+
+@given(st.lists(_COST_ENTRIES, min_size=1, max_size=12))
+@example([2.0, 2.0, 5.0])
+@example([-1.0, 1.0, -1.0, math.nan])
+@example([math.nan, -math.inf, math.nan])
+def test_vertex_lmos_are_bitwise_the_function_form_argmin(entries):
+    c = np.array(entries)
+    n = c.size
+    want = np.zeros(n)
+    want[int(np.argmin(c))] = 1.0
+    assert Simplex(n).lmo(c).tobytes() == want.tobytes()
+
+    i = int(np.argmax(np.abs(c)))
+    want = np.zeros(n)
+    want[i] = -1.5 * (1.0 if c[i] >= 0 else -1.0)
+    assert L1Ball(n, 1.5).lmo(c).tobytes() == want.tobytes()
+
+    vertices = np.vstack([np.eye(n), -np.eye(n)])
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        want = vertices[int(np.argmin(vertices @ c))]
+        got = VertexPolytope(vertices).lmo(c)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_vertex_polytope_lmo_scans_vertices():

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fwlab import (
@@ -11,7 +11,6 @@ from fwlab import (
     L2Ball,
     Simplex,
     composite_from_descriptor,
-    estimate_holder_constant,
     make_linear,
     make_nesterov_max,
     make_power_norm,
@@ -19,8 +18,29 @@ from fwlab import (
     make_t_alpha,
     objective_from_descriptor,
 )
+from fwlab.stepsize import line_search_quadratic_exact
 
 from conftest import fd_grad
+
+
+def estimate_holder_constant(obj, feasible_set, nu: float, n_pairs: int, seed: int) -> float:
+    """Sampled lower estimate of the nu-Holder constant of the gradient.
+
+    max over feasible pairs of ||grad(x)-grad(y)|| / ||x-y||^nu; pairs closer
+    than 1e-12 are skipped. Never an upper bound.
+    """
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(n_pairs):
+        x = feasible_set.draw(rng)
+        y = feasible_set.draw(rng)
+        dist = float(np.linalg.norm(x - y))
+        if dist < 1e-12:
+            continue
+        ratio = float(np.linalg.norm(obj.grad(x) - obj.grad(y))) / dist**nu
+        if best is None or ratio > best:
+            best = ratio
+    return best
 
 
 # --- quadratic -----------------------------------------------------------------
@@ -38,6 +58,28 @@ def test_quadratic_records_projected_optimum():
     assert np.allclose(f.x_star, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
     assert f.f_star == pytest.approx(1.0 / 6.0, abs=1e-12)
     assert f.lipschitz == 1.0
+
+
+_DOT_ENTRIES = st.one_of(st.floats(-1e6, 1e6),
+                         st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300]))
+
+
+@given(st.lists(st.tuples(_DOT_ENTRIES, _DOT_ENTRIES, _DOT_ENTRIES), min_size=1, max_size=8))
+# each entry is (b_i, x_i, d_i), and grad = x - b
+@example([(1.0, 0.0, 0.0)])   # grad = [-1], d = [0]: .dot gives -0.0, @ gives +0.0
+@example([(0.0, 0.0, -1.0)])  # grad = [0], d = [-1]
+@example([(2.0, 2.0, 0.5), (-0.0, 0.0, 0.0)])
+def test_quadratic_value_and_segment_step_are_bitwise_the_matmul_forms(entries):
+    b, x, d = (np.array(column) for column in zip(*entries))
+    f = make_quadratic(b)
+    grad = f.grad(x)
+    value, gamma = f.value(x), f.segment_min(x, d, grad)
+    # plain floats: an np.float64 here turns check verdicts into np.bool_
+    assert type(value) is float and type(gamma) is float
+    r = x - b
+    assert np.float64(value).tobytes() == np.float64(0.5 * float(r @ r)).tobytes()
+    want = line_search_quadratic_exact(float(grad @ d), float(d @ d))
+    assert np.float64(gamma).tobytes() == np.float64(want).tobytes()
 
 
 def test_quadratic_optimum_on_hull_set_needs_membership():

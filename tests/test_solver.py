@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import json_values
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fwlab.solver
@@ -39,6 +39,7 @@ from fwlab.solver import (
     REASON_MAX_ITER,
     TRACE_CSV_COLUMNS,
     _canonical_json,
+    _gap,
 )
 
 from conftest import replay_iterates
@@ -80,6 +81,31 @@ def test_trace_rows_hold_no_copy_of_the_iterate():
     assert len(trace.iterations) == 301
     # one 8n-byte copy per row would hold 24 MB
     assert held < 1_000_000
+
+
+def test_fingerprint_is_rendered_before_the_loop_allocates_a_row():
+    n = 100_000
+    fs = Simplex(n)
+    problem = Problem(fs, make_quadratic(np.zeros(n), fs))
+    x0 = np.zeros(n)
+    x0[0] = 1.0
+    stop, rule = StopRule(max_iter=5), Harmonic(2.0)
+
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    rendering = peak_bytes(lambda: config_fingerprint(
+        problem.descriptor(), rule.descriptor(), x0, stop.descriptor(), None))
+    solving = peak_bytes(lambda: solve(problem, rule, x0=x0, stop=stop))
+    # the rendering's strings dominate; beside them only the iterate x is alive,
+    # not the last row's gradient, oracle answer and direction
+    assert solving - rendering < 2 * 8 * n
 
 
 def test_trace_columns_are_built_once_and_read_only():
@@ -259,6 +285,65 @@ def test_composite_gap_includes_the_nonsmooth_part():
     expected = float(grad @ (x - x_bar)) + problem.composite.value(x) \
         - problem.composite.value(x_bar)
     assert gap == pytest.approx(expected, abs=1e-15)
+
+
+_GAP_ENTRIES = st.one_of(st.floats(-1e3, 1e3),
+                         st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.5, 1e-300]))
+
+
+def _gap_sets(n: int) -> dict:
+    return {"simplex": Simplex(n), "l1_ball": L1Ball(n, 1.5), "l2_ball": L2Ball(n, 0.5),
+            "box": Box(n, np.full(n, -1.0), np.full(n, 2.0))}
+
+
+@given(kind=st.sampled_from(["simplex", "l1_ball", "l2_ball", "box"]),
+       entries=st.lists(st.tuples(_GAP_ENTRIES, _GAP_ENTRIES), min_size=1, max_size=8),
+       at_x_bar=st.booleans(),
+       lam=st.sampled_from([None, 0.3, 2.0]))
+@example(kind="simplex", entries=[(1.0, 0.0)], at_x_bar=True, lam=None)
+@example(kind="simplex", entries=[(-1.0, 0.0)], at_x_bar=True, lam=None)
+@example(kind="l1_ball", entries=[(-2.5, 0.0), (0.0, -0.0)], at_x_bar=True, lam=None)
+@example(kind="l1_ball", entries=[(0.1, 0.0)], at_x_bar=True, lam=0.3)
+@settings(max_examples=300)
+def test_gap_is_bitwise_the_product_with_x_minus_x_bar(kind, entries, at_x_bar, lam):
+    # the row takes gap = 0.0 - <grad, d> with d = x_bar - x; the reference is
+    # <grad, x - x_bar> (+ g(x) - g(x_bar)), signed zeros included
+    grad = np.array([c for c, _ in entries])
+    x = np.array([v for _, v in entries])
+    composite = None if lam is None else CompositePart(lam)
+    problem = Problem(_gap_sets(grad.size)[kind], make_quadratic(np.zeros(grad.size)),
+                      composite)
+    x_bar = (problem.feasible_set.lmo(grad) if composite is None
+             else composite_lmo(problem.feasible_set, grad, composite))
+    if at_x_bar:
+        x = x_bar.copy()  # a zero gap
+    want = float(grad @ (x - x_bar))
+    g_x = None
+    if composite is not None:
+        g_x = composite.value(x)
+        want = want + g_x - composite.value(x_bar)
+    gap, got_bar, d = _gap(problem, x, grad, g_x)
+    assert type(gap) is float
+    assert np.float64(gap).tobytes() == np.float64(want).tobytes()
+    assert got_bar.tobytes() == x_bar.tobytes()
+    assert d.tobytes() == (x_bar - x).tobytes()
+
+
+def test_composite_rows_evaluate_g_once_at_the_iterate(monkeypatch):
+    fs = Box(3, np.full(3, -1.0), np.full(3, 1.0))
+    problem = Problem(fs, make_quadratic(np.array([0.9, -0.4, 0.05])), CompositePart(0.5))
+    x0 = np.array([-1.0, 1.0, -1.0])
+    calls = []
+    value = CompositePart.value
+    monkeypatch.setattr(CompositePart, "value",
+                        lambda self, x: calls.append(1) or value(self, x))
+    trace = solve(problem, Harmonic(2.0), x0=x0, stop=StopRule(max_iter=20))
+    monkeypatch.undo()
+    # g(x_k) and g(x_bar_k) per row, then g at the final point
+    assert len(calls) == 2 * len(trace.iterations) + 1
+    for x, rec in zip(replay_iterates(problem, x0, trace), trace.iterations):
+        assert np.float64(rec.obj).tobytes() == np.float64(problem.phi(x)).tobytes()
+        assert np.float64(rec.gap).tobytes() == np.float64(fw_gap(problem, x)[0]).tobytes()
 
 
 # --- composite oracle -----------------------------------------------------------------

@@ -14,10 +14,21 @@ from fwlab import (
     line_search,
     line_search_quadratic_exact,
     rule_from_descriptor,
-    schedule_value,
     schedule_values,
 )
 from fwlab.stepsize import dh_envelope_holds, dh_terms_iterative
+
+
+def schedule_value(rule, k: int) -> float:
+    """The k-th stepsize of an open-loop rule, k >= 0: the scalar reference
+    that `schedule_values` must match element by element."""
+    if isinstance(rule, Harmonic):
+        return rule.c / (k + rule.c)
+    if isinstance(rule, Power):
+        return rule.gamma0 / (k + 1.0) ** rule.p
+    if isinstance(rule, DHRecursion):
+        return rule.gamma0 / (rule.gamma0 * k + 1.0)
+    raise TypeError(f"{type(rule).__name__} has no schedule")
 
 
 # --- golden-section line search ------------------------------------------------
