@@ -5,7 +5,9 @@ project (Euclidean projection, where closed-form), diameter, contains, and
 seeded sampling. The simplex, the two balls and the box also solve the
 L1-composite subproblem argmin <c, x> + lam*||x||_1 exactly (lmo_l1); on
 every set the origin wins that subproblem only strictly. All operations are
-pure; sampling is pure given its seed. The norm is l2 throughout.
+pure; sampling is pure given its seed. The norm is l2 throughout. A set
+keeps read-only float64 copies of its vectors, and its descriptor hands out
+those arrays, not lists.
 """
 from __future__ import annotations
 
@@ -18,8 +20,17 @@ import numpy as np
 Vector = np.ndarray
 
 
+def frozen_copy(x) -> np.ndarray:
+    """A private read-only float64 copy of x, for the data a set or an
+    objective owns: a caller's later write to x cannot reach it, and the
+    descriptor that hands it out cannot write to it."""
+    arr = np.array(x, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 def _as_vector(x, dim: int, name: str) -> Vector:
-    arr = np.asarray(x, dtype=float)
+    arr = frozen_copy(x)
     if arr.shape != (dim,):
         raise ValueError(
             f"{name} must be a vector of dimension {dim}, got shape {arr.shape}"
@@ -310,8 +321,8 @@ class Box(FeasibleSet):
         return {
             "kind": "box",
             "dim": self.dimension,
-            "lower": self.lower.tolist(),
-            "upper": self.upper.tolist(),
+            "lower": self.lower,
+            "upper": self.upper,
         }
 
 
@@ -322,7 +333,7 @@ class VertexPolytope(FeasibleSet):
     vertices: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+        v = frozen_copy(self.vertices)
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValueError("vertices must be a nonempty list of d-vectors")
         _require_finite(v, "vertices")
@@ -388,7 +399,7 @@ class VertexPolytope(FeasibleSet):
     def descriptor(self) -> dict:
         return {
             "kind": "vertex_polytope",
-            "vertices": self.vertices.tolist(),
+            "vertices": self.vertices,
         }
 
 
@@ -425,8 +436,8 @@ _SET_KINDS = {
     "simplex": lambda d: Simplex(d["dim"]),
     "l1_ball": lambda d: L1Ball(d["dim"], d["radius"]),
     "l2_ball": lambda d: L2Ball(d["dim"], d["radius"]),
-    "box": lambda d: Box(d["dim"], np.asarray(d["lower"]), np.asarray(d["upper"])),
-    "vertex_polytope": lambda d: VertexPolytope(np.asarray(d["vertices"])),
+    "box": lambda d: Box(d["dim"], d["lower"], d["upper"]),
+    "vertex_polytope": lambda d: VertexPolytope(d["vertices"]),
 }
 
 

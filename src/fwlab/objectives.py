@@ -4,7 +4,9 @@ Each factory returns an immutable Objective bundling evaluation, gradient,
 optional smoothness metadata (Lipschitz or Holder constants for the gradient),
 when a feasible set is supplied, the known constrained optimum (computed on
 first read), and, where it has a closed form, the minimizer of the objective
-along a segment.
+along a segment. A factory keeps a read-only float64 copy of its vector data
+(b or c), so a caller's later write cannot change the objective behind its
+descriptor, which hands out that same array.
 
 The nonsmooth max objective carries a pointwise gradient selection with a fixed
 tie rule; it exists to demonstrate failure, and certificate invariants do not
@@ -18,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import FeasibleSet, Vector, l2_norm
+from .geometry import FeasibleSet, Vector, frozen_copy, l2_norm
 from .stepsize import line_search_quadratic_exact
 
 
@@ -105,7 +107,7 @@ def make_quadratic(b, feasible_set: FeasibleSet | None = None) -> Objective:
     projection of b (exact for this objective), e.g. b=0 on the d-simplex gives
     x* = (1/d, ..., 1/d) and f* = 1/(2d).
     """
-    b = np.asarray(b, dtype=float)
+    b = frozen_copy(b)
 
     def value(x: Vector) -> float:
         d = x - b
@@ -130,7 +132,7 @@ def make_quadratic(b, feasible_set: FeasibleSet | None = None) -> Objective:
         value, grad,
         lipschitz=1.0,
         holder=HolderInfo(1.0, 1.0),  # exactly 1-Lipschitz, a true constant
-        descriptor_dict={"kind": "quadratic", "b": b.tolist()},
+        descriptor_dict={"kind": "quadratic", "b": b},
         segment_min=segment_min,
         optimum=None if feasible_set is None else optimum,
     )
@@ -146,7 +148,7 @@ def make_power_norm(sigma: float, b, feasible_set: FeasibleSet | None = None) ->
     """
     if not 1.0 < sigma <= 2.0:
         raise ValueError(f"sigma must lie in (1, 2], got {sigma}")
-    b = np.asarray(b, dtype=float)
+    b = frozen_copy(b)
 
     def value(x: Vector) -> float:
         return l2_norm(x - b) ** sigma
@@ -162,7 +164,7 @@ def make_power_norm(sigma: float, b, feasible_set: FeasibleSet | None = None) ->
         value, grad,
         holder=HolderInfo(sigma - 1.0, None),
         optimum=None if feasible_set is None else lambda: _optimum_if_inside(b, feasible_set),
-        descriptor_dict={"kind": "power_norm", "sigma": sigma, "b": b.tolist()},
+        descriptor_dict={"kind": "power_norm", "sigma": sigma, "b": b},
     )
 
 
@@ -218,7 +220,7 @@ def make_nesterov_max() -> Objective:
 
 def make_linear(c, feasible_set: FeasibleSet | None = None) -> Objective:
     """f(x) = <c, x> with constant gradient c. Rejects c = 0 (no sharp minimum)."""
-    c = np.asarray(c, dtype=float)
+    c = frozen_copy(c)
     if not np.any(c != 0.0):
         raise ValueError("c must be nonzero")
 
@@ -235,16 +237,16 @@ def make_linear(c, feasible_set: FeasibleSet | None = None) -> Objective:
     return Objective(
         value, grad,
         optimum=None if feasible_set is None else optimum,
-        descriptor_dict={"kind": "linear", "c": c.tolist()},
+        descriptor_dict={"kind": "linear", "c": c},
     )
 
 
 _OBJECTIVE_KINDS = {
-    "quadratic": lambda d, fs: make_quadratic(np.asarray(d["b"]), fs),
-    "power_norm": lambda d, fs: make_power_norm(d["sigma"], np.asarray(d["b"]), fs),
+    "quadratic": lambda d, fs: make_quadratic(d["b"], fs),
+    "power_norm": lambda d, fs: make_power_norm(d["sigma"], d["b"], fs),
     "t_alpha": lambda d, fs: make_t_alpha(d["alpha"]),
     "nesterov_max": lambda d, fs: make_nesterov_max(),
-    "linear": lambda d, fs: make_linear(np.asarray(d["c"]), fs),
+    "linear": lambda d, fs: make_linear(d["c"], fs),
 }
 
 

@@ -27,7 +27,14 @@ from .config import (
     spec_fingerprint,
     validate_spec,
 )
-from .solver import SolveTrace, solve, solve_gpa, trace_summary, write_trace_csv
+from .solver import (
+    SolveTrace,
+    chunks,
+    solve,
+    solve_gpa,
+    trace_summary,
+    write_trace_csv,
+)
 
 
 @dataclass(frozen=True)
@@ -63,35 +70,45 @@ def _run_trace(spec: ExperimentSpec) -> SolveTrace:
 
 def _write_bounds_csv(path: Path,
                       bounds: list[tuple[RateBound, np.ndarray, np.ndarray]]) -> None:
-    blocks = []
-    for bound, ks, values in bounds:
-        pairs = tuple(chain.from_iterable(zip(ks.tolist(), values.tolist())))
-        blocks.append(f"# bound kind={bound.kind}\nk,bound\n"
-                      + ("%d,%.17g\n" * (len(pairs) // 2)) % pairs)
-    path.write_text("".join(blocks))
+    with open(path, "w") as fh:
+        for bound, ks, values in bounds:
+            fh.write(f"# bound kind={bound.kind}\nk,bound\n")
+            for k_chunk, v_chunk in zip(chunks(ks), chunks(values)):
+                pairs = tuple(chain.from_iterable(zip(k_chunk, v_chunk)))
+                fh.write(("%d,%.17g\n" * (len(pairs) // 2)) % pairs)
 
 
-def _indented_json(v, pad: str = "") -> str:
-    """json.dumps(v, indent=2, sort_keys=True), indented by pad past the first line.
+def _indented_pieces(v, pad: str = ""):
+    """json.dumps(v, indent=2, sort_keys=True) in pieces, indented by pad past
+    the first line.
 
     A flat list of plain floats and ints goes through the stdlib's C encoder
-    in one call; a number's JSON text never contains ", ", so splitting the
-    compact text there gives the indented items.
+    one chunk per call; a number's JSON text never contains ", ", so splitting
+    the compact text there gives the indented items.
     """
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(v, dict) and v and all(isinstance(k, str) for k in v):
-        body = sep.join(json.dumps(k) + ": " + _indented_json(u, inner)
-                        for k, u in sorted(v.items()))
-        return "{\n" + inner + body + "\n" + pad + "}"
-    if isinstance(v, (list, tuple)) and v:
+        lead = "{\n" + inner
+        for k in sorted(v):
+            yield lead + json.dumps(k) + ": "
+            yield from _indented_pieces(v[k], inner)
+            lead = sep
+        yield "\n" + pad + "}"
+    elif isinstance(v, (list, tuple)) and v:
+        lead = "[\n" + inner
         if set(map(type, v)) <= {float, int}:
-            body = json.dumps(v)[1:-1].replace(", ", sep)
+            for chunk in chunks(v):
+                yield lead + json.dumps(chunk)[1:-1].replace(", ", sep)
+                lead = sep
         else:
-            body = sep.join(_indented_json(u, inner) for u in v)
-        return "[\n" + inner + body + "\n" + pad + "]"
-    # scalars, empty containers and dicts with non-string keys
-    return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+            for u in v:
+                yield lead
+                yield from _indented_pieces(u, inner)
+                lead = sep
+        yield "\n" + pad + "]"
+    else:  # scalars, empty containers and dicts with non-string keys
+        yield json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> ExperimentReport:
@@ -131,7 +148,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> ExperimentRepor
     if bounds_path is not None:
         summary["bounds_csv"] = bounds_path.name
     summary_path = out / f"{spec.name}.summary.json"
-    summary_path.write_text(_indented_json(summary) + "\n")
+    with open(summary_path, "w") as fh:
+        fh.writelines(_indented_pieces(summary))
+        fh.write("\n")
 
     return ExperimentReport(
         name=spec.name,

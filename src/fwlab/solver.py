@@ -33,6 +33,11 @@ REASON_FINITE_TERMINATION = "finite_termination"
 
 TRACE_CSV_COLUMNS = ("k", "obj", "gap", "gamma", "step_norm")
 
+# items (floats or rows) per format call when an artifact or a fingerprint's
+# canonical text is rendered; pieces stream to their file or hash, so a
+# rendering holds O(RENDER_CHUNK) memory whatever the vector's length
+RENDER_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -150,34 +155,63 @@ def config_fingerprint(problem_desc: dict, rule_desc: dict, x0, stop_desc: dict,
 
     The canonical form is compact JSON (separators "," and ":") with the keys
     of every object sorted and every float written as the string of its
-    "%.17g" rendering, so equal doubles always hash alike. Keys must be
-    strings.
+    "%.17g" rendering, so equal doubles always hash alike; a float64 array
+    renders as the nested list of its floats. Keys must be strings. The
+    rendering streams into the hash in pieces, so no whole text is held.
     """
     payload = {
         "problem": problem_desc,
         "rule": rule_desc,
-        "x0": np.asarray(x0, dtype=float).tolist(),
+        "x0": np.asarray(x0, dtype=float),
         "stop": stop_desc,
         "seed": seed,
     }
-    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
+    digest = hashlib.sha256()
+    for piece in _canonical_pieces(payload):
+        digest.update(piece.encode())
+    return digest.hexdigest()
 
 
-def _canonical_json(v) -> str:
-    """The canonical text of v; a list of plain floats takes one format call."""
+def chunks(v):
+    """v in consecutive slices of RENDER_CHUNK items; an array's come out as lists."""
+    for start in range(0, len(v), RENDER_CHUNK):
+        chunk = v[start:start + RENDER_CHUNK]
+        yield chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
+
+
+def _canonical_pieces(v):
+    """The canonical text of v, in pieces; a float vector, a list of plain
+    floats or a 1-D float64 array, takes one format call per chunk."""
     if isinstance(v, float):
-        return '"%.17g"' % v
-    if isinstance(v, dict):
+        yield '"%.17g"' % v
+    elif isinstance(v, dict):
         for k in v:
             if not isinstance(k, str):
                 raise TypeError(f"fingerprint keys must be strings, got {k!r}")
-        return "{" + ",".join(json.dumps(k) + ":" + _canonical_json(v[k])
-                              for k in sorted(v)) + "}"
-    if isinstance(v, (list, tuple)):
-        if set(map(type, v)) == {float}:
-            return "[" + ('"%.17g",' * len(v))[:-1] % tuple(v) + "]"
-        return "[" + ",".join(map(_canonical_json, v)) + "]"
-    return json.dumps(v)
+        lead = "{"
+        for k in sorted(v):
+            yield lead + json.dumps(k) + ":"
+            yield from _canonical_pieces(v[k])
+            lead = ","
+        yield "}" if v else "{}"
+    elif isinstance(v, np.ndarray) and (v.dtype != np.float64 or v.ndim == 0):
+        yield from _canonical_pieces(v.tolist())
+    elif (isinstance(v, np.ndarray) and v.ndim == 1) or \
+            (isinstance(v, (list, tuple)) and v and set(map(type, v)) == {float}):
+        lead = "["
+        for chunk in chunks(v):
+            yield lead + ",".join(['"%.17g"'] * len(chunk)) % tuple(chunk)
+            lead = ","
+        yield "]" if len(v) else "[]"
+    elif isinstance(v, (list, tuple, np.ndarray)):  # an array here is 2-D or more
+        lead = "["
+        for u in v:
+            yield lead
+            yield from _canonical_pieces(u)
+            lead = ","
+        yield "]" if len(v) else "[]"
+    else:
+        yield json.dumps(v)
 
 
 def _try_fingerprint(problem: Problem, rule_desc: dict, x0, stop: StopRule,
@@ -297,16 +331,22 @@ def solve_gpa(problem: Problem, step: float, x0, max_iter: int,
     return _iterate(problem, x0, stop, advance, {"kind": "gpa", "step": step}, seed)
 
 
+def _trace_csv_pieces(trace: SolveTrace):
+    """CSV rendering with 17-significant-digit floats (exact round-trip), in
+    pieces of RENDER_CHUNK rows, one format call each."""
+    yield ",".join(TRACE_CSV_COLUMNS) + "\n"
+    for chunk in chunks(trace.iterations):  # a row holds its fields in column order
+        yield ("%d,%.17g,%.17g,%.17g,%.17g\n" * len(chunk)) % tuple(chain.from_iterable(chunk))
+
+
 def trace_to_csv(trace: SolveTrace) -> str:
-    """CSV rendering with 17-significant-digit floats (exact round-trip)."""
-    rows = trace.iterations  # each row holds its fields in column order
-    return (",".join(TRACE_CSV_COLUMNS) + "\n"
-            + ("%d,%.17g,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(chain.from_iterable(rows)))
+    """The text `write_trace_csv` writes."""
+    return "".join(_trace_csv_pieces(trace))
 
 
 def write_trace_csv(trace: SolveTrace, path) -> None:
     with open(path, "w") as fh:
-        fh.write(trace_to_csv(trace))
+        fh.writelines(_trace_csv_pieces(trace))
 
 
 def trace_summary(trace: SolveTrace) -> dict:

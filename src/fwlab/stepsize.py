@@ -182,19 +182,6 @@ def schedule_values(rule: StepsizeRule, upto: int) -> np.ndarray:
     raise ValueError(f"{type(rule).__name__} has no schedule; stepsizes come from the search")
 
 
-def dh_terms_iterative(gamma0: float, upto: int) -> np.ndarray:
-    """The DH recursion iterated literally, for cross-checking the closed form."""
-    if not 0 < gamma0 <= 1:
-        raise ValueError(f"gamma0 must lie in (0,1], got {gamma0}")
-    out = np.empty(upto + 1)
-    g = gamma0
-    out[0] = g
-    for k in range(upto):
-        g = g / (1.0 + g)
-        out[k + 1] = g
-    return out
-
-
 def dh_envelope_holds(rule: DHRecursion, horizon: int) -> bool:
     """Exact envelope gamma0/(k+1) <= gamma_k <= gamma0/(gamma0*k+1) of the DH
     rule for every k <= horizon, compared with no tolerance."""

@@ -10,8 +10,11 @@ from fwlab import (
     Box,
     L1Ball,
     L2Ball,
+    Problem,
     Simplex,
     VertexPolytope,
+    config_fingerprint,
+    make_quadratic,
     set_from_descriptor,
 )
 from fwlab.geometry import l2_norm
@@ -324,6 +327,29 @@ def test_descriptor_round_trip_preserves_behavior():
         c = rng.normal(size=fs.dimension)
         assert np.array_equal(clone.lmo(c), fs.lmo(c))
         assert clone.diameter() == fs.diameter()
+
+
+def test_box_and_polytope_own_their_vectors():
+    lower, upper, vertices = np.zeros(2), np.ones(2), TRIANGLE.copy()
+    box, poly = Box(2, lower, upper), VertexPolytope(vertices)
+    x, c = np.array([0.5, 0.5]), np.array([1.0, 2.0])
+
+    def fingerprint(fs):
+        return config_fingerprint(Problem(fs, make_quadratic(np.zeros(2))).descriptor(),
+                                  {"kind": "harmonic", "c": 2.0}, [0.0, 0.0],
+                                  {"max_iter": 1}, 0)
+
+    before = fingerprint(box), fingerprint(poly), poly.lmo(c).tolist()
+    # the callers' arrays, written after the build: a box with lower 5 > upper 1
+    # and a moved vertex, if the sets still read them
+    lower[0] = 5.0
+    vertices[2] = [0.0, -9.0]
+    assert box.contains(x) and box.lmo(-c).tolist() == [1.0, 1.0]
+    assert (fingerprint(box), fingerprint(poly), poly.lmo(c).tolist()) == before
+    for desc, field in ((box.descriptor(), "lower"), (box.descriptor(), "upper"),
+                        (poly.descriptor(), "vertices")):
+        with pytest.raises(ValueError, match="read-only"):
+            desc[field][0] = 5.0
 
 
 def test_descriptor_unknown_kind_rejected():

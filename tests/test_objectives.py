@@ -9,8 +9,10 @@ from fwlab import (
     Box,
     CompositePart,
     L2Ball,
+    Problem,
     Simplex,
     composite_from_descriptor,
+    config_fingerprint,
     make_linear,
     make_nesterov_max,
     make_power_norm,
@@ -248,6 +250,29 @@ def test_objective_descriptor_round_trip():
             p = np.abs(p) if obj.descriptor()["kind"] == "t_alpha" else p
             q = p[:2] if obj.descriptor()["kind"] == "nesterov_max" else p
             assert clone.value(q) == obj.value(q)
+
+
+@pytest.mark.parametrize("build, field", [
+    (make_quadratic, "b"),
+    (lambda v: make_power_norm(1.5, v), "b"),
+    (make_linear, "c"),
+])
+def test_objective_factories_own_their_vectors(build, field):
+    v = np.array([1.0, 2.0])
+    obj = build(v)
+    x = np.zeros(2)
+
+    def fingerprint():
+        return config_fingerprint(Problem(Simplex(2), obj).descriptor(),
+                                  {"kind": "harmonic", "c": 2.0}, [0.5, 0.5],
+                                  {"max_iter": 1}, 0)
+
+    before = obj.value(x), obj.grad(x).tolist(), fingerprint()
+    v[0] = 10.0  # the caller's array, written after the build
+    assert (obj.value(x), obj.grad(x).tolist(), fingerprint()) == before
+    with pytest.raises(ValueError, match="read-only"):
+        obj.descriptor()[field][0] = 10.0
+    assert obj.descriptor()[field].tolist() == [1.0, 2.0]
 
 
 def test_objective_descriptor_unknown_kind():

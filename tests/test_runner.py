@@ -1,17 +1,30 @@
 """Experiment runner: artifacts, summaries, reproduction, and comparison."""
 import hashlib
 import json
+import math
 import sys
+from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from conftest import json_floats, json_values
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwlab import checks
+from fwlab import Problem, Simplex, checks, config_fingerprint, make_quadratic
 from fwlab.config import parse_spec
-from fwlab.runner import _indented_json, compare, reproduce, run_experiment
+from fwlab.runner import _indented_pieces, _write_bounds_csv, compare, reproduce, run_experiment
+from fwlab.solver import (
+    RENDER_CHUNK,
+    IterationRecord,
+    SolveTrace,
+    Termination,
+    _canonical_pieces,
+    trace_to_csv,
+    write_trace_csv,
+)
 
 
 def _raw(name="exp", **over):
@@ -166,13 +179,131 @@ def test_reproduce_all_summaries_are_the_stdlib_indented_json(reproduced_all):
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
 
 
+def _canon(v):
+    """The fingerprint's first canonical form: every float becomes its "%.17g"
+    string, then json.dumps renders the result compactly with sorted keys.
+    This is the reference that `_canonical_pieces` must match as text."""
+    if isinstance(v, float):
+        return "%.17g" % v
+    if isinstance(v, dict):
+        return {k: _canon(u) for k, u in sorted(v.items())}
+    if isinstance(v, (list, tuple)):
+        return [_canon(u) for u in v]
+    return v
+
+
+def _canon_text(v) -> str:
+    return json.dumps(_canon(v), sort_keys=True, separators=(",", ":"))
+
+
+def _canonical(v) -> str:
+    return "".join(_canonical_pieces(v))
+
+
+def _indented(v) -> str:
+    return "".join(_indented_pieces(v))
+
+
 @given(st.one_of(json_values(),
                  st.dictionaries(st.integers(), json_values(), max_size=3),
                  st.dictionaries(json_floats(), st.integers(), max_size=3)))
 @settings(max_examples=300)
-def test_indented_json_equals_the_stdlib_rendering(v):
-    assert _indented_json(v) == json.dumps(v, indent=2, sort_keys=True)
-    assert _indented_json({"v": [v]}) == json.dumps({"v": [v]}, indent=2, sort_keys=True)
+def test_fingerprint_and_summary_renderings_equal_their_references(v):
+    """One draw feeds both renderers: the summary's indented JSON against the
+    stdlib, and the fingerprint's canonical JSON against `_canon`."""
+    assert _indented(v) == json.dumps(v, indent=2, sort_keys=True)
+    assert _indented({"v": [v]}) == json.dumps({"v": [v]}, indent=2, sort_keys=True)
+    if isinstance(v, dict) and any(not isinstance(k, str) for k in v):
+        with pytest.raises(TypeError, match="keys must be strings"):
+            _canonical(v)
+        return
+    assert _canonical(v) == _canon_text(v)
+    assert _canonical({"v": v}) == _canon_text({"v": v})
+
+
+# --- streamed writers at chunk boundaries ------------------------------------------
+
+CHUNK_LENGTHS = (RENDER_CHUNK - 1, RENDER_CHUNK, RENDER_CHUNK + 1, 2 * RENDER_CHUNK + 1)
+_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320,
+          2.2250738585072009e-308, -1.7976931348623157e308, 0.1]
+
+
+def _edge_floats(n: int) -> np.ndarray:
+    """n floats of every magnitude, with signed zeros, infinities, NaN and
+    subnormals at every third place, the chunk edges included."""
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    v[::3] = np.resize(_EDGES, v[::3].size)
+    return v
+
+
+@pytest.mark.parametrize("n", CHUNK_LENGTHS)
+def test_streamed_canonical_json_matches_the_one_shot_rendering(n):
+    v = _edge_floats(n)
+    want = _canon_text(v.tolist())
+    for form in (v, v.tolist(), tuple(v.tolist()), v[::-1][::-1]):
+        assert _canonical(form).encode() == want.encode()
+    # as the fingerprint hashes it: array descriptors and x0 against lists
+    problem = Problem(Simplex(n), make_quadratic(v))
+    desc = {"problem": {"composite": None, "objective": {"b": v.tolist(), "kind": "quadratic"},
+                        "set": {"dim": n, "kind": "simplex"}},
+            "rule": {"c": 2.0}, "x0": v.tolist(), "stop": {"max_iter": 1}, "seed": 7}
+    assert config_fingerprint(problem.descriptor(), {"c": 2.0}, v, {"max_iter": 1}, 7) \
+        == hashlib.sha256(_canon_text(desc).encode()).hexdigest()
+
+
+def test_streamed_canonical_json_of_empty_and_2d_arrays():
+    rows = _edge_floats(3 * (RENDER_CHUNK + 1)).reshape(3, RENDER_CHUNK + 1)
+    for arr in (np.empty(0), np.empty((0, 3)), np.empty((3, 0)), rows, rows.T,
+                rows[:, :RENDER_CHUNK].reshape(2, 3, -1), np.arange(5), np.float64(-0.0),
+                np.array(math.nan)):
+        assert _canonical(arr).encode() == _canon_text(np.asarray(arr).tolist()).encode()
+
+
+@pytest.mark.parametrize("n", CHUNK_LENGTHS)
+def test_streamed_summary_json_matches_the_stdlib(n):
+    v = _edge_floats(n).tolist()
+    mixed = [int(x) if i % 4 == 1 and math.isfinite(x) and abs(x) < 1e300 else x
+             for i, x in enumerate(v)]
+    for value in (v, tuple(v), mixed, {"final_x": v, "spec": [{"b": mixed}, v[:2]]}):
+        want = json.dumps(value, indent=2, sort_keys=True)
+        assert _indented(value).encode() == want.encode()
+
+
+@pytest.mark.parametrize("n", CHUNK_LENGTHS)
+def test_streamed_trace_csv_matches_the_one_shot_rendering(n, tmp_path):
+    cols = _edge_floats(4 * n).reshape(4, n).tolist()
+    rows = [IterationRecord(k, *fields) for k, fields in enumerate(zip(*cols))]
+    trace = SolveTrace(rows, Termination("max_iter", np.zeros(1), 0.0))
+    want = ("k,obj,gap,gamma,step_norm\n"
+            + ("%d,%.17g,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(chain.from_iterable(rows)))
+    write_trace_csv(trace, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
+    assert trace_to_csv(trace) == want
+
+
+def test_streamed_bounds_csv_matches_the_one_shot_rendering(tmp_path):
+    bounds = [(SimpleNamespace(kind=f"b{n}"), np.arange(n), _edge_floats(n))
+              for n in CHUNK_LENGTHS + (0, 1)]
+    want = "".join(
+        f"# bound kind={bound.kind}\nk,bound\n"
+        + ("%d,%.17g\n" * len(ks)) % tuple(chain.from_iterable(zip(ks.tolist(), vals.tolist())))
+        for bound, ks, vals in bounds)
+    _write_bounds_csv(tmp_path / "b.csv", bounds)
+    assert (tmp_path / "b.csv").read_bytes() == want.encode()
+
+
+def test_summary_of_a_long_run_is_the_stdlib_indented_json(tmp_path):
+    n = RENDER_CHUNK + 1
+    b = np.nan_to_num(_edge_floats(n)).clip(-9.0, 9.0)  # keeps -0.0 and subnormals
+    raw = _raw(problem={"set": {"kind": "simplex", "dim": n},
+                        "objective": {"kind": "quadratic", "b": b.tolist()}},
+               stop={"max_iter": RENDER_CHUNK}, checks=[])
+    report = run_experiment(parse_spec(raw), tmp_path)
+    text = Path(report.summary_path).read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert text.count("\n") > 2 * n  # b and final_x, one float a line
+    assert len(Path(report.trace_path).read_text().splitlines()) == RENDER_CHUNK + 2
 
 
 def test_compare_writes_wide_csv_with_padding(tmp_path):

@@ -1,11 +1,9 @@
 import dataclasses
 import itertools
-import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import json_values
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -38,7 +36,7 @@ from fwlab.solver import (
     REASON_GAP_TOL,
     REASON_MAX_ITER,
     TRACE_CSV_COLUMNS,
-    _canonical_json,
+    _canonical_pieces,
     _gap,
 )
 
@@ -100,12 +98,15 @@ def test_fingerprint_is_rendered_before_the_loop_allocates_a_row():
         finally:
             tracemalloc.stop()
 
-    rendering = peak_bytes(lambda: config_fingerprint(
-        problem.descriptor(), rule.descriptor(), x0, stop.descriptor(), None))
-    solving = peak_bytes(lambda: solve(problem, rule, x0=x0, stop=stop))
-    # the rendering's strings dominate; beside them only the iterate x is alive,
-    # not the last row's gradient, oracle answer and direction
-    assert solving - rendering < 2 * 8 * n
+    vector = 8 * n
+    # the rendering streams a chunk at a time into the hash: less than one
+    # n-vector, whatever n is
+    assert peak_bytes(lambda: config_fingerprint(
+        problem.descriptor(), rule.descriptor(), x0, stop.descriptor(), None)) < vector
+    # the loop holds x, the gradient, the oracle answer, the direction and the
+    # next iterate, plus a temporary; the fingerprint, rendered first, adds
+    # nothing on top of them
+    assert peak_bytes(lambda: solve(problem, rule, x0=x0, stop=stop)) < 7 * vector
 
 
 def test_trace_columns_are_built_once_and_read_only():
@@ -501,32 +502,10 @@ def test_config_fingerprint_canonicalizes_float_rendering():
 
 
 
-def _canon(v):
-    """The fingerprint's first canonical form: every float becomes its "%.17g"
-    string, then json.dumps renders the result compactly with sorted keys.
-    This is the reference that `_canonical_json` must match as text."""
-    if isinstance(v, float):
-        return "%.17g" % v
-    if isinstance(v, dict):
-        return {k: _canon(u) for k, u in sorted(v.items())}
-    if isinstance(v, (list, tuple)):
-        return [_canon(u) for u in v]
-    return v
-
-
-@given(json_values())
-@settings(max_examples=300)
-def test_canonical_json_equals_the_canon_reference(v):
-    want = json.dumps(_canon(v), sort_keys=True, separators=(",", ":"))
-    assert _canonical_json(v) == want
-    assert _canonical_json({"v": v}) == json.dumps(_canon({"v": v}), sort_keys=True,
-                                                   separators=(",", ":"))
-
-
 def test_canonical_json_rejects_keys_that_are_not_strings():
     for key in (1, 1.5, True, None):
         with pytest.raises(TypeError, match="keys must be strings"):
-            _canonical_json({"problem": {key: 2.0}})
+            "".join(_canonical_pieces({"problem": {key: 2.0}}))
 
 
 def test_config_fingerprint_at_large_n_holds_no_string_per_float():
@@ -541,8 +520,9 @@ def test_config_fingerprint_at_large_n_holds_no_string_per_float():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one str object per float, as json.dumps of a canonicalized list needs, peaks at 28 MB
-    assert peak < 16_000_000
+    # one str object per float, as json.dumps of a canonicalized list needs,
+    # peaks at 28 MB; the streamed rendering holds one chunk's floats and text
+    assert peak < 1_000_000
 
 
 # --- CSV round-trip ---------------------------------------------------------------------

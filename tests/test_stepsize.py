@@ -16,7 +16,7 @@ from fwlab import (
     rule_from_descriptor,
     schedule_values,
 )
-from fwlab.stepsize import dh_envelope_holds, dh_terms_iterative
+from fwlab.stepsize import dh_envelope_holds
 
 
 def schedule_value(rule, k: int) -> float:
@@ -29,6 +29,17 @@ def schedule_value(rule, k: int) -> float:
     if isinstance(rule, DHRecursion):
         return rule.gamma0 / (rule.gamma0 * k + 1.0)
     raise TypeError(f"{type(rule).__name__} has no schedule")
+
+
+def dh_terms_iterative(gamma0: float, upto: int) -> np.ndarray:
+    """The DH recursion iterated literally, for cross-checking the closed form."""
+    out = np.empty(upto + 1)
+    g = gamma0
+    out[0] = g
+    for k in range(upto):
+        g = g / (1.0 + g)
+        out[k + 1] = g
+    return out
 
 
 # --- golden-section line search ------------------------------------------------
