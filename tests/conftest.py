@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -90,3 +91,21 @@ def json_values():
         st.lists(kids, max_size=4).map(tuple),
         st.dictionaries(text, kids, max_size=4),
     ), max_leaves=12)
+
+
+def _canon(v):
+    """Every float becomes its "%.17g" string, dict keys sorted, all else kept."""
+    if isinstance(v, float):
+        return "%.17g" % v
+    if isinstance(v, dict):
+        return {k: _canon(u) for k, u in sorted(v.items())}
+    if isinstance(v, (list, tuple)):
+        return [_canon(u) for u in v]
+    return v
+
+
+def canon_text(v) -> str:
+    """The fingerprint's canonical form, one-shot: `_canon`, then json.dumps
+    renders the result compactly with sorted keys. This is the reference the
+    streamed `_canonical_pieces` must match as text."""
+    return json.dumps(_canon(v), sort_keys=True, separators=(",", ":"))

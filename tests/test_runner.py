@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import json_floats, json_values
+from conftest import canon_text, json_floats, json_values
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -179,23 +179,6 @@ def test_reproduce_all_summaries_are_the_stdlib_indented_json(reproduced_all):
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
 
 
-def _canon(v):
-    """The fingerprint's first canonical form: every float becomes its "%.17g"
-    string, then json.dumps renders the result compactly with sorted keys.
-    This is the reference that `_canonical_pieces` must match as text."""
-    if isinstance(v, float):
-        return "%.17g" % v
-    if isinstance(v, dict):
-        return {k: _canon(u) for k, u in sorted(v.items())}
-    if isinstance(v, (list, tuple)):
-        return [_canon(u) for u in v]
-    return v
-
-
-def _canon_text(v) -> str:
-    return json.dumps(_canon(v), sort_keys=True, separators=(",", ":"))
-
-
 def _canonical(v) -> str:
     return "".join(_canonical_pieces(v))
 
@@ -208,17 +191,9 @@ def _indented(v) -> str:
                  st.dictionaries(st.integers(), json_values(), max_size=3),
                  st.dictionaries(json_floats(), st.integers(), max_size=3)))
 @settings(max_examples=300)
-def test_fingerprint_and_summary_renderings_equal_their_references(v):
-    """One draw feeds both renderers: the summary's indented JSON against the
-    stdlib, and the fingerprint's canonical JSON against `_canon`."""
+def test_indented_json_equals_the_stdlib_rendering(v):
     assert _indented(v) == json.dumps(v, indent=2, sort_keys=True)
     assert _indented({"v": [v]}) == json.dumps({"v": [v]}, indent=2, sort_keys=True)
-    if isinstance(v, dict) and any(not isinstance(k, str) for k in v):
-        with pytest.raises(TypeError, match="keys must be strings"):
-            _canonical(v)
-        return
-    assert _canonical(v) == _canon_text(v)
-    assert _canonical({"v": v}) == _canon_text({"v": v})
 
 
 # --- streamed writers at chunk boundaries ------------------------------------------
@@ -240,7 +215,7 @@ def _edge_floats(n: int) -> np.ndarray:
 @pytest.mark.parametrize("n", CHUNK_LENGTHS)
 def test_streamed_canonical_json_matches_the_one_shot_rendering(n):
     v = _edge_floats(n)
-    want = _canon_text(v.tolist())
+    want = canon_text(v.tolist())
     for form in (v, v.tolist(), tuple(v.tolist()), v[::-1][::-1]):
         assert _canonical(form).encode() == want.encode()
     # as the fingerprint hashes it: array descriptors and x0 against lists
@@ -249,7 +224,7 @@ def test_streamed_canonical_json_matches_the_one_shot_rendering(n):
                         "set": {"dim": n, "kind": "simplex"}},
             "rule": {"c": 2.0}, "x0": v.tolist(), "stop": {"max_iter": 1}, "seed": 7}
     assert config_fingerprint(problem.descriptor(), {"c": 2.0}, v, {"max_iter": 1}, 7) \
-        == hashlib.sha256(_canon_text(desc).encode()).hexdigest()
+        == hashlib.sha256(canon_text(desc).encode()).hexdigest()
 
 
 def test_streamed_canonical_json_of_empty_and_2d_arrays():
@@ -257,7 +232,7 @@ def test_streamed_canonical_json_of_empty_and_2d_arrays():
     for arr in (np.empty(0), np.empty((0, 3)), np.empty((3, 0)), rows, rows.T,
                 rows[:, :RENDER_CHUNK].reshape(2, 3, -1), np.arange(5), np.float64(-0.0),
                 np.array(math.nan)):
-        assert _canonical(arr).encode() == _canon_text(np.asarray(arr).tolist()).encode()
+        assert _canonical(arr).encode() == canon_text(np.asarray(arr).tolist()).encode()
 
 
 @pytest.mark.parametrize("n", CHUNK_LENGTHS)

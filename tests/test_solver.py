@@ -40,7 +40,7 @@ from fwlab.solver import (
     _gap,
 )
 
-from conftest import replay_iterates
+from conftest import canon_text, json_floats, json_values, replay_iterates
 
 
 def _simplex_quadratic(n=3):
@@ -500,6 +500,22 @@ def test_config_fingerprint_canonicalizes_float_rendering():
                              [1.0, 0.0, 0.0], {"gap_tol": 0.0, "max_iter": 5}, 0)
     assert fp1 == fp2
 
+
+
+@given(st.one_of(json_values(),
+                 st.dictionaries(st.integers(), json_values(), max_size=3),
+                 st.dictionaries(json_floats(), st.integers(), max_size=3)))
+@settings(max_examples=300)
+def test_canonical_json_equals_the_canon_reference(v):
+    def canonical(u):
+        return "".join(_canonical_pieces(u))
+
+    if isinstance(v, dict) and any(not isinstance(k, str) for k in v):
+        with pytest.raises(TypeError, match="keys must be strings"):
+            canonical(v)
+        return
+    assert canonical(v) == canon_text(v)
+    assert canonical({"v": v}) == canon_text({"v": v})
 
 
 def test_canonical_json_rejects_keys_that_are_not_strings():
