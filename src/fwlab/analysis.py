@@ -26,6 +26,12 @@ DEFAULT_GAMMA_GRID: tuple[float, ...] = tuple(np.logspace(-3.0, -0.5, 13)) + (1.
 _EXTREME_PAIR_CAP = 24  # at most this many extreme points enter the pair augmentation
 
 
+def check_sigma(sigma: float) -> None:
+    """Reject a curvature order outside (1, 2], the range every bound here covers."""
+    if not 1.0 < sigma <= 2.0:
+        raise ValueError(f"sigma must lie in (1, 2], got {sigma}")
+
+
 @dataclass(frozen=True)
 class CurvatureEstimate:
     sigma: float
@@ -78,8 +84,7 @@ def estimate_curvature(
     When the objective carries a true Holder constant matching sigma = 1 + nu,
     the corresponding upper bound L_nu * diam^(1+nu) is attached for contrast.
     """
-    if not 1.0 < sigma <= 2.0:
-        raise ValueError(f"sigma must lie in (1, 2], got {sigma}")
+    check_sigma(sigma)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     grid = _validate_gamma_grid(DEFAULT_GAMMA_GRID if gamma_grid is None else gamma_grid)
@@ -221,8 +226,7 @@ def rate_bound_line_search(theta0: float, sigma: float, C_sigma: float) -> RateB
     """Suboptimality bound under exact line minimization; equals theta0 at k=0."""
     if not theta0 > 0:
         raise ValueError(f"theta0 must be positive, got {theta0}")
-    if not 1.0 < sigma <= 2.0:
-        raise ValueError(f"sigma must lie in (1, 2], got {sigma}")
+    check_sigma(sigma)
     if not C_sigma > 0:
         raise ValueError(f"C_sigma must be positive, got {C_sigma}")
     return RateBound(KIND_LINE_SEARCH_ORDER_SIGMA,
@@ -241,8 +245,7 @@ def rate_bound_open_loop(Delta: float, sigma: float, composite: bool = False) ->
     """
     if not Delta > 0:
         raise ValueError(f"Delta must be positive, got {Delta}")
-    if not 1.0 < sigma <= 2.0:
-        raise ValueError(f"sigma must lie in (1, 2], got {sigma}")
+    check_sigma(sigma)
     return RateBound(KIND_OPEN_LOOP_ORDER_SIGMA,
                      {"Delta": Delta, "sigma": sigma, "composite": bool(composite)})
 
@@ -263,8 +266,7 @@ def beta_recursion(rule: StepsizeRule, sigma: float, K: int) -> np.ndarray:
     """beta_0..beta_K of beta_{k+1} = (1-gamma_k)*beta_k + gamma_k^sigma, beta_0=1."""
     if not is_open_loop(rule):
         raise ValueError(f"{type(rule).__name__} is not an open-loop rule")
-    if not 1.0 < sigma <= 2.0:
-        raise ValueError(f"sigma must lie in (1, 2], got {sigma}")
+    check_sigma(sigma)
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     gam = schedule_values(rule, K - 1)

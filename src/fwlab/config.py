@@ -16,7 +16,7 @@ import numpy as np
 from .geometry import FeasibleSet, set_from_descriptor
 from .objectives import composite_from_descriptor, objective_from_descriptor
 from .solver import Problem, StopRule, config_fingerprint
-from .stepsize import StepsizeRule, rule_from_descriptor
+from .stepsize import ProjectedGradient, StepsizeRule, rule_from_descriptor
 
 _SPEC_FIELDS = {"name", "problem", "rule", "x0", "stop", "checks", "seed"}
 _PROBLEM_FIELDS = {"set", "objective", "composite"}
@@ -119,18 +119,9 @@ def build_problem(spec: ExperimentSpec) -> Problem:
         raise ValueError(f"{spec.name}: 'problem.composite': {exc}") from None
 
 
-def build_rule(spec: ExperimentSpec) -> StepsizeRule | dict:
-    """The stepsize rule, or the raw descriptor for the projected-gradient baseline."""
+def build_rule(spec: ExperimentSpec) -> StepsizeRule:
     if spec.rule is None:
         raise ValueError(f"{spec.name}: spec has no rule section")
-    if spec.rule.get("kind") == "gpa":
-        bad = set(spec.rule) - {"kind", "step"}
-        if bad:
-            raise ValueError(f"{spec.name}: unknown gpa rule fields {sorted(bad)}")
-        step = spec.rule.get("step")
-        if not (isinstance(step, (int, float)) and step > 0):
-            raise ValueError(f"{spec.name}: gpa rule needs a positive 'step'")
-        return dict(spec.rule)
     return rule_from_descriptor(spec.rule)
 
 
@@ -180,19 +171,17 @@ def spec_fingerprint(spec: ExperimentSpec) -> str:
     x0 = resolve_x0(spec, problem.feasible_set)
     # normalize through the rule object so omitted-but-defaulted fields hash
     # the same way the solver will hash them
-    rule = build_rule(spec)
-    rule_desc = rule if isinstance(rule, dict) else rule.descriptor()
     stop = build_stop(spec)
-    return config_fingerprint(problem.descriptor(), rule_desc, x0,
+    return config_fingerprint(problem.descriptor(), build_rule(spec).descriptor(), x0,
                               stop.descriptor(), spec.seed)
 
 
-def validate_spec(spec: ExperimentSpec) -> None:
+def validate_spec(spec: ExperimentSpec) -> list:
     """Materialize every part of the spec once, surfacing field-level errors.
 
-    Check descriptors are validated too (the checks module owns their
-    schemas); a spec that validates here will run, though its checks may of
-    course still fail on the measured values.
+    Returns the checks parsed (the checks module owns their schemas); a spec
+    that validates here will run, though its checks may still fail on the
+    measured values.
     """
     from . import checks as checks_mod
 
@@ -205,13 +194,15 @@ def validate_spec(spec: ExperimentSpec) -> None:
         if not problem.feasible_set.contains(x0, 1e-9):
             raise ValueError(f"{spec.name}: x0 is not feasible")
         stop = build_stop(spec)
-        if isinstance(rule, dict):  # projected-gradient baseline
+        if isinstance(rule, ProjectedGradient):
             if problem.composite is not None:
                 raise ValueError(f"{spec.name}: gpa rule cannot take a composite part")
             if stop.gap_tol:
                 raise ValueError(f"{spec.name}: gpa rule ignores gap_tol; leave it 0")
+    checks = []
     for i, desc in enumerate(spec.checks):
         try:
-            checks_mod.validate_check(desc, spec, problem)
+            checks.append(checks_mod.validate_check(desc, spec, problem))
         except ValueError as exc:
             raise ValueError(f"{spec.name}: checks[{i}]: {exc}") from None
+    return checks

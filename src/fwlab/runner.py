@@ -35,6 +35,7 @@ from .solver import (
     trace_summary,
     write_trace_csv,
 )
+from .stepsize import ProjectedGradient
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,9 @@ def _run_trace(spec: ExperimentSpec) -> SolveTrace:
     problem = build_problem(spec)
     rule = build_rule(spec)
     x0 = resolve_x0(spec, problem.feasible_set)
-    if isinstance(rule, dict):
-        # projected-gradient baseline; shares the trace format with the
-        # projection-free path
-        trace = solve_gpa(problem, step=rule["step"], x0=x0,
+    if isinstance(rule, ProjectedGradient):
+        # shares the trace format with the projection-free path
+        trace = solve_gpa(problem, step=rule.step, x0=x0,
                           max_iter=build_stop(spec).max_iter, seed=spec.seed)
     else:
         trace = solve(problem, rule, x0=x0, stop=build_stop(spec),
@@ -113,7 +113,7 @@ def _indented_pieces(v, pad: str = ""):
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> ExperimentReport:
     """Validate, execute, check, and persist one experiment."""
-    validate_spec(spec)
+    checks = validate_spec(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -126,7 +126,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> ExperimentRepor
         write_trace_csv(trace, trace_path)
 
     ctx = CheckContext(problem=problem, trace=trace)
-    results = tuple(evaluate_check(check, ctx) for check in spec.checks)
+    results = tuple(evaluate_check(check, ctx) for check in checks)
 
     bounds_path: Path | None = None
     if ctx.bounds:

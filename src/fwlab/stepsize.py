@@ -92,7 +92,24 @@ class DHRecursion:
         return {"kind": "dh_recursion", "gamma0": self.gamma0}
 
 
-StepsizeRule = Union[LineSearch, Harmonic, Power, DHRecursion]
+@dataclass(frozen=True)
+class ProjectedGradient:
+    """The projected-gradient baseline x_{k+1} = P(x_k - step*grad(x_k)), not a
+    Frank-Wolfe rule. `step` is kept as the spec gave it, so the descriptor
+    (and the fingerprint) echoes it unchanged."""
+
+    step: float
+
+    def __post_init__(self):
+        if isinstance(self.step, bool) or not isinstance(self.step, (int, float)) \
+                or not self.step > 0:
+            raise ValueError("gpa rule needs a positive 'step'")
+
+    def descriptor(self) -> dict:
+        return {"kind": "gpa", "step": self.step}
+
+
+StepsizeRule = Union[LineSearch, Harmonic, Power, DHRecursion, ProjectedGradient]
 
 _OPEN_LOOP = (Harmonic, Power, DHRecursion)
 
@@ -199,6 +216,7 @@ _RULE_KINDS = {
     "harmonic": lambda d: Harmonic(d["c"]),
     "power": lambda d: Power(d["gamma0"], d["p"]),
     "dh_recursion": lambda d: DHRecursion(d["gamma0"]),
+    "gpa": lambda d: ProjectedGradient(d.get("step")),
 }
 
 _RULE_FIELDS = {
@@ -206,6 +224,7 @@ _RULE_FIELDS = {
     "harmonic": {"c"},
     "power": {"gamma0", "p"},
     "dh_recursion": {"gamma0"},
+    "gpa": {"step"},
 }
 
 
@@ -218,8 +237,8 @@ def rule_from_descriptor(desc: dict) -> StepsizeRule:
         raise ValueError(f"unknown stepsize rule kind {kind!r}")
     unknown = set(desc) - _RULE_FIELDS[kind] - {"kind"}
     if unknown:
-        raise ValueError(f"rule descriptor for {kind!r} has unknown fields "
-                         f"{sorted(unknown)}")
+        raise ValueError(f"unknown gpa rule fields {sorted(unknown)}" if kind == "gpa" else
+                         f"rule descriptor for {kind!r} has unknown fields {sorted(unknown)}")
     try:
         return _RULE_KINDS[kind](desc)
     except KeyError as exc:

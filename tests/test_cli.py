@@ -65,6 +65,17 @@ def test_solve_invalid_spec_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_mistyped_check_field_exits_two_before_any_artifact(tmp_path, capsys):
+    # a string horizon used to escape validation as a TypeError traceback
+    raw = _quadratic_raw(checks=[{"kind": "schedule-bounds", "gamma0s": [0.5],
+                                  "horizon": "100"}])
+    out = tmp_path / "out"
+    assert run_cli("solve", _write_spec(tmp_path, raw), "--out", str(out)) == 2
+    assert capsys.readouterr().err == ("error: cliexp: checks[0]: 'horizon' must be "
+                                       "an integer, got '100'\n")
+    assert not out.exists()
+
+
 def test_solve_missing_file_exits_two(tmp_path, capsys):
     assert run_cli("solve", str(tmp_path / "nope.json")) == 2
     assert "error:" in capsys.readouterr().err
@@ -189,7 +200,7 @@ def test_schedule_checks_fail_when_a_step_leaves_the_envelope(monkeypatch, capsy
     monkeypatch.setattr(stepsize, "schedule_values",
                         lambda rule, upto: np.nextafter(exact(rule, upto), 2))
     desc = {"kind": "schedule-bounds", "gamma0s": [0.5], "horizon": 100}
-    result = checks.evaluate_check(desc, checks.CheckContext(None, None))
+    result = checks.evaluate_check(checks.parse_check(desc), checks.CheckContext(None, None))
     assert result.passed is False
     assert result.measured == "envelope broken for gamma0 in [0.5]"
     code = run_cli("validate-schedule", "dh_recursion:gamma0=0.7",
@@ -203,6 +214,8 @@ def test_validate_schedule_rejects_closed_loop_rule(capsys):
                    "--horizon", "10")
     assert code == 2
     assert "not an open-loop schedule" in capsys.readouterr().err
+    assert run_cli("validate-schedule", "gpa:step=0.1", "--horizon", "10") == 2
+    assert "'gpa' is not an open-loop schedule" in capsys.readouterr().err
 
 
 def test_validate_schedule_rejects_malformed_parameters(capsys):

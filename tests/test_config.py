@@ -17,7 +17,7 @@ from fwlab.config import (
     validate_spec,
 )
 from fwlab.geometry import Box, L1Ball, Simplex
-from fwlab.stepsize import Harmonic
+from fwlab.stepsize import Harmonic, ProjectedGradient
 
 
 def _solving_raw(**over):
@@ -186,8 +186,11 @@ def test_resolve_x0_rejects_unknown_string():
 
 def test_build_rule_returns_rule_object_or_gpa_descriptor():
     assert isinstance(build_rule(parse_spec(_solving_raw())), Harmonic)
-    gpa = build_rule(parse_spec(_solving_raw(rule={"kind": "gpa", "step": 0.5})))
-    assert gpa == {"kind": "gpa", "step": 0.5}
+    gpa = build_rule(parse_spec(_solving_raw(rule={"kind": "gpa", "step": 1})))
+    assert gpa == ProjectedGradient(1)
+    # the descriptor echoes the spec's step unchanged, so fingerprints keep their bytes
+    assert gpa.descriptor() == {"kind": "gpa", "step": 1}
+    assert type(gpa.descriptor()["step"]) is int
 
 
 def test_build_rule_rejects_bad_gpa_descriptors():
@@ -281,6 +284,105 @@ def test_validate_rejects_final_x_of_the_wrong_dimension():
         validate_spec(parse_spec(_solving_raw(checks=[check])))
     check["final_x"] = [1.0, 0.0, 0.0]
     validate_spec(parse_spec(_solving_raw(checks=[check])))
+
+
+# One valid descriptor per check kind (and per bound and assemble shape), all
+# validated against a composite box problem, which every kind accepts. Each
+# field of each, nested ones included, is fed a string, null and a bool (an
+# int for a bool field, and also a float for an integer field); validation
+# must reject every one and name the field.
+_VALID_CHECKS = [
+    {"kind": "monotonicity", "tol": 1e-12},
+    {"kind": "bound-domination", "opt": 0.0, "k_min": 1, "tol_add": 0.0, "tol_rel": 0.0,
+     "bound": {"kind": "harmonic_classic", "C_f": 4.0}},
+    {"kind": "bound-domination", "opt": 0.0,
+     "bound": {"kind": "line_search_order_sigma", "theta0": 1.0, "sigma": 2.0,
+               "C_sigma": 4.0}},
+    {"kind": "bound-domination", "opt": 0.0,
+     "bound": {"kind": "open_loop_order_sigma", "sigma": 2.0, "Delta": 1.0,
+               "composite": True}},
+    {"kind": "bound-domination", "opt": 0.0,
+     "bound": {"kind": "open_loop_order_sigma", "sigma": 2.0,
+               "assemble": {"C_sigma": 4.0}}},
+    {"kind": "bound-domination", "opt": 0.0,
+     "bound": {"kind": "open_loop_order_sigma", "sigma": 1.5,
+               "assemble": {"inflate": 1.2, "n_samples": 10, "seed": 0}}},
+    {"kind": "lower-bound", "opt": 0.0, "coeff": 0.1, "offset": 1.0, "k_min": 1,
+     "k_max": 4, "tol": 1e-12},
+    {"kind": "finite-termination", "at_k": 1, "final_x": [1.0, 0.0, 0.0], "tol": 1e-12},
+    {"kind": "non-convergence-margin", "opt": 0.0, "margin": 0.1, "k_min": 1, "k_max": 4},
+    {"kind": "rate-slope", "opt": 0.0, "max_slope": -0.5, "tail_fraction": 0.5},
+    {"kind": "optimum-proximity", "opt": 0.0, "tol": 1e-6},
+    {"kind": "curvature-exact", "sigma": 2.0, "expect": 1.0, "tol": 1e-6,
+     "n_samples": 10, "seed": 0},
+    {"kind": "curvature-divergence", "sigma": 2.0, "threshold": 1e3, "n_samples": 10,
+     "seed": 0},
+    {"kind": "oracle-grid-match", "seed": 0, "n_vectors": 2, "tol": 1e-6,
+     "grid_points": 11},
+    {"kind": "schedule-bounds", "gamma0s": [0.5], "horizon": 100},
+]
+
+
+def _with(desc, path, value):
+    """A copy of desc with the field at path, a tuple of keys, set to value."""
+    out = dict(desc)
+    out[path[0]] = value if len(path) == 1 else _with(desc[path[0]], path[1:], value)
+    return out
+
+
+def _field_paths(desc, prefix=()):
+    for key, value in desc.items():
+        if key != "kind":
+            yield prefix + (key,)
+            if isinstance(value, dict):
+                yield from _field_paths(value, prefix + (key,))
+
+
+def _get(desc, path):
+    return desc[path[0]] if len(path) == 1 else _get(desc[path[0]], path[1:])
+
+
+def _mistyped_checks():
+    for desc in _VALID_CHECKS:
+        for path in _field_paths(desc):
+            good = _get(desc, path)
+            bads = ["x", None, 1 if isinstance(good, bool) else True]
+            if type(good) is int:
+                bads.append(1.5)  # an integer field takes no float
+            for bad in bads:
+                yield pytest.param(desc, _with(desc, path, bad), path[-1],
+                                   id=f"{desc['kind']}-{'.'.join(path)}={bad!r}")
+    # the inputs that used to pass validation, escape it as a TypeError, or
+    # run on a coerced value
+    def first(kind):
+        return next(desc for desc in _VALID_CHECKS if desc["kind"] == kind)
+
+    for kind, path, bad in [
+        ("bound-domination", ("tol_add",), "x"), ("bound-domination", ("k_min",), "one"),
+        ("bound-domination", ("tol_rel",), None), ("bound-domination", ("opt",), True),
+        ("bound-domination", ("bound", "C_f"), "4"),
+        ("rate-slope", ("tail_fraction",), "half"), ("rate-slope", ("max_slope",), "-0.5"),
+        ("monotonicity", ("tol",), None),
+        ("curvature-exact", ("n_samples",), "many"), ("curvature-exact", ("sigma",), "2"),
+        ("schedule-bounds", ("horizon",), "100"), ("schedule-bounds", ("horizon",), 100.5),
+        ("schedule-bounds", ("gamma0s",), ["0.5"]),
+        ("finite-termination", ("at_k",), "3"),
+    ]:
+        desc = first(kind)
+        yield pytest.param(desc, _with(desc, path, bad), path[-1],
+                           id=f"reported-{kind}-{'.'.join(path)}={bad!r}")
+
+
+@pytest.mark.parametrize("valid, check, field", _mistyped_checks())
+def test_validate_rejects_a_mistyped_check_field_by_name(valid, check, field):
+    raw = _solving_raw(x0=[1.0, 0.0, 0.0])
+    raw["problem"] = {"set": {"kind": "box", "dim": 3, "lower": [-1.0] * 3,
+                              "upper": [1.0] * 3},
+                      "objective": {"kind": "quadratic", "b": [0.5, 0.0, 0.0]},
+                      "composite": {"kind": "l1", "lam": 0.1}}
+    validate_spec(parse_spec({**raw, "checks": [valid]}))
+    with pytest.raises(ValueError, match=rf"smoke: checks\[0\]: '{field}' must be "):
+        validate_spec(parse_spec({**raw, "checks": [check]}))
 
 
 # --- fingerprints ------------------------------------------------------------

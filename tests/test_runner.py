@@ -100,13 +100,13 @@ def test_failing_check_does_not_abort_the_report(tmp_path):
 
 
 def test_errored_check_keeps_the_exception_type_and_frame(monkeypatch):
-    def broken(desc, ctx):
+    def broken(check, ctx):
         line = sys._getframe().f_lineno + 1
         raise KeyError(line)
 
-    validate, _ = checks._CHECK_KINDS["monotonicity"]
-    monkeypatch.setitem(checks._CHECK_KINDS, "monotonicity", (validate, broken))
-    result = checks.evaluate_check({"kind": "monotonicity"}, checks.CheckContext(None, None))
+    monkeypatch.setattr(checks.Monotonicity, "evaluate", broken)
+    check = checks.parse_check({"kind": "monotonicity"})
+    result = checks.evaluate_check(check, checks.CheckContext(None, None))
     assert not result.passed
     assert result.measured.startswith("check errored: ")
     line = int(result.measured.removeprefix("check errored: "))

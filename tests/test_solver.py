@@ -235,7 +235,8 @@ def test_exact_quadratic_step_beats_a_grid_and_golden_section(kind, dim, seed):
     radius = rng.uniform(0.5, 2.0)
     fs = {"simplex": Simplex(dim), "l1_ball": L1Ball(dim, radius),
           "l2_ball": L2Ball(dim, radius), "box": Box(dim, -half, half)}[kind]
-    problem = Problem(fs, make_quadratic(rng.normal(scale=2.0, size=dim)))
+    b = rng.normal(scale=2.0, size=dim)
+    problem = Problem(fs, make_quadratic(b))
     x = fs.draw(rng)
     trace = solve(problem, LineSearch(1e-10, 200), x0=x, stop=StopRule(max_iter=1))
     gamma = trace.iterations[0].gamma
@@ -246,7 +247,9 @@ def test_exact_quadratic_step_beats_a_grid_and_golden_section(kind, dim, seed):
 
     assert 0.0 <= gamma <= 1.0
     scale = max(1.0, phi(0.0), phi(1.0))
-    grid_min = min(phi(t) for t in np.linspace(0.0, 1.0, 2001))
+    # 0.5*||x + t*d - b||^2 at all 2001 grid points in one expression
+    residuals = x + np.linspace(0.0, 1.0, 2001)[:, None] * d - b
+    grid_min = float(np.min(0.5 * np.einsum("ij,ij->i", residuals, residuals)))
     assert phi(gamma) <= grid_min + 1e-12 * scale
     golden = line_search(phi, 1e-10, 200)
     assert phi(gamma) <= phi(golden) + 1e-12 * scale
