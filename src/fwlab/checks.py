@@ -30,6 +30,7 @@ from .analysis import (
 from .solver import Problem, SolveTrace, composite_lmo, REASON_FINITE_TERMINATION
 from .stepsize import DHRecursion, dh_envelope_holds
 from .geometry import Box
+from .schema import kind_of, read
 
 
 @dataclass(frozen=True)
@@ -54,44 +55,18 @@ class CheckContext:
 
 
 # --- the parser ----------------------------------------------------------------
-# A field's annotation names its type; `T | None = None` marks an optional
-# field with no default value. Values are kept as the spec wrote them (an int
-# stays an int), so a number a check prints reads as it does in the spec.
+# A field's annotation names its `fwlab.schema` type or its nested descriptor;
+# `T | None = None` marks an optional field with no default value. Values are kept
+# as written (an int stays an int), so a number a check prints reads as in the spec.
 
 Positive = float  # a number > 0
+Count = int  # an integer >= 1
+Fraction = float  # a number in (0, 1]
 Vector = list  # a flat list of numbers
 
-# annotation: (the Python types a value may have, what the error calls them)
-_TYPES = {"float": ((int, float), "a number"), "Positive": ((int, float), "a number"),
-          "int": (int, "an integer"), "bool": (bool, "a boolean"),
-          "Vector": (list, "a vector of numbers"),
-          "Bound": (dict, "an object"), "Assemble": (dict, "an object")}
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _typed(name: str, typ: str, v):
-    """v, checked against the annotation typ; a nested descriptor is parsed."""
-    types, what = _TYPES[typ]
-    if (not isinstance(v, types) or (isinstance(v, bool) and typ != "bool")
-            or (typ == "Vector" and not all(map(_is_number, v)))):
-        raise ValueError(f"'{name}' must be {what}, got {v!r}")
-    if typ == "Positive" and not v > 0:
-        raise ValueError(f"'{name}' must be positive")
-    if typ == "Bound":
-        return _kind(v, _BOUND_KINDS, "bound")(v)
-    if typ == "Assemble":
-        return (GivenC if "C_sigma" in v else SampledC)(v)
-    return v
-
-
-def _kind(desc: dict, kinds: dict, what: str) -> type:
-    kind = desc.get("kind")
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ValueError(f"unknown {what} kind {kind!r}")
-    return kinds[kind]
+# a nested descriptor's field: what parses the object it holds
+_NESTED = {"bound": lambda v: kind_of(v, _BOUND_KINDS, "bound")(v),
+           "assemble": lambda v: (GivenC if "C_sigma" in v else SampledC)(v)}
 
 
 class _Descriptor:
@@ -104,20 +79,17 @@ class _Descriptor:
     fresh launch would pay.
     """
 
+    def __init_subclass__(cls):
+        # a nested descriptor reads as an object; a field with a default may be omitted
+        cls._types = {}
+        for klass in reversed(cls.__mro__):
+            for name, typ in klass.__dict__.get("__annotations__", {}).items():
+                typ = "object" if name in _NESTED else typ.removesuffix(" | None")
+                cls._types[name] = typ + (" | None" if hasattr(cls, name) else "")
+
     def __init__(self, desc: dict):
-        typed = {}
-        for cls in reversed(type(self).__mro__):
-            typed.update(cls.__dict__.get("__annotations__", {}))
-        unknown = set(desc) - set(typed) - {"kind"}
-        if unknown:
-            raise ValueError(f"unknown fields {sorted(unknown)}")
-        missing = {name for name in typed if not hasattr(self, name)} - set(desc)
-        if missing:
-            raise ValueError(f"missing fields {sorted(missing)}")
-        for name, typ in typed.items():
-            if name in desc:
-                value = _typed(name, typ.removesuffix(" | None"), desc[name])
-                object.__setattr__(self, name, value)
+        for name, value in read(desc, self._types).items():
+            object.__setattr__(self, name, _NESTED[name](value) if name in _NESTED else value)
         self.check_values()
 
     def __setattr__(self, name, value):
@@ -161,7 +133,7 @@ class GivenC(_Descriptor):  # assemble: C_sigma itself
 
 class SampledC(_Descriptor):  # assemble: inflate times a sampled estimate of C_sigma
     inflate: float
-    n_samples: int
+    n_samples: Count
     seed: int
 
     def c_sigma(self, problem: Problem, sigma: float) -> float:
@@ -360,7 +332,7 @@ class NonConvergenceMargin(_AgainstOptimum):
 class RateSlope(_AgainstOptimum):
     kind = "rate-slope"
     max_slope: float
-    tail_fraction: float = 0.5
+    tail_fraction: Fraction = 0.5
 
     def evaluate(self, ctx):
         fit = fit_rate(ctx.trace, self.optimum(ctx.problem), self.tail_fraction)
@@ -397,7 +369,7 @@ class CurvatureExact(_OnProblem):
     sigma: float
     expect: float
     tol: float
-    n_samples: int = 256
+    n_samples: Count = 256
     seed: int = 0
 
     def evaluate(self, ctx):
@@ -414,7 +386,7 @@ class CurvatureDivergence(_OnProblem):
     kind = "curvature-divergence"
     sigma: float
     threshold: float = 1e3
-    n_samples: int = 64
+    n_samples: Count = 64
     seed: int = 0
 
     def evaluate(self, ctx):
@@ -430,9 +402,9 @@ class OracleGridMatch(Check):
     kind = "oracle-grid-match"
     needs_trace = False
     seed: int
-    n_vectors: int = 100
+    n_vectors: Count = 100
     tol: float = 1e-6
-    grid_points: int = 2001
+    grid_points: Count = 2001
 
     def validate(self, spec, problem):
         super().validate(spec, problem)
@@ -491,7 +463,7 @@ _CHECKS = {cls.kind: cls for cls in (
 
 def parse_check(desc: dict) -> Check:
     """The typed check a descriptor describes; ValueError names a bad field."""
-    return _kind(desc, _CHECKS, "check")(desc)
+    return kind_of(desc, _CHECKS, "check")(desc)
 
 
 def validate_check(desc: dict, spec, problem: Problem | None) -> Check:

@@ -15,11 +15,13 @@ import numpy as np
 
 from .geometry import FeasibleSet, set_from_descriptor
 from .objectives import composite_from_descriptor, objective_from_descriptor
+from .schema import read, typed
 from .solver import Problem, StopRule, config_fingerprint
 from .stepsize import ProjectedGradient, StepsizeRule, rule_from_descriptor
 
 _SPEC_FIELDS = {"name", "problem", "rule", "x0", "stop", "checks", "seed"}
 _PROBLEM_FIELDS = {"set", "objective", "composite"}
+_STOP_FIELDS = {"max_iter": "int", "gap_tol": "float | None"}
 
 _X0_VERTEX = re.compile(r"^vertex\((\d+)\)$")
 _X0_SAMPLE = re.compile(r"^sample\((\d+)\)$")
@@ -107,28 +109,33 @@ def load_spec(path) -> ExperimentSpec:
     return parse_spec(raw, source=str(path))
 
 
+def _section(spec: ExperimentSpec, where: str, build, *args):
+    """build(*args), whose ValueError is prefixed by the spec's name and section."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{spec.name}: {where}: {exc}") from None
+
+
 def build_problem(spec: ExperimentSpec) -> Problem:
     if spec.problem is None:
         raise ValueError(f"{spec.name}: spec has no problem section")
-    feasible_set = set_from_descriptor(spec.problem["set"])
-    objective = objective_from_descriptor(spec.problem["objective"], feasible_set)
-    composite = composite_from_descriptor(spec.problem.get("composite"))
-    try:
-        return Problem(feasible_set, objective, composite)
-    except ValueError as exc:
-        raise ValueError(f"{spec.name}: 'problem.composite': {exc}") from None
+    feasible_set = _section(spec, "problem.set", set_from_descriptor, spec.problem["set"])
+    objective = _section(spec, "problem.objective", objective_from_descriptor,
+                         spec.problem["objective"], feasible_set)
+    composite = _section(spec, "problem.composite", composite_from_descriptor,
+                         spec.problem.get("composite"))
+    return _section(spec, "problem.composite", Problem, feasible_set, objective, composite)
 
 
 def build_rule(spec: ExperimentSpec) -> StepsizeRule:
-    if spec.rule is None:
-        raise ValueError(f"{spec.name}: spec has no rule section")
-    return rule_from_descriptor(spec.rule)
+    return _section(spec, "rule", rule_from_descriptor, spec.rule)
 
 
 def resolve_x0(spec: ExperimentSpec, feasible_set: FeasibleSet) -> np.ndarray:
     x0 = spec.x0
     if isinstance(x0, list):
-        arr = np.asarray(x0, dtype=float)
+        arr = np.asarray(_section(spec, "x0", typed, "x0", "Vector", x0), dtype=float)
         if arr.ndim != 1 or arr.size != feasible_set.dimension:
             raise ValueError(f"{spec.name}: x0 has shape {arr.shape}, "
                              f"set dimension is {feasible_set.dimension}")
@@ -153,14 +160,8 @@ def resolve_x0(spec: ExperimentSpec, feasible_set: FeasibleSet) -> np.ndarray:
 
 
 def build_stop(spec: ExperimentSpec) -> StopRule:
-    if spec.stop is None:
-        raise ValueError(f"{spec.name}: spec has no stop section")
-    if not isinstance(spec.stop, dict) or "max_iter" not in spec.stop:
-        raise ValueError(f"{spec.name}: stop needs at least 'max_iter'")
-    bad = set(spec.stop) - {"max_iter", "gap_tol"}
-    if bad:
-        raise ValueError(f"{spec.name}: unknown stop fields {sorted(bad)}")
-    return StopRule(max_iter=spec.stop["max_iter"], gap_tol=spec.stop.get("gap_tol", 0.0))
+    return _section(spec, "stop", lambda desc: StopRule(**read(desc, _STOP_FIELDS, False)),
+                    spec.stop)
 
 
 def spec_fingerprint(spec: ExperimentSpec) -> str:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schema import build
+
 Vector = np.ndarray
 
 
@@ -433,23 +435,15 @@ def _project_onto_simplex_face(x: Vector, total: float) -> Vector:
 
 
 _SET_KINDS = {
-    "simplex": lambda d: Simplex(d["dim"]),
-    "l1_ball": lambda d: L1Ball(d["dim"], d["radius"]),
-    "l2_ball": lambda d: L2Ball(d["dim"], d["radius"]),
-    "box": lambda d: Box(d["dim"], d["lower"], d["upper"]),
-    "vertex_polytope": lambda d: VertexPolytope(d["vertices"]),
+    "simplex": (lambda dim: Simplex(dim), {"dim": "int"}),
+    "l1_ball": (lambda dim, radius: L1Ball(dim, radius), {"dim": "int", "radius": "float"}),
+    "l2_ball": (lambda dim, radius: L2Ball(dim, radius), {"dim": "int", "radius": "float"}),
+    "box": (lambda dim, lower, upper: Box(dim, lower, upper),
+            {"dim": "int", "lower": "Vector", "upper": "Vector"}),
+    "vertex_polytope": (VertexPolytope, {"vertices": "Matrix"}),
 }
 
 
 def set_from_descriptor(desc: dict) -> FeasibleSet:
     """Rebuild a set from its serializable descriptor (kind tag + parameters)."""
-    try:
-        kind = desc["kind"]
-    except (TypeError, KeyError):
-        raise ValueError(f"set descriptor needs a 'kind' field, got {desc!r}") from None
-    if kind not in _SET_KINDS:
-        raise ValueError(f"unknown set kind {kind!r}")
-    try:
-        return _SET_KINDS[kind](desc)
-    except KeyError as exc:
-        raise ValueError(f"set descriptor for {kind!r} is missing field {exc}") from None
+    return build(desc, _SET_KINDS, "set")

@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import FeasibleSet, Vector, frozen_copy, l2_norm
+from .schema import build
 from .stepsize import line_search_quadratic_exact
 
 
@@ -242,37 +243,19 @@ def make_linear(c, feasible_set: FeasibleSet | None = None) -> Objective:
 
 
 _OBJECTIVE_KINDS = {
-    "quadratic": lambda d, fs: make_quadratic(d["b"], fs),
-    "power_norm": lambda d, fs: make_power_norm(d["sigma"], d["b"], fs),
-    "t_alpha": lambda d, fs: make_t_alpha(d["alpha"]),
-    "nesterov_max": lambda d, fs: make_nesterov_max(),
-    "linear": lambda d, fs: make_linear(d["c"], fs),
+    "quadratic": (make_quadratic, {"b": "Vector"}),
+    "power_norm": (make_power_norm, {"sigma": "float", "b": "Vector"}),
+    "t_alpha": (lambda alpha, feasible_set: make_t_alpha(alpha), {"alpha": "float"}),
+    "nesterov_max": (lambda feasible_set: make_nesterov_max(), {}),
+    "linear": (make_linear, {"c": "Vector"}),
 }
+
+_COMPOSITE_KINDS = {"l1": (CompositePart, {"lam": "float"})}
 
 
 def objective_from_descriptor(desc: dict, feasible_set: FeasibleSet | None = None) -> Objective:
-    try:
-        kind = desc["kind"]
-    except (TypeError, KeyError):
-        raise ValueError(f"objective descriptor needs a 'kind' field, got {desc!r}") from None
-    if kind not in _OBJECTIVE_KINDS:
-        raise ValueError(f"unknown objective kind {kind!r}")
-    try:
-        return _OBJECTIVE_KINDS[kind](desc, feasible_set)
-    except KeyError as exc:
-        raise ValueError(f"objective descriptor for {kind!r} is missing field {exc}") from None
+    return build(desc, _OBJECTIVE_KINDS, "objective", feasible_set=feasible_set)
 
 
 def composite_from_descriptor(desc: dict | None) -> CompositePart | None:
-    if desc is None:
-        return None
-    try:
-        kind = desc["kind"]
-    except (TypeError, KeyError):
-        raise ValueError(f"composite descriptor needs a 'kind' field, got {desc!r}") from None
-    if kind == "l1":
-        try:
-            return CompositePart(desc["lam"])
-        except KeyError:
-            raise ValueError("composite descriptor for 'l1' is missing field 'lam'") from None
-    raise ValueError(f"unknown composite kind {kind!r}")
+    return None if desc is None else build(desc, _COMPOSITE_KINDS, "composite")

@@ -107,8 +107,10 @@ def _indented_pieces(v, pad: str = ""):
                 yield from _indented_pieces(u, inner)
                 lead = sep
         yield "\n" + pad + "]"
-    else:  # scalars, empty containers and dicts with non-string keys
+    elif isinstance(v, dict) and v:  # non-string keys, which the stdlib sorts
         yield json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    else:  # a scalar or an empty container: the C encoder, which leaves no cycles
+        yield json.dumps(v)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> ExperimentReport:

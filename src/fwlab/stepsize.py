@@ -16,6 +16,8 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .schema import build
+
 
 @dataclass(frozen=True)
 class LineSearch:
@@ -101,8 +103,7 @@ class ProjectedGradient:
     step: float
 
     def __post_init__(self):
-        if isinstance(self.step, bool) or not isinstance(self.step, (int, float)) \
-                or not self.step > 0:
+        if not self.step > 0:
             raise ValueError("gpa rule needs a positive 'step'")
 
     def descriptor(self) -> dict:
@@ -212,34 +213,13 @@ def dh_envelope_holds(rule: DHRecursion, horizon: int) -> bool:
 
 
 _RULE_KINDS = {
-    "line_search": lambda d: LineSearch(d.get("tol", 1e-10), d.get("max_evals", 200)),
-    "harmonic": lambda d: Harmonic(d["c"]),
-    "power": lambda d: Power(d["gamma0"], d["p"]),
-    "dh_recursion": lambda d: DHRecursion(d["gamma0"]),
-    "gpa": lambda d: ProjectedGradient(d.get("step")),
-}
-
-_RULE_FIELDS = {
-    "line_search": {"tol", "max_evals"},
-    "harmonic": {"c"},
-    "power": {"gamma0", "p"},
-    "dh_recursion": {"gamma0"},
-    "gpa": {"step"},
+    "line_search": (LineSearch, {"tol": "float | None", "max_evals": "int | None"}),
+    "harmonic": (Harmonic, {"c": "float"}),
+    "power": (Power, {"gamma0": "float", "p": "float"}),
+    "dh_recursion": (DHRecursion, {"gamma0": "float"}),
+    "gpa": (ProjectedGradient, {"step": "float"}),
 }
 
 
 def rule_from_descriptor(desc: dict) -> StepsizeRule:
-    try:
-        kind = desc["kind"]
-    except (TypeError, KeyError):
-        raise ValueError(f"rule descriptor needs a 'kind' field, got {desc!r}") from None
-    if kind not in _RULE_KINDS:
-        raise ValueError(f"unknown stepsize rule kind {kind!r}")
-    unknown = set(desc) - _RULE_FIELDS[kind] - {"kind"}
-    if unknown:
-        raise ValueError(f"unknown gpa rule fields {sorted(unknown)}" if kind == "gpa" else
-                         f"rule descriptor for {kind!r} has unknown fields {sorted(unknown)}")
-    try:
-        return _RULE_KINDS[kind](desc)
-    except KeyError as exc:
-        raise ValueError(f"rule descriptor for {kind!r} is missing field {exc}") from None
+    return build(desc, _RULE_KINDS, "stepsize rule")

@@ -76,6 +76,22 @@ def test_solve_mistyped_check_field_exits_two_before_any_artifact(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("over, err", [
+    # a TypeError traceback, and a field the fingerprint silently dropped
+    ({"stop": {"max_iter": "5"}}, "stop: 'max_iter' must be an integer, got '5'"),
+    ({"problem": {"set": {"kind": "simplex", "dim": 3, "radius": 2.0},
+                  "objective": {"kind": "quadratic", "b": [0.0, 0.0, 0.0]}}},
+     "problem.set: unknown fields ['radius']"),
+])
+def test_solve_mistyped_section_field_exits_two_before_any_artifact(tmp_path, capsys,
+                                                                     over, err):
+    out = tmp_path / "out"
+    assert run_cli("solve", _write_spec(tmp_path, _quadratic_raw(**over)),
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: cliexp: {err}\n"
+    assert not out.exists()
+
+
 def test_solve_missing_file_exits_two(tmp_path, capsys):
     assert run_cli("solve", str(tmp_path / "nope.json")) == 2
     assert "error:" in capsys.readouterr().err

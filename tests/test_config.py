@@ -137,6 +137,10 @@ def test_resolve_x0_vector_and_dimension_check():
     bad = parse_spec(_solving_raw(x0=[1.0, 0.0]))
     with pytest.raises(ValueError, match="dimension"):
         resolve_x0(bad, fs)
+    for x0 in ([1.0, "0", 0.0], [True, False, False]):  # numpy reads both as [1, 0, 0]
+        with pytest.raises(ValueError, match=r"^smoke: x0: 'x0' must be a vector of "
+                                             r"numbers; entry [01] is "):
+            resolve_x0(parse_spec(_solving_raw(x0=x0)), fs)
 
 
 def test_resolve_x0_vertex_and_sample_forms():
@@ -195,7 +199,7 @@ def test_build_rule_returns_rule_object_or_gpa_descriptor():
 
 def test_build_rule_rejects_bad_gpa_descriptors():
     spec = parse_spec(_solving_raw(rule={"kind": "gpa", "step": 0.5, "tol": 1}))
-    with pytest.raises(ValueError, match="unknown gpa rule fields"):
+    with pytest.raises(ValueError, match=r"smoke: rule: unknown fields \['tol'\]"):
         build_rule(spec)
     spec = parse_spec(_solving_raw(rule={"kind": "gpa", "step": -1.0}))
     with pytest.raises(ValueError, match="positive 'step'"):
@@ -206,7 +210,7 @@ def test_build_stop_defaults_and_unknown_fields():
     stop = build_stop(parse_spec(_solving_raw()))
     assert stop.max_iter == 5 and stop.gap_tol == 0.0
     spec = parse_spec(_solving_raw(stop={"max_iter": 5, "patience": 2}))
-    with pytest.raises(ValueError, match="unknown stop fields"):
+    with pytest.raises(ValueError, match=r"smoke: stop: unknown fields \['patience'\]"):
         build_stop(spec)
 
 
@@ -234,7 +238,7 @@ def test_validate_rejects_composite_on_a_vertex_polytope():
     raw["problem"]["set"] = {"kind": "vertex_polytope",
                              "vertices": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
     raw["problem"]["composite"] = {"kind": "l1", "lam": 0.1}
-    with pytest.raises(ValueError, match=r"smoke: 'problem\.composite': .*vertex_polytope"):
+    with pytest.raises(ValueError, match=r"smoke: problem\.composite: .*vertex_polytope"):
         validate_spec(parse_spec(raw))
 
 
@@ -353,9 +357,10 @@ def _mistyped_checks():
                 yield pytest.param(desc, _with(desc, path, bad), path[-1],
                                    id=f"{desc['kind']}-{'.'.join(path)}={bad!r}")
     # the inputs that used to pass validation, escape it as a TypeError, or
-    # run on a coerced value
-    def first(kind):
-        return next(desc for desc in _VALID_CHECKS if desc["kind"] == kind)
+    # run on a coerced or out-of-range value
+    def first(kind, path):
+        return next(desc for desc in _VALID_CHECKS
+                    if desc["kind"] == kind and path in set(_field_paths(desc)))
 
     for kind, path, bad in [
         ("bound-domination", ("tol_add",), "x"), ("bound-domination", ("k_min",), "one"),
@@ -367,8 +372,12 @@ def _mistyped_checks():
         ("schedule-bounds", ("horizon",), "100"), ("schedule-bounds", ("horizon",), 100.5),
         ("schedule-bounds", ("gamma0s",), ["0.5"]),
         ("finite-termination", ("at_k",), "3"),
+        ("rate-slope", ("tail_fraction",), 2.0), ("rate-slope", ("tail_fraction",), 0.0),
+        ("curvature-exact", ("n_samples",), 0), ("curvature-divergence", ("n_samples",), 0),
+        ("bound-domination", ("bound", "assemble", "n_samples"), 0),
+        ("oracle-grid-match", ("grid_points",), 0), ("oracle-grid-match", ("n_vectors",), 0),
     ]:
-        desc = first(kind)
+        desc = first(kind, path)
         yield pytest.param(desc, _with(desc, path, bad), path[-1],
                            id=f"reported-{kind}-{'.'.join(path)}={bad!r}")
 
@@ -383,6 +392,101 @@ def test_validate_rejects_a_mistyped_check_field_by_name(valid, check, field):
     validate_spec(parse_spec({**raw, "checks": [valid]}))
     with pytest.raises(ValueError, match=rf"smoke: checks\[0\]: '{field}' must be "):
         validate_spec(parse_spec({**raw, "checks": [check]}))
+
+
+# One valid descriptor per rule, set, objective and composite kind, and the
+# stop rule, each as (section, descriptor, the problem it runs on). Each field
+# of each is fed a string, null and a bool (and a float for an integer
+# field), and each descriptor one unknown field; validation must reject
+# every one, naming the spec, the section and the field.
+_SIMPLEX = {"kind": "simplex", "dim": 3}
+_QUADRATIC = {"kind": "quadratic", "b": [0.0, 0.0, 0.0]}
+_VALID_SECTIONS = [
+    ("rule", {"kind": "line_search", "tol": 1e-10, "max_evals": 200}, None),
+    ("rule", {"kind": "harmonic", "c": 2.0}, None),
+    ("rule", {"kind": "power", "gamma0": 1.0, "p": 0.5}, None),
+    ("rule", {"kind": "dh_recursion", "gamma0": 0.5}, None),
+    ("rule", {"kind": "gpa", "step": 0.5}, None),
+    ("stop", {"max_iter": 5, "gap_tol": 1e-9}, None),
+    ("problem.set", _SIMPLEX, None),
+    ("problem.set", {"kind": "l1_ball", "dim": 3, "radius": 1.0}, None),
+    ("problem.set", {"kind": "l2_ball", "dim": 3, "radius": 1.0}, None),
+    ("problem.set", {"kind": "box", "dim": 3, "lower": [-1.0] * 3, "upper": [1.0] * 3},
+     None),
+    ("problem.set", {"kind": "vertex_polytope",
+                     "vertices": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, None),
+    ("problem.objective", _QUADRATIC, None),
+    ("problem.objective", {"kind": "power_norm", "sigma": 1.5, "b": [0.0, 0.0, 0.0]}, None),
+    ("problem.objective", {"kind": "linear", "c": [1.0, 2.0, 3.0]}, None),
+    ("problem.objective", {"kind": "t_alpha", "alpha": 1.5},
+     {"set": {"kind": "box", "dim": 1, "lower": [0.0], "upper": [1.0]}}),
+    ("problem.objective", {"kind": "nesterov_max"},
+     {"set": {"kind": "l2_ball", "dim": 2, "radius": 1.0}}),
+    ("problem.composite", {"kind": "l1", "lam": 0.1}, None),
+]
+
+
+def _spec_with(section, desc, problem=None):
+    """The smoke spec with desc as its section, on problem's parts if given."""
+    raw = _solving_raw()
+    raw["problem"] = {**raw["problem"], **(problem or {})}
+    if section.startswith("problem."):
+        raw["problem"][section.removeprefix("problem.")] = desc
+    else:
+        raw[section] = desc
+    return raw
+
+
+def _mistyped_sections():
+    for section, desc, problem in _VALID_SECTIONS:
+        name = f"{section}-{desc.get('kind', section)}"
+        for field, good in desc.items():
+            if field == "kind":
+                continue
+            bads = ["x", None, True] + ([1.5] if type(good) is int else [])
+            for bad in bads:
+                yield pytest.param(_spec_with(section, desc, problem),
+                                   _spec_with(section, {**desc, field: bad}, problem),
+                                   rf"{section}: '{field}' must be ", id=f"{name}.{field}={bad!r}")
+        yield pytest.param(_spec_with(section, desc, problem),
+                           _spec_with(section, {**desc, "extra": 1}, problem),
+                           rf"{section}: unknown fields \['extra'\]", id=f"{name}.extra")
+    # the inputs that used to escape validation as a TypeError, validate and
+    # then crash the solve, or run with a bool, a bad vector entry or a field
+    # the fingerprint drops
+    for section, desc, field, bad in [
+        ("rule", {"kind": "harmonic", "c": 2.0}, "c", "2"),
+        ("rule", {"kind": "line_search"}, "tol", "x"),
+        ("stop", {"max_iter": 5}, "max_iter", "5"),
+        ("stop", {"max_iter": 5}, "gap_tol", "x"),
+        ("problem.set", _SIMPLEX, "dim", "3"),
+        ("problem.set", _SIMPLEX, "dim", 3.0),
+        ("problem.composite", {"kind": "l1", "lam": 0.1}, "lam", "x"),
+        ("stop", {"max_iter": 5}, "max_iter", 5.5),
+        ("rule", {"kind": "harmonic", "c": 2.0}, "c", True),
+        ("stop", {"max_iter": 5}, "max_iter", True),
+        ("problem.set", {"kind": "l1_ball", "dim": 3, "radius": 1.0}, "radius", True),
+        ("problem.objective", _QUADRATIC, "b", [0.1, "0.2", 0.3]),
+        ("problem.objective", _QUADRATIC, "b", [0.1, True, 0.3]),
+        ("problem.set", _SIMPLEX, "radius", 2.0),
+        ("problem.objective", _QUADRATIC, "sigma", 2.0),
+        ("problem.composite", {"kind": "l1", "lam": 0.1}, "extra", 1),
+    ]:
+        if isinstance(bad, list):
+            match = rf"'{field}' must be a vector of numbers; entry 1 is "
+        elif field in ("radius", "sigma", "extra") and field not in desc:
+            match = rf"unknown fields \['{field}'\]"
+        else:
+            match = rf"'{field}' must be "
+        yield pytest.param(_spec_with(section, desc), _spec_with(section, {**desc, field: bad}),
+                           rf"{section}: {match}", id=f"reported-{section}.{field}={bad!r}")
+
+
+@pytest.mark.parametrize("valid, raw, match", _mistyped_sections())
+def test_validate_rejects_a_mistyped_section_field_by_name(valid, raw, match):
+    validate_spec(parse_spec(valid))
+    with pytest.raises(ValueError, match=rf"^smoke: {match}"):
+        validate_spec(parse_spec(raw))
 
 
 # --- fingerprints ------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Experiment runner: artifacts, summaries, reproduction, and comparison."""
+import gc
 import hashlib
 import json
 import math
@@ -279,6 +280,21 @@ def test_summary_of_a_long_run_is_the_stdlib_indented_json(tmp_path):
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
     assert text.count("\n") > 2 * n  # b and final_x, one float a line
     assert len(Path(report.trace_path).read_text().splitlines()) == RENDER_CHUNK + 2
+
+
+def test_summary_rendering_leaves_no_garbage_for_the_cycle_collector(tmp_path):
+    # a summary of scalars, strings, null, bools, lists and empty lists
+    report = run_experiment(parse_spec(_raw(stop={"max_iter": 5})), tmp_path)
+    summary = json.loads(Path(report.summary_path).read_text())
+    gc.collect()
+    gc.disable()
+    try:
+        text = "".join(_indented_pieces(summary))
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+    assert text.encode() == json.dumps(summary, indent=2, sort_keys=True).encode()
 
 
 def test_compare_writes_wide_csv_with_padding(tmp_path):
