@@ -38,7 +38,6 @@ from .solver import (
     SolveTrace,
     StopRule,
     Termination,
-    composite_lmo,
     config_fingerprint,
     fw_gap,
     solve,
@@ -50,20 +49,19 @@ from .solver import (
 from .analysis import (
     BetaReport,
     CurvatureEstimate,
+    HarmonicClassic,
+    LineSearchOrderSigma,
+    OpenLoopOrderSigma,
     RateBound,
     XuReport,
     beta_bound_report,
     beta_recursion,
     curvature_bound_holder,
-    delta_from,
     estimate_curvature,
     fit_rate,
     polyak_recursion,
     polyak_sequence_bound,
     probe_curvature_divergence,
-    rate_bound_classic,
-    rate_bound_line_search,
-    rate_bound_open_loop,
     xu_recursion_check,
 )
 from .config import (

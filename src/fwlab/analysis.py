@@ -16,6 +16,7 @@ import numpy as np
 
 from .geometry import FeasibleSet, Vector
 from .objectives import Objective
+from .schema import Count, Descriptor, Positive
 from .stepsize import StepsizeRule, is_open_loop, schedule_values
 from .solver import SolveTrace
 
@@ -184,57 +185,88 @@ def curvature_bound_holder(L_nu: float, nu: float, delta: float) -> float:
     return L_nu * delta ** (1.0 + nu)
 
 
-KIND_LINE_SEARCH_ORDER_SIGMA = "line_search_order_sigma"
-KIND_OPEN_LOOP_ORDER_SIGMA = "open_loop_order_sigma"
-KIND_HARMONIC_CLASSIC = "harmonic_classic"
+class RateBound(Descriptor):
+    """A closed-form convergence bound bound(k) on objective suboptimality.
 
+    Each kind is a subclass that parses and checks its own parameters and
+    evaluates its own formula; `params` orders the fields `as_dict` prints.
+    """
 
-@dataclass(frozen=True)
-class RateBound:
-    """A closed-form convergence bound bound(k) on objective suboptimality."""
-
-    kind: str
-    params: dict
+    kind = ""
+    params = ()
 
     def bound(self, k: int) -> float:
         if k < 0:
             raise ValueError(f"iteration index must be >= 0, got {k}")
-        p = self.params
-        if self.kind == KIND_LINE_SEARCH_ORDER_SIGMA:
-            theta0, sigma, c = p["theta0"], p["sigma"], p["C_sigma"]
-            base = 1.0 + (1.0 / sigma) * theta0 ** (1.0 / (sigma - 1.0)) \
-                * c ** (1.0 / (1.0 - sigma)) * k
-            return theta0 / base ** (sigma - 1.0)
-        if self.kind == KIND_OPEN_LOOP_ORDER_SIGMA:
-            delta, sigma = p["Delta"], p["sigma"]
-            kk = k + 1.0 if p["composite"] else float(k)
-            if kk <= 0.0:
-                return math.inf  # the plain bound starts at k = 1
-            return sigma**sigma * delta / kk ** (sigma - 1.0)
-        if self.kind == KIND_HARMONIC_CLASSIC:
-            return 2.0 * p["C_f"] / (k + 2.0)
-        raise ValueError(f"unknown bound kind {self.kind!r}")
+        return self.formula(k)
+
+    def formula(self, k: int) -> float:
+        raise NotImplementedError
 
     def curve(self, ks) -> np.ndarray:
         return np.array([self.bound(int(k)) for k in ks])
 
+    def resolve(self, problem, trace: SolveTrace, opt: float) -> RateBound:
+        """The bound with every parameter known, given the solve it is checked on."""
+        return self
+
     def as_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
+        return {"kind": self.kind, "params": {name: getattr(self, name) for name in self.params}}
 
 
-def rate_bound_line_search(theta0: float, sigma: float, C_sigma: float) -> RateBound:
+class HarmonicClassic(RateBound):
+    """2*C_f/(k+2), the classic order-2 bound for the c=2 harmonic schedule."""
+
+    kind = "harmonic_classic"
+    params = ("C_f",)
+    C_f: Positive
+
+    def formula(self, k):
+        return 2.0 * self.C_f / (k + 2.0)
+
+
+class LineSearchOrderSigma(RateBound):
     """Suboptimality bound under exact line minimization; equals theta0 at k=0."""
-    if not theta0 > 0:
-        raise ValueError(f"theta0 must be positive, got {theta0}")
-    check_sigma(sigma)
-    if not C_sigma > 0:
-        raise ValueError(f"C_sigma must be positive, got {C_sigma}")
-    return RateBound(KIND_LINE_SEARCH_ORDER_SIGMA,
-                     {"theta0": theta0, "sigma": sigma, "C_sigma": C_sigma})
+
+    kind = "line_search_order_sigma"
+    params = ("theta0", "sigma", "C_sigma")
+    theta0: Positive
+    sigma: float
+    C_sigma: Positive
+
+    def check_values(self):
+        check_sigma(self.sigma)
+
+    def formula(self, k):
+        theta0, sigma, c = self.theta0, self.sigma, self.C_sigma
+        base = 1.0 + (1.0 / sigma) * theta0 ** (1.0 / (sigma - 1.0)) \
+            * c ** (1.0 / (1.0 - sigma)) * k
+        return theta0 / base ** (sigma - 1.0)
 
 
-def rate_bound_open_loop(Delta: float, sigma: float, composite: bool = False) -> RateBound:
+class GivenC(Descriptor):  # assemble: C_sigma itself
+    C_sigma: Positive
+
+    def c_sigma(self, problem, sigma: float) -> float:
+        return self.C_sigma
+
+
+class SampledC(Descriptor):  # assemble: inflate times a sampled estimate of C_sigma
+    inflate: float
+    n_samples: Count
+    seed: int
+
+    def c_sigma(self, problem, sigma: float) -> float:
+        est = estimate_curvature(problem.objective, problem.feasible_set, sigma,
+                                 n_samples=self.n_samples, seed=self.seed)
+        return self.inflate * est.sampled_value
+
+
+class OpenLoopOrderSigma(RateBound):
     """sigma^sigma * Delta / k^(sigma-1), with (k+1) in the composite variant.
+
+    Delta is given, or assembled as max(theta0, C_sigma/sigma) from the
+    trace's theta0 and a C_sigma by `resolve`.
 
     The constant sigma^sigma rests on the recursion of `beta_recursion` and is
     a theorem only for the order-matched schedule Harmonic(sigma),
@@ -243,23 +275,38 @@ def rate_bound_open_loop(Delta: float, sigma: float, composite: bool = False) ->
     exceeds sigma^sigma whenever c != sigma: 2^sigma/(3-sigma) for Harmonic(2)
     at sigma < 2. The bound takes no schedule; matching one is up to the caller.
     """
-    if not Delta > 0:
-        raise ValueError(f"Delta must be positive, got {Delta}")
-    check_sigma(sigma)
-    return RateBound(KIND_OPEN_LOOP_ORDER_SIGMA,
-                     {"Delta": Delta, "sigma": sigma, "composite": bool(composite)})
+
+    kind = "open_loop_order_sigma"
+    params = ("Delta", "sigma", "composite")
+    nested = {"assemble": lambda v: (GivenC if "C_sigma" in v else SampledC)(v)}
+    sigma: float
+    Delta: Positive | None = None
+    composite: bool = False
+    assemble: GivenC | SampledC | None = None
+
+    def check_values(self):
+        if (self.Delta is None) == (self.assemble is None):
+            raise ValueError("give exactly one of 'Delta' or 'assemble'")
+        check_sigma(self.sigma)
+
+    def formula(self, k):
+        delta, sigma = self.Delta, self.sigma
+        kk = k + 1.0 if self.composite else float(k)
+        if kk <= 0.0:
+            return math.inf  # the plain bound starts at k = 1
+        return sigma**sigma * delta / kk ** (sigma - 1.0)
+
+    def resolve(self, problem, trace, opt):
+        if self.assemble is None:
+            return self
+        theta0 = float(trace.objs[0]) - opt
+        c_sigma = self.assemble.c_sigma(problem, self.sigma)
+        return OpenLoopOrderSigma({"Delta": max(theta0, c_sigma / self.sigma),
+                                   "sigma": self.sigma, "composite": self.composite})
 
 
-def rate_bound_classic(C_f: float) -> RateBound:
-    """2*C_f/(k+2), the classic order-2 bound for the c=2 harmonic schedule."""
-    if not C_f > 0:
-        raise ValueError(f"C_f must be positive, got {C_f}")
-    return RateBound(KIND_HARMONIC_CLASSIC, {"C_f": C_f})
-
-
-def delta_from(theta0: float, c_sigma: float, sigma: float) -> float:
-    """The open-loop bound's Delta = max(theta0, C_sigma/sigma)."""
-    return max(theta0, c_sigma / sigma)
+BOUND_KINDS = {cls.kind: cls for cls in (HarmonicClassic, LineSearchOrderSigma,
+                                         OpenLoopOrderSigma)}
 
 
 def beta_recursion(rule: StepsizeRule, sigma: float, K: int) -> np.ndarray:

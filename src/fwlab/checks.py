@@ -17,20 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import (
+    BOUND_KINDS,
     RateBound,
-    check_sigma,
-    delta_from,
     estimate_curvature,
     fit_rate,
     probe_curvature_divergence,
-    rate_bound_classic,
-    rate_bound_line_search,
-    rate_bound_open_loop,
 )
-from .solver import Problem, SolveTrace, composite_lmo, REASON_FINITE_TERMINATION
+from .solver import Problem, SolveTrace, REASON_FINITE_TERMINATION
 from .stepsize import DHRecursion, dh_envelope_holds
 from .geometry import Box
-from .schema import kind_of, read
+from .schema import Count, Descriptor, Fraction, Positive, Vector, kind_of
 
 
 @dataclass(frozen=True)
@@ -54,131 +50,7 @@ class CheckContext:
     bounds: list = field(default_factory=list)
 
 
-# --- the parser ----------------------------------------------------------------
-# A field's annotation names its `fwlab.schema` type or its nested descriptor;
-# `T | None = None` marks an optional field with no default value. Values are kept
-# as written (an int stays an int), so a number a check prints reads as in the spec.
-
-Positive = float  # a number > 0
-Count = int  # an integer >= 1
-Fraction = float  # a number in (0, 1]
-Vector = list  # a flat list of numbers
-
-# a nested descriptor's field: what parses the object it holds
-_NESTED = {"bound": lambda v: kind_of(v, _BOUND_KINDS, "bound")(v),
-           "assemble": lambda v: (GivenC if "C_sigma" in v else SampledC)(v)}
-
-
-class _Descriptor:
-    """A descriptor parsed once into a read-only object.
-
-    Its fields are the annotated names of its class and bases, and an
-    annotated class attribute is that field's default. Not a dataclass: each
-    dataclass compiles its generated methods when its module is imported
-    (about 0.8 ms a class with CPython 3.11 on a 2-vCPU Xeon), which every
-    fresh launch would pay.
-    """
-
-    def __init_subclass__(cls):
-        # a nested descriptor reads as an object; a field with a default may be omitted
-        cls._types = {}
-        for klass in reversed(cls.__mro__):
-            for name, typ in klass.__dict__.get("__annotations__", {}).items():
-                typ = "object" if name in _NESTED else typ.removesuffix(" | None")
-                cls._types[name] = typ + (" | None" if hasattr(cls, name) else "")
-
-    def __init__(self, desc: dict):
-        for name, value in read(desc, self._types).items():
-            object.__setattr__(self, name, _NESTED[name](value) if name in _NESTED else value)
-        self.check_values()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is read-only")
-
-    def check_values(self) -> None:
-        """Reject what the field types let through, without the problem."""
-
-
-# --- the `bound` of bound-domination ---------------------------------------------
-
-class _Bound(_Descriptor):
-    def check_values(self):
-        self.build(None, None, None)  # rejects Delta <= 0, sigma out of range etc.
-
-
-class HarmonicClassic(_Bound):
-    kind = "harmonic_classic"
-    C_f: float
-
-    def build(self, problem, trace, opt) -> RateBound:
-        return rate_bound_classic(self.C_f)
-
-
-class LineSearchOrderSigma(_Bound):
-    kind = "line_search_order_sigma"
-    theta0: float
-    sigma: float
-    C_sigma: float
-
-    def build(self, problem, trace, opt) -> RateBound:
-        return rate_bound_line_search(self.theta0, self.sigma, self.C_sigma)
-
-
-class GivenC(_Descriptor):  # assemble: C_sigma itself
-    C_sigma: Positive
-
-    def c_sigma(self, problem: Problem, sigma: float) -> float:
-        return self.C_sigma
-
-
-class SampledC(_Descriptor):  # assemble: inflate times a sampled estimate of C_sigma
-    inflate: float
-    n_samples: Count
-    seed: int
-
-    def c_sigma(self, problem: Problem, sigma: float) -> float:
-        est = estimate_curvature(problem.objective, problem.feasible_set, sigma,
-                                 n_samples=self.n_samples, seed=self.seed)
-        return self.inflate * est.sampled_value
-
-
-Assemble = GivenC | SampledC
-
-
-class OpenLoopOrderSigma(_Bound):
-    """Delta given, or assembled from the trace's theta0 and a C_sigma."""
-
-    kind = "open_loop_order_sigma"
-    sigma: float
-    Delta: float | None = None
-    composite: bool = False
-    assemble: Assemble | None = None
-
-    def check_values(self):
-        if (self.Delta is None) == (self.assemble is None):
-            raise ValueError("give exactly one of 'Delta' or 'assemble'")
-        if self.assemble is None:
-            super().check_values()
-        else:  # Delta comes from the trace
-            check_sigma(self.sigma)
-
-    def build(self, problem, trace, opt) -> RateBound:
-        if self.assemble is None:
-            return rate_bound_open_loop(self.Delta, self.sigma, self.composite)
-        theta0 = float(trace.objs[0]) - opt
-        c_sigma = self.assemble.c_sigma(problem, self.sigma)
-        return rate_bound_open_loop(delta_from(theta0, c_sigma, self.sigma), self.sigma,
-                                    self.composite)
-
-
-Bound = HarmonicClassic | LineSearchOrderSigma | OpenLoopOrderSigma
-_BOUND_KINDS = {cls.kind: cls for cls in (HarmonicClassic, LineSearchOrderSigma,
-                                          OpenLoopOrderSigma)}
-
-
-# --- checks ----------------------------------------------------------------------
-
-class Check(_Descriptor):
+class Check(Descriptor):
     kind = ""
     needs_trace = True
 
@@ -227,14 +99,15 @@ class Monotonicity(Check):
 
 class BoundDomination(_AgainstOptimum):
     kind = "bound-domination"
-    bound: Bound
+    nested = {"bound": lambda v: kind_of(v, BOUND_KINDS, "bound")(v)}
+    bound: RateBound
     k_min: int = 1
     tol_add: float = 0.0
     tol_rel: float = 0.0
 
     def evaluate(self, ctx):
         opt = self.optimum(ctx.problem)
-        bound = self.bound.build(ctx.problem, ctx.trace, opt)
+        bound = self.bound.resolve(ctx.problem, ctx.trace, opt)
         ks = ctx.trace.ks
         mask = ks >= self.k_min
         theta = ctx.trace.objs[mask] - opt
@@ -421,7 +294,7 @@ class OracleGridMatch(Check):
         worst = 0.0
         for _ in range(self.n_vectors):
             c = rng.normal(size=box.dimension) * float(rng.choice([0.3, 1.0, 3.0]))
-            x = composite_lmo(box, c, g)
+            x = box.lmo_l1(c, g.lam)
             for i in range(box.dimension):
                 grid = np.linspace(box.lower[i], box.upper[i], self.grid_points)
                 best = float(np.min(c[i] * grid + g.lam * np.abs(grid)))

@@ -64,9 +64,10 @@ def parse_spec(raw: dict, source: str = "<spec>") -> ExperimentSpec:
         raise ValueError(f"{source}: 'name' must be a nonempty string")
     if any(ch in name for ch in "/\\ "):
         raise ValueError(f"{source}: 'name' must be file-name safe, got {name!r}")
-    seed = raw.get("seed")
-    if not isinstance(seed, int):
-        raise ValueError(f"{source}: 'seed' must be an integer")
+    try:
+        seed = typed("seed", "int", raw.get("seed"))
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
     problem = raw.get("problem")
     if problem is not None:

@@ -101,6 +101,15 @@ def _optimum_if_inside(b: Vector, feasible_set: FeasibleSet) -> tuple:
     return None, None
 
 
+def _data(name: str, v, feasible_set: FeasibleSet | None) -> Vector:
+    """frozen_copy(v), of the set's dimension when there is a set."""
+    v = frozen_copy(v)
+    if feasible_set is not None and v.shape != (feasible_set.dimension,):
+        raise ValueError(f"'{name}' has shape {v.shape}, "
+                         f"set dimension is {feasible_set.dimension}")
+    return v
+
+
 def make_quadratic(b, feasible_set: FeasibleSet | None = None) -> Objective:
     """f(x) = 0.5 * ||x - b||^2, gradient x - b, 1-Lipschitz and 1-strongly convex.
 
@@ -108,7 +117,7 @@ def make_quadratic(b, feasible_set: FeasibleSet | None = None) -> Objective:
     projection of b (exact for this objective), e.g. b=0 on the d-simplex gives
     x* = (1/d, ..., 1/d) and f* = 1/(2d).
     """
-    b = frozen_copy(b)
+    b = _data("b", b, feasible_set)
 
     def value(x: Vector) -> float:
         d = x - b
@@ -149,7 +158,7 @@ def make_power_norm(sigma: float, b, feasible_set: FeasibleSet | None = None) ->
     """
     if not 1.0 < sigma <= 2.0:
         raise ValueError(f"sigma must lie in (1, 2], got {sigma}")
-    b = frozen_copy(b)
+    b = _data("b", b, feasible_set)
 
     def value(x: Vector) -> float:
         return l2_norm(x - b) ** sigma
@@ -221,7 +230,7 @@ def make_nesterov_max() -> Objective:
 
 def make_linear(c, feasible_set: FeasibleSet | None = None) -> Objective:
     """f(x) = <c, x> with constant gradient c. Rejects c = 0 (no sharp minimum)."""
-    c = frozen_copy(c)
+    c = _data("c", c, feasible_set)
     if not np.any(c != 0.0):
         raise ValueError("c must be nonzero")
 

@@ -116,11 +116,6 @@ def _frozen_column(values: list, dtype) -> np.ndarray:
     return column
 
 
-def composite_lmo(feasible_set: FeasibleSet, c: Vector, g: CompositePart) -> Vector:
-    """argmin over the set of <c, x> + g(x), by the set's exact closed form."""
-    return feasible_set.lmo_l1(c, g.lam)
-
-
 def fw_gap(problem: Problem, x: Vector) -> tuple[float, Vector]:
     """Gap certificate at x: <grad, x - x_bar> (+ g(x) - g(x_bar) when composite).
 
@@ -144,7 +139,7 @@ def _gap(problem: Problem, x: Vector, grad: Vector,
         x_bar = problem.feasible_set.lmo(grad)
         d = x_bar - x
         return 0.0 - float(grad.dot(d)), x_bar, d
-    x_bar = composite_lmo(problem.feasible_set, grad, composite)
+    x_bar = problem.feasible_set.lmo_l1(grad, composite.lam)
     d = x_bar - x
     return (0.0 - float(grad.dot(d))) + g_x - composite.value(x_bar), x_bar, d
 

@@ -33,13 +33,12 @@ from fwlab import (
     L1Ball,
     L2Ball,
     LineSearch,
+    OpenLoopOrderSigma,
     Problem,
     Simplex,
     StopRule,
     VertexPolytope,
     beta_recursion,
-    composite_lmo,
-    delta_from,
     estimate_curvature,
     fit_rate,
     fw_gap,
@@ -51,7 +50,6 @@ from fwlab import (
     polyak_recursion,
     polyak_sequence_bound,
     probe_curvature_divergence,
-    rate_bound_open_loop,
     schedule_values,
     solve,
     solve_gpa,
@@ -138,8 +136,9 @@ def test_criterion_04_open_loop_bound_with_sampled_constants():
                       stop=StopRule(max_iter=10_000))
         est = estimate_curvature(obj, fs, sigma, n_samples=400, seed=7)
         c_sigma = 1.2 * est.sampled_value
-        theta0 = float(trace.objs[0])  # optimum is 0 at the interior anchor
-        bound = rate_bound_open_loop(delta_from(theta0, c_sigma, sigma), sigma)
+        # Delta = max(theta0, C_sigma/sigma); the optimum is 0 at the interior anchor
+        bound = OpenLoopOrderSigma({"sigma": sigma, "assemble": {"C_sigma": c_sigma}})
+        bound = bound.resolve(Problem(fs, obj), trace, opt=0.0)
         mask = trace.ks >= 1
         excess = trace.objs[mask] - bound.curve(trace.ks[mask])
         worst = max(worst, float(excess.max()))
@@ -280,7 +279,7 @@ def test_criterion_10_composite_split_solver_on_the_box():
                      stop=StopRule(max_iter=10_000))
     theta0 = float(trace_ol.objs[0]) - phi_star
     delta = max(theta0, 20.0 / 2.0)  # curvature bound = squared diameter = 20
-    bound = rate_bound_open_loop(delta, 2.0, composite=True)
+    bound = OpenLoopOrderSigma({"Delta": delta, "sigma": 2.0, "composite": True})
     excess = (trace_ol.objs - phi_star) - bound.curve(trace_ol.ks)
     bound_ok = bool(np.all(excess <= 0.0))
 
@@ -289,7 +288,7 @@ def test_criterion_10_composite_split_solver_on_the_box():
     grid_gap = 0.0
     for _ in range(100):
         c = rng.standard_normal(5)
-        s = composite_lmo(fs, c, problem.composite)
+        s = fs.lmo_l1(c, problem.composite.lam)
         val_s = float(c @ s) + lam * float(np.abs(s).sum())
         val_grid = sum(float(np.min(ci * grid + lam * np.abs(grid))) for ci in c)
         grid_gap = max(grid_gap, abs(val_s - val_grid))

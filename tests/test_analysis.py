@@ -11,9 +11,12 @@ from fwlab import (
     Box,
     DHRecursion,
     Harmonic,
+    HarmonicClassic,
     L1Ball,
     L2Ball,
     LineSearch,
+    LineSearchOrderSigma,
+    OpenLoopOrderSigma,
     Power,
     Problem,
     Simplex,
@@ -22,7 +25,6 @@ from fwlab import (
     beta_bound_report,
     beta_recursion,
     curvature_bound_holder,
-    delta_from,
     estimate_curvature,
     fit_rate,
     make_power_norm,
@@ -31,9 +33,6 @@ from fwlab import (
     polyak_recursion,
     polyak_sequence_bound,
     probe_curvature_divergence,
-    rate_bound_classic,
-    rate_bound_line_search,
-    rate_bound_open_loop,
     solve,
     xu_recursion_check,
 )
@@ -218,39 +217,47 @@ def test_curvature_estimate_of_a_one_point_set_is_zero(fs):
 
 # --- rate bound curves ----------------------------------------------------------------
 
+def _line_search(**params):
+    return LineSearchOrderSigma(params)
+
+
+def _open_loop(**params):
+    return OpenLoopOrderSigma(params)
+
+
 def test_line_search_bound_closed_forms():
-    b = rate_bound_line_search(theta0=1.0, sigma=2.0, C_sigma=2.0)
+    b = _line_search(theta0=1.0, sigma=2.0, C_sigma=2.0)
     for k in [1, 2, 5, 10]:
         assert b.bound(k) == pytest.approx(1.0 / (1.0 + k / 4.0), rel=1e-12)
     assert b.bound(0) == 1.0
-    b = rate_bound_line_search(theta0=1.0, sigma=1.5, C_sigma=1.0)
+    b = _line_search(theta0=1.0, sigma=1.5, C_sigma=1.0)
     assert b.bound(4) == pytest.approx((1.0 + (2.0 / 3.0) * 4.0) ** -0.5, rel=1e-12)
     assert b.bound(4) == pytest.approx(0.5222, abs=5e-5)
 
 
 def test_open_loop_bound_closed_forms():
-    b = rate_bound_open_loop(Delta=1.0, sigma=2.0)
+    b = _open_loop(Delta=1.0, sigma=2.0)
     for k in [1, 2, 8]:
         assert b.bound(k) == pytest.approx(4.0 / k, rel=1e-12)
-    b = rate_bound_open_loop(Delta=2.0, sigma=1.5)
+    b = _open_loop(Delta=2.0, sigma=1.5)
     assert b.bound(9) == pytest.approx(1.5 ** 1.5 * 2.0 / 3.0, rel=1e-12)
     assert b.bound(9) == pytest.approx(1.2247, abs=5e-5)
 
 
 def test_composite_open_loop_bound_shifts_the_index():
-    plain = rate_bound_open_loop(Delta=1.0, sigma=2.0, composite=False)
-    comp = rate_bound_open_loop(Delta=1.0, sigma=2.0, composite=True)
+    plain = _open_loop(Delta=1.0, sigma=2.0, composite=False)
+    comp = _open_loop(Delta=1.0, sigma=2.0, composite=True)
     assert comp.bound(0) == 4.0  # 4*Delta/(0+1)
     assert comp.bound(3) == plain.bound(4)
 
 
 def test_classic_bound_and_positivity():
-    b = rate_bound_classic(2.0)
+    b = HarmonicClassic({"C_f": 2.0})
     assert b.bound(0) == 2.0
     assert b.bound(2) == 1.0
     ks = np.arange(1, 50)
-    for bound in [b, rate_bound_open_loop(1.0, 1.5),
-                  rate_bound_line_search(1.0, 2.0, 2.0)]:
+    for bound in [b, _open_loop(Delta=1.0, sigma=1.5),
+                  _line_search(theta0=1.0, sigma=2.0, C_sigma=2.0)]:
         curve = bound.curve(ks)
         assert np.all(curve > 0)
         assert np.all(np.diff(curve) <= 0)
@@ -258,18 +265,35 @@ def test_classic_bound_and_positivity():
 
 def test_bound_parameter_validation():
     with pytest.raises(ValueError):
-        rate_bound_line_search(theta0=0.0, sigma=2.0, C_sigma=1.0)
+        _line_search(theta0=0.0, sigma=2.0, C_sigma=1.0)
     with pytest.raises(ValueError):
-        rate_bound_open_loop(Delta=-1.0, sigma=2.0)
+        _open_loop(Delta=-1.0, sigma=2.0)
     with pytest.raises(ValueError):
-        rate_bound_open_loop(Delta=1.0, sigma=2.5)
+        _open_loop(Delta=1.0, sigma=2.5)
     with pytest.raises(ValueError):
-        rate_bound_classic(0.0)
+        HarmonicClassic({"C_f": 0.0})
 
 
 def test_delta_assembly_takes_the_max():
-    assert delta_from(theta0=0.3, c_sigma=2.0, sigma=2.0) == 1.0
-    assert delta_from(theta0=3.0, c_sigma=2.0, sigma=2.0) == 3.0
+    bound = _open_loop(sigma=2.0, assemble={"C_sigma": 2.0})
+    assert bound.resolve(None, _synthetic_trace([0.3]), 0.0).Delta == 1.0
+    assert bound.resolve(None, _synthetic_trace([3.0]), 0.0).Delta == 3.0
+
+
+def test_bound_as_dict_prints_params_in_order_as_written():
+    # summary.json prints str(as_dict()) in a check's detail; an int stays an int
+    assert str(HarmonicClassic({"kind": "harmonic_classic", "C_f": 2}).as_dict()) == \
+        "{'kind': 'harmonic_classic', 'params': {'C_f': 2}}"
+    assert str(_line_search(C_sigma=2, sigma=1.5, theta0=0.25).as_dict()) == \
+        ("{'kind': 'line_search_order_sigma', "
+         "'params': {'theta0': 0.25, 'sigma': 1.5, 'C_sigma': 2}}")
+    assert str(_open_loop(sigma=2.0, Delta=3).as_dict()) == \
+        ("{'kind': 'open_loop_order_sigma', "
+         "'params': {'Delta': 3, 'sigma': 2.0, 'composite': False}}")
+    assembled = _open_loop(sigma=2, composite=True, assemble={"C_sigma": 5})
+    assert str(assembled.resolve(None, _synthetic_trace([0.5]), 0.0).as_dict()) == \
+        ("{'kind': 'open_loop_order_sigma', "
+         "'params': {'Delta': 2.5, 'sigma': 2, 'composite': True}}")
 
 
 # --- the averaged recursion and its claimed envelope -------------------------------------

@@ -82,6 +82,10 @@ def test_solve_mistyped_check_field_exits_two_before_any_artifact(tmp_path, caps
     ({"problem": {"set": {"kind": "simplex", "dim": 3, "radius": 2.0},
                   "objective": {"kind": "quadratic", "b": [0.0, 0.0, 0.0]}}},
      "problem.set: unknown fields ['radius']"),
+    # a short b used to validate and then die in the solve on a broadcast error
+    ({"problem": {"set": {"kind": "simplex", "dim": 3},
+                  "objective": {"kind": "quadratic", "b": [0.0, 0.0]}}},
+     "problem.objective: 'b' has shape (2,), set dimension is 3"),
 ])
 def test_solve_mistyped_section_field_exits_two_before_any_artifact(tmp_path, capsys,
                                                                      over, err):

@@ -1,5 +1,6 @@
 """Spec parsing, materialization, validation, and fingerprint stability."""
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -70,6 +71,12 @@ def test_parse_rejects_bad_names(name):
 def test_parse_rejects_non_integer_seed():
     with pytest.raises(ValueError, match="'seed'"):
         parse_spec(_solving_raw(seed="7"))
+
+
+@pytest.mark.parametrize("seed", [True, "1", 1.5])
+def test_parse_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match=r"^<spec>: 'seed' must be an integer, got "):
+        parse_spec(_solving_raw(seed=seed))
 
 
 def test_parse_rejects_unknown_problem_fields():
@@ -256,6 +263,20 @@ def test_validate_rejects_degenerate_bound_before_any_solve():
     spec = parse_spec(_solving_raw(checks=[check]))
     with pytest.raises(ValueError, match=r"checks\[0\]"):
         validate_spec(spec)
+
+
+@pytest.mark.parametrize("objective", [
+    {"kind": "quadratic", "b": [0.0, 0.0]},
+    {"kind": "power_norm", "sigma": 1.5, "b": [0.0, 0.0, 0.0, 0.0]},
+    {"kind": "linear", "c": [1.0, 2.0]},
+], ids=["quadratic", "power_norm", "linear"])
+def test_validate_rejects_an_objective_vector_of_the_wrong_length(objective):
+    field = "c" if "c" in objective else "b"
+    shape = (len(objective[field]),)
+    raw = _solving_raw(problem={"set": _SIMPLEX, "objective": objective})
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"smoke: problem.objective: '{field}' has shape {shape}, set dimension is 3")):
+        validate_spec(parse_spec(raw))
 
 
 def test_validate_names_the_offending_check():

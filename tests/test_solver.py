@@ -18,7 +18,6 @@ from fwlab import (
     Problem,
     Simplex,
     StopRule,
-    composite_lmo,
     config_fingerprint,
     fw_gap,
     line_search,
@@ -318,7 +317,7 @@ def test_gap_is_bitwise_the_product_with_x_minus_x_bar(kind, entries, at_x_bar, 
     problem = Problem(_gap_sets(grad.size)[kind], make_quadratic(np.zeros(grad.size)),
                       composite)
     x_bar = (problem.feasible_set.lmo(grad) if composite is None
-             else composite_lmo(problem.feasible_set, grad, composite))
+             else problem.feasible_set.lmo_l1(grad, composite.lam))
     if at_x_bar:
         x = x_bar.copy()  # a zero gap
     want = float(grad @ (x - x_bar))
@@ -359,7 +358,7 @@ def test_composite_lmo_box_l1_brute_force_grid():
     grid = np.linspace(-2.0, 1.0, 3001)
     for _ in range(25):
         c = rng.normal(size=3) * rng.choice([0.3, 1.0, 3.0])
-        s = composite_lmo(fs, c, g)
+        s = fs.lmo_l1(c, g.lam)
         assert fs.contains(s, 1e-12)
         for i in range(3):
             pts = grid[(grid >= fs.lower[i]) & (grid <= fs.upper[i])]
@@ -374,16 +373,16 @@ def test_composite_lmo_prefers_zero_only_strictly():
     g = CompositePart(1.0)
     # cost +1: endpoint value at -1 is -1+1 = 0, ties the zero candidate;
     # the endpoint wins ties so the oracle stays extreme-point-valued
-    s = composite_lmo(fs, np.array([1.0]), g)
+    s = fs.lmo_l1(np.array([1.0]), g.lam)
     assert s[0] == -1.0
     # cost +0.5: endpoint value 0.5 > 0, zero wins strictly
-    s = composite_lmo(fs, np.array([0.5]), g)
+    s = fs.lmo_l1(np.array([0.5]), g.lam)
     assert s[0] == 0.0
     # the L1 ball follows the same rule: ||c||_inf = lam ties the vertex with
     # the origin and keeps the vertex; ||c||_inf < lam hands the win to zero
     ball = L1Ball(2, 2.0)
-    assert np.array_equal(composite_lmo(ball, np.array([0.5, -1.0]), g), [0.0, 2.0])
-    assert np.array_equal(composite_lmo(ball, np.array([0.5, -0.75]), g), [0.0, 0.0])
+    assert np.array_equal(ball.lmo_l1(np.array([0.5, -1.0]), g.lam), [0.0, 2.0])
+    assert np.array_equal(ball.lmo_l1(np.array([0.5, -0.75]), g.lam), [0.0, 0.0])
 
 
 @given(kind=st.sampled_from(["simplex", "l1_ball", "l2_ball"]),
@@ -399,7 +398,7 @@ def test_composite_lmo_meets_a_weak_duality_bound(kind, d, lam_exp, c_exp, r_exp
     c = 10.0 ** c_exp * rng.standard_normal(d)
     r = 10.0 ** r_exp
     fs = {"simplex": Simplex(d), "l1_ball": L1Ball(d, r), "l2_ball": L2Ball(d, r)}[kind]
-    x = composite_lmo(fs, c, CompositePart(lam))
+    x = fs.lmo_l1(c, lam)
     assert fs.contains(x, 1e-12 * max(r, 1.0))
     value = float(c @ x) + lam * float(np.abs(x).sum())
     # lam*||y||_1 >= <u, y> on the whole set whenever ||u||_inf <= lam, so the
