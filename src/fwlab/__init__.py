@@ -25,6 +25,7 @@ from .stepsize import (
     Harmonic,
     LineSearch,
     Power,
+    ProjectedGradient,
     StepsizeRule,
     dh_envelope_holds,
     is_open_loop,
@@ -41,7 +42,6 @@ from .solver import (
     config_fingerprint,
     fw_gap,
     solve,
-    solve_gpa,
     trace_summary,
     trace_to_csv,
     write_trace_csv,

@@ -17,7 +17,7 @@ from .geometry import FeasibleSet, set_from_descriptor
 from .objectives import composite_from_descriptor, objective_from_descriptor
 from .schema import read, typed
 from .solver import Problem, StopRule, config_fingerprint
-from .stepsize import ProjectedGradient, StepsizeRule, rule_from_descriptor
+from .stepsize import StepsizeRule, rule_from_descriptor
 
 _SPEC_FIELDS = {"name", "problem", "rule", "x0", "stop", "checks", "seed"}
 _PROBLEM_FIELDS = {"set", "objective", "composite"}
@@ -195,12 +195,7 @@ def validate_spec(spec: ExperimentSpec) -> list:
         x0 = resolve_x0(spec, problem.feasible_set)
         if not problem.feasible_set.contains(x0, 1e-9):
             raise ValueError(f"{spec.name}: x0 is not feasible")
-        stop = build_stop(spec)
-        if isinstance(rule, ProjectedGradient):
-            if problem.composite is not None:
-                raise ValueError(f"{spec.name}: gpa rule cannot take a composite part")
-            if stop.gap_tol:
-                raise ValueError(f"{spec.name}: gpa rule ignores gap_tol; leave it 0")
+        _section(spec, "rule", rule.validate, problem, build_stop(spec))
     checks = []
     for i, desc in enumerate(spec.checks):
         try:

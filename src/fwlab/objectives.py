@@ -1,12 +1,12 @@
 """Differentiable convex test objectives.
 
 Each factory returns an immutable Objective bundling evaluation, gradient,
-optional smoothness metadata (Lipschitz or Holder constants for the gradient),
-when a feasible set is supplied, the known constrained optimum (computed on
-first read), and, where it has a closed form, the minimizer of the objective
-along a segment. A factory keeps a read-only float64 copy of its vector data
-(b or c), so a caller's later write cannot change the objective behind its
-descriptor, which hands out that same array.
+optional smoothness metadata (the gradient's Holder constant, a Lipschitz
+constant where nu = 1), when a feasible set is supplied, the known constrained
+optimum (computed on first read), and, where it has a closed form, the
+minimizer of the objective along a segment. A factory keeps a read-only
+float64 copy of its vector data (b or c), so a caller's later write cannot
+change the objective behind its descriptor, which hands out that same array.
 
 The nonsmooth max objective carries a pointwise gradient selection with a fixed
 tie rule; it exists to demonstrate failure, and certificate invariants do not
@@ -53,7 +53,6 @@ class Objective:
 
     value: Callable[[Vector], float]
     grad: Callable[[Vector], Vector]
-    lipschitz: float | None = None
     holder: HolderInfo | None = None
     descriptor_dict: dict | None = None
     segment_min: Callable[[Vector, Vector, Vector], float] | None = None
@@ -140,7 +139,6 @@ def make_quadratic(b, feasible_set: FeasibleSet | None = None) -> Objective:
 
     return Objective(
         value, grad,
-        lipschitz=1.0,
         holder=HolderInfo(1.0, 1.0),  # exactly 1-Lipschitz, a true constant
         descriptor_dict={"kind": "quadratic", "b": b},
         segment_min=segment_min,
@@ -178,7 +176,14 @@ def make_power_norm(sigma: float, b, feasible_set: FeasibleSet | None = None) ->
     )
 
 
-def make_t_alpha(alpha: float) -> Objective:
+def _of_dimension(kind: str, dim: int, feasible_set: FeasibleSet | None) -> None:
+    """Reject a set whose dimension is not the objective's fixed one."""
+    if feasible_set is not None and feasible_set.dimension != dim:
+        raise ValueError(f"{kind} is {dim}-dimensional, "
+                         f"set dimension is {feasible_set.dimension}")
+
+
+def make_t_alpha(alpha: float, feasible_set: FeasibleSet | None = None) -> Objective:
     """One-dimensional f(t) = t^alpha on [0,1] for alpha in (1, 2).
 
     The gradient alpha * t^(alpha-1) is (alpha-1)-Holder with constant alpha,
@@ -187,6 +192,7 @@ def make_t_alpha(alpha: float) -> Objective:
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
+    _of_dimension("t_alpha", 1, feasible_set)
 
     def value(x: Vector) -> float:
         return float(x[0]) ** alpha
@@ -202,7 +208,7 @@ def make_t_alpha(alpha: float) -> Objective:
     )
 
 
-def make_nesterov_max() -> Objective:
+def make_nesterov_max(feasible_set: FeasibleSet | None = None) -> Objective:
     """f(x) = max(x[0], x[1]) on R^2 with a pointwise gradient selection.
 
     grad = (1,0) where x[0] > x[1], (0,1) where x[0] < x[1], and (1,0) on the
@@ -211,6 +217,7 @@ def make_nesterov_max() -> Objective:
     x* = -(1/sqrt2, 1/sqrt2) with value -1/sqrt2. Convex but nondifferentiable:
     gap certificates do not apply.
     """
+    _of_dimension("nesterov_max", 2, feasible_set)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
 
     def value(x: Vector) -> float:
@@ -254,8 +261,8 @@ def make_linear(c, feasible_set: FeasibleSet | None = None) -> Objective:
 _OBJECTIVE_KINDS = {
     "quadratic": (make_quadratic, {"b": "Vector"}),
     "power_norm": (make_power_norm, {"sigma": "float", "b": "Vector"}),
-    "t_alpha": (lambda alpha, feasible_set: make_t_alpha(alpha), {"alpha": "float"}),
-    "nesterov_max": (lambda feasible_set: make_nesterov_max(), {}),
+    "t_alpha": (make_t_alpha, {"alpha": "float"}),
+    "nesterov_max": (make_nesterov_max, {}),
     "linear": (make_linear, {"c": "Vector"}),
 }
 

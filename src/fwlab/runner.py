@@ -31,11 +31,13 @@ from .solver import (
     SolveTrace,
     chunks,
     solve,
-    solve_gpa,
     trace_summary,
     write_trace_csv,
 )
-from .stepsize import ProjectedGradient
+
+# bench/tracer.py patches this name beside `solve`; it goes once the tracer
+# traces the solve loop through one stable seam
+solve_gpa = solve
 
 
 @dataclass(frozen=True)
@@ -53,13 +55,7 @@ def _run_trace(spec: ExperimentSpec) -> SolveTrace:
     problem = build_problem(spec)
     rule = build_rule(spec)
     x0 = resolve_x0(spec, problem.feasible_set)
-    if isinstance(rule, ProjectedGradient):
-        # shares the trace format with the projection-free path
-        trace = solve_gpa(problem, step=rule.step, x0=x0,
-                          max_iter=build_stop(spec).max_iter, seed=spec.seed)
-    else:
-        trace = solve(problem, rule, x0=x0, stop=build_stop(spec),
-                      seed=spec.seed)
+    trace = solve(problem, rule, x0=x0, stop=build_stop(spec), seed=spec.seed)
     expected = spec_fingerprint(spec)
     if expected and trace.config_fingerprint != expected:
         raise RuntimeError(
@@ -193,14 +189,16 @@ def compare(specs: list[ExperimentSpec], out_dir: str | Path) -> Path:
     if len(set(names)) != len(names):
         raise ValueError("compare specs must have distinct names")
 
-    # same feasible set and objective, or the comparison is meaningless
+    # the same set, objective and composite part (absent or null: none), or
+    # the comparison is meaningless
     first = specs[0].problem
     for spec in specs[1:]:
-        if spec.problem["set"] != first["set"] or \
-                spec.problem["objective"] != first["objective"]:
+        if any(spec.problem.get(key) != first.get(key)
+               for key in ("set", "objective", "composite")):
             raise ValueError(
                 f"spec {spec.name!r} runs a different problem than "
-                f"{specs[0].name!r}; compare requires a shared set and objective")
+                f"{specs[0].name!r}; compare requires a shared set, objective "
+                "and composite part")
 
     traces = [_run_trace(spec) for spec in specs]
 

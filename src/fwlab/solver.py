@@ -4,7 +4,7 @@ The main iteration picks the feasible point minimizing the linearized
 objective (plus the composite term when present), then steps toward it by a
 convex combination. Feasibility of every iterate is structural: no projection
 happens and the update is never renormalized. A fixed-step projected-gradient
-baseline runs through the same loop, so both record the same trace rows.
+baseline is one more rule of the same loop, so both record the same trace rows.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from .geometry import FeasibleSet, Vector, VertexPolytope, l2_norm
 from .objectives import CompositePart, Objective
 from .stepsize import (
     LineSearch,
+    ProjectedGradient,
     StepsizeRule,
     line_search,
     schedule_values,
@@ -209,29 +210,58 @@ def _canonical_pieces(v):
         yield json.dumps(v)
 
 
-def _try_fingerprint(problem: Problem, rule_desc: dict, x0, stop: StopRule,
-                     seed: int | None) -> str:
-    try:
-        return config_fingerprint(problem.descriptor(), rule_desc, x0,
-                                  stop.descriptor(), seed)
-    except ValueError:
-        return ""  # objective not expressible as a descriptor
-
-
-def _iterate(problem: Problem, x0, stop: StopRule,
-             advance: Callable[[int, Vector, Vector, Vector], tuple[float, Vector]],
-             rule_desc: dict, seed: int | None) -> SolveTrace:
-    """The loop `solve` and `solve_gpa` share; they differ only in `advance`.
-
-    `advance(k, x, grad, d)` returns the step taken and x_{k+1}, given x_k,
+def _stepper(problem: Problem, rule: StepsizeRule, max_iter: int
+             ) -> Callable[[int, Vector, Vector, Vector], tuple[float, Vector]]:
+    """`advance(k, x, grad, d)`: the step the rule takes and x_{k+1}, given x_k,
     the gradient at x_k and the direction d_k = x_bar_k - x_k to the
-    linear-subproblem minimizer.
+    linear-subproblem minimizer."""
+    if isinstance(rule, ProjectedGradient):
+        step, project = rule.step, problem.feasible_set.project
+        return lambda k, x, grad, d: (step, project(x - step * grad))
+    if not isinstance(rule, LineSearch):
+        gammas = schedule_values(rule, max_iter).tolist()
+        return lambda k, x, grad, d: (gammas[k], x + gammas[k] * d)
+    # the closed form minimizes f alone, so it serves only when phi = f
+    segment_min = problem.objective.segment_min if problem.composite is None else None
+
+    def searched(k: int, x: Vector, grad: Vector, d: Vector) -> tuple[float, Vector]:
+        gamma_star = None if segment_min is None else segment_min(x, d, grad)
+        try:
+            gamma_k = line_search(lambda t: problem.phi(x + t * d),
+                                  rule.tol, rule.max_evals, gamma_star)
+        except ValueError as exc:
+            raise ValueError(f"line search failed at iteration {k}: {exc}") from exc
+        return gamma_k, x + gamma_k * d
+
+    return searched
+
+
+def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
+          seed: int | None = None) -> SolveTrace:
+    """Run the iteration from x0 under a rule whose `validate` accepts the
+    problem and the stop rule.
+
+    x_{k+1} = x_k + gamma_k (x_bar_k - x_k), with gamma_k from the open-loop
+    schedule or from a line search on the segment (in closed form where the
+    objective has one and the problem no composite term); the projected-gradient
+    baseline steps to P(x_k - step * grad) instead, its gap column still the
+    linear-subproblem certificate. Row k records the values at x_k; the final
+    point is `termination.final_x`. Stops on a gap certificate (only when
+    stop.gap_tol > 0), on the iteration budget, or on an exact fixed point
+    x_{k+1} == x_k (bitwise), which sharp minima produce. The `seed` enters
+    only the config fingerprint; the loop itself draws no randomness.
     """
+    rule.validate(problem, stop)
     x = np.array(x0, dtype=float)
     if not problem.feasible_set.contains(x, 1e-9):
         raise ValueError("x0 is not feasible (tolerance 1e-9)")
     # rendered before the loop, while no row's vectors are alive
-    fingerprint = _try_fingerprint(problem, rule_desc, x0, stop, seed)
+    try:
+        fingerprint = config_fingerprint(problem.descriptor(), rule.descriptor(), x0,
+                                         stop.descriptor(), seed)
+    except ValueError:
+        fingerprint = ""  # objective not expressible as a descriptor
+    advance = _stepper(problem, rule, stop.max_iter)
 
     composite = problem.composite
     g_x = None
@@ -268,62 +298,6 @@ def _iterate(problem: Problem, x0, stop: StopRule,
 
     termination = Termination(reason, x.copy(), problem.phi(x))
     return SolveTrace(records, termination, fingerprint)
-
-
-def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
-          seed: int | None = None) -> SolveTrace:
-    """Run the projection-free iteration from x0 under the given stepsize rule.
-
-    x_{k+1} = x_k + gamma_k (x_bar_k - x_k), with gamma_k from the open-loop
-    schedule or from a line search on the segment (in closed form where the
-    objective has one and the problem no composite term). Row k records the
-    values at x_k; the final point is `termination.final_x`. Stops on a gap
-    certificate (only when stop.gap_tol > 0), on the iteration budget, or on
-    an exact fixed point x_{k+1} == x_k (bitwise), which sharp minima produce.
-    The `seed` enters only the config fingerprint; the loop itself draws no
-    randomness.
-    """
-    gammas = (None if isinstance(rule, LineSearch)
-              else schedule_values(rule, stop.max_iter).tolist())
-    # the closed form minimizes f alone, so it serves only when phi = f
-    segment_min = problem.objective.segment_min if problem.composite is None else None
-
-    def advance(k: int, x: Vector, grad: Vector, d: Vector) -> tuple[float, Vector]:
-        if gammas is not None:
-            gamma_k = gammas[k]
-        else:
-            gamma_star = None if segment_min is None else segment_min(x, d, grad)
-            try:
-                gamma_k = line_search(lambda t: problem.phi(x + t * d),
-                                      rule.tol, rule.max_evals, gamma_star)
-            except ValueError as exc:
-                raise ValueError(f"line search failed at iteration {k}: {exc}") from exc
-        return gamma_k, x + gamma_k * d
-
-    return _iterate(problem, x0, stop, advance, rule.descriptor(), seed)
-
-
-def solve_gpa(problem: Problem, step: float, x0, max_iter: int,
-              seed: int | None = None) -> SolveTrace:
-    """Fixed-step projected-gradient baseline in the same trace format.
-
-    Requires a plain (non-composite) problem, a projectable set, and a known
-    gradient Lipschitz constant L with 0 < step < 2/L. The gap column is still
-    the linear-subproblem certificate, for comparability.
-    """
-    if problem.composite is not None:
-        raise ValueError("projected-gradient baseline does not handle composite terms")
-    L = problem.objective.lipschitz
-    if L is None:
-        raise ValueError("objective has no recorded gradient Lipschitz constant")
-    if not 0 < step < 2.0 / L:
-        raise ValueError(f"step must lie in (0, 2/L) = (0, {2.0 / L}), got {step}")
-    stop = StopRule(max_iter)
-
-    def advance(k: int, x: Vector, grad: Vector, d: Vector) -> tuple[float, Vector]:
-        return step, problem.feasible_set.project(x - step * grad)
-
-    return _iterate(problem, x0, stop, advance, {"kind": "gpa", "step": step}, seed)
 
 
 def _trace_csv_pieces(trace: SolveTrace):

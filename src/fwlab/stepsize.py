@@ -16,11 +16,17 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .geometry import VertexPolytope
 from .schema import build
 
 
+class _AnyProblem:
+    def validate(self, problem, stop) -> None:
+        """Every problem and stop rule suit a Frank-Wolfe step; nothing to check."""
+
+
 @dataclass(frozen=True)
-class LineSearch:
+class LineSearch(_AnyProblem):
     """gamma_k minimizes the objective on the segment [x_k, x_bar_k].
 
     `tol` (final bracket width) and `max_evals` (objective evaluations per
@@ -42,7 +48,7 @@ class LineSearch:
 
 
 @dataclass(frozen=True)
-class Harmonic:
+class Harmonic(_AnyProblem):
     """gamma_k = c/(k+c), c >= 1. c=2 is the classic 2/(k+2) schedule."""
 
     c: float
@@ -56,7 +62,7 @@ class Harmonic:
 
 
 @dataclass(frozen=True)
-class Power:
+class Power(_AnyProblem):
     """gamma_k = gamma0/(k+1)^p with gamma0, p in (0,1]."""
 
     gamma0: float
@@ -73,7 +79,7 @@ class Power:
 
 
 @dataclass(frozen=True)
-class DHRecursion:
+class DHRecursion(_AnyProblem):
     """gamma_{k+1} = gamma_k/(1+gamma_k) from gamma0 in (0,1].
 
     Implemented through the closed form gamma_k = gamma0/(gamma0*k + 1), which
@@ -105,6 +111,23 @@ class ProjectedGradient:
     def __post_init__(self):
         if not self.step > 0:
             raise ValueError("gpa rule needs a positive 'step'")
+
+    def validate(self, problem, stop) -> None:
+        """The baseline needs no composite part, a recorded gradient Lipschitz
+        constant L (Holder, nu = 1) with step < 2/L, a projection and no gap stop."""
+        if problem.composite is not None:
+            raise ValueError("gpa rule cannot take a composite part")
+        holder = problem.objective.holder
+        if holder is None or holder.nu != 1 or holder.const is None:
+            raise ValueError("gpa rule needs an objective with a recorded "
+                             "gradient Lipschitz constant")
+        if not self.step < 2.0 / holder.const:
+            raise ValueError(f"step must lie in (0, 2/L) = (0, {2.0 / holder.const}), "
+                             f"got {self.step}")
+        if isinstance(problem.feasible_set, VertexPolytope):
+            raise ValueError("gpa rule needs a set with a projection; vertex_polytope has none")
+        if stop.gap_tol:
+            raise ValueError("gpa rule ignores gap_tol; leave it 0")
 
     def descriptor(self) -> dict:
         return {"kind": "gpa", "step": self.step}

@@ -35,6 +35,7 @@ from fwlab import (
     LineSearch,
     OpenLoopOrderSigma,
     Problem,
+    ProjectedGradient,
     Simplex,
     StopRule,
     VertexPolytope,
@@ -52,7 +53,6 @@ from fwlab import (
     probe_curvature_divergence,
     schedule_values,
     solve,
-    solve_gpa,
     trace_to_csv,
     xu_recursion_check,
 )
@@ -321,7 +321,7 @@ def test_criterion_12_projection_free_run_matches_projected_gradient():
     problem = _simplex_quadratic(10)
     x0 = np.eye(10)[0]
     fw = solve(problem, Harmonic(2.0), x0=x0, stop=StopRule(max_iter=20_000))
-    gpa = solve_gpa(problem, step=1.0, x0=x0, max_iter=200)
+    gpa = solve(problem, ProjectedGradient(1.0), x0, StopRule(200))
     f_star = 1.0 / 20.0
     err_fw = fw.termination.final_obj - f_star
     err_gpa = gpa.termination.final_obj - f_star

@@ -86,6 +86,24 @@ def test_solve_mistyped_check_field_exits_two_before_any_artifact(tmp_path, caps
     ({"problem": {"set": {"kind": "simplex", "dim": 3},
                   "objective": {"kind": "quadratic", "b": [0.0, 0.0]}}},
      "problem.objective: 'b' has shape (2,), set dimension is 3"),
+    # fixed-dimension objectives used to validate and then die on a shape error
+    ({"problem": {"set": {"kind": "box", "dim": 3, "lower": [0.0] * 3, "upper": [1.0] * 3},
+                  "objective": {"kind": "t_alpha", "alpha": 1.5}}},
+     "problem.objective: t_alpha is 1-dimensional, set dimension is 3"),
+    ({"problem": {"set": {"kind": "simplex", "dim": 3},
+                  "objective": {"kind": "nesterov_max"}}},
+     "problem.objective: nesterov_max is 2-dimensional, set dimension is 3"),
+    # gpa runs the baseline cannot take used to validate and then die in the solve
+    ({"rule": {"kind": "gpa", "step": 3.0}},
+     "rule: step must lie in (0, 2/L) = (0, 2.0), got 3.0"),
+    ({"rule": {"kind": "gpa", "step": 0.5},
+      "problem": {"set": {"kind": "simplex", "dim": 3},
+                  "objective": {"kind": "power_norm", "sigma": 1.5, "b": [0.0] * 3}}},
+     "rule: gpa rule needs an objective with a recorded gradient Lipschitz constant"),
+    ({"rule": {"kind": "gpa", "step": 0.5},
+      "problem": {"set": {"kind": "vertex_polytope", "vertices": np.eye(3).tolist()},
+                  "objective": {"kind": "quadratic", "b": [0.0] * 3}}},
+     "rule: gpa rule needs a set with a projection; vertex_polytope has none"),
 ])
 def test_solve_mistyped_section_field_exits_two_before_any_artifact(tmp_path, capsys,
                                                                      over, err):
@@ -94,6 +112,17 @@ def test_solve_mistyped_section_field_exits_two_before_any_artifact(tmp_path, ca
                    "--out", str(out)) == 2
     assert capsys.readouterr().err == f"error: cliexp: {err}\n"
     assert not out.exists()
+
+
+def test_gpa_spec_with_a_zero_gap_tol_runs(tmp_path):
+    # the solve once rebuilt its stop rule, hashed gap_tol 0.0 against the
+    # spec's 0 and died on a fingerprint mismatch
+    raw = _quadratic_raw(rule={"kind": "gpa", "step": 1.0},
+                         stop={"max_iter": 5, "gap_tol": 0})
+    out = tmp_path / "out"
+    assert run_cli("solve", _write_spec(tmp_path, raw), "--out", str(out)) == 0
+    summary = json.loads((out / "cliexp.summary.json").read_text())
+    assert summary["trace"]["config_fingerprint"] == summary["fingerprint"] != ""
 
 
 def test_solve_missing_file_exits_two(tmp_path, capsys):

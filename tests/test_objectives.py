@@ -59,7 +59,7 @@ def test_quadratic_records_projected_optimum():
     f = make_quadratic(np.zeros(3), Simplex(3))
     assert np.allclose(f.x_star, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
     assert f.f_star == pytest.approx(1.0 / 6.0, abs=1e-12)
-    assert f.lipschitz == 1.0
+    assert f.holder.nu == 1.0 and f.holder.const == 1.0
 
 
 _DOT_ENTRIES = st.one_of(st.floats(-1e6, 1e6),
@@ -237,14 +237,15 @@ def test_composite_descriptor_round_trip():
 def test_objective_descriptor_round_trip():
     fs = L2Ball(3, 1.0)
     probes = [np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.5, 0.0])]
-    for obj in [
-        make_quadratic(np.array([0.2, 0.0, -0.1]), fs),
-        make_power_norm(1.5, np.array([0.2, 0.0, -0.1]), fs),
-        make_t_alpha(1.3),
-        make_nesterov_max(),
-        make_linear(np.array([1.0, -1.0, 0.5]), fs),
+    # the fixed-dimension objectives rebuild on a set of their own dimension
+    for obj, on in [
+        (make_quadratic(np.array([0.2, 0.0, -0.1]), fs), fs),
+        (make_power_norm(1.5, np.array([0.2, 0.0, -0.1]), fs), fs),
+        (make_t_alpha(1.3), Box(1, np.array([0.0]), np.array([1.0]))),
+        (make_nesterov_max(), L2Ball(2, 1.0)),
+        (make_linear(np.array([1.0, -1.0, 0.5]), fs), fs),
     ]:
-        clone = objective_from_descriptor(obj.descriptor(), fs)
+        clone = objective_from_descriptor(obj.descriptor(), on)
         for x in probes:
             p = x[: 1] if obj.descriptor()["kind"] == "t_alpha" else x
             p = np.abs(p) if obj.descriptor()["kind"] == "t_alpha" else p

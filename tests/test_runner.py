@@ -339,6 +339,21 @@ def test_compare_rejects_mismatched_problems_before_solving(tmp_path):
     assert not (tmp_path / "compare.csv").exists()
 
 
+def test_compare_rejects_a_composite_part_the_other_spec_lacks(tmp_path):
+    lasso = {"set": {"kind": "box", "dim": 4, "lower": [-1.0] * 4, "upper": [1.0] * 4},
+             "objective": {"kind": "quadratic", "b": [0.9, -0.4, 0.2, -1.5]},
+             "composite": {"kind": "l1", "lam": 0.5}}
+    plain = {key: lasso[key] for key in ("set", "objective")}
+    a = parse_spec(_raw(name="lasso", problem=lasso))
+    b = parse_spec(_raw(name="plain", problem=plain))
+    with pytest.raises(ValueError, match="different problem"):
+        compare([a, b], tmp_path)
+    assert not (tmp_path / "compare.csv").exists()
+    # a null composite part is no composite part
+    c = parse_spec(_raw(name="null", problem={**plain, "composite": None}))
+    assert compare([b, c], tmp_path).exists()
+
+
 def test_compare_rejects_duplicate_names(tmp_path):
     with pytest.raises(ValueError, match="distinct names"):
         compare([parse_spec(_raw()), parse_spec(_raw())], tmp_path)

@@ -16,6 +16,7 @@ from fwlab import (
     L2Ball,
     LineSearch,
     Problem,
+    ProjectedGradient,
     Simplex,
     StopRule,
     config_fingerprint,
@@ -26,7 +27,6 @@ from fwlab import (
     make_power_norm,
     make_quadratic,
     solve,
-    solve_gpa,
     trace_to_csv,
     write_trace_csv,
 )
@@ -424,7 +424,7 @@ def test_composite_solve_is_monotone_under_line_search():
 
 def test_gpa_unit_step_on_simplex_quadratic_hits_optimum():
     problem = _simplex_quadratic(10)
-    trace = solve_gpa(problem, step=1.0, x0=np.eye(10)[0], max_iter=200)
+    trace = solve(problem, ProjectedGradient(1.0), np.eye(10)[0], StopRule(200))
     assert trace.termination.reason == REASON_FINITE_TERMINATION
     assert trace.termination.final_obj == pytest.approx(0.05, abs=1e-12)
     assert np.allclose(trace.termination.final_x, np.full(10, 0.1), atol=1e-12)
@@ -433,11 +433,11 @@ def test_gpa_unit_step_on_simplex_quadratic_hits_optimum():
 def test_gpa_rejects_bad_steps_and_composite_problems():
     problem = _simplex_quadratic(3)
     with pytest.raises(ValueError, match=r"step must lie in \(0, 2/L\)"):
-        solve_gpa(problem, step=2.0, x0=np.eye(3)[0], max_iter=10)
+        solve(problem, ProjectedGradient(2.0), np.eye(3)[0], StopRule(10))
     fs = Box(2, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     comp = Problem(fs, make_quadratic(np.zeros(2)), CompositePart(0.5))
     with pytest.raises(ValueError, match="composite"):
-        solve_gpa(comp, step=1.0, x0=np.zeros(2), max_iter=10)
+        solve(comp, ProjectedGradient(1.0), np.zeros(2), StopRule(10))
 
 
 def test_gpa_evaluates_one_gradient_per_row():
@@ -447,14 +447,14 @@ def test_gpa_evaluates_one_gradient_per_row():
     counted = dataclasses.replace(
         objective, grad=lambda x: calls.append(1) or objective.grad(x))
     problem = dataclasses.replace(problem, objective=counted)
-    trace = solve_gpa(problem, step=0.5, x0=np.eye(4)[0], max_iter=10)
+    trace = solve(problem, ProjectedGradient(0.5), np.eye(4)[0], StopRule(10))
     assert len(trace.iterations) == 11
     assert len(calls) == 11
 
 
 def test_gpa_gamma_column_is_the_fixed_step():
     problem = _simplex_quadratic(4)
-    trace = solve_gpa(problem, step=0.5, x0=np.eye(4)[0], max_iter=5)
+    trace = solve(problem, ProjectedGradient(0.5), np.eye(4)[0], StopRule(5))
     for rec in trace.iterations[:-1]:
         assert rec.gamma == 0.5
 
