@@ -53,16 +53,12 @@ from .analysis import (
     LineSearchOrderSigma,
     OpenLoopOrderSigma,
     RateBound,
-    XuReport,
     beta_bound_report,
     beta_recursion,
     curvature_bound_holder,
     estimate_curvature,
     fit_rate,
-    polyak_recursion,
-    polyak_sequence_bound,
     probe_curvature_divergence,
-    xu_recursion_check,
 )
 from .config import (
     ExperimentSpec,

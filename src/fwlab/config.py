@@ -166,7 +166,13 @@ def build_stop(spec: ExperimentSpec) -> StopRule:
 
 
 def spec_fingerprint(spec: ExperimentSpec) -> str:
-    """Fingerprint of the full solve configuration; empty for analysis-only specs."""
+    """Fingerprint of the full solve configuration; empty for analysis-only specs.
+
+    The spec's parts are built afresh; `config_fingerprint` renders the text
+    only when the configuration differs in some bit from the one it rendered
+    last (its memo holds one entry), so right after a run's solve this repeat
+    costs a key walk over the raw float64 bytes, not a render.
+    """
     if not spec.is_solving():
         return ""
     problem = build_problem(spec)

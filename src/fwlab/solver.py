@@ -145,6 +145,14 @@ def _gap(problem: Problem, x: Vector, grad: Vector,
     return (0.0 - float(grad.dot(d))) + g_x - composite.value(x_bar), x_bar, d
 
 
+# the configuration rendered last, as (key, fingerprint): a run hashes its
+# configuration in the solve, in the drift check and in the summary, and the
+# repeats walk the key instead of rendering the text again. A hit returns
+# what a render would, so callers share this state unseen but in time; one
+# entry, so a sequence of runs keeps nothing of the configurations before
+_last_rendered: tuple[bytes, str] = (b"", "")
+
+
 def config_fingerprint(problem_desc: dict, rule_desc: dict, x0, stop_desc: dict,
                        seed: int | None) -> str:
     """sha256 over a canonical rendering of the full solve configuration.
@@ -154,7 +162,14 @@ def config_fingerprint(problem_desc: dict, rule_desc: dict, x0, stop_desc: dict,
     "%.17g" rendering, so equal doubles always hash alike; a float64 array
     renders as the nested list of its floats. Keys must be strings. The
     rendering streams into the hash in pieces, so no whole text is held.
+
+    The last configuration rendered is remembered, one entry only, under a
+    key: the sha256 of the same walk with each float vector written as its
+    raw float64 bytes instead of its text. Identical configurations hashed
+    back to back thus render once; a configuration that differs in any bit,
+    -0.0 against 0.0 included, misses and renders afresh.
     """
+    global _last_rendered
     payload = {
         "problem": problem_desc,
         "rule": rule_desc,
@@ -162,10 +177,19 @@ def config_fingerprint(problem_desc: dict, rule_desc: dict, x0, stop_desc: dict,
         "stop": stop_desc,
         "seed": seed,
     }
+    key = _sha256(_canonical_pieces(payload, _vector_bits)).digest()
+    last_key, fingerprint = _last_rendered
+    if key != last_key:
+        fingerprint = _sha256(_canonical_pieces(payload)).hexdigest()
+        _last_rendered = (key, fingerprint)
+    return fingerprint
+
+
+def _sha256(pieces):
     digest = hashlib.sha256()
-    for piece in _canonical_pieces(payload):
-        digest.update(piece.encode())
-    return digest.hexdigest()
+    for piece in pieces:
+        digest.update(piece.encode() if isinstance(piece, str) else piece)
+    return digest
 
 
 def chunks(v):
@@ -175,9 +199,36 @@ def chunks(v):
         yield chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
 
 
-def _canonical_pieces(v):
+def _vector_text(v):
+    """A float vector's canonical text, one format call per chunk."""
+    lead = "["
+    for chunk in chunks(v):
+        yield lead + ",".join(['"%.17g"'] * len(chunk)) % tuple(chunk)
+        lead = ","
+    yield "]" if len(v) else "[]"
+
+
+def _vector_bits(v):
+    """A float vector for the memo key: per chunk, a NUL tag, the chunk's
+    length and its raw float64 bytes. A slice of an array goes in as it is; a
+    list goes in converted a chunk at a time.
+
+    The canonical text holds no NUL, as JSON escapes it in strings, so the
+    key's bytes parse back into the walk's text pieces and float chunks
+    alone: equal keys mean equal canonical text.
+    """
+    yield "["
+    for start in range(0, len(v), RENDER_CHUNK):
+        chunk = np.ascontiguousarray(v[start:start + RENDER_CHUNK], dtype=np.float64)
+        yield b"\0" + len(chunk).to_bytes(8, "little")
+        yield chunk
+    yield "]"
+
+
+def _canonical_pieces(v, vector=_vector_text):
     """The canonical text of v, in pieces; a float vector, a list of plain
-    floats or a 1-D float64 array, takes one format call per chunk."""
+    floats or a 1-D float64 array, goes through `vector`, which renders its
+    text unless the walk computes a memo key."""
     if isinstance(v, float):
         yield '"%.17g"' % v
     elif isinstance(v, dict):
@@ -187,23 +238,19 @@ def _canonical_pieces(v):
         lead = "{"
         for k in sorted(v):
             yield lead + json.dumps(k) + ":"
-            yield from _canonical_pieces(v[k])
+            yield from _canonical_pieces(v[k], vector)
             lead = ","
         yield "}" if v else "{}"
     elif isinstance(v, np.ndarray) and (v.dtype != np.float64 or v.ndim == 0):
-        yield from _canonical_pieces(v.tolist())
+        yield from _canonical_pieces(v.tolist(), vector)
     elif (isinstance(v, np.ndarray) and v.ndim == 1) or \
             (isinstance(v, (list, tuple)) and v and set(map(type, v)) == {float}):
-        lead = "["
-        for chunk in chunks(v):
-            yield lead + ",".join(['"%.17g"'] * len(chunk)) % tuple(chunk)
-            lead = ","
-        yield "]" if len(v) else "[]"
+        yield from vector(v)
     elif isinstance(v, (list, tuple, np.ndarray)):  # an array here is 2-D or more
         lead = "["
         for u in v:
             yield lead
-            yield from _canonical_pieces(u)
+            yield from _canonical_pieces(u, vector)
             lead = ","
         yield "]" if len(v) else "[]"
     else:

@@ -48,16 +48,14 @@ from fwlab import (
     make_power_norm,
     make_quadratic,
     make_t_alpha,
-    polyak_recursion,
-    polyak_sequence_bound,
     probe_curvature_divergence,
     schedule_values,
     solve,
     trace_to_csv,
-    xu_recursion_check,
 )
 
 from conftest import replay_iterates
+from scalar_recursions import polyak_recursion, polyak_sequence_bound, xu_recursion_check
 
 # interior anchor for the power-norm instances, |b| = 0.85 inside L2Ball(5, 1);
 # same frozen vector the canned cases use

@@ -30,14 +30,13 @@ from fwlab import (
     make_power_norm,
     make_quadratic,
     make_t_alpha,
-    polyak_recursion,
-    polyak_sequence_bound,
     probe_curvature_divergence,
     solve,
-    xu_recursion_check,
 )
 from fwlab.analysis import _EXTREME_PAIR_CAP, DEFAULT_GAMMA_GRID
 from fwlab.solver import IterationRecord, SolveTrace, Termination
+
+from scalar_recursions import polyak_recursion, polyak_sequence_bound, xu_recursion_check
 
 
 # --- curvature estimation ------------------------------------------------------

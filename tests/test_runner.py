@@ -142,6 +142,24 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (a / fname).read_bytes() == (b / fname).read_bytes()
 
 
+@pytest.mark.parametrize("entry", [-0.0, 5e-324])
+def test_drift_check_fails_when_the_spec_changes_during_the_solve(
+        tmp_path, monkeypatch, entry):
+    import fwlab.runner
+
+    spec = parse_spec(_raw())
+    solve = fwlab.runner.solve
+
+    def solve_then_edit(*args, **kwargs):
+        trace = solve(*args, **kwargs)
+        spec.problem["objective"]["b"][0] = entry  # 0.0 before: one sign bit or one ulp
+        return trace
+
+    monkeypatch.setattr(fwlab.runner, "solve", solve_then_edit)
+    with pytest.raises(RuntimeError, match="fingerprint mismatch"):
+        run_experiment(spec, tmp_path)
+
+
 def test_reproduce_unknown_case_errors(tmp_path):
     with pytest.raises(ValueError, match="unknown case"):
         reproduce("no_such_case", tmp_path)

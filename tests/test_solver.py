@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import tracemalloc
 
@@ -503,6 +504,32 @@ def test_config_fingerprint_canonicalizes_float_rendering():
     assert fp1 == fp2
 
 
+@given(problem=st.dictionaries(st.text(max_size=3), json_values(), max_size=3),
+       b=st.lists(json_floats(), max_size=6), x0=st.lists(json_floats(), max_size=6),
+       entry=json_floats().filter(lambda v: v == v), at=st.integers(0, 6),
+       in_x0=st.booleans(), seed=st.one_of(st.none(), st.integers()))
+@example(problem={}, b=[], x0=[], entry=0.0, at=0, in_x0=True, seed=None)
+@example(problem={}, b=[], x0=[], entry=-0.0, at=0, in_x0=False, seed=None)
+@settings(max_examples=60)
+def test_config_fingerprint_repeats_and_misses_on_one_bit(problem, b, x0, entry, at,
+                                                          in_x0, seed):
+    def fingerprint(b, x0):
+        args = {**problem, "b": b}, {"kind": "harmonic"}, np.array(x0), {"max_iter": 3}, seed
+        want = canon_text({"problem": args[0], "rule": args[1], "x0": x0, "stop": args[3],
+                           "seed": seed})
+        return config_fingerprint(*args), hashlib.sha256(want.encode()).hexdigest()
+
+    vector = x0 if in_x0 else b
+    vector.insert(at, entry)
+    got, want = fingerprint(b, x0)
+    assert got == want
+    assert fingerprint(b, x0)[0] == want  # the repeat, from the memo
+    # a signed zero flips its sign, any other float moves one ulp toward 0
+    vector[min(at, len(vector) - 1)] = -entry if entry == 0 else float(np.nextafter(entry, 0.0))
+    other, other_want = fingerprint(b, x0)
+    assert other == other_want != want
+
+
 
 @given(st.one_of(json_values(),
                  st.dictionaries(st.integers(), json_values(), max_size=3),
@@ -531,16 +558,19 @@ def test_config_fingerprint_at_large_n_holds_no_string_per_float():
     rng = np.random.default_rng(0)
     problem_desc = Problem(Simplex(n), make_quadratic(rng.normal(size=n))).descriptor()
     x0 = rng.random(n)
-    tracemalloc.start()
-    try:
-        config_fingerprint(problem_desc, Harmonic(2.0).descriptor(), x0,
-                           StopRule(10).descriptor(), 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peaks = []
+    for _ in range(2):  # a render, then a repeat that the memo answers
+        tracemalloc.start()
+        try:
+            config_fingerprint(problem_desc, Harmonic(2.0).descriptor(), x0,
+                               StopRule(10).descriptor(), 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
     # one str object per float, as json.dumps of a canonicalized list needs,
-    # peaks at 28 MB; the streamed rendering holds one chunk's floats and text
-    assert peak < 1_000_000
+    # peaks at 28 MB; the streamed rendering holds one chunk's floats and
+    # text, and the memo key's walk streams the same chunks as bytes
+    assert max(peaks) < 1_000_000
 
 
 # --- CSV round-trip ---------------------------------------------------------------------
