@@ -14,6 +14,7 @@ from conftest import canon_text, json_floats, json_values
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fwlab.runner
 from fwlab import Problem, Simplex, checks, config_fingerprint, make_quadratic
 from fwlab.config import parse_spec
 from fwlab.runner import _indented_pieces, _write_bounds_csv, compare, reproduce, run_experiment
@@ -145,8 +146,6 @@ def test_rerun_is_byte_identical(tmp_path):
 @pytest.mark.parametrize("entry", [-0.0, 5e-324])
 def test_drift_check_fails_when_the_spec_changes_during_the_solve(
         tmp_path, monkeypatch, entry):
-    import fwlab.runner
-
     spec = parse_spec(_raw())
     solve = fwlab.runner.solve
 

@@ -506,27 +506,30 @@ def test_config_fingerprint_canonicalizes_float_rendering():
 
 @given(problem=st.dictionaries(st.text(max_size=3), json_values(), max_size=3),
        b=st.lists(json_floats(), max_size=6), x0=st.lists(json_floats(), max_size=6),
-       entry=json_floats().filter(lambda v: v == v), at=st.integers(0, 6),
-       in_x0=st.booleans(), seed=st.one_of(st.none(), st.integers()))
+       entry=json_floats().filter(lambda v: v == v),  # NaN: every neighbour renders "nan"
+       at=st.integers(0, 6), in_x0=st.booleans(), seed=st.one_of(st.none(), st.integers()))
 @example(problem={}, b=[], x0=[], entry=0.0, at=0, in_x0=True, seed=None)
 @example(problem={}, b=[], x0=[], entry=-0.0, at=0, in_x0=False, seed=None)
 @settings(max_examples=60)
 def test_config_fingerprint_repeats_and_misses_on_one_bit(problem, b, x0, entry, at,
                                                           in_x0, seed):
-    def fingerprint(b, x0):
-        args = {**problem, "b": b}, {"kind": "harmonic"}, np.array(x0), {"max_iter": 3}, seed
-        want = canon_text({"problem": args[0], "rule": args[1], "x0": x0, "stop": args[3],
+    rule, stop = {"kind": "harmonic"}, {"max_iter": 3}
+
+    def fingerprint_and_reference():
+        problem_desc = {**problem, "b": b}  # b a list, x0 an array: both vector leaves
+        text = canon_text({"problem": problem_desc, "rule": rule, "x0": x0, "stop": stop,
                            "seed": seed})
-        return config_fingerprint(*args), hashlib.sha256(want.encode()).hexdigest()
+        return (config_fingerprint(problem_desc, rule, np.array(x0), stop, seed),
+                hashlib.sha256(text.encode()).hexdigest())
 
     vector = x0 if in_x0 else b
     vector.insert(at, entry)
-    got, want = fingerprint(b, x0)
+    got, want = fingerprint_and_reference()
     assert got == want
-    assert fingerprint(b, x0)[0] == want  # the repeat, from the memo
-    # a signed zero flips its sign, any other float moves one ulp toward 0
+    assert fingerprint_and_reference()[0] == want  # the repeat, from the memo
+    # back to back: a signed zero flips its sign, any other float moves one ulp toward 0
     vector[min(at, len(vector) - 1)] = -entry if entry == 0 else float(np.nextafter(entry, 0.0))
-    other, other_want = fingerprint(b, x0)
+    other, other_want = fingerprint_and_reference()
     assert other == other_want != want
 
 
