@@ -40,7 +40,6 @@ from .solver import (
     StopRule,
     Termination,
     config_fingerprint,
-    fw_gap,
     solve,
     trace_summary,
     trace_to_csv,

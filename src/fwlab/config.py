@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import FeasibleSet, set_from_descriptor
+from .geometry import FeasibleSet, require_finite, set_from_descriptor
 from .objectives import composite_from_descriptor, objective_from_descriptor
 from .schema import read, typed
 from .solver import Problem, StopRule, config_fingerprint
@@ -140,6 +140,7 @@ def resolve_x0(spec: ExperimentSpec, feasible_set: FeasibleSet) -> np.ndarray:
         if arr.ndim != 1 or arr.size != feasible_set.dimension:
             raise ValueError(f"{spec.name}: x0 has shape {arr.shape}, "
                              f"set dimension is {feasible_set.dimension}")
+        require_finite(arr, f"{spec.name}: x0")
         return arr
     if isinstance(x0, str):
         m = _X0_VERTEX.match(x0)

@@ -37,6 +37,7 @@ def _as_vector(x, dim: int, name: str) -> Vector:
         raise ValueError(
             f"{name} must be a vector of dimension {dim}, got shape {arr.shape}"
         )
+    require_finite(arr, name)
     return arr
 
 
@@ -51,7 +52,7 @@ def l2_norm(v: Vector) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _require_finite(arr: Vector, name: str) -> None:
+def require_finite(arr: Vector, name: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
 
@@ -62,10 +63,14 @@ class FeasibleSet:
     dimension: int
 
     def lmo(self, c: Vector) -> Vector:
+        """argmin_{x in C} <c, x>, as a fresh writable float64 array that
+        shares no memory with c or with the set's data: the solve loop writes
+        the direction x_bar - x into it."""
         raise NotImplementedError
 
     def lmo_l1(self, c: Vector, lam: float) -> Vector:
-        """argmin_{x in C} <c, x> + lam * ||x||_1, in closed form."""
+        """argmin_{x in C} <c, x> + lam * ||x||_1, in closed form, as a fresh
+        writable float64 array, like `lmo`'s."""
         raise NotImplementedError
 
     def project(self, x: Vector) -> Vector:
@@ -129,7 +134,8 @@ class Simplex(FeasibleSet):
     def draw(self, rng: np.random.Generator) -> Vector:
         # exponential-normalization construction (uniform on the simplex)
         e = rng.exponential(1.0, self.dimension)
-        return e / e.sum()
+        e /= e.sum()
+        return e
 
     def extreme_points(self, limit: int | None = None) -> np.ndarray:
         d = self.dimension
@@ -183,10 +189,13 @@ class L1Ball(FeasibleSet):
     def draw(self, rng: np.random.Generator) -> Vector:
         # uniform: Dirichlet magnitudes, random orthant, then radial u^(1/d)
         e = rng.exponential(1.0, self.dimension)
-        signs = rng.integers(0, 2, self.dimension) * 2.0 - 1.0
-        boundary = signs * e / e.sum()
+        x = rng.integers(0, 2, self.dimension) * 2.0
+        x -= 1.0  # the signs
+        x *= e
+        x /= e.sum()  # a boundary point
         u = rng.random()
-        return self.radius * u ** (1.0 / self.dimension) * boundary
+        x *= self.radius * u ** (1.0 / self.dimension)
+        return x
 
     def extreme_points(self, limit: int | None = None) -> np.ndarray:
         return _signed_axes(self.dimension, self.radius, limit)
@@ -243,7 +252,8 @@ class L2Ball(FeasibleSet):
             g = rng.standard_normal(self.dimension)
             n = l2_norm(g)
         u = rng.random()
-        return self.radius * u ** (1.0 / self.dimension) / n * g
+        g *= self.radius * u ** (1.0 / self.dimension) / n
+        return g
 
     def extreme_points(self, limit: int | None = None) -> np.ndarray:
         return _signed_axes(self.dimension, self.radius, limit)
@@ -297,7 +307,9 @@ class Box(FeasibleSet):
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
     def draw(self, rng: np.random.Generator) -> Vector:
-        return self.lower + rng.random(self.dimension) * (self.upper - self.lower)
+        x = rng.random(self.dimension)
+        x *= self.upper - self.lower
+        return np.add(self.lower, x, out=x)
 
     def extreme_points(self, limit: int | None = None) -> np.ndarray:
         d = self.dimension
@@ -338,7 +350,7 @@ class VertexPolytope(FeasibleSet):
         v = frozen_copy(self.vertices)
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValueError("vertices must be a nonempty list of d-vectors")
-        _require_finite(v, "vertices")
+        require_finite(v, "vertices")
         object.__setattr__(self, "vertices", v)
 
     @property
@@ -393,7 +405,8 @@ class VertexPolytope(FeasibleSet):
 
     def draw(self, rng: np.random.Generator) -> Vector:
         w = rng.exponential(1.0, self.vertices.shape[0])
-        return (w / w.sum()) @ self.vertices
+        w /= w.sum()
+        return w @ self.vertices
 
     def extreme_points(self, limit: int | None = None) -> np.ndarray:
         return self.vertices[:_row_count(len(self.vertices), limit)].copy()
@@ -425,13 +438,28 @@ def _signed_axes(dim: int, radius: float, limit: int | None) -> np.ndarray:
 
 
 def _project_onto_simplex_face(x: Vector, total: float) -> Vector:
-    """Euclidean projection onto {z >= 0, sum z = total} by sort and threshold."""
+    """Euclidean projection onto {z >= 0, sum z = total} by sort and threshold.
+
+    With u = x sorted descending and css its cumulative sums less total, rho
+    is the last index with u[rho] > css[rho] / (rho + 1), and the projection
+    is max(x - css[rho] / (rho + 1), 0). It works in place on three n-vectors
+    (u, css and the quotient, which becomes the result), each value the same
+    bits as the out-of-place formula.
+    """
     u = np.sort(x)[::-1]
-    css = np.cumsum(u) - total
-    idx = np.arange(1, x.size + 1)
-    rho = int(np.nonzero(u > css / idx)[0][-1])
+    css = np.cumsum(u)
+    css -= total
+    q = np.arange(1.0, x.size + 1)
+    np.divide(css, q, out=q)
+    above = u > q
+    rho = x.size - 1 - int(above[::-1].argmax())
+    if not above[rho]:  # argmax finds no True: x holds a NaN or an infinity
+        raise ValueError("no threshold index: the simplex projection needs finite "
+                         "entries and a positive total")
     theta = css[rho] / (rho + 1.0)
-    return np.maximum(x - theta, 0.0)
+    del u, css, above
+    np.subtract(x, theta, out=q)
+    return np.maximum(q, 0.0, out=q)
 
 
 _SET_KINDS = {

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import FeasibleSet, Vector, frozen_copy, l2_norm
+from .geometry import FeasibleSet, Vector, frozen_copy, l2_norm, require_finite
 from .schema import build
 from .stepsize import line_search_quadratic_exact
 
@@ -101,11 +101,12 @@ def _optimum_if_inside(b: Vector, feasible_set: FeasibleSet) -> tuple:
 
 
 def _data(name: str, v, feasible_set: FeasibleSet | None) -> Vector:
-    """frozen_copy(v), of the set's dimension when there is a set."""
+    """frozen_copy(v), finite, and of the set's dimension when there is a set."""
     v = frozen_copy(v)
     if feasible_set is not None and v.shape != (feasible_set.dimension,):
         raise ValueError(f"'{name}' has shape {v.shape}, "
                          f"set dimension is {feasible_set.dimension}")
+    require_finite(v, f"'{name}'")
     return v
 
 

@@ -78,9 +78,10 @@ def _indented_pieces(v, pad: str = ""):
     """json.dumps(v, indent=2, sort_keys=True) in pieces, indented by pad past
     the first line.
 
-    A flat list of plain floats and ints goes through the stdlib's C encoder
-    one chunk per call; a number's JSON text never contains ", ", so splitting
-    the compact text there gives the indented items.
+    A flat list of plain floats and ints, or a nonempty 1-D float64 array (as
+    `trace_summary` hands out final_x) rendered as its list, goes through the
+    stdlib's C encoder one chunk per call; a number's JSON text never contains
+    ", ", so splitting the compact text there gives the indented items.
     """
     inner = pad + "  "
     sep = ",\n" + inner
@@ -91,9 +92,10 @@ def _indented_pieces(v, pad: str = ""):
             yield from _indented_pieces(v[k], inner)
             lead = sep
         yield "\n" + pad + "}"
-    elif isinstance(v, (list, tuple)) and v:
+    elif (isinstance(v, (list, tuple)) and v or isinstance(v, np.ndarray)
+          and v.ndim == 1 and v.dtype == np.float64 and v.size):
         lead = "[\n" + inner
-        if set(map(type, v)) <= {float, int}:
+        if isinstance(v, np.ndarray) or set(map(type, v)) <= {float, int}:
             for chunk in chunks(v):
                 yield lead + json.dumps(chunk)[1:-1].replace(", ", sep)
                 lead = sep

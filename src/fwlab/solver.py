@@ -117,34 +117,6 @@ def _frozen_column(values: list, dtype) -> np.ndarray:
     return column
 
 
-def fw_gap(problem: Problem, x: Vector) -> tuple[float, Vector]:
-    """Gap certificate at x: <grad, x - x_bar> (+ g(x) - g(x_bar) when composite).
-
-    x_bar is the linear-subproblem minimizer; for convex problems the gap upper
-    bounds the current suboptimality, so it doubles as a stopping certificate.
-    """
-    g_x = None if problem.composite is None else problem.composite.value(x)
-    gap, x_bar, _ = _gap(problem, x, problem.objective.grad(x), g_x)
-    return gap, x_bar
-
-
-def _gap(problem: Problem, x: Vector, grad: Vector,
-         g_x: float | None) -> tuple[float, Vector, Vector]:
-    """The gap, x_bar and the direction d = x_bar - x, given g_x = g(x).
-
-    x - x_bar is -d elementwise, so <grad, x - x_bar> is -<grad, d>; `0.0 -`
-    turns a zero of either sign into +0.0, which is what <grad, x - x_bar> gives.
-    """
-    composite = problem.composite
-    if composite is None:
-        x_bar = problem.feasible_set.lmo(grad)
-        d = x_bar - x
-        return 0.0 - float(grad.dot(d)), x_bar, d
-    x_bar = problem.feasible_set.lmo_l1(grad, composite.lam)
-    d = x_bar - x
-    return (0.0 - float(grad.dot(d))) + g_x - composite.value(x_bar), x_bar, d
-
-
 # the configuration rendered last, as (key, fingerprint): a run hashes its
 # configuration in the solve, in the drift check and in the summary, and the
 # repeats walk the key instead of rendering the text again. A hit returns
@@ -257,17 +229,25 @@ def _canonical_pieces(v, vector=_vector_text):
         yield json.dumps(v)
 
 
+def _step_toward(x: Vector, gamma: float, d: Vector) -> Vector:
+    """x + gamma * d, bit for bit, held in the one new array gamma * d."""
+    x_next = gamma * d
+    return np.add(x, x_next, out=x_next)
+
+
 def _stepper(problem: Problem, rule: StepsizeRule, max_iter: int
-             ) -> Callable[[int, Vector, Vector, Vector], tuple[float, Vector]]:
+             ) -> tuple[Callable[[int, Vector, Vector | None, Vector], tuple[float, Vector]],
+                        bool]:
     """`advance(k, x, grad, d)`: the step the rule takes and x_{k+1}, given x_k,
     the gradient at x_k and the direction d_k = x_bar_k - x_k to the
-    linear-subproblem minimizer."""
+    linear-subproblem minimizer; and whether advance reads the gradient (an
+    open-loop step does not, so the row drops it first)."""
     if isinstance(rule, ProjectedGradient):
         step, project = rule.step, problem.feasible_set.project
-        return lambda k, x, grad, d: (step, project(x - step * grad))
+        return (lambda k, x, grad, d: (step, project(x - step * grad))), True
     if not isinstance(rule, LineSearch):
         gammas = schedule_values(rule, max_iter).tolist()
-        return lambda k, x, grad, d: (gammas[k], x + gammas[k] * d)
+        return (lambda k, x, grad, d: (gammas[k], _step_toward(x, gammas[k], d))), False
     # the closed form minimizes f alone, so it serves only when phi = f
     segment_min = problem.objective.segment_min if problem.composite is None else None
 
@@ -278,9 +258,9 @@ def _stepper(problem: Problem, rule: StepsizeRule, max_iter: int
                                   rule.tol, rule.max_evals, gamma_star)
         except ValueError as exc:
             raise ValueError(f"line search failed at iteration {k}: {exc}") from exc
-        return gamma_k, x + gamma_k * d
+        return gamma_k, _step_toward(x, gamma_k, d)
 
-    return searched
+    return searched, segment_min is not None
 
 
 def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
@@ -297,6 +277,12 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
     stop.gap_tol > 0), on the iteration budget, or on an exact fixed point
     x_{k+1} == x_k (bitwise), which sharp minima produce. The `seed` enters
     only the config fingerprint; the loop itself draws no randomness.
+
+    A row works in place where the arithmetic allows it: d = x_bar - x is
+    written into the fresh array the oracle returned, x_{k+1} - x then into
+    d, and an open-loop row drops the gradient before it steps. So it holds
+    three n-vectors (x, d and x_{k+1}), each value the same bits as the
+    out-of-place expression.
     """
     rule.validate(problem, stop)
     x = np.array(x0, dtype=float)
@@ -308,9 +294,9 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
                                          stop.descriptor(), seed)
     except ValueError:
         fingerprint = ""  # objective not expressible as a descriptor
-    advance = _stepper(problem, rule, stop.max_iter)
+    advance, uses_grad = _stepper(problem, rule, stop.max_iter)
 
-    composite = problem.composite
+    feasible_set, composite = problem.feasible_set, problem.composite
     g_x = None
     records: list[IterationRecord] = []
     for k in range(stop.max_iter + 1):
@@ -322,7 +308,18 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
         if not math.isfinite(obj_k):
             raise ValueError(f"objective value is not finite at iteration {k}: {obj_k}")
         grad = problem.objective.grad(x)
-        gap_k, _, d = _gap(problem, x, grad, g_x)
+        # the gap <grad, x - x_bar> (+ g(x) - g(x_bar)), with g(x_bar) taken
+        # before d = x_bar - x overwrites x_bar; x - x_bar is -d elementwise,
+        # and `0.0 -` turns a zero of either sign into +0.0, as that product gives
+        if composite is None:
+            d = feasible_set.lmo(grad)
+        else:
+            d = feasible_set.lmo_l1(grad, composite.lam)
+            g_bar = composite.value(d)
+        np.subtract(d, x, out=d)
+        gap_k = 0.0 - float(grad.dot(d))
+        if composite is not None:
+            gap_k = gap_k + g_x - g_bar
 
         if stop.gap_tol > 0 and gap_k <= stop.gap_tol:
             records.append(IterationRecord(k, obj_k, gap_k, 0.0, 0.0))
@@ -333,8 +330,12 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
             reason = REASON_MAX_ITER
             break
 
+        if not uses_grad:
+            grad = None
         gamma_k, x_next = advance(k, x, grad, d)
-        step_norm = l2_norm(x_next - x)
+        grad = None
+        step_norm = l2_norm(np.subtract(x_next, x, out=d))
+        d = None
         records.append(IterationRecord(k, obj_k, gap_k, gamma_k, step_norm))
         # equal iterates step by 0 (NaN where both hold the same infinity),
         # so a positive step skips the elementwise comparison
@@ -343,7 +344,9 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
             break
         x = x_next
 
-    termination = Termination(reason, x.copy(), problem.phi(x))
+    grad = d = x_next = None  # x alone stays alive while phi(x) is taken
+    # x is the loop's own array (a copy of x0, or a step's fresh result)
+    termination = Termination(reason, x, problem.phi(x))
     return SolveTrace(records, termination, fingerprint)
 
 
@@ -366,12 +369,14 @@ def write_trace_csv(trace: SolveTrace, path) -> None:
 
 
 def trace_summary(trace: SolveTrace) -> dict:
-    """JSON-ready summary: termination, final values, provenance."""
+    """Summary: termination, final values, provenance. Every value is JSON-ready
+    but `final_x`, the final point's float64 array itself; the summary writer
+    renders it a chunk at a time, so no list of n Python floats is built."""
     return {
         "n_iterations": len(trace.iterations),
         "termination": {
             "reason": trace.termination.reason,
-            "final_x": trace.termination.final_x.tolist(),
+            "final_x": trace.termination.final_x,
             "final_obj": trace.termination.final_obj,
         },
         "config_fingerprint": trace.config_fingerprint,

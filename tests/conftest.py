@@ -47,10 +47,10 @@ def replay_iterates(problem, x0, trace):
 
     Trace rows keep no iterates, so this rebuilds them from the gamma column:
     x <- x + gamma_k * (x_bar_k - x) for every row but the last, with x_bar_k
-    from the same gap oracle the solver calls. The replay must land on the
-    reported final point bitwise.
+    from the out-of-place gap oracle in references.py. The replay must land
+    on the reported final point bitwise.
     """
-    from fwlab import fw_gap
+    from references import fw_gap
 
     x = np.array(x0, dtype=float)
     iterates = [x]

@@ -42,7 +42,6 @@ from fwlab import (
     beta_recursion,
     estimate_curvature,
     fit_rate,
-    fw_gap,
     make_linear,
     make_nesterov_max,
     make_power_norm,
@@ -55,6 +54,7 @@ from fwlab import (
 )
 
 from conftest import replay_iterates
+from references import fw_gap
 from scalar_recursions import polyak_recursion, polyak_sequence_bound, xu_recursion_check
 
 # interior anchor for the power-norm instances, |b| = 0.85 inside L2Ball(5, 1);

@@ -1,5 +1,6 @@
 """Command-line interface, driven in process through main(argv)."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -104,6 +105,22 @@ def test_solve_mistyped_check_field_exits_two_before_any_artifact(tmp_path, caps
       "problem": {"set": {"kind": "vertex_polytope", "vertices": np.eye(3).tolist()},
                   "objective": {"kind": "quadratic", "b": [0.0] * 3}}},
      "rule: gpa rule needs a set with a projection; vertex_polytope has none"),
+    # non-finite vector entries, which JSON's Infinity and NaN let through:
+    # an IndexError traceback from the f* projection
+    ({"problem": {"set": {"kind": "simplex", "dim": 3},
+                  "objective": {"kind": "quadratic", "b": [math.inf, 0.0, 0.0]}},
+      "checks": [{"kind": "optimum-proximity", "tol": 1e-6}]},
+     "problem.objective: 'b' contains non-finite entries"),
+    # a failure in the solve that named no field, after the output directory was made
+    ({"problem": {"set": {"kind": "simplex", "dim": 3},
+                  "objective": {"kind": "linear", "c": [math.inf, 1.0, 0.0]}}},
+     "problem.objective: 'c' contains non-finite entries"),
+    # "lower must be strictly below upper"
+    ({"problem": {"set": {"kind": "box", "dim": 3, "lower": [math.nan, 0.0, 0.0],
+                          "upper": [1.0] * 3},
+                  "objective": {"kind": "quadratic", "b": [0.0] * 3}}},
+     "problem.set: lower contains non-finite entries"),
+    ({"x0": [math.nan, 0.0, 1.0]}, "x0 contains non-finite entries"),
 ])
 def test_solve_mistyped_section_field_exits_two_before_any_artifact(tmp_path, capsys,
                                                                      over, err):

@@ -17,9 +17,10 @@ from fwlab import (
     make_quadratic,
     set_from_descriptor,
 )
-from fwlab.geometry import l2_norm
+from fwlab.geometry import _project_onto_simplex_face, l2_norm
 
 from conftest import projectable_sets, small_sets
+from references import project_onto_simplex_face
 
 TRIANGLE = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
 
@@ -134,6 +135,38 @@ def test_lmo_lands_on_listed_extreme_point_or_center(seed, which):
 
 
 # --- projections --------------------------------------------------------------
+
+_PROJECTION_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 3.0]),
+                                st.floats(-1e6, 1e6))
+
+
+def _one_hot(n: int, i: int, value: float, zero: float) -> list:
+    return [value if j == i % n else zero for j in range(n)]
+
+
+@given(st.one_of(
+    st.lists(_PROJECTION_ENTRIES, min_size=1, max_size=40),  # ties and signed zeros
+    st.builds(_one_hot, st.integers(1, 40), st.integers(0, 39), _PROJECTION_ENTRIES,
+              st.sampled_from([0.0, -0.0])),
+    st.builds(lambda n, v: [v] * n, st.integers(1, 40), _PROJECTION_ENTRIES),  # constant
+), st.sampled_from([1.0, 1.5, 1e-3, 2.5]))
+@example([1.0, 0.0, 0.0], 1.0)
+@example([-0.0, -0.0], 1.0)
+@example([0.5, 0.5, 0.5], 1.0)
+def test_simplex_projection_is_bitwise_the_out_of_place_formula(entries, total):
+    x = np.array(entries)
+    got = _project_onto_simplex_face(x, total)
+    assert got.tobytes() == project_onto_simplex_face(x, total).tobytes()
+    assert got.flags.c_contiguous and got.flags.writeable
+
+
+@pytest.mark.parametrize("x", [[math.inf, 0.0, 0.0], [math.nan, 0.0, 1.0], [math.nan] * 2])
+def test_simplex_projection_without_a_threshold_index_raises(x):
+    # an argmax over no True entry returns 0 silently, so the projection
+    # says so instead of projecting onto a wrong threshold
+    with pytest.raises(ValueError, match="no threshold index"):
+        _project_onto_simplex_face(np.array(x), 1.0)
+
 
 def test_simplex_projection_matches_grid_oracle():
     # brute-force oracle: nearest point among a fine simplex grid
@@ -287,6 +320,24 @@ def sets_of_every_kind(draw):
         lower = rng.normal(size=d).round(1)
         return Box(d, lower, lower + rng.uniform(0.1, 2.0, size=d))
     return VertexPolytope(rng.normal(size=(draw(st.integers(1, 10)), d)))
+
+
+@given(sets_of_every_kind(), st.data(), st.sampled_from([0.3, 1.0, 5.0]))
+def test_oracles_hand_out_a_fresh_writable_array(fs, data, lam):
+    # the solve row writes d = x_bar - x into the oracle's answer, so the
+    # answer must be its own: writable float64, sharing memory with neither
+    # the cost vector nor the set's data
+    c = np.array(data.draw(st.lists(_COST_ENTRIES, min_size=fs.dimension,
+                                    max_size=fs.dimension), label="c"))
+    held = [c] + [v for v in vars(fs).values() if isinstance(v, np.ndarray)]
+    with np.errstate(all="ignore"):  # inf and NaN costs
+        answers = [fs.lmo(c)]
+        if not isinstance(fs, VertexPolytope):  # no composite oracle
+            answers.append(fs.lmo_l1(c, lam))
+    for x_bar in answers:
+        assert x_bar.flags.writeable
+        assert x_bar.dtype == np.float64 and x_bar.shape == (fs.dimension,)
+        assert not any(np.shares_memory(x_bar, v) for v in held)
 
 
 @given(sets_of_every_kind(), st.data())

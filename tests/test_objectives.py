@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from fwlab import (
 from fwlab.stepsize import line_search_quadratic_exact
 
 from conftest import fd_grad
+from references import project_onto_simplex_face
 
 
 def estimate_holder_constant(obj, feasible_set, nu: float, n_pairs: int, seed: int) -> float:
@@ -60,6 +63,37 @@ def test_quadratic_records_projected_optimum():
     assert np.allclose(f.x_star, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
     assert f.f_star == pytest.approx(1.0 / 6.0, abs=1e-12)
     assert f.holder.nu == 1.0 and f.holder.const == 1.0
+
+
+def test_simplex_optimum_holds_under_three_and_a_half_n_vectors():
+    n = 100_000
+    b = np.random.default_rng(0).standard_normal(n)
+    f = make_quadratic(b, Simplex(n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f_star = f.f_star
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the sorted copy, its cumulative sums and the quotient that becomes x*
+    # (about five n-vectors when each step made a new array)
+    assert peak < 3.5 * 8 * n
+    want = project_onto_simplex_face(b, 1.0)
+    assert f.x_star.tobytes() == want.tobytes()
+    assert np.float64(f_star).tobytes() == np.float64(f.value(want)).tobytes()
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda v, fs: make_quadratic(v, fs), "'b'"),
+    (lambda v, fs: make_power_norm(1.5, v, fs), "'b'"),
+    (lambda v, fs: make_linear(v, fs), "'c'"),
+    (lambda v, fs: make_quadratic(v), "'b'"),
+], ids=["quadratic", "power_norm", "linear", "quadratic_without_a_set"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_objective_data_must_be_finite(make, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+        make([bad, 1.0, 0.0], Simplex(3))
 
 
 _DOT_ENTRIES = st.one_of(st.floats(-1e6, 1e6),

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fwlab.runner
-from fwlab import Problem, Simplex, checks, config_fingerprint, make_quadratic
+from fwlab import checks, config_fingerprint
 from fwlab.config import parse_spec
 from fwlab.runner import _indented_pieces, _write_bounds_csv, compare, reproduce, run_experiment
 from fwlab.solver import (
@@ -236,12 +236,15 @@ def test_streamed_canonical_json_matches_the_one_shot_rendering(n):
     want = canon_text(v.tolist())
     for form in (v, v.tolist(), tuple(v.tolist()), v[::-1][::-1]):
         assert _canonical(form).encode() == want.encode()
-    # as the fingerprint hashes it: array descriptors and x0 against lists
-    problem = Problem(Simplex(n), make_quadratic(v))
+    # as the fingerprint hashes it: array descriptors and x0 against lists;
+    # the problem descriptor is written out, since an objective rejects
+    # non-finite data
+    problem_desc = {"composite": None, "objective": {"b": v, "kind": "quadratic"},
+                    "set": {"dim": n, "kind": "simplex"}}
     desc = {"problem": {"composite": None, "objective": {"b": v.tolist(), "kind": "quadratic"},
                         "set": {"dim": n, "kind": "simplex"}},
             "rule": {"c": 2.0}, "x0": v.tolist(), "stop": {"max_iter": 1}, "seed": 7}
-    assert config_fingerprint(problem.descriptor(), {"c": 2.0}, v, {"max_iter": 1}, 7) \
+    assert config_fingerprint(problem_desc, {"c": 2.0}, v, {"max_iter": 1}, 7) \
         == hashlib.sha256(canon_text(desc).encode()).hexdigest()
 
 
@@ -261,6 +264,11 @@ def test_streamed_summary_json_matches_the_stdlib(n):
     for value in (v, tuple(v), mixed, {"final_x": v, "spec": [{"b": mixed}, v[:2]]}):
         want = json.dumps(value, indent=2, sort_keys=True)
         assert _indented(value).encode() == want.encode()
+    # the float64 array itself, as trace_summary hands out final_x, renders as its list
+    array = np.array(v)
+    assert _indented(array).encode() == json.dumps(v, indent=2).encode()
+    assert _indented({"final_x": array, "n": n}).encode() == \
+        json.dumps({"final_x": v, "n": n}, indent=2, sort_keys=True).encode()
 
 
 @pytest.mark.parametrize("n", CHUNK_LENGTHS)

@@ -21,7 +21,6 @@ from fwlab import (
     Simplex,
     StopRule,
     config_fingerprint,
-    fw_gap,
     line_search,
     make_linear,
     make_nesterov_max,
@@ -37,10 +36,10 @@ from fwlab.solver import (
     REASON_MAX_ITER,
     TRACE_CSV_COLUMNS,
     _canonical_pieces,
-    _gap,
 )
 
 from conftest import canon_text, json_floats, json_values, replay_iterates
+from references import fw_gap, gap_parts
 
 
 def _simplex_quadratic(n=3):
@@ -103,10 +102,10 @@ def test_fingerprint_is_rendered_before_the_loop_allocates_a_row():
     # n-vector, whatever n is
     assert peak_bytes(lambda: config_fingerprint(
         problem.descriptor(), rule.descriptor(), x0, stop.descriptor(), None)) < vector
-    # the loop holds x, the gradient, the oracle answer, the direction and the
-    # next iterate, plus a temporary; the fingerprint, rendered first, adds
-    # nothing on top of them
-    assert peak_bytes(lambda: solve(problem, rule, x0=x0, stop=stop)) < 7 * vector
+    # an open-loop row holds x, the direction (written into the oracle's
+    # answer) and the next iterate, six n-vectors when each step made a new
+    # array; the fingerprint, rendered first, adds nothing on top of them
+    assert peak_bytes(lambda: solve(problem, rule, x0=x0, stop=stop)) < 3.5 * vector
 
 
 def test_trace_columns_are_built_once_and_read_only():
@@ -326,7 +325,7 @@ def test_gap_is_bitwise_the_product_with_x_minus_x_bar(kind, entries, at_x_bar, 
     if composite is not None:
         g_x = composite.value(x)
         want = want + g_x - composite.value(x_bar)
-    gap, got_bar, d = _gap(problem, x, grad, g_x)
+    gap, got_bar, d = gap_parts(problem, x, grad, g_x)
     assert type(gap) is float
     assert np.float64(gap).tobytes() == np.float64(want).tobytes()
     assert got_bar.tobytes() == x_bar.tobytes()
