@@ -229,38 +229,68 @@ def _canonical_pieces(v, vector=_vector_text):
         yield json.dumps(v)
 
 
+def _gap(problem: Problem, x: Vector, grad: Vector,
+         g_x: float | None) -> tuple[float, Vector]:
+    """The gap <grad, x - x_bar> (+ g(x) - g(x_bar)) at x, given g_x = g(x), and
+    the direction d = x_bar - x, written into the array the oracle returned.
+
+    g(x_bar) is taken before d overwrites x_bar. x - x_bar is -d elementwise, so
+    <grad, x - x_bar> is -<grad, d>; `0.0 -` turns a zero of either sign into
+    +0.0, which is what <grad, x - x_bar> gives.
+    """
+    composite = problem.composite
+    if composite is None:
+        d = problem.feasible_set.lmo(grad)
+        np.subtract(d, x, out=d)
+        return 0.0 - float(grad.dot(d)), d
+    d = problem.feasible_set.lmo_l1(grad, composite.lam)
+    g_bar = composite.value(d)
+    np.subtract(d, x, out=d)
+    return (0.0 - float(grad.dot(d))) + g_x - g_bar, d
+
+
 def _step_toward(x: Vector, gamma: float, d: Vector) -> Vector:
-    """x + gamma * d, bit for bit, held in the one new array gamma * d."""
-    x_next = gamma * d
-    return np.add(x, x_next, out=x_next)
+    """x + gamma * d, bit for bit, written into d."""
+    np.multiply(d, gamma, out=d)
+    return np.add(x, d, out=d)
 
 
 def _stepper(problem: Problem, rule: StepsizeRule, max_iter: int
-             ) -> tuple[Callable[[int, Vector, Vector | None, Vector], tuple[float, Vector]],
-                        bool]:
+             ) -> Callable[[int, Vector, Vector, Vector], tuple[float, Vector]]:
     """`advance(k, x, grad, d)`: the step the rule takes and x_{k+1}, given x_k,
     the gradient at x_k and the direction d_k = x_bar_k - x_k to the
-    linear-subproblem minimizer; and whether advance reads the gradient (an
-    open-loop step does not, so the row drops it first)."""
+    linear-subproblem minimizer. A Frank-Wolfe step writes x_{k+1} into d."""
     if isinstance(rule, ProjectedGradient):
         step, project = rule.step, problem.feasible_set.project
-        return (lambda k, x, grad, d: (step, project(x - step * grad))), True
+        return lambda k, x, grad, d: (step, project(x - step * grad))
     if not isinstance(rule, LineSearch):
         gammas = schedule_values(rule, max_iter).tolist()
-        return (lambda k, x, grad, d: (gammas[k], _step_toward(x, gammas[k], d))), False
+        return lambda k, x, grad, d: (gammas[k], _step_toward(x, gammas[k], d))
     # the closed form minimizes f alone, so it serves only when phi = f
     segment_min = problem.objective.segment_min if problem.composite is None else None
+    # every trial point x + t * d of every row is written into one array, made
+    # at the first trial: it then sits above the first row's vectors, and the
+    # short-lived vectors of later rows fit in the holes below it instead of
+    # growing the heap top that the allocator hands back at each row's end
+    point = None
+
+    def phi_along(x: Vector, d: Vector, t: float) -> float:
+        nonlocal point
+        if point is None:
+            point = np.empty_like(x)
+        np.multiply(d, t, out=point)
+        return problem.phi(np.add(x, point, out=point))
 
     def searched(k: int, x: Vector, grad: Vector, d: Vector) -> tuple[float, Vector]:
         gamma_star = None if segment_min is None else segment_min(x, d, grad)
         try:
-            gamma_k = line_search(lambda t: problem.phi(x + t * d),
+            gamma_k = line_search(lambda t: phi_along(x, d, t),
                                   rule.tol, rule.max_evals, gamma_star)
         except ValueError as exc:
             raise ValueError(f"line search failed at iteration {k}: {exc}") from exc
         return gamma_k, _step_toward(x, gamma_k, d)
 
-    return searched, segment_min is not None
+    return searched
 
 
 def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
@@ -279,9 +309,10 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
     only the config fingerprint; the loop itself draws no randomness.
 
     A row works in place where the arithmetic allows it: d = x_bar - x is
-    written into the fresh array the oracle returned, x_{k+1} - x then into
-    d, and an open-loop row drops the gradient before it steps. So it holds
-    three n-vectors (x, d and x_{k+1}), each value the same bits as the
+    written into the fresh array the oracle returned and a Frank-Wolfe step
+    writes x_{k+1} into d, so an open-loop row holds three n-vectors (x, the
+    gradient and d, then x, d and x_{k+1} - x), and a line search writes its
+    trial points into one more. Each value is the same bits as the
     out-of-place expression.
     """
     rule.validate(problem, stop)
@@ -294,9 +325,9 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
                                          stop.descriptor(), seed)
     except ValueError:
         fingerprint = ""  # objective not expressible as a descriptor
-    advance, uses_grad = _stepper(problem, rule, stop.max_iter)
+    advance = _stepper(problem, rule, stop.max_iter)
 
-    feasible_set, composite = problem.feasible_set, problem.composite
+    composite = problem.composite
     g_x = None
     records: list[IterationRecord] = []
     for k in range(stop.max_iter + 1):
@@ -308,18 +339,7 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
         if not math.isfinite(obj_k):
             raise ValueError(f"objective value is not finite at iteration {k}: {obj_k}")
         grad = problem.objective.grad(x)
-        # the gap <grad, x - x_bar> (+ g(x) - g(x_bar)), with g(x_bar) taken
-        # before d = x_bar - x overwrites x_bar; x - x_bar is -d elementwise,
-        # and `0.0 -` turns a zero of either sign into +0.0, as that product gives
-        if composite is None:
-            d = feasible_set.lmo(grad)
-        else:
-            d = feasible_set.lmo_l1(grad, composite.lam)
-            g_bar = composite.value(d)
-        np.subtract(d, x, out=d)
-        gap_k = 0.0 - float(grad.dot(d))
-        if composite is not None:
-            gap_k = gap_k + g_x - g_bar
+        gap_k, d = _gap(problem, x, grad, g_x)
 
         if stop.gap_tol > 0 and gap_k <= stop.gap_tol:
             records.append(IterationRecord(k, obj_k, gap_k, 0.0, 0.0))
@@ -330,12 +350,9 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
             reason = REASON_MAX_ITER
             break
 
-        if not uses_grad:
-            grad = None
         gamma_k, x_next = advance(k, x, grad, d)
-        grad = None
-        step_norm = l2_norm(np.subtract(x_next, x, out=d))
-        d = None
+        grad = d = None
+        step_norm = l2_norm(x_next - x)
         records.append(IterationRecord(k, obj_k, gap_k, gamma_k, step_norm))
         # equal iterates step by 0 (NaN where both hold the same infinity),
         # so a positive step skips the elementwise comparison

@@ -42,20 +42,27 @@ def projectable_sets():
     return [s for s in small_sets() if type(s).__name__ != "VertexPolytope"]
 
 
+def fw_gap(problem, x):
+    """The gap certificate at x and the direction d = x_bar - x, as a solve row
+    takes them; for convex problems the gap bounds the suboptimality at x."""
+    from fwlab.solver import _gap
+
+    g_x = None if problem.composite is None else problem.composite.value(x)
+    return _gap(problem, x, problem.objective.grad(x), g_x)
+
+
 def replay_iterates(problem, x0, trace):
     """The iterates x_0, x_1, ... behind a projection-free trace, one per row.
 
     Trace rows keep no iterates, so this rebuilds them from the gamma column:
-    x <- x + gamma_k * (x_bar_k - x) for every row but the last, with x_bar_k
-    from the out-of-place gap oracle in references.py. The replay must land
-    on the reported final point bitwise.
+    x <- x + gamma_k * d_k for every row but the last, with d_k = x_bar_k - x
+    from the solver's own gap step. The replay must land on the reported final
+    point bitwise.
     """
-    from references import fw_gap
-
     x = np.array(x0, dtype=float)
     iterates = [x]
     for rec in trace.iterations[:-1]:
-        x = x + rec.gamma * (fw_gap(problem, x)[1] - x)
+        x = x + rec.gamma * fw_gap(problem, x)[1]
         iterates.append(x)
     assert np.array_equal(x, trace.termination.final_x)
     return iterates

@@ -1,38 +1,10 @@
 """Out-of-place forms of what fwlab computes in place.
 
-The solve row writes the direction d = x_bar - x into the oracle's own array,
-and the simplex projection reuses its buffers. These keep the plain
-expressions they replaced; tests require the package to match them bit for
-bit. Nothing in the package reads them.
+The simplex projection behind f* reuses its buffers; this keeps the plain
+sort-and-threshold expression it replaced, and tests require the package to
+match it bit for bit. Nothing in the package reads it.
 """
 import numpy as np
-
-
-def gap_parts(problem, x, grad, g_x):
-    """The gap, x_bar and the direction d = x_bar - x, given g_x = g(x).
-
-    x - x_bar is -d elementwise, so <grad, x - x_bar> is -<grad, d>; `0.0 -`
-    turns a zero of either sign into +0.0, which is what <grad, x - x_bar> gives.
-    """
-    composite = problem.composite
-    if composite is None:
-        x_bar = problem.feasible_set.lmo(grad)
-        d = x_bar - x
-        return 0.0 - float(grad.dot(d)), x_bar, d
-    x_bar = problem.feasible_set.lmo_l1(grad, composite.lam)
-    d = x_bar - x
-    return (0.0 - float(grad.dot(d))) + g_x - composite.value(x_bar), x_bar, d
-
-
-def fw_gap(problem, x):
-    """Gap certificate at x: <grad, x - x_bar> (+ g(x) - g(x_bar) when composite),
-    and x_bar, the linear-subproblem minimizer.
-
-    For convex problems the gap bounds the current suboptimality from above.
-    """
-    g_x = None if problem.composite is None else problem.composite.value(x)
-    gap, x_bar, _ = gap_parts(problem, x, problem.objective.grad(x), g_x)
-    return gap, x_bar
 
 
 def project_onto_simplex_face(x, total):

@@ -53,8 +53,7 @@ from fwlab import (
     trace_to_csv,
 )
 
-from conftest import replay_iterates
-from references import fw_gap
+from conftest import fw_gap, replay_iterates
 from scalar_recursions import polyak_recursion, polyak_sequence_bound, xu_recursion_check
 
 # interior anchor for the power-norm instances, |b| = 0.85 inside L2Ball(5, 1);

@@ -36,10 +36,10 @@ from fwlab.solver import (
     REASON_MAX_ITER,
     TRACE_CSV_COLUMNS,
     _canonical_pieces,
+    _gap,
 )
 
-from conftest import canon_text, json_floats, json_values, replay_iterates
-from references import fw_gap, gap_parts
+from conftest import canon_text, fw_gap, json_floats, json_values, replay_iterates
 
 
 def _simplex_quadratic(n=3):
@@ -102,9 +102,10 @@ def test_fingerprint_is_rendered_before_the_loop_allocates_a_row():
     # n-vector, whatever n is
     assert peak_bytes(lambda: config_fingerprint(
         problem.descriptor(), rule.descriptor(), x0, stop.descriptor(), None)) < vector
-    # an open-loop row holds x, the direction (written into the oracle's
-    # answer) and the next iterate, six n-vectors when each step made a new
-    # array; the fingerprint, rendered first, adds nothing on top of them
+    # an open-loop row holds x, the gradient and the direction, written into
+    # the oracle's answer and then holding the next iterate: six n-vectors
+    # when each step made a new array; the fingerprint, rendered first, adds
+    # nothing on top of them
     assert peak_bytes(lambda: solve(problem, rule, x0=x0, stop=stop)) < 3.5 * vector
 
 
@@ -273,18 +274,22 @@ def test_line_search_failure_carries_iteration_context():
 def test_gap_certifies_suboptimality_on_convex_problems():
     problem = _simplex_quadratic(4)
     x = np.array([0.4, 0.3, 0.2, 0.1])
-    gap, x_bar = fw_gap(problem, x)
+    gap, d = fw_gap(problem, x)
+    x_bar = problem.feasible_set.lmo(problem.objective.grad(x))
     f_star = 1.0 / 8.0
     assert gap >= problem.objective.value(x) - f_star - 1e-12
     assert problem.feasible_set.contains(x_bar, 1e-9)
+    assert d.tobytes() == (x_bar - x).tobytes()
 
 
 def test_composite_gap_includes_the_nonsmooth_part():
     fs = Box(2, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     problem = Problem(fs, make_quadratic(np.array([0.9, -0.4])), CompositePart(0.5))
     x = np.array([1.0, 1.0])
-    gap, x_bar = fw_gap(problem, x)
+    gap, d = fw_gap(problem, x)
     grad = problem.objective.grad(x)
+    x_bar = fs.lmo_l1(grad, 0.5)
+    assert d.tobytes() == (x_bar - x).tobytes()
     expected = float(grad @ (x - x_bar)) + problem.composite.value(x) \
         - problem.composite.value(x_bar)
     assert gap == pytest.approx(expected, abs=1e-15)
@@ -325,11 +330,13 @@ def test_gap_is_bitwise_the_product_with_x_minus_x_bar(kind, entries, at_x_bar, 
     if composite is not None:
         g_x = composite.value(x)
         want = want + g_x - composite.value(x_bar)
-    gap, got_bar, d = gap_parts(problem, x, grad, g_x)
+    x_arg, grad_arg = x.copy(), grad.copy()
+    gap, d = _gap(problem, x, grad, g_x)
     assert type(gap) is float
     assert np.float64(gap).tobytes() == np.float64(want).tobytes()
-    assert got_bar.tobytes() == x_bar.tobytes()
     assert d.tobytes() == (x_bar - x).tobytes()
+    # d is written into the oracle's answer, never into an argument
+    assert x.tobytes() == x_arg.tobytes() and grad.tobytes() == grad_arg.tobytes()
 
 
 def test_composite_rows_evaluate_g_once_at_the_iterate(monkeypatch):
