@@ -24,15 +24,14 @@ from .stepsize import (
     DHRecursion,
     Harmonic,
     LineSearch,
+    OpenLoop,
     Power,
     ProjectedGradient,
     StepsizeRule,
     dh_envelope_holds,
-    is_open_loop,
     line_search,
     line_search_quadratic_exact,
     rule_from_descriptor,
-    schedule_values,
 )
 from .solver import (
     Problem,

@@ -17,7 +17,7 @@ import numpy as np
 from .geometry import FeasibleSet, Vector
 from .objectives import Objective
 from .schema import Count, Descriptor, Positive
-from .stepsize import StepsizeRule, is_open_loop, schedule_values
+from .stepsize import OpenLoop, StepsizeRule
 from .solver import SolveTrace
 
 # 13 log-spaced points on [1e-3, 10^-0.5] plus gamma = 1: small gammas probe
@@ -311,12 +311,12 @@ BOUND_KINDS = {cls.kind: cls for cls in (HarmonicClassic, LineSearchOrderSigma,
 
 def beta_recursion(rule: StepsizeRule, sigma: float, K: int) -> np.ndarray:
     """beta_0..beta_K of beta_{k+1} = (1-gamma_k)*beta_k + gamma_k^sigma, beta_0=1."""
-    if not is_open_loop(rule):
+    if not isinstance(rule, OpenLoop):
         raise ValueError(f"{type(rule).__name__} is not an open-loop rule")
     check_sigma(sigma)
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    gam = schedule_values(rule, K - 1)
+    gam = rule.values(K - 1)
     out = np.empty(K + 1)
     b = 1.0
     out[0] = b

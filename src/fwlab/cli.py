@@ -30,7 +30,7 @@ from .cases import CASE_NAMES
 from .checks import CheckResult
 from .config import ExperimentSpec, build_problem, load_spec
 from .runner import ExperimentReport, compare, reproduce, run_experiment
-from .stepsize import DHRecursion, dh_envelope_holds, is_open_loop, rule_from_descriptor
+from .stepsize import DHRecursion, OpenLoop, dh_envelope_holds, rule_from_descriptor
 
 
 def _usage_error(msg: str) -> SystemExit:
@@ -143,7 +143,7 @@ def _parse_rule_string(text: str) -> dict:
 def _cmd_validate_schedule(args) -> int:
     desc = _parse_rule_string(args.rule)
     rule = rule_from_descriptor(desc)
-    if not is_open_loop(rule):
+    if not isinstance(rule, OpenLoop):
         raise _usage_error(f"{desc['kind']!r} is not an open-loop schedule")
     if args.horizon < 10:
         raise _usage_error(f"horizon must be >= 10, got {args.horizon}")

@@ -155,8 +155,8 @@ class L1Ball(FeasibleSet):
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
 
     def lmo(self, c: Vector) -> Vector:
         i = int(np.abs(c).argmax())
@@ -214,8 +214,8 @@ class L2Ball(FeasibleSet):
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
 
     def lmo(self, c: Vector) -> Vector:
         n = l2_norm(c)

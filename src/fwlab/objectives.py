@@ -15,6 +15,7 @@ apply to it (it records no smoothness constant).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,8 +84,8 @@ class CompositePart:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"l1 weight must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"l1 weight must be finite and positive, got {self.lam}")
 
     def value(self, x: Vector) -> float:
         return self.lam * float(np.abs(x).sum())

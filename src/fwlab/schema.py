@@ -8,11 +8,14 @@ A `Descriptor` subclass reads its annotated fields through the same `read`.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # type name: (the Python types a value may have, what errors call it, its range)
-_TYPES = {"float": ((int, float), "a number", None), "int": (int, "an integer", None),
-          "Positive": ((int, float), "a positive number", lambda v: v > 0),
+_TYPES = {"float": ((int, float), "a finite number", lambda v: -math.inf < v < math.inf),
+          "int": (int, "an integer", None),
+          "Positive": ((int, float), "a finite positive number", lambda v: 0 < v < math.inf),
           "Fraction": ((int, float), "a number in (0, 1]", lambda v: 0 < v <= 1),
           "Count": (int, "a positive integer", lambda v: v >= 1),
           "bool": (bool, "a boolean", None), "object": (dict, "an object", None),
@@ -79,7 +82,7 @@ def build(desc, kinds: dict, what: str, **args):
 # Names for the field types of a `Descriptor`'s annotations. A field's
 # annotation names its type above, or its class's `nested` table parses it;
 # `T | None = None` marks an optional field with no default value.
-Positive = float  # a number > 0
+Positive = float  # a finite number > 0
 Count = int  # an integer >= 1
 Fraction = float  # a number in (0, 1]
 Vector = list  # a flat list of numbers

@@ -11,22 +11,37 @@ objective can be kinked, so derivative methods are out).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable
 
 import numpy as np
 
-from .geometry import VertexPolytope
+from .geometry import Vector, VertexPolytope
 from .schema import build
 
 
-class _AnyProblem:
+class StepsizeRule:
+    """A stepsize rule: a frozen dataclass whose fields are its spec's, under
+    the class's `kind`."""
+
+    kind = ""
+
     def validate(self, problem, stop) -> None:
         """Every problem and stop rule suit a Frank-Wolfe step; nothing to check."""
 
+    def descriptor(self) -> dict:
+        # values as the spec gave them: an int step stays an int
+        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+
+def step_toward(x: Vector, gamma: float, d: Vector) -> Vector:
+    """x + gamma * d, bit for bit, written into d."""
+    np.multiply(d, gamma, out=d)
+    return np.add(x, d, out=d)
+
 
 @dataclass(frozen=True)
-class LineSearch(_AnyProblem):
+class LineSearch(StepsizeRule):
     """gamma_k minimizes the objective on the segment [x_k, x_bar_k].
 
     `tol` (final bracket width) and `max_evals` (objective evaluations per
@@ -34,6 +49,7 @@ class LineSearch(_AnyProblem):
     minimizer always costs three evaluations.
     """
 
+    kind = "line_search"
     tol: float = 1e-10
     max_evals: int = 200
 
@@ -43,28 +59,43 @@ class LineSearch(_AnyProblem):
         if self.max_evals < 2:
             raise ValueError(f"max_evals must be >= 2, got {self.max_evals}")
 
-    def descriptor(self) -> dict:
-        return {"kind": "line_search", "tol": self.tol, "max_evals": self.max_evals}
+
+class OpenLoop(StepsizeRule):
+    """A predetermined schedule: a subclass gives gamma_k as `gamma(k)`, which
+    takes a float k or an array of them alike."""
+
+    def values(self, upto: int) -> np.ndarray:
+        """The stepsizes for k = 0..upto inclusive."""
+        if upto < 0:
+            raise ValueError(f"horizon must be >= 0, got {upto}")
+        return self.gamma(np.arange(upto + 1, dtype=float))
+
+    def stepper(self, problem, max_iter: int):
+        """`advance(k, x, grad, d)`: gamma_k and x_{k+1}, written into d."""
+        gammas = self.values(max_iter).tolist()
+        return lambda k, x, grad, d: (gammas[k], step_toward(x, gammas[k], d))
 
 
 @dataclass(frozen=True)
-class Harmonic(_AnyProblem):
+class Harmonic(OpenLoop):
     """gamma_k = c/(k+c), c >= 1. c=2 is the classic 2/(k+2) schedule."""
 
+    kind = "harmonic"
     c: float
 
     def __post_init__(self):
-        if not self.c >= 1:
-            raise ValueError(f"harmonic offset must be >= 1, got {self.c}")
+        if not 1 <= self.c < math.inf:
+            raise ValueError(f"harmonic offset must be finite and >= 1, got {self.c}")
 
-    def descriptor(self) -> dict:
-        return {"kind": "harmonic", "c": self.c}
+    def gamma(self, k):
+        return self.c / (k + self.c)
 
 
 @dataclass(frozen=True)
-class Power(_AnyProblem):
+class Power(OpenLoop):
     """gamma_k = gamma0/(k+1)^p with gamma0, p in (0,1]."""
 
+    kind = "power"
     gamma0: float
     p: float
 
@@ -74,12 +105,12 @@ class Power(_AnyProblem):
         if not 0 < self.p <= 1:
             raise ValueError(f"exponent must lie in (0,1], got {self.p}")
 
-    def descriptor(self) -> dict:
-        return {"kind": "power", "gamma0": self.gamma0, "p": self.p}
+    def gamma(self, k):
+        return self.gamma0 / (k + 1.0) ** self.p
 
 
 @dataclass(frozen=True)
-class DHRecursion(_AnyProblem):
+class DHRecursion(OpenLoop):
     """gamma_{k+1} = gamma_k/(1+gamma_k) from gamma0 in (0,1].
 
     Implemented through the closed form gamma_k = gamma0/(gamma0*k + 1), which
@@ -90,22 +121,24 @@ class DHRecursion(_AnyProblem):
     because gamma0*k <= k and IEEE +,*,/ are correctly rounded and monotone.
     """
 
+    kind = "dh_recursion"
     gamma0: float
 
     def __post_init__(self):
         if not 0 < self.gamma0 <= 1:
             raise ValueError(f"gamma0 must lie in (0,1], got {self.gamma0}")
 
-    def descriptor(self) -> dict:
-        return {"kind": "dh_recursion", "gamma0": self.gamma0}
+    def gamma(self, k):
+        return self.gamma0 / (self.gamma0 * k + 1.0)
 
 
 @dataclass(frozen=True)
-class ProjectedGradient:
+class ProjectedGradient(StepsizeRule):
     """The projected-gradient baseline x_{k+1} = P(x_k - step*grad(x_k)), not a
     Frank-Wolfe rule. `step` is kept as the spec gave it, so the descriptor
     (and the fingerprint) echoes it unchanged."""
 
+    kind = "gpa"
     step: float
 
     def __post_init__(self):
@@ -129,17 +162,10 @@ class ProjectedGradient:
         if stop.gap_tol:
             raise ValueError("gpa rule ignores gap_tol; leave it 0")
 
-    def descriptor(self) -> dict:
-        return {"kind": "gpa", "step": self.step}
-
-
-StepsizeRule = Union[LineSearch, Harmonic, Power, DHRecursion, ProjectedGradient]
-
-_OPEN_LOOP = (Harmonic, Power, DHRecursion)
-
-
-def is_open_loop(rule: StepsizeRule) -> bool:
-    return isinstance(rule, _OPEN_LOOP)
+    def stepper(self, problem, max_iter: int):
+        """`advance(k, x, grad, d)`: the step and x_{k+1} = P(x_k - step * grad)."""
+        step, project = self.step, problem.feasible_set.project
+        return lambda k, x, grad, d: (step, project(x - step * grad))
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio conjugate, ~0.618
@@ -209,39 +235,22 @@ def line_search_quadratic_exact(a: float, b: float) -> float:
     return min(1.0, max(0.0, -a / b))
 
 
-def schedule_values(rule: StepsizeRule, upto: int) -> np.ndarray:
-    """The stepsizes of an open-loop rule for k = 0..upto inclusive."""
-    if upto < 0:
-        raise ValueError(f"horizon must be >= 0, got {upto}")
-    k = np.arange(upto + 1, dtype=float)
-    if isinstance(rule, Harmonic):
-        return rule.c / (k + rule.c)
-    if isinstance(rule, Power):
-        return rule.gamma0 / (k + 1.0) ** rule.p
-    if isinstance(rule, DHRecursion):
-        return rule.gamma0 / (rule.gamma0 * k + 1.0)
-    raise ValueError(f"{type(rule).__name__} has no schedule; stepsizes come from the search")
-
-
 def dh_envelope_holds(rule: DHRecursion, horizon: int) -> bool:
     """Exact envelope gamma0/(k+1) <= gamma_k <= gamma0/(gamma0*k+1) of the DH
     rule for every k <= horizon, compared with no tolerance."""
     if horizon < 10:
         raise ValueError(f"horizon must be >= 10, got {horizon}")
-    g = schedule_values(rule, horizon)
+    g = rule.values(horizon)
     k = np.arange(horizon + 1, dtype=float)
     lower = rule.gamma0 / (k + 1.0)
     upper = rule.gamma0 / (rule.gamma0 * k + 1.0)
     return bool(np.all(lower <= g) and np.all(g <= upper))
 
 
-_RULE_KINDS = {
-    "line_search": (LineSearch, {"tol": "float | None", "max_evals": "int | None"}),
-    "harmonic": (Harmonic, {"c": "float"}),
-    "power": (Power, {"gamma0": "float", "p": "float"}),
-    "dh_recursion": (DHRecursion, {"gamma0": "float"}),
-    "gpa": (ProjectedGradient, {"step": "float"}),
-}
+# kind -> (class, {field: type}); a field with a default may be omitted
+_RULE_KINDS = {cls.kind: (cls, {f.name: f.type + (" | None" if f.default is not MISSING else "")
+                                for f in fields(cls)})
+               for cls in (LineSearch, Harmonic, Power, DHRecursion, ProjectedGradient)}
 
 
 def rule_from_descriptor(desc: dict) -> StepsizeRule:

@@ -48,7 +48,6 @@ from fwlab import (
     make_quadratic,
     make_t_alpha,
     probe_curvature_divergence,
-    schedule_values,
     solve,
     trace_to_csv,
 )
@@ -226,7 +225,7 @@ def test_criterion_08_rational_decay_schedule_sits_in_its_envelope():
     t0 = time.perf_counter()
     ok = True
     for gamma0 in (0.1, 0.5, 1.0):
-        gammas = schedule_values(DHRecursion(gamma0), upto=100_000)
+        gammas = DHRecursion(gamma0).values(upto=100_000)
         ks = np.arange(gammas.size, dtype=float)
         ok = ok and bool(np.all(gammas >= gamma0 / (ks + 1.0)))
         ok = ok and bool(np.all(gammas <= gamma0 / (gamma0 * ks + 1.0)))

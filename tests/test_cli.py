@@ -121,6 +121,16 @@ def test_solve_mistyped_check_field_exits_two_before_any_artifact(tmp_path, caps
                   "objective": {"kind": "quadratic", "b": [0.0] * 3}}},
      "problem.set: lower contains non-finite entries"),
     ({"x0": [math.nan, 0.0, 1.0]}, "x0 contains non-finite entries"),
+    # non-finite scalar fields: "objective value is not finite at iteration 0",
+    # "x0 is not feasible" and NaN steps, each naming no field
+    ({"problem": {"set": {"kind": "box", "dim": 3, "lower": [-1.0] * 3, "upper": [1.0] * 3},
+                  "objective": {"kind": "quadratic", "b": [0.0] * 3},
+                  "composite": {"kind": "l1", "lam": math.inf}}},
+     "problem.composite: 'lam' must be a finite number, got inf"),
+    ({"problem": {"set": {"kind": "l2_ball", "dim": 3, "radius": math.inf},
+                  "objective": {"kind": "quadratic", "b": [0.0] * 3}}},
+     "problem.set: 'radius' must be a finite number, got inf"),
+    ({"rule": {"kind": "harmonic", "c": math.inf}}, "rule: 'c' must be a finite number, got inf"),
 ])
 def test_solve_mistyped_section_field_exits_two_before_any_artifact(tmp_path, capsys,
                                                                      over, err):
@@ -262,8 +272,8 @@ def test_validate_schedule_reports_exact_envelope(capsys):
 
 def test_schedule_checks_fail_when_a_step_leaves_the_envelope(monkeypatch, capsys):
     # one ulp above the closed form is above the upper envelope it equals
-    exact = stepsize.schedule_values
-    monkeypatch.setattr(stepsize, "schedule_values",
+    exact = stepsize.DHRecursion.values
+    monkeypatch.setattr(stepsize.DHRecursion, "values",
                         lambda rule, upto: np.nextafter(exact(rule, upto), 2))
     desc = {"kind": "schedule-bounds", "gamma0s": [0.5], "horizon": 100}
     result = checks.evaluate_check(checks.parse_check(desc), checks.CheckContext(None, None))

@@ -1,5 +1,6 @@
 """Spec parsing, materialization, validation, and fingerprint stability."""
 import json
+import math
 import re
 import tracemalloc
 
@@ -314,8 +315,8 @@ def test_validate_rejects_final_x_of_the_wrong_dimension():
 # One valid descriptor per check kind (and per bound and assemble shape), all
 # validated against a composite box problem, which every kind accepts. Each
 # field of each, nested ones included, is fed a string, null and a bool (an
-# int for a bool field, and also a float for an integer field); validation
-# must reject every one and name the field.
+# int for a bool field, also a float for an integer field, and an infinity and
+# NaN for a number field); validation must reject every one and name the field.
 _VALID_CHECKS = [
     {"kind": "monotonicity", "tol": 1e-12},
     {"kind": "bound-domination", "opt": 0.0, "k_min": 1, "tol_add": 0.0, "tol_rel": 0.0,
@@ -374,6 +375,8 @@ def _mistyped_checks():
             bads = ["x", None, 1 if isinstance(good, bool) else True]
             if type(good) is int:
                 bads.append(1.5)  # an integer field takes no float
+            if type(good) in (int, float):
+                bads += [math.inf, math.nan]  # JSON's Infinity and NaN
             for bad in bads:
                 yield pytest.param(desc, _with(desc, path, bad), path[-1],
                                    id=f"{desc['kind']}-{'.'.join(path)}={bad!r}")
@@ -417,9 +420,10 @@ def test_validate_rejects_a_mistyped_check_field_by_name(valid, check, field):
 
 # One valid descriptor per rule, set, objective and composite kind, and the
 # stop rule, each as (section, descriptor, the problem it runs on). Each field
-# of each is fed a string, null and a bool (and a float for an integer
-# field), and each descriptor one unknown field; validation must reject
-# every one, naming the spec, the section and the field.
+# of each is fed a string, null and a bool (a float for an integer field, and
+# an infinity and NaN for a number field), and each descriptor one unknown
+# field; validation must reject every one, naming the spec, the section and
+# the field.
 _SIMPLEX = {"kind": "simplex", "dim": 3}
 _QUADRATIC = {"kind": "quadratic", "b": [0.0, 0.0, 0.0]}
 _VALID_SECTIONS = [
@@ -465,6 +469,8 @@ def _mistyped_sections():
             if field == "kind":
                 continue
             bads = ["x", None, True] + ([1.5] if type(good) is int else [])
+            if type(good) in (int, float):
+                bads += [math.inf, math.nan]  # JSON's Infinity and NaN
             for bad in bads:
                 yield pytest.param(_spec_with(section, desc, problem),
                                    _spec_with(section, {**desc, field: bad}, problem),
@@ -526,6 +532,38 @@ def test_fingerprint_normalizes_defaulted_rule_fields():
     short = _solving_raw(rule={"kind": "line_search"})
     full = _solving_raw(rule={"kind": "line_search", "tol": 1e-10, "max_evals": 200})
     assert spec_fingerprint(parse_spec(short)) == spec_fingerprint(parse_spec(full))
+
+
+# one spec per rule kind, each rule's descriptor as the hand-written
+# descriptor() methods gave it (value types included: an int gpa step stays an
+# int), and the spec's fingerprint as those methods hashed it
+_PINNED_RULES = [
+    ({"kind": "line_search"}, {"kind": "line_search", "tol": 1e-10, "max_evals": 200},
+     "466e7b18ce86919c74d7e2ac5e5492343131c6cf0a68a1facf890a7a202f611c"),
+    ({"kind": "line_search", "tol": 1e-8, "max_evals": 50},
+     {"kind": "line_search", "tol": 1e-8, "max_evals": 50},
+     "38db95b3e6b37b033d88319114e4bf461900ac3420b5fd9d4b5bd69791571eda"),
+    ({"kind": "harmonic", "c": 2.0}, {"kind": "harmonic", "c": 2.0},
+     "95b13ac0e23d951658aa6f31ab073fb9fcfb6fe963542a8f1a4969ea8091f099"),
+    ({"kind": "power", "gamma0": 1.0, "p": 0.5}, {"kind": "power", "gamma0": 1.0, "p": 0.5},
+     "b5918fd07f560bdf99641bc8d1d94ac62cc0d848151a889e733119209d1a2bb5"),
+    ({"kind": "dh_recursion", "gamma0": 0.5}, {"kind": "dh_recursion", "gamma0": 0.5},
+     "71e4170eacc3f87f8a65312de758ccbfb88191f300ee448dab835ca84a7b8916"),
+    ({"kind": "gpa", "step": 1}, {"kind": "gpa", "step": 1},
+     "18d6b8245807c77af753c93f7cf2aa1dbeb593944fe6b98d71bd0e18464278a1"),
+]
+
+
+@pytest.mark.parametrize("rule, descriptor, fingerprint", _PINNED_RULES,
+                         ids=["line_search-defaults-omitted", "line_search", "harmonic",
+                              "power", "dh_recursion", "gpa-int-step"])
+def test_rule_descriptor_and_fingerprint_are_pinned(rule, descriptor, fingerprint):
+    spec = parse_spec(_solving_raw(rule=rule))
+    got = build_rule(spec).descriptor()
+    assert got == descriptor
+    assert list(got) == list(descriptor)
+    assert [type(v) for v in got.values()] == [type(v) for v in descriptor.values()]
+    assert spec_fingerprint(spec) == fingerprint
 
 
 def test_fingerprint_matches_solver_trace():

@@ -418,6 +418,11 @@ def test_set_constructor_validation():
         Simplex(0)
     with pytest.raises(ValueError):
         L2Ball(3, -1.0)
+    for radius in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            L1Ball(3, radius)
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            L2Ball(3, radius)
     with pytest.raises(ValueError):
         Box(2, np.array([0.0, 0.0]), np.array([1.0, -1.0]))
 

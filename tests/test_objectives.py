@@ -264,6 +264,9 @@ def test_composite_descriptor_round_trip():
     assert composite_from_descriptor(None) is None
     with pytest.raises(ValueError):
         composite_from_descriptor({"kind": "l2"})
+    for lam in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="l1 weight must be finite and positive"):
+            CompositePart(lam)
 
 
 # --- descriptors ---------------------------------------------------------------------

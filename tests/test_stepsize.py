@@ -9,19 +9,19 @@ from fwlab import (
     DHRecursion,
     Harmonic,
     LineSearch,
+    OpenLoop,
     Power,
-    is_open_loop,
+    ProjectedGradient,
     line_search,
     line_search_quadratic_exact,
     rule_from_descriptor,
-    schedule_values,
 )
 from fwlab.stepsize import dh_envelope_holds
 
 
 def schedule_value(rule, k: int) -> float:
     """The k-th stepsize of an open-loop rule, k >= 0: the scalar reference
-    that `schedule_values` must match element by element."""
+    that `OpenLoop.values` must match element by element."""
     if isinstance(rule, Harmonic):
         return rule.c / (k + rule.c)
     if isinstance(rule, Power):
@@ -149,7 +149,7 @@ def test_dh_closed_form_is_the_exact_upper_envelope():
     for gamma0 in [0.1, 0.5, 1.0]:
         rule = DHRecursion(gamma0)
         ks = np.arange(0, 100_000, dtype=float)
-        vals = schedule_values(rule, 99_999)
+        vals = rule.values(99_999)
         envelope = gamma0 / (gamma0 * ks + 1.0)
         assert np.array_equal(vals, envelope)
         assert np.all(vals >= gamma0 / (ks + 1.0))
@@ -159,12 +159,12 @@ def test_dh_iterative_recursion_tracks_closed_form():
     # literal float iteration drifts; it must stay within 1e-12 relative
     for gamma0 in [0.1, 0.5, 1.0]:
         it = dh_terms_iterative(gamma0, 100_000)
-        cf = schedule_values(DHRecursion(gamma0), 100_000)
+        cf = DHRecursion(gamma0).values(100_000)
         assert np.max(np.abs(it - cf) / cf) <= 1e-12
 
 
 def test_dh_satisfies_its_own_recursion_within_float_error():
-    vals = schedule_values(DHRecursion(0.7), 1000)
+    vals = DHRecursion(0.7).values(1000)
     stepped = vals[:-1] / (1.0 + vals[:-1])
     assert np.allclose(vals[1:], stepped, rtol=1e-14)
 
@@ -177,7 +177,7 @@ def test_dh_satisfies_its_own_recursion_within_float_error():
     st.integers(0, 5000),
 )
 def test_schedule_vectorization_agrees_pointwise(rule, k):
-    vals = schedule_values(rule, k)
+    vals = rule.values(k)
     assert vals.shape == (k + 1,)
     assert vals[k] == schedule_value(rule, k)
     assert 0.0 < vals[k] <= 1.0
@@ -190,11 +190,12 @@ def test_dh_envelope_holds_exactly_and_needs_a_horizon_of_ten():
         dh_envelope_holds(DHRecursion(0.5), horizon=9)
 
 
-def test_is_open_loop_classification():
-    assert is_open_loop(Harmonic(2.0))
-    assert is_open_loop(Power(1.0, 0.5))
-    assert is_open_loop(DHRecursion(1.0))
-    assert not is_open_loop(LineSearch(1e-10, 200))
+def test_open_loop_classification():
+    assert isinstance(Harmonic(2.0), OpenLoop)
+    assert isinstance(Power(1.0, 0.5), OpenLoop)
+    assert isinstance(DHRecursion(1.0), OpenLoop)
+    assert not isinstance(LineSearch(1e-10, 200), OpenLoop)
+    assert not isinstance(ProjectedGradient(0.5), OpenLoop)
 
 
 # --- parameter validation ------------------------------------------------------------
@@ -202,6 +203,9 @@ def test_is_open_loop_classification():
 def test_rule_parameter_validation():
     with pytest.raises(ValueError):
         Harmonic(0.5)
+    for c in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="harmonic offset must be finite and >= 1"):
+            Harmonic(c)
     with pytest.raises(ValueError):
         Power(0.0, 0.5)
     with pytest.raises(ValueError):
