@@ -372,23 +372,19 @@ def fit_rate(trace: SolveTrace, opt: float, tail_fraction: float) -> dict:
     """
     if not 0.0 < tail_fraction <= 1.0:
         raise ValueError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
-    ks, objs = [], []
-    for r in trace.iterations:
-        if r.k >= 1:
-            ks.append(r.k)
-            objs.append(r.obj)
-    n_positive = sum(1 for o in objs if o > opt)
+    past_start = trace.ks >= 1
+    ks, objs = trace.ks[past_start], trace.objs[past_start]
+    n_positive = int(np.count_nonzero(objs > opt))
     if n_positive < 20:
         raise ValueError(
             f"trace has only {n_positive} iterations above the reference optimum; need >= 20")
     start = len(ks) - max(1, int(round(tail_fraction * len(ks))))
     floor = 100.0 * np.finfo(float).eps * abs(opt)
-    xs, ys = [], []
-    for k, o in zip(ks[start:], objs[start:]):
-        resid = o - opt
-        if resid > floor and resid > 0.0:
-            xs.append(math.log(k))
-            ys.append(math.log(resid))
+    resid = objs[start:] - opt
+    usable = (resid > floor) & (resid > 0.0)
+    # math.log, not np.log, whose last bit may differ: the fit goes into the summary
+    xs = list(map(math.log, ks[start:][usable].tolist()))
+    ys = list(map(math.log, resid[usable].tolist()))
     if len(xs) < 10:
         raise ValueError(
             f"only {len(xs)} usable points above the roundoff floor; need >= 10")

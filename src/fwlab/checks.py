@@ -168,7 +168,7 @@ class FiniteTermination(Check):
 
     def evaluate(self, ctx):
         term = ctx.trace.termination
-        last_k = ctx.trace.iterations[-1].k
+        last_k = int(ctx.trace.ks[-1])
         problems = []
         if term.reason != REASON_FINITE_TERMINATION:
             problems.append(f"reason={term.reason}")

@@ -28,6 +28,7 @@ from .config import (
     validate_spec,
 )
 from .solver import (
+    RENDER_CHUNK,
     SolveTrace,
     chunks,
     solve,
@@ -208,22 +209,22 @@ def compare(specs: list[ExperimentSpec], out_dir: str | Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     path = out / "compare.csv"
 
-    header = ["k"]
-    for name in names:
-        header.append(f"obj_{name}")
-        header.append(f"gap_{name}")
-    longest = max(len(t.iterations) for t in traces)
-    lines = [",".join(header)]
-    for k in range(longest):
-        row = [str(k)]
-        for t in traces:
-            if k < len(t.iterations):
-                rec = t.iterations[k]
-                row.append("%.17g" % rec.obj)
-                row.append("%.17g" % rec.gap)
-            else:
-                row.append("")
-                row.append("")
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.writelines(_compare_csv_pieces(names, traces))
     return path
+
+
+def _compare_csv_pieces(names: list[str], traces: list[SolveTrace]):
+    """The wide CSV of `compare`, in pieces of about RENDER_CHUNK cells, one
+    format call each. The traces that still have a row k change only where
+    one ends, so the rows between two such ends share one row format."""
+    yield ",".join(["k"] + [f"{col}_{name}" for name in names for col in ("obj", "gap")]) + "\n"
+    lengths = [len(t.rows) for t in traces]
+    step = max(1, RENDER_CHUNK // (1 + 2 * len(traces)))
+    edges = sorted(set(range(0, max(lengths), step)).union(lengths))
+    for start, end in zip(edges, edges[1:]):
+        live = [length > start for length in lengths]
+        cols = [np.arange(start, end, dtype=float)]
+        cols += [t.rows[start:end, 1:3] for t, on in zip(traces, live) if on]
+        row = "%d" + "".join(",%.17g,%.17g" if on else ",," for on in live) + "\n"
+        yield (row * (end - start)) % tuple(np.column_stack(cols).ravel().tolist())

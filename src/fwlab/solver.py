@@ -11,9 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,9 +29,10 @@ REASON_FINITE_TERMINATION = "finite_termination"
 
 TRACE_CSV_COLUMNS = ("k", "obj", "gap", "gamma", "step_norm")
 
-# items (floats or rows) per format call when an artifact or a fingerprint's
-# canonical text is rendered; pieces stream to their file or hash, so a
-# rendering holds O(RENDER_CHUNK) memory whatever the vector's length
+# items per format call when an artifact or a fingerprint's canonical text
+# is rendered: floats, or a bounds CSV's (k, value) pairs; a trace CSV
+# formats RENDER_CHUNK // 5 rows a call. Pieces stream to their file or hash,
+# so a rendering holds O(RENDER_CHUNK) memory whatever the vector's length
 RENDER_CHUNK = 4096
 
 
@@ -89,26 +91,72 @@ class Termination:
     final_obj: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveTrace:
-    iterations: list[IterationRecord]
+    """A solve's rows, one per iterate, and how it ended.
+
+    `rows` is a read-only (K, 5) float64 array whose columns are
+    TRACE_CSV_COLUMNS: 40 bytes a row. Any sequence of 5-field rows, such as
+    a list of IterationRecord, is accepted and converted. An array of float64
+    rows is kept as it is, behind a read-only view. `iterations` shows the
+    rows as IterationRecord tuples, built one per access.
+    """
+
+    rows: np.ndarray
     termination: Termination
     config_fingerprint: str = ""
 
-    # columns built once on first access; read-only, since every reader shares them
+    def __post_init__(self):
+        rows = np.asarray(self.rows, dtype=np.float64)
+        if rows.size == 0:
+            rows = rows.reshape(0, len(TRACE_CSV_COLUMNS))
+        if rows.ndim != 2 or rows.shape[1] != len(TRACE_CSV_COLUMNS):
+            raise ValueError(f"trace rows must have {len(TRACE_CSV_COLUMNS)} fields, "
+                             f"got shape {rows.shape}")
+        rows = rows.view()
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def iterations(self) -> Records:
+        return Records(self.rows)
+
+    # the int k column is built once on first access; obj is a view of its
+    # column, read-only like every column of the rows
     @cached_property
     def ks(self) -> np.ndarray:
-        return _frozen_column([r.k for r in self.iterations], int)
+        column = self.rows[:, 0].astype(np.int64)
+        column.flags.writeable = False
+        return column
 
     @cached_property
     def objs(self) -> np.ndarray:
-        return _frozen_column([r.obj for r in self.iterations], float)
+        return self.rows[:, 1]
 
 
-def _frozen_column(values: list, dtype) -> np.ndarray:
-    column = np.array(values, dtype=dtype)
-    column.flags.writeable = False
-    return column
+class Records(Sequence):
+    """Trace rows as IterationRecord tuples: an int index builds one, a slice
+    gives a view of the same rows, and iteration builds them a chunk at a time."""
+
+    def __init__(self, rows: np.ndarray):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Records(self._rows[i])
+        return _record(self._rows[i].tolist())
+
+    def __iter__(self):
+        for chunk in chunks(self._rows):
+            yield from map(_record, chunk)
+
+
+def _record(row: list) -> IterationRecord:
+    k, obj, gap, gamma, step_norm = row
+    return IterationRecord(int(k), obj, gap, gamma, step_norm)
 
 
 # the configuration rendered last, as (key, fingerprint): a run hashes its
@@ -314,7 +362,7 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
 
     composite = problem.composite
     g_x = None
-    records: list[IterationRecord] = []
+    rows = array("d")  # the trace's rows, five floats each, in column order
     for k in range(stop.max_iter + 1):
         # phi(x) with g(x) taken once, for the objective and the gap alike
         obj_k = problem.objective.value(x)
@@ -327,18 +375,18 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
         gap_k, d = _gap(problem, x, grad, g_x)
 
         if stop.gap_tol > 0 and gap_k <= stop.gap_tol:
-            records.append(IterationRecord(k, obj_k, gap_k, 0.0, 0.0))
+            rows.extend((k, obj_k, gap_k, 0.0, 0.0))
             reason = REASON_GAP_TOL
             break
         if k == stop.max_iter:
-            records.append(IterationRecord(k, obj_k, gap_k, 0.0, 0.0))
+            rows.extend((k, obj_k, gap_k, 0.0, 0.0))
             reason = REASON_MAX_ITER
             break
 
         gamma_k, x_next = advance(k, x, grad, d)
         grad = d = None
         step_norm = l2_norm(x_next - x)
-        records.append(IterationRecord(k, obj_k, gap_k, gamma_k, step_norm))
+        rows.extend((k, obj_k, gap_k, gamma_k, step_norm))
         # equal iterates step by 0 (NaN where both hold the same infinity),
         # so a positive step skips the elementwise comparison
         if not step_norm > 0.0 and np.array_equal(x_next, x):
@@ -349,15 +397,20 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
     grad = d = x_next = None  # x alone stays alive while phi(x) is taken
     # x is the loop's own array (a copy of x0, or a step's fresh result)
     termination = Termination(reason, x, problem.phi(x))
-    return SolveTrace(records, termination, fingerprint)
+    # the array wraps the buffer's memory, no copy
+    return SolveTrace(np.frombuffer(rows).reshape(-1, len(TRACE_CSV_COLUMNS)),
+                      termination, fingerprint)
 
 
 def _trace_csv_pieces(trace: SolveTrace):
     """CSV rendering with 17-significant-digit floats (exact round-trip), in
-    pieces of RENDER_CHUNK rows, one format call each."""
+    pieces of RENDER_CHUNK // 5 rows, one format call each; k is an integral
+    float, which %d writes as the int it is."""
     yield ",".join(TRACE_CSV_COLUMNS) + "\n"
-    for chunk in chunks(trace.iterations):  # a row holds its fields in column order
-        yield ("%d,%.17g,%.17g,%.17g,%.17g\n" * len(chunk)) % tuple(chain.from_iterable(chunk))
+    step = RENDER_CHUNK // len(TRACE_CSV_COLUMNS)
+    for start in range(0, len(trace.rows), step):
+        chunk = trace.rows[start:start + step]
+        yield ("%d,%.17g,%.17g,%.17g,%.17g\n" * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
 def trace_to_csv(trace: SolveTrace) -> str:
@@ -375,12 +428,12 @@ def trace_summary(trace: SolveTrace) -> dict:
     but `final_x`, the final point's float64 array itself; the summary writer
     renders it a chunk at a time, so no list of n Python floats is built."""
     return {
-        "n_iterations": len(trace.iterations),
+        "n_iterations": len(trace.rows),
         "termination": {
             "reason": trace.termination.reason,
             "final_x": trace.termination.final_x,
             "final_obj": trace.termination.final_obj,
         },
         "config_fingerprint": trace.config_fingerprint,
-        "final_gap": float(trace.iterations[-1].gap) if trace.iterations else None,
+        "final_gap": float(trace.rows[-1, 2]) if len(trace.rows) else None,
     }

@@ -19,6 +19,10 @@ import numpy as np
 from .geometry import Vector, VertexPolytope
 from .schema import build
 
+# stepsizes per block when a schedule or its envelope is evaluated to a
+# horizon: the temporaries of a formula hold O(SCHEDULE_BLOCK) memory
+SCHEDULE_BLOCK = 4096
+
 
 class StepsizeRule:
     """A stepsize rule: a frozen dataclass whose fields are its spec's, under
@@ -65,10 +69,15 @@ class OpenLoop(StepsizeRule):
     takes a float k or an array of them alike."""
 
     def values(self, upto: int) -> np.ndarray:
-        """The stepsizes for k = 0..upto inclusive."""
+        """The stepsizes for k = 0..upto inclusive, evaluated a block at a
+        time into one array; the formula is elementwise, so each is the same
+        bits as in one evaluation over all of k."""
         if upto < 0:
             raise ValueError(f"horizon must be >= 0, got {upto}")
-        return self.gamma(np.arange(upto + 1, dtype=float))
+        out = np.empty(upto + 1)
+        for start, k in _blocks(upto):
+            out[start:start + len(k)] = self.gamma(k)
+        return out
 
     def stepper(self, problem, max_iter: int):
         """`advance(k, x, grad, d)`: gamma_k and x_{k+1}, written into d."""
@@ -241,10 +250,19 @@ def dh_envelope_holds(rule: DHRecursion, horizon: int) -> bool:
     if horizon < 10:
         raise ValueError(f"horizon must be >= 10, got {horizon}")
     g = rule.values(horizon)
-    k = np.arange(horizon + 1, dtype=float)
-    lower = rule.gamma0 / (k + 1.0)
-    upper = rule.gamma0 / (rule.gamma0 * k + 1.0)
-    return bool(np.all(lower <= g) and np.all(g <= upper))
+    for start, k in _blocks(horizon):
+        block = g[start:start + len(k)]
+        if not (np.all(rule.gamma0 / (k + 1.0) <= block)
+                and np.all(block <= rule.gamma0 / (rule.gamma0 * k + 1.0))):
+            return False
+    return True
+
+
+def _blocks(upto: int):
+    """(start, k) for consecutive blocks of k = 0..upto as floats, at most
+    SCHEDULE_BLOCK each."""
+    for start in range(0, upto + 1, SCHEDULE_BLOCK):
+        yield start, np.arange(start, min(start + SCHEDULE_BLOCK, upto + 1), dtype=float)
 
 
 # kind -> (class, {field: type}); a field with a default may be omitted

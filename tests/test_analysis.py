@@ -36,6 +36,7 @@ from fwlab import (
 from fwlab.analysis import _EXTREME_PAIR_CAP, DEFAULT_GAMMA_GRID
 from fwlab.solver import IterationRecord, SolveTrace, Termination
 
+from references import fit_points
 from scalar_recursions import polyak_recursion, polyak_sequence_bound, xu_recursion_check
 
 
@@ -475,6 +476,18 @@ def test_fit_rate_recovers_exact_power_laws():
         fit = fit_rate(_synthetic_trace(objs), opt=1.0, tail_fraction=0.5)
         assert fit["slope"] == pytest.approx(slope, abs=1e-6)
         assert fit["r2"] > 0.999999
+
+
+@pytest.mark.parametrize("tail_fraction", [0.5, 0.3, 1.0])
+def test_fit_rate_takes_the_points_a_row_by_row_selection_takes(tail_fraction):
+    rng = np.random.default_rng(7)
+    objs = 1.0 + rng.standard_normal(400) * 10.0 ** rng.integers(-17, 1, 400)
+    objs[::5] = 1.0 + 1e-15  # inside the roundoff floor
+    trace = _synthetic_trace(objs)
+    xs, ys = fit_points(trace, 1.0, tail_fraction)
+    slope, intercept = np.polyfit(xs, ys, 1)
+    fit = fit_rate(trace, opt=1.0, tail_fraction=tail_fraction)
+    assert (fit["slope"], fit["intercept"], fit["n_used"]) == (slope, intercept, len(xs))
 
 
 def test_fit_rate_on_a_real_solve_shows_first_order_decay():

@@ -11,13 +11,22 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import canon_text, json_floats, json_values
+from references import compare_csv_per_cell
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fwlab.runner
 from fwlab import checks, config_fingerprint
 from fwlab.config import parse_spec
-from fwlab.runner import _indented_pieces, _write_bounds_csv, compare, reproduce, run_experiment
+from fwlab.runner import (
+    _compare_csv_pieces,
+    _indented_pieces,
+    _run_trace,
+    _write_bounds_csv,
+    compare,
+    reproduce,
+    run_experiment,
+)
 from fwlab.solver import (
     RENDER_CHUNK,
     IterationRecord,
@@ -271,7 +280,12 @@ def test_streamed_summary_json_matches_the_stdlib(n):
         json.dumps({"final_x": v, "n": n}, indent=2, sort_keys=True).encode()
 
 
-@pytest.mark.parametrize("n", CHUNK_LENGTHS)
+# a trace CSV formats RENDER_CHUNK // 5 rows per call
+ROW_CHUNK = RENDER_CHUNK // 5
+ROW_CHUNK_LENGTHS = (ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 1)
+
+
+@pytest.mark.parametrize("n", CHUNK_LENGTHS + ROW_CHUNK_LENGTHS)
 def test_streamed_trace_csv_matches_the_one_shot_rendering(n, tmp_path):
     cols = _edge_floats(4 * n).reshape(4, n).tolist()
     rows = [IterationRecord(k, *fields) for k, fields in enumerate(zip(*cols))]
@@ -343,6 +357,30 @@ def test_compare_writes_wide_csv_with_padding(tmp_path):
     assert all(r[1] != "" and r[2] != "" for r in rows[:4])
     assert all(r[1] == "" and r[2] == "" for r in rows[4:])
     assert all(r[3] != "" and r[4] != "" for r in rows)
+    # the same bytes as a cell-by-cell rendering of the two traces
+    traces = [_run_trace(short), _run_trace(long)]
+    assert path.read_bytes() == compare_csv_per_cell(["short", "long"], traces).encode()
+
+
+def _edge_trace(n: int, seed: int) -> SolveTrace:
+    rows = np.column_stack([np.arange(n, dtype=float),
+                            _edge_floats(4 * n + seed)[:4 * n].reshape(n, 4)])
+    return SolveTrace(rows, Termination("max_iter", np.zeros(1), 0.0))
+
+
+# a compare CSV of p traces formats RENDER_CHUNK // (1 + 2p) rows per call
+_STEP1, _STEP3 = RENDER_CHUNK // 3, RENDER_CHUNK // 7
+
+
+@pytest.mark.parametrize("lengths", [
+    (1,), (_STEP1 - 1,), (_STEP1,), (_STEP1 + 1,), (2 * _STEP1 + 1,),
+    (_STEP3 - 1, _STEP3, _STEP3 + 1), (1, 2 * _STEP3 + 1, _STEP3), (7, 7, 2),
+])
+def test_streamed_compare_csv_matches_the_per_cell_rendering(lengths):
+    names = [f"s{i}" for i in range(len(lengths))]
+    traces = [_edge_trace(n, i) for i, n in enumerate(lengths)]
+    text = "".join(_compare_csv_pieces(names, traces))
+    assert text.encode() == compare_csv_per_cell(names, traces).encode()
 
 
 def test_compare_single_spec_is_degenerate_but_valid(tmp_path):

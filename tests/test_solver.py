@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -35,6 +36,9 @@ from fwlab.solver import (
     REASON_GAP_TOL,
     REASON_MAX_ITER,
     TRACE_CSV_COLUMNS,
+    IterationRecord,
+    SolveTrace,
+    Termination,
     _canonical_pieces,
     _gap,
 )
@@ -118,6 +122,47 @@ def test_trace_columns_are_built_once_and_read_only():
     assert trace.objs.tolist() == [r.obj for r in trace.iterations]
     with pytest.raises(ValueError, match="read-only"):
         trace.objs[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        trace.rows[0, 2] = 0.0
+
+
+def test_trace_rows_hold_40_bytes_a_row():
+    problem = _simplex_quadratic(10)
+    x0 = np.eye(10)[0]
+    stop = StopRule(max_iter=20_000)
+    solve(problem, Harmonic(2.0), x0=x0, stop=stop)  # first calls' caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = solve(problem, Harmonic(2.0), x0=x0, stop=stop)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert trace.rows.shape == (20_001, 5)
+    # five floats a row in one buffer, plus its growth slack; a list of
+    # IterationRecord tuples held about 225 bytes a row
+    assert held <= 48 * 20_001
+
+
+def test_trace_built_from_records_gives_the_records_back():
+    floats = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 0.1, -1.7976931348623157e308]
+    records = [IterationRecord(k, *(floats[(k + j) % len(floats)] for j in range(4)))
+               for k in range(11)]
+    trace = SolveTrace(records, Termination("max_iter", np.zeros(1), 0.0))
+    assert trace.rows.shape == (11, 5) and trace.rows.dtype == np.float64
+    # repr tells -0.0 from 0.0 and shows NaN, which == would not match
+    assert repr(list(trace.iterations)) == repr(records)
+    assert len(trace.iterations) == 11
+    assert repr(trace.iterations[3]) == repr(records[3])
+    assert repr(trace.iterations[-1]) == repr(records[-1])
+    assert type(trace.iterations[0].k) is int
+    assert repr(list(trace.iterations[2:9:3])) == repr(records[2:9:3])
+    with pytest.raises(IndexError):
+        trace.iterations[11]
+    assert trace.ks.tolist() == list(range(11))
+    assert SolveTrace([], trace.termination).rows.shape == (0, 5)
+    with pytest.raises(ValueError, match="5 fields"):
+        SolveTrace([(0, 1.0, 2.0, 3.0)], trace.termination)
 
 
 def test_open_loop_gamma_column_matches_schedule():

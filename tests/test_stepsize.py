@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwlab import (
@@ -16,7 +17,9 @@ from fwlab import (
     line_search_quadratic_exact,
     rule_from_descriptor,
 )
-from fwlab.stepsize import dh_envelope_holds
+from fwlab.stepsize import SCHEDULE_BLOCK, dh_envelope_holds
+
+from references import schedule_one_shot
 
 
 def schedule_value(rule, k: int) -> float:
@@ -188,6 +191,35 @@ def test_dh_envelope_holds_exactly_and_needs_a_horizon_of_ten():
         assert dh_envelope_holds(DHRecursion(gamma0), horizon=10_000)
     with pytest.raises(ValueError, match="horizon"):
         dh_envelope_holds(DHRecursion(0.5), horizon=9)
+
+
+def test_dh_envelope_check_holds_one_horizon_length_array():
+    horizon = 100_000
+    dh_envelope_holds(DHRecursion(0.5), horizon=10)  # first calls' caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert dh_envelope_holds(DHRecursion(0.5), horizon=horizon)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the schedule itself, then the envelope a block at a time; taking the
+    # bounds over the whole horizon at once would add four such arrays
+    assert peak < 1.5 * 8 * (horizon + 1)
+
+
+_UNIT = st.floats(0.0, 1.0, exclude_min=True)
+# a horizon on either side of each of the first block boundaries, or any below them
+_BOUNDARY = st.sampled_from([m * SCHEDULE_BLOCK + d for m in (1, 2, 3) for d in (-2, -1, 0, 1)])
+
+
+@settings(max_examples=60)
+@given(st.one_of(st.builds(Harmonic, st.floats(1.0, 1e6)),
+                 st.builds(Power, _UNIT, _UNIT),
+                 st.builds(DHRecursion, _UNIT)),
+       st.one_of(_BOUNDARY, st.integers(0, 3 * SCHEDULE_BLOCK + 2)))
+def test_blocked_schedule_is_the_one_shot_schedule_bit_for_bit(rule, upto):
+    assert rule.values(upto).tobytes() == schedule_one_shot(rule, upto).tobytes()
 
 
 def test_open_loop_classification():
