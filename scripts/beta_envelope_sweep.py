@@ -21,7 +21,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fwlab import DHRecursion, Harmonic, beta_bound_report, beta_recursion  # noqa: E402
+from fwlab import DHRecursion, Harmonic, beta_recursion  # noqa: E402
 
 
 def predicted_limit_ratio(a: float, sigma: float) -> float:
@@ -57,18 +57,20 @@ def main() -> int:
     print("-" * len(header))
 
     curves = {}
+    ks = np.arange(1, args.horizon + 1, dtype=float)
     for sigma, rule in combos:
-        rep = beta_bound_report(rule, sigma, K=args.horizon)
         desc = rule.descriptor()
         label = f"{desc['kind']}({desc.get('c', desc.get('gamma0'))})"
         limit = predicted_limit_ratio(schedule_rate(rule), sigma)
-        first = rep.first_violation if rep.first_violation is not None else "-"
-        print(f"{sigma:>5}  {label:<18}  {limit:>15.6g}  "
-              f"{str(rep.holds):>5}  {str(first):>15}  {rep.max_ratio:>10.6g}")
-
         betas = beta_recursion(rule, sigma, K=args.horizon)
-        ks = np.arange(1, args.horizon + 1, dtype=float)
-        curves[f"ratio_{label}_s{sigma}"] = betas[1:] * ks ** (sigma - 1.0) / sigma**sigma
+        ratio = betas[1:] * ks ** (sigma - 1.0) / sigma**sigma
+        curves[f"ratio_{label}_s{sigma}"] = ratio
+        # the envelope holds where the ratio stays at or below 1
+        over = np.flatnonzero(ratio > 1.0)
+        holds = over.size == 0
+        first = "-" if holds else int(over[0]) + 1
+        print(f"{sigma:>5}  {label:<18}  {limit:>15.6g}  "
+              f"{str(holds):>5}  {str(first):>15}  {float(ratio.max()):>10.6g}")
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -79,7 +79,7 @@ def sweep_one(kind: str, n: int, rule_name: str, rows: int, repeats: int) -> dic
         t0 = time.perf_counter()
         trace = solve(problem, rule, x0, stop)
         seconds.append(time.perf_counter() - t0)
-    ran = len(trace.iterations)
+    ran = len(trace.rows)
 
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]

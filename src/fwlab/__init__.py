@@ -45,13 +45,11 @@ from .solver import (
     write_trace_csv,
 )
 from .analysis import (
-    BetaReport,
     CurvatureEstimate,
     HarmonicClassic,
     LineSearchOrderSigma,
     OpenLoopOrderSigma,
     RateBound,
-    beta_bound_report,
     beta_recursion,
     curvature_bound_holder,
     estimate_curvature,

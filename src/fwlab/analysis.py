@@ -327,41 +327,6 @@ def beta_recursion(rule: StepsizeRule, sigma: float, K: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BetaReport:
-    sigma: float
-    K: int
-    holds: bool
-    first_violation: int | None
-    max_ratio: float  # max over k>=1 of beta_k * k^(sigma-1) / sigma^sigma
-    argmax_k: int
-
-
-def beta_bound_report(rule: StepsizeRule, sigma: float, K: int) -> BetaReport:
-    """Check beta_k <= sigma^sigma / k^(sigma-1) for k = 1..K and report.
-
-    The envelope is proved only for gamma_k = sigma/(k+sigma), Harmonic(sigma).
-    Any other schedule decaying like c/k has beta_k * k^(sigma-1) tending to
-    c^sigma/(c-sigma+1) > sigma^sigma (or diverging if c <= sigma-1), so
-    `holds` is False for it once K is large enough; that is a property of the
-    schedule, not a fault of the recursion.
-    """
-    betas = beta_recursion(rule, sigma, K)
-    k = np.arange(1, K + 1, dtype=float)
-    ratio = betas[1:] * k ** (sigma - 1.0) / sigma**sigma
-    over = np.nonzero(ratio > 1.0)[0]
-    first = int(over[0]) + 1 if over.size else None
-    arg = int(np.argmax(ratio)) + 1
-    return BetaReport(
-        sigma=sigma,
-        K=K,
-        holds=first is None,
-        first_violation=first,
-        max_ratio=float(ratio.max()),
-        argmax_k=arg,
-    )
-
-
 def fit_rate(trace: SolveTrace, opt: float, tail_fraction: float) -> dict:
     """Power-law fit of suboptimality against iteration index.
 

@@ -54,8 +54,8 @@ class Objective:
 
     value: Callable[[Vector], float]
     grad: Callable[[Vector], Vector]
+    descriptor_dict: dict
     holder: HolderInfo | None = None
-    descriptor_dict: dict | None = None
     segment_min: Callable[[Vector, Vector, Vector], float] | None = None
     optimum: Callable[[], tuple[Vector | None, float | None]] | None = None
 
@@ -72,8 +72,6 @@ class Objective:
         return self._optimum[1]
 
     def descriptor(self) -> dict:
-        if self.descriptor_dict is None:
-            raise ValueError("objective has no serializable descriptor")
         return self.descriptor_dict
 
 

@@ -12,10 +12,9 @@ import hashlib
 import json
 import math
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -76,14 +75,6 @@ class StopRule:
         return {"max_iter": self.max_iter, "gap_tol": self.gap_tol}
 
 
-class IterationRecord(NamedTuple):
-    k: int
-    obj: float
-    gap: float
-    gamma: float
-    step_norm: float
-
-
 @dataclass(frozen=True)
 class Termination:
     reason: str
@@ -96,10 +87,9 @@ class SolveTrace:
     """A solve's rows, one per iterate, and how it ended.
 
     `rows` is a read-only (K, 5) float64 array whose columns are
-    TRACE_CSV_COLUMNS: 40 bytes a row. Any sequence of 5-field rows, such as
-    a list of IterationRecord, is accepted and converted. An array of float64
-    rows is kept as it is, behind a read-only view. `iterations` shows the
-    rows as IterationRecord tuples, built one per access.
+    TRACE_CSV_COLUMNS: 40 bytes a row. Any sequence of 5-field rows is
+    accepted and converted; an array of float64 rows is kept as it is, behind
+    a read-only view.
     """
 
     rows: np.ndarray
@@ -117,9 +107,11 @@ class SolveTrace:
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
+    # the rows again, kept only because bench/tracer.py counts them with
+    # len(trace.iterations); it goes when the benchmark reads len(trace.rows)
     @property
-    def iterations(self) -> Records:
-        return Records(self.rows)
+    def iterations(self) -> np.ndarray:
+        return self.rows
 
     # the int k column is built once on first access; obj is a view of its
     # column, read-only like every column of the rows
@@ -132,31 +124,6 @@ class SolveTrace:
     @cached_property
     def objs(self) -> np.ndarray:
         return self.rows[:, 1]
-
-
-class Records(Sequence):
-    """Trace rows as IterationRecord tuples: an int index builds one, a slice
-    gives a view of the same rows, and iteration builds them a chunk at a time."""
-
-    def __init__(self, rows: np.ndarray):
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Records(self._rows[i])
-        return _record(self._rows[i].tolist())
-
-    def __iter__(self):
-        for chunk in chunks(self._rows):
-            yield from map(_record, chunk)
-
-
-def _record(row: list) -> IterationRecord:
-    k, obj, gap, gamma, step_norm = row
-    return IterationRecord(int(k), obj, gap, gamma, step_norm)
 
 
 # the configuration rendered last, as (key, fingerprint): a run hashes its
@@ -350,11 +317,8 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
     if not problem.feasible_set.contains(x, 1e-9):
         raise ValueError("x0 is not feasible (tolerance 1e-9)")
     # rendered before the loop, while no row's vectors are alive
-    try:
-        fingerprint = config_fingerprint(problem.descriptor(), rule.descriptor(), x0,
-                                         stop.descriptor(), seed)
-    except ValueError:
-        fingerprint = ""  # objective not expressible as a descriptor
+    fingerprint = config_fingerprint(problem.descriptor(), rule.descriptor(), x0,
+                                     stop.descriptor(), seed)
     # every other rule steps itself; the search stays here, where bench/tracer.py
     # counts it at solver.line_search, until ROADMAP item 1 moves that seam
     advance = (_searcher(problem, rule) if isinstance(rule, LineSearch)

@@ -81,7 +81,9 @@ class OpenLoop(StepsizeRule):
 
     def stepper(self, problem, max_iter: int):
         """`advance(k, x, grad, d)`: gamma_k and x_{k+1}, written into d."""
-        gammas = self.values(max_iter).tolist()
+        # indexed as the float64 array, 8 bytes a row for the whole loop; a
+        # list of Python floats would hold 32
+        gammas = self.values(max_iter)
         return lambda k, x, grad, d: (gammas[k], step_toward(x, gammas[k], d))
 
 

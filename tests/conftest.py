@@ -61,8 +61,8 @@ def replay_iterates(problem, x0, trace):
     """
     x = np.array(x0, dtype=float)
     iterates = [x]
-    for rec in trace.iterations[:-1]:
-        x = x + rec.gamma * fw_gap(problem, x)[1]
+    for gamma in trace.rows[:-1, 3].tolist():
+        x = x + gamma * fw_gap(problem, x)[1]
         iterates.append(x)
     assert np.array_equal(x, trace.termination.final_x)
     return iterates

@@ -29,21 +29,21 @@ def schedule_one_shot(rule, upto):
 
 
 def compare_csv_per_cell(names, traces):
-    """The compare CSV built a cell at a time from each trace's records, the
+    """The compare CSV built a cell at a time from each trace's rows, the
     cells of a trace past its last row left empty."""
     header = ["k"]
     for name in names:
         header.append(f"obj_{name}")
         header.append(f"gap_{name}")
-    longest = max(len(t.iterations) for t in traces)
+    longest = max(len(t.rows) for t in traces)
     lines = [",".join(header)]
     for k in range(longest):
         row = [str(k)]
         for t in traces:
-            if k < len(t.iterations):
-                rec = t.iterations[k]
-                row.append("%.17g" % rec.obj)
-                row.append("%.17g" % rec.gap)
+            if k < len(t.rows):
+                _, obj, gap, _, _ = t.rows[k].tolist()
+                row.append("%.17g" % obj)
+                row.append("%.17g" % gap)
             else:
                 row.append("")
                 row.append("")
@@ -56,10 +56,10 @@ def fit_points(trace, opt, tail_fraction):
     last tail_fraction of rows with k >= 1, residuals at or below the
     roundoff floor max(0, 100*eps*|opt|) dropped."""
     ks, objs = [], []
-    for r in trace.iterations:
-        if r.k >= 1:
-            ks.append(r.k)
-            objs.append(r.obj)
+    for k, obj, _, _, _ in trace.rows.tolist():
+        if k >= 1:
+            ks.append(int(k))
+            objs.append(obj)
     start = len(ks) - max(1, int(round(tail_fraction * len(ks))))
     floor = 100.0 * np.finfo(float).eps * abs(opt)
     xs, ys = [], []

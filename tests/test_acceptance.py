@@ -304,11 +304,11 @@ def test_criterion_11_sharp_linear_problem_terminates_finitely():
     trace = solve(problem, LineSearch(1e-10, 200), x0=np.array([0.0, 0.0, 1.0]),
                   stop=StopRule(max_iter=100))
     ok = (trace.termination.reason == "finite_termination"
-          and trace.iterations[-1].k == 1
+          and trace.ks[-1] == 1
           and bool(np.all(np.abs(trace.termination.final_x
                                  - np.array([1.0, 0.0, 0.0])) <= 1e-12)))
     _finish(11, "linear objective over the simplex stops at its vertex",
-            ok, f"reason={trace.termination.reason} at k={trace.iterations[-1].k}, "
+            ok, f"reason={trace.termination.reason} at k={trace.ks[-1]}, "
                 f"final_x={trace.termination.final_x.tolist()}", t0, 0.1)
 
 
@@ -394,10 +394,10 @@ def test_criterion_13_randomized_invariant_suite():
         for rule in (Harmonic(2.0), LineSearch(1e-10, 200)):
             x0 = fs.sample(0)
             trace = solve(problem, rule, x0=x0, stop=StopRule(max_iter=300))
-            for x, rec in zip(replay_iterates(problem, x0, trace), trace.iterations):
+            for x, gap in zip(replay_iterates(problem, x0, trace), trace.rows[:, 2]):
                 if not fs.contains(x, 1e-9):
                     failures.append(f"iterate left {type(fs).__name__}")
-                if rec.gap < -1e-12:
+                if gap < -1e-12:
                     failures.append(f"negative gap on {type(fs).__name__}")
 
     # bit-identical reruns

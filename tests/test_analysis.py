@@ -22,7 +22,6 @@ from fwlab import (
     Simplex,
     StopRule,
     VertexPolytope,
-    beta_bound_report,
     beta_recursion,
     curvature_bound_holder,
     estimate_curvature,
@@ -34,10 +33,15 @@ from fwlab import (
     solve,
 )
 from fwlab.analysis import _EXTREME_PAIR_CAP, DEFAULT_GAMMA_GRID
-from fwlab.solver import IterationRecord, SolveTrace, Termination
+from fwlab.solver import SolveTrace, Termination
 
 from references import fit_points
-from scalar_recursions import polyak_recursion, polyak_sequence_bound, xu_recursion_check
+from scalar_recursions import (
+    beta_bound_report,
+    polyak_recursion,
+    polyak_sequence_bound,
+    xu_recursion_check,
+)
 
 
 # --- curvature estimation ------------------------------------------------------
@@ -464,9 +468,10 @@ def test_xu_recursion_input_validation():
 # --- empirical rate fitting --------------------------------------------------------------
 
 def _synthetic_trace(objs):
-    records = [IterationRecord(k, float(v), 0.0, 0.0, 0.0)
-               for k, v in enumerate(objs)]
-    return SolveTrace(records, Termination("max_iter", np.zeros(1), float(objs[-1])))
+    rows = np.zeros((len(objs), 5))
+    rows[:, 0] = np.arange(len(objs))
+    rows[:, 1] = objs
+    return SolveTrace(rows, Termination("max_iter", np.zeros(1), float(objs[-1])))
 
 
 def test_fit_rate_recovers_exact_power_laws():

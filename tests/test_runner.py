@@ -29,7 +29,6 @@ from fwlab.runner import (
 )
 from fwlab.solver import (
     RENDER_CHUNK,
-    IterationRecord,
     SolveTrace,
     Termination,
     _canonical_pieces,
@@ -288,8 +287,8 @@ ROW_CHUNK_LENGTHS = (ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 1)
 @pytest.mark.parametrize("n", CHUNK_LENGTHS + ROW_CHUNK_LENGTHS)
 def test_streamed_trace_csv_matches_the_one_shot_rendering(n, tmp_path):
     cols = _edge_floats(4 * n).reshape(4, n).tolist()
-    rows = [IterationRecord(k, *fields) for k, fields in enumerate(zip(*cols))]
-    trace = SolveTrace(rows, Termination("max_iter", np.zeros(1), 0.0))
+    rows = [(k, *fields) for k, fields in enumerate(zip(*cols))]
+    trace = SolveTrace(np.array(rows), Termination("max_iter", np.zeros(1), 0.0))
     want = ("k,obj,gap,gamma,step_norm\n"
             + ("%d,%.17g,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(chain.from_iterable(rows)))
     write_trace_csv(trace, tmp_path / "t.csv")

@@ -36,7 +36,6 @@ from fwlab.solver import (
     REASON_GAP_TOL,
     REASON_MAX_ITER,
     TRACE_CSV_COLUMNS,
-    IterationRecord,
     SolveTrace,
     Termination,
     _canonical_pieces,
@@ -56,14 +55,14 @@ def _simplex_quadratic(n=3):
 def test_trace_records_pre_step_rows_zero_through_max_iter():
     trace = solve(_simplex_quadratic(), Harmonic(2.0),
                   x0=np.array([1.0, 0.0, 0.0]), stop=StopRule(max_iter=5))
-    assert [r.k for r in trace.iterations] == [0, 1, 2, 3, 4, 5]
+    assert trace.ks.tolist() == [0, 1, 2, 3, 4, 5]
     assert trace.termination.reason == REASON_MAX_ITER
     # row 0 holds the values at the start point, before any step
-    assert trace.iterations[0].obj == 0.5
+    assert trace.objs[0] == 0.5
     # the budget row is recorded without stepping, at the final point
-    last = trace.iterations[-1]
-    assert last.gamma == 0.0 and last.step_norm == 0.0
-    assert trace.termination.final_obj == last.obj
+    _, obj, _, gamma, step_norm = trace.rows[-1]
+    assert gamma == 0.0 and step_norm == 0.0
+    assert trace.termination.final_obj == obj
 
 
 def test_trace_rows_hold_no_copy_of_the_iterate():
@@ -79,7 +78,7 @@ def test_trace_rows_hold_no_copy_of_the_iterate():
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert len(trace.iterations) == 301
+    assert len(trace.rows) == 301
     # one 8n-byte copy per row would hold 24 MB
     assert held < 1_000_000
 
@@ -118,8 +117,8 @@ def test_trace_columns_are_built_once_and_read_only():
                   x0=np.array([1.0, 0.0, 0.0]), stop=StopRule(max_iter=5))
     assert trace.ks is trace.ks
     assert trace.objs is trace.objs
-    assert trace.ks.tolist() == [r.k for r in trace.iterations]
-    assert trace.objs.tolist() == [r.obj for r in trace.iterations]
+    assert trace.ks.tolist() == [int(row[0]) for row in trace.rows.tolist()]
+    assert trace.objs.tolist() == [row[1] for row in trace.rows.tolist()]
     with pytest.raises(ValueError, match="read-only"):
         trace.objs[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
@@ -135,31 +134,37 @@ def test_trace_rows_hold_40_bytes_a_row():
     try:
         base = tracemalloc.get_traced_memory()[0]
         trace = solve(problem, Harmonic(2.0), x0=x0, stop=stop)
-        held = tracemalloc.get_traced_memory()[0] - base
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert trace.rows.shape == (20_001, 5)
     # five floats a row in one buffer, plus its growth slack; a list of
-    # IterationRecord tuples held about 225 bytes a row
+    # five-field tuples held about 225 bytes a row
     assert held <= 48 * 20_001
+    # while it runs, the open-loop schedule adds its float64 array, 8 bytes a
+    # row; a list of Python floats would add 32
+    assert peak <= 50 * 20_001
 
 
-def test_trace_built_from_records_gives_the_records_back():
+def test_trace_built_from_rows_gives_the_rows_back():
     floats = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 0.1, -1.7976931348623157e308]
-    records = [IterationRecord(k, *(floats[(k + j) % len(floats)] for j in range(4)))
-               for k in range(11)]
-    trace = SolveTrace(records, Termination("max_iter", np.zeros(1), 0.0))
-    assert trace.rows.shape == (11, 5) and trace.rows.dtype == np.float64
-    # repr tells -0.0 from 0.0 and shows NaN, which == would not match
-    assert repr(list(trace.iterations)) == repr(records)
-    assert len(trace.iterations) == 11
-    assert repr(trace.iterations[3]) == repr(records[3])
-    assert repr(trace.iterations[-1]) == repr(records[-1])
-    assert type(trace.iterations[0].k) is int
-    assert repr(list(trace.iterations[2:9:3])) == repr(records[2:9:3])
-    with pytest.raises(IndexError):
-        trace.iterations[11]
-    assert trace.ks.tolist() == list(range(11))
+    rows = [[k, *(floats[(k + j) % len(floats)] for j in range(4))] for k in range(11)]
+    want = np.array(rows)
+    for given in (rows, want):
+        trace = SolveTrace(given, Termination("max_iter", np.zeros(1), 0.0))
+        assert trace.rows.shape == (11, 5) and trace.rows.dtype == np.float64
+        # the bytes tell -0.0 from 0.0 and match NaN, which == would not
+        assert trace.rows.tobytes() == want.tobytes()
+        assert trace.rows[3].tobytes() == want[3].tobytes()
+        assert trace.rows[-1].tobytes() == want[-1].tobytes()
+        assert trace.rows[2:9:3].tobytes() == want[2:9:3].tobytes()
+        assert trace.ks.tolist() == list(range(11))
+        assert trace.ks.dtype == np.int64
+        with pytest.raises(IndexError):
+            trace.rows[11]
+    # an array of float64 rows is kept, not copied, behind a read-only view
+    assert trace.rows.base is want
+    assert want.flags.writeable
     assert SolveTrace([], trace.termination).rows.shape == (0, 5)
     with pytest.raises(ValueError, match="5 fields"):
         SolveTrace([(0, 1.0, 2.0, 3.0)], trace.termination)
@@ -168,8 +173,8 @@ def test_trace_built_from_records_gives_the_records_back():
 def test_open_loop_gamma_column_matches_schedule():
     trace = solve(_simplex_quadratic(), Harmonic(2.0),
                   x0=np.array([1.0, 0.0, 0.0]), stop=StopRule(max_iter=4))
-    for rec in trace.iterations[:-1]:
-        assert rec.gamma == 2.0 / (rec.k + 2.0)
+    for k, gamma in zip(trace.ks[:-1].tolist(), trace.rows[:-1, 3].tolist()):
+        assert gamma == 2.0 / (k + 2.0)
 
 
 def test_gap_tol_stop_certifies_the_reported_point():
@@ -177,12 +182,12 @@ def test_gap_tol_stop_certifies_the_reported_point():
     trace = solve(problem, Harmonic(2.0), x0=np.eye(5)[0],
                   stop=StopRule(max_iter=10_000, gap_tol=1e-3))
     assert trace.termination.reason == REASON_GAP_TOL
-    last = trace.iterations[-1]
-    assert last.gap <= 1e-3
+    _, obj, gap, _, _ = trace.rows[-1].tolist()
+    assert gap <= 1e-3
     # stop fires before stepping: the certified iterate is the final point
-    assert trace.termination.final_obj == last.obj
-    assert fw_gap(problem, trace.termination.final_x)[0] == last.gap
-    assert len(trace.iterations) < 10_001
+    assert trace.termination.final_obj == obj
+    assert fw_gap(problem, trace.termination.final_x)[0] == gap
+    assert len(trace.rows) < 10_001
 
 
 def test_gap_tol_zero_never_stops_on_gap():
@@ -198,7 +203,7 @@ def test_finite_termination_on_sharp_linear_problem():
     trace = solve(problem, LineSearch(1e-10, 200), x0=np.array([0.0, 0.0, 1.0]),
                   stop=StopRule(max_iter=100))
     assert trace.termination.reason == REASON_FINITE_TERMINATION
-    assert trace.iterations[-1].k == 1
+    assert trace.ks[-1] == 1
     assert np.array_equal(trace.termination.final_x, [1.0, 0.0, 0.0])
 
 
@@ -208,12 +213,13 @@ def test_finite_termination_compares_iterates_not_step_norms():
     fs = Box(1, np.array([0.0]), np.array([1e-300]))
     trace = solve(Problem(fs, make_linear(np.array([-1.0]))), Harmonic(2.0),
                   x0=np.array([0.0]), stop=StopRule(max_iter=10))
-    assert trace.iterations[0].step_norm == 0.0
-    assert trace.iterations[0].gamma == 1.0
+    _, _, _, gamma, step_norm = trace.rows[0]
+    assert step_norm == 0.0
+    assert gamma == 1.0
     assert np.array_equal(trace.termination.final_x, [1e-300])
     assert trace.termination.reason == REASON_FINITE_TERMINATION
-    assert len(trace.iterations) == 2
-    assert trace.iterations[-1].k == 1
+    assert len(trace.rows) == 2
+    assert trace.ks[-1] == 1
 
 def test_infeasible_start_rejected():
     with pytest.raises(ValueError, match="x0 is not feasible"):
@@ -247,7 +253,7 @@ def _phi_evals_per_search(monkeypatch, problem, x0, max_iter):
     monkeypatch.setattr(fwlab.solver, "line_search", counting)
     trace = solve(problem, LineSearch(1e-10, 200), x0=x0, stop=StopRule(max_iter))
     # every row steps but a budget row
-    assert len(counts) == sum(r.k < max_iter for r in trace.iterations)
+    assert len(counts) == np.count_nonzero(trace.ks < max_iter)
     assert len(counts) >= 10
     return counts
 
@@ -284,7 +290,7 @@ def test_exact_quadratic_step_beats_a_grid_and_golden_section(kind, dim, seed):
     problem = Problem(fs, make_quadratic(b))
     x = fs.draw(rng)
     trace = solve(problem, LineSearch(1e-10, 200), x0=x, stop=StopRule(max_iter=1))
-    gamma = trace.iterations[0].gamma
+    gamma = float(trace.rows[0, 3])
     d = fs.lmo(problem.objective.grad(x)) - x
 
     def phi(t):
@@ -395,10 +401,10 @@ def test_composite_rows_evaluate_g_once_at_the_iterate(monkeypatch):
     trace = solve(problem, Harmonic(2.0), x0=x0, stop=StopRule(max_iter=20))
     monkeypatch.undo()
     # g(x_k) and g(x_bar_k) per row, then g at the final point
-    assert len(calls) == 2 * len(trace.iterations) + 1
-    for x, rec in zip(replay_iterates(problem, x0, trace), trace.iterations):
-        assert np.float64(rec.obj).tobytes() == np.float64(problem.phi(x)).tobytes()
-        assert np.float64(rec.gap).tobytes() == np.float64(fw_gap(problem, x)[0]).tobytes()
+    assert len(calls) == 2 * len(trace.rows) + 1
+    for x, (_, obj, gap, _, _) in zip(replay_iterates(problem, x0, trace), trace.rows):
+        assert obj.tobytes() == np.float64(problem.phi(x)).tobytes()
+        assert gap.tobytes() == np.float64(fw_gap(problem, x)[0]).tobytes()
 
 
 # --- composite oracle -----------------------------------------------------------------
@@ -500,15 +506,15 @@ def test_gpa_evaluates_one_gradient_per_row():
         objective, grad=lambda x: calls.append(1) or objective.grad(x))
     problem = dataclasses.replace(problem, objective=counted)
     trace = solve(problem, ProjectedGradient(0.5), np.eye(4)[0], StopRule(10))
-    assert len(trace.iterations) == 11
+    assert len(trace.rows) == 11
     assert len(calls) == 11
 
 
 def test_gpa_gamma_column_is_the_fixed_step():
     problem = _simplex_quadratic(4)
     trace = solve(problem, ProjectedGradient(0.5), np.eye(4)[0], StopRule(5))
-    for rec in trace.iterations[:-1]:
-        assert rec.gamma == 0.5
+    for gamma in trace.rows[:-1, 3]:
+        assert gamma == 0.5
 
 
 # --- iterate feasibility and determinism ---------------------------------------------------
@@ -521,9 +527,9 @@ def test_all_iterates_stay_feasible(seed):
     problem = Problem(fs, make_quadratic(rng.normal(scale=0.4, size=3), fs))
     x0 = fs.sample(seed)
     trace = solve(problem, Harmonic(2.0), x0=x0, stop=StopRule(max_iter=30))
-    for x, rec in zip(replay_iterates(problem, x0, trace), trace.iterations):
+    for x, gap in zip(replay_iterates(problem, x0, trace), trace.rows[:, 2]):
         assert fs.contains(x, 1e-9)
-        assert rec.gap >= -1e-12  # oracle roundoff only
+        assert gap >= -1e-12  # oracle roundoff only
 
 
 def test_identical_configs_produce_bit_identical_traces():
@@ -644,11 +650,11 @@ def test_trace_csv_round_trips_exact_floats(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(TRACE_CSV_COLUMNS)
     rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == len(trace.iterations)
-    for rec, (k, obj, gap, gamma, step_norm) in zip(trace.iterations, rows):
+    assert len(rows) == len(trace.rows)
+    for want, (k, obj, gap, gamma, step_norm) in zip(trace.rows.tolist(), rows):
         obj, gap, gamma, step_norm = map(float, (obj, gap, gamma, step_norm))
-        assert int(k) == rec.k
-        assert obj == rec.obj  # %.17g reproduces doubles exactly
-        assert gap == rec.gap
-        assert gamma == rec.gamma
-        assert step_norm == rec.step_norm
+        assert int(k) == want[0]
+        assert obj == want[1]  # %.17g reproduces doubles exactly
+        assert gap == want[2]
+        assert gamma == want[3]
+        assert step_norm == want[4]
