@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import FeasibleSet, Vector
 from .objectives import Objective
-from .schema import Count, Descriptor, Positive
+from .schema import Count, Descriptor, Positive, field_dict
 from .stepsize import OpenLoop, StepsizeRule
 from .solver import SolveTrace
 
@@ -42,13 +42,7 @@ class CurvatureEstimate:
     seed: int
 
     def as_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "sampled_value": self.sampled_value,
-            "holder_upper_bound": self.holder_upper_bound,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
+        return field_dict(self)
 
 
 def _validate_gamma_grid(gamma_grid) -> list[float]:
@@ -189,11 +183,11 @@ class RateBound(Descriptor):
     """A closed-form convergence bound bound(k) on objective suboptimality.
 
     Each kind is a subclass that parses and checks its own parameters and
-    evaluates its own formula; `params` orders the fields `as_dict` prints.
+    evaluates its own formula; `as_dict` prints its fields in the order they
+    are declared, all but the nested ones.
     """
 
     kind = ""
-    params = ()
 
     def bound(self, k: int) -> float:
         if k < 0:
@@ -211,14 +205,14 @@ class RateBound(Descriptor):
         return self
 
     def as_dict(self) -> dict:
-        return {"kind": self.kind, "params": {name: getattr(self, name) for name in self.params}}
+        return {"kind": self.kind, "params": {name: getattr(self, name) for name in self._types
+                                              if name not in self.nested}}
 
 
 class HarmonicClassic(RateBound):
     """2*C_f/(k+2), the classic order-2 bound for the c=2 harmonic schedule."""
 
     kind = "harmonic_classic"
-    params = ("C_f",)
     C_f: Positive
 
     def formula(self, k):
@@ -229,7 +223,6 @@ class LineSearchOrderSigma(RateBound):
     """Suboptimality bound under exact line minimization; equals theta0 at k=0."""
 
     kind = "line_search_order_sigma"
-    params = ("theta0", "sigma", "C_sigma")
     theta0: Positive
     sigma: float
     C_sigma: Positive
@@ -277,10 +270,9 @@ class OpenLoopOrderSigma(RateBound):
     """
 
     kind = "open_loop_order_sigma"
-    params = ("Delta", "sigma", "composite")
     nested = {"assemble": lambda v: (GivenC if "C_sigma" in v else SampledC)(v)}
+    Delta: Positive | None = None  # first, so `as_dict` prints it before sigma
     sigma: float
-    Delta: Positive | None = None
     composite: bool = False
     assemble: GivenC | SampledC | None = None
 

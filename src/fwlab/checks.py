@@ -25,8 +25,8 @@ from .analysis import (
 )
 from .solver import Problem, SolveTrace, REASON_FINITE_TERMINATION
 from .stepsize import DHRecursion, dh_envelope_holds
-from .geometry import Box
-from .schema import Count, Descriptor, Fraction, Positive, Vector, kind_of
+from .geometry import Box, require_finite
+from .schema import Count, Descriptor, Fraction, Positive, Vector, field_dict, kind_of
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,7 @@ class CheckResult:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {"kind": self.kind, "passed": self.passed, "measured": self.measured,
-                "required": self.required, "detail": self.detail}
+        return field_dict(self)
 
 
 @dataclass
@@ -162,9 +161,13 @@ class FiniteTermination(Check):
 
     def validate(self, spec, problem):
         super().validate(spec, problem)
-        if self.final_x is not None and len(self.final_x) != problem.feasible_set.dimension:
+        if self.final_x is None:
+            return
+        if len(self.final_x) != problem.feasible_set.dim:
             raise ValueError(f"'final_x' has shape {(len(self.final_x),)}, "
-                             f"set dimension is {problem.feasible_set.dimension}")
+                             f"set dimension is {problem.feasible_set.dim}")
+        # a NaN entry would pass evaluate's err > tol test
+        require_finite(np.asarray(self.final_x, dtype=float), "'final_x'")
 
     def evaluate(self, ctx):
         term = ctx.trace.termination
@@ -293,9 +296,9 @@ class OracleGridMatch(Check):
         rng = np.random.default_rng(self.seed)
         worst = 0.0
         for _ in range(self.n_vectors):
-            c = rng.normal(size=box.dimension) * float(rng.choice([0.3, 1.0, 3.0]))
+            c = rng.normal(size=box.dim) * float(rng.choice([0.3, 1.0, 3.0]))
             x = box.lmo_l1(c, g.lam)
-            for i in range(box.dimension):
+            for i in range(box.dim):
                 grid = np.linspace(box.lower[i], box.upper[i], self.grid_points)
                 best = float(np.min(c[i] * grid + g.lam * np.abs(grid)))
                 ours = c[i] * x[i] + g.lam * abs(x[i])

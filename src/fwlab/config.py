@@ -15,13 +15,11 @@ import numpy as np
 
 from .geometry import FeasibleSet, require_finite, set_from_descriptor
 from .objectives import composite_from_descriptor, objective_from_descriptor
-from .schema import read, typed
+from .schema import field_dict, field_types, read, typed
 from .solver import Problem, StopRule, config_fingerprint
 from .stepsize import StepsizeRule, rule_from_descriptor
 
-_SPEC_FIELDS = {"name", "problem", "rule", "x0", "stop", "checks", "seed"}
 _PROBLEM_FIELDS = {"set", "objective", "composite"}
-_STOP_FIELDS = {"max_iter": "int", "gap_tol": "float | None"}
 
 _X0_VERTEX = re.compile(r"^vertex\((\d+)\)$")
 _X0_SAMPLE = re.compile(r"^sample\((\d+)\)$")
@@ -41,22 +39,14 @@ class ExperimentSpec:
         return self.rule is not None
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "problem": self.problem,
-            "rule": self.rule,
-            "x0": self.x0,
-            "stop": self.stop,
-            "checks": self.checks,
-        }
+        return field_dict(self)
 
 
 def parse_spec(raw: dict, source: str = "<spec>") -> ExperimentSpec:
     """Parse and structurally validate one spec object. Errors name the field."""
     if not isinstance(raw, dict):
         raise ValueError(f"{source}: spec must be a JSON object, got {type(raw).__name__}")
-    unknown = set(raw) - _SPEC_FIELDS
+    unknown = raw.keys() - field_types(ExperimentSpec)
     if unknown:
         raise ValueError(f"{source}: unknown spec fields {sorted(unknown)}")
     name = raw.get("name")
@@ -137,9 +127,9 @@ def resolve_x0(spec: ExperimentSpec, feasible_set: FeasibleSet) -> np.ndarray:
     x0 = spec.x0
     if isinstance(x0, list):
         arr = np.asarray(_section(spec, "x0", typed, "x0", "Vector", x0), dtype=float)
-        if arr.ndim != 1 or arr.size != feasible_set.dimension:
+        if arr.ndim != 1 or arr.size != feasible_set.dim:
             raise ValueError(f"{spec.name}: x0 has shape {arr.shape}, "
-                             f"set dimension is {feasible_set.dimension}")
+                             f"set dimension is {feasible_set.dim}")
         require_finite(arr, f"{spec.name}: x0")
         return arr
     if isinstance(x0, str):
@@ -162,8 +152,8 @@ def resolve_x0(spec: ExperimentSpec, feasible_set: FeasibleSet) -> np.ndarray:
 
 
 def build_stop(spec: ExperimentSpec) -> StopRule:
-    return _section(spec, "stop", lambda desc: StopRule(**read(desc, _STOP_FIELDS, False)),
-                    spec.stop)
+    return _section(spec, "stop",
+                    lambda desc: StopRule(**read(desc, field_types(StopRule), False)), spec.stop)
 
 
 def spec_fingerprint(spec: ExperimentSpec) -> str:

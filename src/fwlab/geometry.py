@@ -5,9 +5,9 @@ project (Euclidean projection, where closed-form), diameter, contains, and
 seeded sampling. The simplex, the two balls and the box also solve the
 L1-composite subproblem argmin <c, x> + lam*||x||_1 exactly (lmo_l1); on
 every set the origin wins that subproblem only strictly. All operations are
-pure; sampling is pure given its seed. The norm is l2 throughout. A set
-keeps read-only float64 copies of its vectors, and its descriptor hands out
-those arrays, not lists.
+pure; sampling is pure given its seed. The norm is l2 throughout. A set's
+fields are its spec's, under its `kind`: it keeps read-only float64 copies
+of its vectors, and its descriptor hands out those arrays, not lists.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import build
+from .schema import Matrix, Tagged, build, kinds
 
 Vector = np.ndarray
 
@@ -57,10 +57,9 @@ def require_finite(arr: Vector, name: str) -> None:
         raise ValueError(f"{name} contains non-finite entries")
 
 
-class FeasibleSet:
-    """Base for all set kinds. Concrete kinds fill in the five operations."""
-
-    dimension: int
+class FeasibleSet(Tagged):
+    """Base for all set kinds. Concrete kinds fill in the five operations;
+    each has a dimension `dim`, a field or a property."""
 
     def lmo(self, c: Vector) -> Vector:
         """argmin_{x in C} <c, x>, as a fresh writable float64 array that
@@ -90,11 +89,8 @@ class FeasibleSet:
         l2 ball, whose true extreme set is the whole sphere).
 
         With a limit, only the first `limit` rows of that same sequence are
-        built, at O(limit * dimension) cost.
+        built, at O(limit * dim) cost.
         """
-        raise NotImplementedError
-
-    def descriptor(self) -> dict:
         raise NotImplementedError
 
     def sample(self, rng_seed: int) -> Vector:
@@ -106,15 +102,16 @@ class FeasibleSet:
 class Simplex(FeasibleSet):
     """Probability simplex {x >= 0, sum x = 1} in R^d."""
 
-    dimension: int
+    kind = "simplex"
+    dim: int
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        if self.dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.dim}")
 
     def lmo(self, c: Vector) -> Vector:
         # argmin over vertices; argmin takes the lowest index on ties
-        out = np.zeros(self.dimension)
+        out = np.zeros(self.dim)
         out[int(c.argmin())] = 1.0
         return out
 
@@ -126,42 +123,40 @@ class Simplex(FeasibleSet):
         return _project_onto_simplex_face(x, 1.0)
 
     def diameter(self) -> float:
-        return float(np.sqrt(2.0)) if self.dimension >= 2 else 0.0
+        return float(np.sqrt(2.0)) if self.dim >= 2 else 0.0
 
     def contains(self, x: Vector, tol: float = 1e-9) -> bool:
         return bool(np.all(x >= -tol) and abs(float(x.sum()) - 1.0) <= tol)
 
     def draw(self, rng: np.random.Generator) -> Vector:
         # exponential-normalization construction (uniform on the simplex)
-        e = rng.exponential(1.0, self.dimension)
+        e = rng.exponential(1.0, self.dim)
         e /= e.sum()
         return e
 
     def extreme_points(self, limit: int | None = None) -> np.ndarray:
-        d = self.dimension
+        d = self.dim
         return np.eye(_row_count(d, limit), d)
-
-    def descriptor(self) -> dict:
-        return {"kind": "simplex", "dim": self.dimension}
 
 
 @dataclass(frozen=True, eq=False)
 class L1Ball(FeasibleSet):
     """{x : ||x||_1 <= radius}."""
 
-    dimension: int
+    kind = "l1_ball"
+    dim: int
     radius: float
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        if self.dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.dim}")
         if not 0 < self.radius < math.inf:
             raise ValueError(f"radius must be finite and positive, got {self.radius}")
 
     def lmo(self, c: Vector) -> Vector:
         i = int(np.abs(c).argmax())
         s = 1.0 if c[i] >= 0 else -1.0  # c[i] == 0 only when c == 0; any vertex then ties
-        out = np.zeros(self.dimension)
+        out = np.zeros(self.dim)
         out[i] = -self.radius * s
         return out
 
@@ -170,7 +165,7 @@ class L1Ball(FeasibleSet):
         # the plain oracle's vertex, whose value r*(lam - ||c||_inf) beats the
         # origin's 0 only when ||c||_inf > lam; at equality the vertex keeps it
         if float(np.max(np.abs(c))) < lam:
-            return np.zeros(self.dimension)
+            return np.zeros(self.dim)
         return self.lmo(c)
 
     def project(self, x: Vector) -> Vector:
@@ -188,39 +183,37 @@ class L1Ball(FeasibleSet):
 
     def draw(self, rng: np.random.Generator) -> Vector:
         # uniform: Dirichlet magnitudes, random orthant, then radial u^(1/d)
-        e = rng.exponential(1.0, self.dimension)
-        x = rng.integers(0, 2, self.dimension) * 2.0
+        e = rng.exponential(1.0, self.dim)
+        x = rng.integers(0, 2, self.dim) * 2.0
         x -= 1.0  # the signs
         x *= e
         x /= e.sum()  # a boundary point
         u = rng.random()
-        x *= self.radius * u ** (1.0 / self.dimension)
+        x *= self.radius * u ** (1.0 / self.dim)
         return x
 
     def extreme_points(self, limit: int | None = None) -> np.ndarray:
-        return _signed_axes(self.dimension, self.radius, limit)
-
-    def descriptor(self) -> dict:
-        return {"kind": "l1_ball", "dim": self.dimension, "radius": self.radius}
+        return _signed_axes(self.dim, self.radius, limit)
 
 
 @dataclass(frozen=True, eq=False)
 class L2Ball(FeasibleSet):
     """{x : ||x||_2 <= radius}."""
 
-    dimension: int
+    kind = "l2_ball"
+    dim: int
     radius: float
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        if self.dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.dim}")
         if not 0 < self.radius < math.inf:
             raise ValueError(f"radius must be finite and positive, got {self.radius}")
 
     def lmo(self, c: Vector) -> Vector:
         n = l2_norm(c)
         if n == 0.0:
-            return np.zeros(self.dimension)
+            return np.zeros(self.dim)
         return -self.radius / n * c
 
     def lmo_l1(self, c: Vector, lam: float) -> Vector:
@@ -230,7 +223,7 @@ class L2Ball(FeasibleSet):
         s = np.sign(c) * np.maximum(np.abs(c) - lam, 0.0)
         n = l2_norm(s)
         if n == 0.0:
-            return np.zeros(self.dimension)
+            return np.zeros(self.dim)
         return -self.radius / n * s
 
     def project(self, x: Vector) -> Vector:
@@ -246,35 +239,33 @@ class L2Ball(FeasibleSet):
         return l2_norm(x) <= self.radius + tol
 
     def draw(self, rng: np.random.Generator) -> Vector:
-        g = rng.standard_normal(self.dimension)
+        g = rng.standard_normal(self.dim)
         n = l2_norm(g)
         while n == 0.0:  # not reachable in practice
-            g = rng.standard_normal(self.dimension)
+            g = rng.standard_normal(self.dim)
             n = l2_norm(g)
         u = rng.random()
-        g *= self.radius * u ** (1.0 / self.dimension) / n
+        g *= self.radius * u ** (1.0 / self.dim) / n
         return g
 
     def extreme_points(self, limit: int | None = None) -> np.ndarray:
-        return _signed_axes(self.dimension, self.radius, limit)
-
-    def descriptor(self) -> dict:
-        return {"kind": "l2_ball", "dim": self.dimension, "radius": self.radius}
+        return _signed_axes(self.dim, self.radius, limit)
 
 
 @dataclass(frozen=True, eq=False)
 class Box(FeasibleSet):
     """Axis-aligned box {lower <= x <= upper} componentwise."""
 
-    dimension: int
+    kind = "box"
+    dim: int
     lower: Vector
     upper: Vector
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        lo = _as_vector(self.lower, self.dimension, "lower")
-        hi = _as_vector(self.upper, self.dimension, "upper")
+        if self.dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.dim}")
+        lo = _as_vector(self.lower, self.dim, "lower")
+        hi = _as_vector(self.upper, self.dim, "upper")
         if not np.all(lo < hi):
             raise ValueError("lower must be strictly below upper componentwise")
         object.__setattr__(self, "lower", lo)
@@ -307,12 +298,12 @@ class Box(FeasibleSet):
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
     def draw(self, rng: np.random.Generator) -> Vector:
-        x = rng.random(self.dimension)
+        x = rng.random(self.dim)
         x *= self.upper - self.lower
         return np.add(self.lower, x, out=x)
 
     def extreme_points(self, limit: int | None = None) -> np.ndarray:
-        d = self.dimension
+        d = self.dim
         if d <= 12:
             rows, total = itertools.product(*zip(self.lower, self.upper)), 2 ** d
         else:
@@ -323,7 +314,7 @@ class Box(FeasibleSet):
         # too many corners to enumerate: both extreme corners plus single flips
         yield self.lower.copy()
         yield self.upper.copy()
-        for i in range(self.dimension):
+        for i in range(self.dim):
             a = self.lower.copy()
             a[i] = self.upper[i]
             yield a
@@ -331,20 +322,13 @@ class Box(FeasibleSet):
             b[i] = self.lower[i]
             yield b
 
-    def descriptor(self) -> dict:
-        return {
-            "kind": "box",
-            "dim": self.dimension,
-            "lower": self.lower,
-            "upper": self.upper,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class VertexPolytope(FeasibleSet):
     """Convex hull of an explicit vertex list (one vertex per row)."""
 
-    vertices: np.ndarray
+    kind = "vertex_polytope"
+    vertices: Matrix
 
     def __post_init__(self):
         v = frozen_copy(self.vertices)
@@ -354,7 +338,7 @@ class VertexPolytope(FeasibleSet):
         object.__setattr__(self, "vertices", v)
 
     @property
-    def dimension(self) -> int:
+    def dim(self) -> int:
         return self.vertices.shape[1]
 
     def lmo(self, c: Vector) -> Vector:
@@ -411,12 +395,6 @@ class VertexPolytope(FeasibleSet):
     def extreme_points(self, limit: int | None = None) -> np.ndarray:
         return self.vertices[:_row_count(len(self.vertices), limit)].copy()
 
-    def descriptor(self) -> dict:
-        return {
-            "kind": "vertex_polytope",
-            "vertices": self.vertices,
-        }
-
 
 def _row_count(total: int, limit: int | None) -> int:
     """How many of a table's `total` rows a call with this limit returns."""
@@ -462,14 +440,7 @@ def _project_onto_simplex_face(x: Vector, total: float) -> Vector:
     return np.maximum(q, 0.0, out=q)
 
 
-_SET_KINDS = {
-    "simplex": (lambda dim: Simplex(dim), {"dim": "int"}),
-    "l1_ball": (lambda dim, radius: L1Ball(dim, radius), {"dim": "int", "radius": "float"}),
-    "l2_ball": (lambda dim, radius: L2Ball(dim, radius), {"dim": "int", "radius": "float"}),
-    "box": (lambda dim, lower, upper: Box(dim, lower, upper),
-            {"dim": "int", "lower": "Vector", "upper": "Vector"}),
-    "vertex_polytope": (VertexPolytope, {"vertices": "Matrix"}),
-}
+_SET_KINDS = kinds(Simplex, L1Ball, L2Ball, Box, VertexPolytope)
 
 
 def set_from_descriptor(desc: dict) -> FeasibleSet:

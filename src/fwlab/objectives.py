@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import FeasibleSet, Vector, frozen_copy, l2_norm, require_finite
-from .schema import build
+from .schema import Tagged, build, kinds
 from .stepsize import line_search_quadratic_exact
 
 
@@ -76,9 +76,10 @@ class Objective:
 
 
 @dataclass(frozen=True)
-class CompositePart:
+class CompositePart(Tagged):
     """Convex additive term g for composite problems: g(x) = lam * ||x||_1."""
 
+    kind = "l1"
     lam: float
 
     def __post_init__(self):
@@ -87,9 +88,6 @@ class CompositePart:
 
     def value(self, x: Vector) -> float:
         return self.lam * float(np.abs(x).sum())
-
-    def descriptor(self) -> dict:
-        return {"kind": "l1", "lam": self.lam}
 
 
 def _optimum_if_inside(b: Vector, feasible_set: FeasibleSet) -> tuple:
@@ -102,9 +100,9 @@ def _optimum_if_inside(b: Vector, feasible_set: FeasibleSet) -> tuple:
 def _data(name: str, v, feasible_set: FeasibleSet | None) -> Vector:
     """frozen_copy(v), finite, and of the set's dimension when there is a set."""
     v = frozen_copy(v)
-    if feasible_set is not None and v.shape != (feasible_set.dimension,):
+    if feasible_set is not None and v.shape != (feasible_set.dim,):
         raise ValueError(f"'{name}' has shape {v.shape}, "
-                         f"set dimension is {feasible_set.dimension}")
+                         f"set dimension is {feasible_set.dim}")
     require_finite(v, f"'{name}'")
     return v
 
@@ -178,9 +176,9 @@ def make_power_norm(sigma: float, b, feasible_set: FeasibleSet | None = None) ->
 
 def _of_dimension(kind: str, dim: int, feasible_set: FeasibleSet | None) -> None:
     """Reject a set whose dimension is not the objective's fixed one."""
-    if feasible_set is not None and feasible_set.dimension != dim:
+    if feasible_set is not None and feasible_set.dim != dim:
         raise ValueError(f"{kind} is {dim}-dimensional, "
-                         f"set dimension is {feasible_set.dimension}")
+                         f"set dimension is {feasible_set.dim}")
 
 
 def make_t_alpha(alpha: float, feasible_set: FeasibleSet | None = None) -> Objective:
@@ -266,7 +264,7 @@ _OBJECTIVE_KINDS = {
     "linear": (make_linear, {"c": "Vector"}),
 }
 
-_COMPOSITE_KINDS = {"l1": (CompositePart, {"lam": "float"})}
+_COMPOSITE_KINDS = kinds(CompositePart)
 
 
 def objective_from_descriptor(desc: dict, feasible_set: FeasibleSet | None = None) -> Objective:

@@ -1,10 +1,13 @@
 """Field types of spec descriptors, and the one parser every section goes through.
 
-`build` calls the factory of a descriptor's kind, from a table of
-kind -> (factory, {field: type}), on the fields `read` checked by type (a
-type ending in " | None" marks a field that may be omitted); values are kept
-as written, and an unknown, missing or mistyped field raises a ValueError naming it.
-A `Descriptor` subclass reads its annotated fields through the same `read`.
+A section's schema is its class's annotated fields: `field_types` reads them,
+and `kinds` makes a table of kind -> (class, {field: type}) from them.
+`build` calls the factory of a descriptor's kind, from such a table, on the
+fields `read` checked by type (a type ending in " | None" marks a field that
+may be omitted); values are kept as written, and an unknown, missing or
+mistyped field raises a ValueError naming it. A `Tagged` object renders its
+fields back under its kind; a `Descriptor` subclass reads its annotated
+fields through the same `read`.
 """
 from __future__ import annotations
 
@@ -79,13 +82,49 @@ def build(desc, kinds: dict, what: str, **args):
     return factory(**read(desc, types), **args)
 
 
-# Names for the field types of a `Descriptor`'s annotations. A field's
+# Names for the field types of a section's annotations. A field's
 # annotation names its type above, or its class's `nested` table parses it;
 # `T | None = None` marks an optional field with no default value.
 Positive = float  # a finite number > 0
 Count = int  # an integer >= 1
 Fraction = float  # a number in (0, 1]
 Vector = list  # a flat list of numbers
+Matrix = list  # a list of vectors of numbers
+
+
+def field_types(cls, nested=()) -> dict:
+    """{field: type name} of cls's annotated fields, its bases' first. A field
+    in `nested` reads as an object; one with a class-level default may be
+    omitted, so its type ends in " | None"."""
+    types = {}
+    for klass in reversed(cls.__mro__):
+        for name, typ in klass.__dict__.get("__annotations__", {}).items():
+            typ = "object" if name in nested else typ.removesuffix(" | None")
+            types[name] = typ + (" | None" if hasattr(cls, name) else "")
+    return types
+
+
+def field_dict(obj) -> dict:
+    """obj's fields by name, in declaration order: a shallow dict whose values
+    are obj's own, not the deep copies `dataclasses.asdict` makes of a
+    spec's long lists."""
+    return {name: getattr(obj, name) for name in field_types(type(obj))}
+
+
+def kinds(*classes) -> dict:
+    """The table `build` reads: each class under its `kind`, with its field types."""
+    return {cls.kind: (cls, field_types(cls)) for cls in classes}
+
+
+class Tagged:
+    """An object a spec section describes: its fields are the annotated ones
+    of its class, and its descriptor tags them with the class's `kind`."""
+
+    kind = ""
+
+    def descriptor(self) -> dict:
+        # the fields as the object holds them: a spec's int stays an int
+        return {"kind": self.kind, **field_dict(self)}
 
 
 class Descriptor:
@@ -101,12 +140,7 @@ class Descriptor:
     nested = {}
 
     def __init_subclass__(cls):
-        # a nested descriptor reads as an object; a field with a default may be omitted
-        cls._types = {}
-        for klass in reversed(cls.__mro__):
-            for name, typ in klass.__dict__.get("__annotations__", {}).items():
-                typ = "object" if name in cls.nested else typ.removesuffix(" | None")
-                cls._types[name] = typ + (" | None" if hasattr(cls, name) else "")
+        cls._types = field_types(cls, cls.nested)
 
     def __init__(self, desc: dict):
         nested = self.nested

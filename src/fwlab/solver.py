@@ -20,6 +20,7 @@ import numpy as np
 
 from .geometry import FeasibleSet, Vector, VertexPolytope, l2_norm
 from .objectives import CompositePart, Objective
+from .schema import field_dict
 from .stepsize import LineSearch, StepsizeRule, line_search, step_toward
 
 REASON_MAX_ITER = "max_iter"
@@ -72,7 +73,7 @@ class StopRule:
             raise ValueError(f"gap_tol must be >= 0, got {self.gap_tol}")
 
     def descriptor(self) -> dict:
-        return {"max_iter": self.max_iter, "gap_tol": self.gap_tol}
+        return field_dict(self)
 
 
 @dataclass(frozen=True)

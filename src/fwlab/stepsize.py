@@ -10,32 +10,27 @@ objective can be kinked, so derivative methods are out).
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .geometry import Vector, VertexPolytope
-from .schema import build
+from .schema import Tagged, build, kinds
 
 # stepsizes per block when a schedule or its envelope is evaluated to a
 # horizon: the temporaries of a formula hold O(SCHEDULE_BLOCK) memory
 SCHEDULE_BLOCK = 4096
 
 
-class StepsizeRule:
+class StepsizeRule(Tagged):
     """A stepsize rule: a frozen dataclass whose fields are its spec's, under
     the class's `kind`."""
 
-    kind = ""
-
     def validate(self, problem, stop) -> None:
         """Every problem and stop rule suit a Frank-Wolfe step; nothing to check."""
-
-    def descriptor(self) -> dict:
-        # values as the spec gave them: an int step stays an int
-        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
 
 def step_toward(x: Vector, gamma: float, d: Vector) -> Vector:
@@ -75,16 +70,22 @@ class OpenLoop(StepsizeRule):
         if upto < 0:
             raise ValueError(f"horizon must be >= 0, got {upto}")
         out = np.empty(upto + 1)
-        for start, k in _blocks(upto):
-            out[start:start + len(k)] = self.gamma(k)
+        for k in _blocks(upto):
+            out[int(k[0]):int(k[-1]) + 1] = self.gamma(k)
         return out
 
     def stepper(self, problem, max_iter: int):
-        """`advance(k, x, grad, d)`: gamma_k and x_{k+1}, written into d."""
-        # indexed as the float64 array, 8 bytes a row for the whole loop; a
-        # list of Python floats would hold 32
-        gammas = self.values(max_iter)
-        return lambda k, x, grad, d: (gammas[k], step_toward(x, gammas[k], d))
+        """`advance(k, x, grad, d)`: gamma_k and x_{k+1}, written into d, for
+        k = 0, 1, ... in turn."""
+        # the blocks of `values(max_iter)`, each evaluated when the rows reach
+        # it: the same bits in O(SCHEDULE_BLOCK) memory, whatever the budget
+        gammas = itertools.chain.from_iterable(map(self.gamma, _blocks(max_iter)))
+
+        def advance(k, x, grad, d):
+            gamma = next(gammas)
+            return gamma, step_toward(x, gamma, d)
+
+        return advance
 
 
 @dataclass(frozen=True)
@@ -251,9 +252,8 @@ def dh_envelope_holds(rule: DHRecursion, horizon: int) -> bool:
     rule for every k <= horizon, compared with no tolerance."""
     if horizon < 10:
         raise ValueError(f"horizon must be >= 10, got {horizon}")
-    g = rule.values(horizon)
-    for start, k in _blocks(horizon):
-        block = g[start:start + len(k)]
+    for k in _blocks(horizon):
+        block = rule.gamma(k)
         if not (np.all(rule.gamma0 / (k + 1.0) <= block)
                 and np.all(block <= rule.gamma0 / (rule.gamma0 * k + 1.0))):
             return False
@@ -261,16 +261,12 @@ def dh_envelope_holds(rule: DHRecursion, horizon: int) -> bool:
 
 
 def _blocks(upto: int):
-    """(start, k) for consecutive blocks of k = 0..upto as floats, at most
-    SCHEDULE_BLOCK each."""
+    """Consecutive blocks of k = 0..upto as floats, at most SCHEDULE_BLOCK each."""
     for start in range(0, upto + 1, SCHEDULE_BLOCK):
-        yield start, np.arange(start, min(start + SCHEDULE_BLOCK, upto + 1), dtype=float)
+        yield np.arange(start, min(start + SCHEDULE_BLOCK, upto + 1), dtype=float)
 
 
-# kind -> (class, {field: type}); a field with a default may be omitted
-_RULE_KINDS = {cls.kind: (cls, {f.name: f.type + (" | None" if f.default is not MISSING else "")
-                                for f in fields(cls)})
-               for cls in (LineSearch, Harmonic, Power, DHRecursion, ProjectedGradient)}
+_RULE_KINDS = kinds(LineSearch, Harmonic, Power, DHRecursion, ProjectedGradient)
 
 
 def rule_from_descriptor(desc: dict) -> StepsizeRule:

@@ -343,7 +343,7 @@ def test_criterion_13_randomized_invariant_suite():
     # every sampled feasible point and every listed extreme point
     for fs in sets + [triangle]:
         for i in range(40):
-            c = rng.standard_normal(fs.dimension)
+            c = rng.standard_normal(fs.dim)
             s = fs.lmo(c)
             if not fs.contains(s, 1e-9):
                 failures.append(f"lmo left {type(fs).__name__}")
@@ -358,7 +358,7 @@ def test_criterion_13_randomized_invariant_suite():
     # projections: feasible, idempotent, and obtuse against the set
     for fs in sets:
         for i in range(40):
-            x = 3.0 * rng.standard_normal(fs.dimension)
+            x = 3.0 * rng.standard_normal(fs.dim)
             p = fs.project(x)
             if not fs.contains(p, 1e-9):
                 failures.append(f"projection left {type(fs).__name__}")
@@ -372,7 +372,7 @@ def test_criterion_13_randomized_invariant_suite():
     # the reported gap upper-bounds the suboptimality against sampled points,
     # for both plain and composite problems
     for fs in sets:
-        b = rng.standard_normal(fs.dimension)
+        b = rng.standard_normal(fs.dim)
         for composite in (None, CompositePart(0.3)):
             problem = Problem(fs, make_quadratic(b, fs), composite)
             for i in range(20):
@@ -389,7 +389,7 @@ def test_criterion_13_randomized_invariant_suite():
 
     # every iterate of a solve stays feasible and reports a nonnegative gap
     for fs in sets:
-        b = rng.standard_normal(fs.dimension)
+        b = rng.standard_normal(fs.dim)
         problem = Problem(fs, make_quadratic(b, fs))
         for rule in (Harmonic(2.0), LineSearch(1e-10, 200)):
             x0 = fs.sample(0)

@@ -213,7 +213,7 @@ def test_holder_curvature_bound_is_zero_on_a_one_point_set():
 @pytest.mark.parametrize("fs", [Simplex(1), VertexPolytope(np.array([[0.5, -0.2]]))],
                          ids=["simplex_1", "one_vertex"])
 def test_curvature_estimate_of_a_one_point_set_is_zero(fs):
-    obj = make_quadratic(np.full(fs.dimension, 0.3))
+    obj = make_quadratic(np.full(fs.dim, 0.3))
     est = estimate_curvature(obj, fs, sigma=2.0, n_samples=8, seed=1)
     assert est.sampled_value == 0.0
     assert est.holder_upper_bound == 0.0

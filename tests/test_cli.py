@@ -121,6 +121,10 @@ def test_solve_mistyped_check_field_exits_two_before_any_artifact(tmp_path, caps
                   "objective": {"kind": "quadratic", "b": [0.0] * 3}}},
      "problem.set: lower contains non-finite entries"),
     ({"x0": [math.nan, 0.0, 1.0]}, "x0 contains non-finite entries"),
+    # a NaN final_x passed the check, since err > tol is False for NaN
+    *(({"checks": [{"kind": "finite-termination", "final_x": [bad, 0.0, 0.0]}]},
+       "checks[0]: 'final_x' contains non-finite entries")
+      for bad in (math.nan, math.inf, -math.inf)),
     # non-finite scalar fields: "objective value is not finite at iteration 0",
     # "x0 is not feasible" and NaN steps, each naming no field
     ({"problem": {"set": {"kind": "box", "dim": 3, "lower": [-1.0] * 3, "upper": [1.0] * 3},
@@ -272,9 +276,9 @@ def test_validate_schedule_reports_exact_envelope(capsys):
 
 def test_schedule_checks_fail_when_a_step_leaves_the_envelope(monkeypatch, capsys):
     # one ulp above the closed form is above the upper envelope it equals
-    exact = stepsize.DHRecursion.values
-    monkeypatch.setattr(stepsize.DHRecursion, "values",
-                        lambda rule, upto: np.nextafter(exact(rule, upto), 2))
+    exact = stepsize.DHRecursion.gamma
+    monkeypatch.setattr(stepsize.DHRecursion, "gamma",
+                        lambda rule, k: np.nextafter(exact(rule, k), 2))
     desc = {"kind": "schedule-bounds", "gamma0s": [0.5], "horizon": 100}
     result = checks.evaluate_check(checks.parse_check(desc), checks.CheckContext(None, None))
     assert result.passed is False

@@ -308,6 +308,11 @@ def test_validate_rejects_final_x_of_the_wrong_dimension():
     check["final_x"] = [1.0, "a", 0.0]
     with pytest.raises(ValueError, match=r"checks\[0\]: 'final_x' must be a vector"):
         validate_spec(parse_spec(_solving_raw(checks=[check])))
+    # JSON's NaN and Infinity: a NaN entry once passed, as err > tol is False
+    for bad in (math.nan, math.inf, -math.inf):
+        check["final_x"] = [1.0, bad, 0.0]
+        with pytest.raises(ValueError, match=r"checks\[0\]: 'final_x' contains non-finite"):
+            validate_spec(parse_spec(_solving_raw(checks=[check])))
     check["final_x"] = [1.0, 0.0, 0.0]
     validate_spec(parse_spec(_solving_raw(checks=[check])))
 
@@ -563,6 +568,57 @@ def test_rule_descriptor_and_fingerprint_are_pinned(rule, descriptor, fingerprin
     assert got == descriptor
     assert list(got) == list(descriptor)
     assert [type(v) for v in got.values()] == [type(v) for v in descriptor.values()]
+    assert spec_fingerprint(spec) == fingerprint
+
+
+def _on_set(feasible_set, composite=None):
+    problem = {"set": feasible_set, "objective": _QUADRATIC}
+    return {"problem": {**problem, "composite": composite} if composite else problem}
+
+
+_PIN_BOX = {"kind": "box", "dim": 3, "lower": [-1.0, 0, -2.5], "upper": [1.0, 2, 0.5]}
+
+# (section, spec overrides, its descriptor, the spec's fingerprint): values
+# as the spec gave them, but a set's vectors as its read-only float64 arrays
+_PINNED_SECTIONS = [
+    ("set", _on_set(_SIMPLEX), {"kind": "simplex", "dim": 3},
+     "95b13ac0e23d951658aa6f31ab073fb9fcfb6fe963542a8f1a4969ea8091f099"),
+    ("set", _on_set({"kind": "l1_ball", "dim": 3, "radius": 2.0}),
+     {"kind": "l1_ball", "dim": 3, "radius": 2.0},
+     "32749252ed73ca3ae19f37a55acd2bbae42b963d5cdb1a17f47f4fe2d90b29ba"),
+    ("set", _on_set({"kind": "l2_ball", "dim": 3, "radius": 1}),
+     {"kind": "l2_ball", "dim": 3, "radius": 1},
+     "8ab28a8a95d4037c957b50a695470a181774359585ead3b457cec4dcc340ecc7"),
+    ("set", _on_set(_PIN_BOX),
+     {"kind": "box", "dim": 3, "lower": np.array([-1.0, 0.0, -2.5]),
+      "upper": np.array([1.0, 2.0, 0.5])},
+     "5ac743849491c651e06839d93b9d4025456ee4b92b1ccfdd5872c823f712df2e"),
+    ("set", _on_set({"kind": "vertex_polytope", "vertices": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1]]}),
+     {"kind": "vertex_polytope", "vertices": np.eye(3)},
+     "69d9523280ead69452cc529432a0f018e9e05d3bdd3fbfc941978add7aae1229"),
+    ("composite", _on_set(_PIN_BOX, {"kind": "l1", "lam": 0.5}), {"kind": "l1", "lam": 0.5},
+     "73570f2b8f442ff4846430d546b14951f6904c8b4f65464bb37d4cc67eb4ce41"),
+    ("stop", {"stop": {"max_iter": 5, "gap_tol": 0}}, {"max_iter": 5, "gap_tol": 0},
+     "9e4bf718a729497ff07ee975cf5175b9d0579331199eecabd58fef211a582955"),
+]
+
+
+@pytest.mark.parametrize("section, over, descriptor, fingerprint", _PINNED_SECTIONS,
+                         ids=["simplex", "l1_ball", "l2_ball-int-radius", "box",
+                              "vertex_polytope", "l1-composite", "stop-int-gap_tol"])
+def test_section_descriptor_and_fingerprint_are_pinned(section, over, descriptor,
+                                                       fingerprint):
+    spec = parse_spec(_solving_raw(**over))
+    problem = build_problem(spec)
+    got = {"set": problem.feasible_set, "composite": problem.composite,
+           "stop": build_stop(spec)}[section].descriptor()
+    assert list(got) == list(descriptor)
+    assert [type(v) for v in got.values()] == [type(v) for v in descriptor.values()]
+    for name, want in descriptor.items():
+        if isinstance(want, np.ndarray):
+            assert got[name].dtype == np.float64 and np.array_equal(got[name], want)
+        else:
+            assert got[name] == want
     assert spec_fingerprint(spec) == fingerprint
 
 

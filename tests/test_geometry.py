@@ -112,7 +112,7 @@ def test_lmo_certificate_beats_sampled_points(seed, which):
     # <c, lmo(c)> <= <c, y> for any feasible y
     fs = small_sets()[which]
     rng = np.random.default_rng(seed)
-    c = rng.normal(size=fs.dimension)
+    c = rng.normal(size=fs.dim)
     s = fs.lmo(c)
     assert fs.contains(s, 1e-9)
     for _ in range(5):
@@ -124,7 +124,7 @@ def test_lmo_certificate_beats_sampled_points(seed, which):
 def test_lmo_lands_on_listed_extreme_point_or_center(seed, which):
     fs = small_sets()[which]
     rng = np.random.default_rng(seed)
-    c = rng.normal(size=fs.dimension)
+    c = rng.normal(size=fs.dim)
     s = fs.lmo(c)
     if isinstance(fs, L2Ball):
         # continuum of extreme points; certify boundary membership instead
@@ -199,7 +199,7 @@ def test_vertex_polytope_has_no_projection():
 def test_projection_is_idempotent_and_obtuse(seed, which):
     fs = projectable_sets()[which]
     rng = np.random.default_rng(seed)
-    x = rng.normal(scale=3.0, size=fs.dimension)
+    x = rng.normal(scale=3.0, size=fs.dim)
     p = fs.project(x)
     assert fs.contains(p, 1e-9)
     assert np.linalg.norm(fs.project(p) - p) <= 1e-12
@@ -286,7 +286,7 @@ def test_vertex_polytope_membership_agrees_with_the_lp(seed, m, d):
 
 def _full_table(fs):
     """Every set kind's extreme-point table, written out as a whole."""
-    d = fs.dimension
+    d = fs.dim
     if isinstance(fs, Simplex):
         return np.eye(d)
     if isinstance(fs, (L1Ball, L2Ball)):
@@ -327,8 +327,8 @@ def test_oracles_hand_out_a_fresh_writable_array(fs, data, lam):
     # the solve row writes d = x_bar - x into the oracle's answer, so the
     # answer must be its own: writable float64, sharing memory with neither
     # the cost vector nor the set's data
-    c = np.array(data.draw(st.lists(_COST_ENTRIES, min_size=fs.dimension,
-                                    max_size=fs.dimension), label="c"))
+    c = np.array(data.draw(st.lists(_COST_ENTRIES, min_size=fs.dim,
+                                    max_size=fs.dim), label="c"))
     held = [c] + [v for v in vars(fs).values() if isinstance(v, np.ndarray)]
     with np.errstate(all="ignore"):  # inf and NaN costs
         answers = [fs.lmo(c)]
@@ -336,7 +336,7 @@ def test_oracles_hand_out_a_fresh_writable_array(fs, data, lam):
             answers.append(fs.lmo_l1(c, lam))
     for x_bar in answers:
         assert x_bar.flags.writeable
-        assert x_bar.dtype == np.float64 and x_bar.shape == (fs.dimension,)
+        assert x_bar.dtype == np.float64 and x_bar.shape == (fs.dim,)
         assert not any(np.shares_memory(x_bar, v) for v in held)
 
 
@@ -375,7 +375,7 @@ def test_descriptor_round_trip_preserves_behavior():
     rng = np.random.default_rng(0)
     for fs in small_sets():
         clone = set_from_descriptor(fs.descriptor())
-        c = rng.normal(size=fs.dimension)
+        c = rng.normal(size=fs.dim)
         assert np.array_equal(clone.lmo(c), fs.lmo(c))
         assert clone.diameter() == fs.diameter()
 

@@ -141,9 +141,26 @@ def test_trace_rows_hold_40_bytes_a_row():
     # five floats a row in one buffer, plus its growth slack; a list of
     # five-field tuples held about 225 bytes a row
     assert held <= 48 * 20_001
-    # while it runs, the open-loop schedule adds its float64 array, 8 bytes a
-    # row; a list of Python floats would add 32
-    assert peak <= 50 * 20_001
+    # while it runs, the open-loop schedule holds one block of its stepsizes;
+    # its whole float64 array added 8 bytes a row, a list of Python floats 32
+    assert peak <= 43 * 20_001
+
+
+def test_open_loop_budget_costs_no_memory_the_rows_do_not_reach():
+    # the schedule is evaluated a block at a time as the rows reach it; the
+    # whole budget's stepsizes once cost 80 MB before row 0 at max_iter 1e7
+    problem = _simplex_quadratic(10)
+    x0 = np.eye(10)[0]
+    stop = StopRule(max_iter=10**7, gap_tol=1e-3)
+    tracemalloc.start()
+    try:
+        trace = solve(problem, Harmonic(2.0), x0=x0, stop=stop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.termination.reason == "gap_tol"
+    assert len(trace.rows) < 1000
+    assert peak < 1_000_000
 
 
 def test_trace_built_from_rows_gives_the_rows_back():
