@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import FeasibleSet, Vector
 from .objectives import Objective
-from .schema import Count, Descriptor, Positive, field_dict
+from .schema import Count, Descriptor, Order, Positive, field_dict, typed
 from .stepsize import OpenLoop, StepsizeRule
 from .solver import SolveTrace
 
@@ -25,12 +25,6 @@ from .solver import SolveTrace
 DEFAULT_GAMMA_GRID: tuple[float, ...] = tuple(np.logspace(-3.0, -0.5, 13)) + (1.0,)
 
 _EXTREME_PAIR_CAP = 24  # at most this many extreme points enter the pair augmentation
-
-
-def check_sigma(sigma: float) -> None:
-    """Reject a curvature order outside (1, 2], the range every bound here covers."""
-    if not 1.0 < sigma <= 2.0:
-        raise ValueError(f"sigma must lie in (1, 2], got {sigma}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +73,7 @@ def estimate_curvature(
     When the objective carries a true Holder constant matching sigma = 1 + nu,
     the corresponding upper bound L_nu * diam^(1+nu) is attached for contrast.
     """
-    check_sigma(sigma)
+    typed("sigma", "Order", sigma)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     grid = _validate_gamma_grid(DEFAULT_GAMMA_GRID if gamma_grid is None else gamma_grid)
@@ -224,11 +218,8 @@ class LineSearchOrderSigma(RateBound):
 
     kind = "line_search_order_sigma"
     theta0: Positive
-    sigma: float
+    sigma: Order
     C_sigma: Positive
-
-    def check_values(self):
-        check_sigma(self.sigma)
 
     def formula(self, k):
         theta0, sigma, c = self.theta0, self.sigma, self.C_sigma
@@ -272,14 +263,13 @@ class OpenLoopOrderSigma(RateBound):
     kind = "open_loop_order_sigma"
     nested = {"assemble": lambda v: (GivenC if "C_sigma" in v else SampledC)(v)}
     Delta: Positive | None = None  # first, so `as_dict` prints it before sigma
-    sigma: float
+    sigma: Order
     composite: bool = False
     assemble: GivenC | SampledC | None = None
 
     def check_values(self):
         if (self.Delta is None) == (self.assemble is None):
             raise ValueError("give exactly one of 'Delta' or 'assemble'")
-        check_sigma(self.sigma)
 
     def formula(self, k):
         delta, sigma = self.Delta, self.sigma
@@ -305,7 +295,7 @@ def beta_recursion(rule: StepsizeRule, sigma: float, K: int) -> np.ndarray:
     """beta_0..beta_K of beta_{k+1} = (1-gamma_k)*beta_k + gamma_k^sigma, beta_0=1."""
     if not isinstance(rule, OpenLoop):
         raise ValueError(f"{type(rule).__name__} is not an open-loop rule")
-    check_sigma(sigma)
+    typed("sigma", "Order", sigma)
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     gam = rule.values(K - 1)

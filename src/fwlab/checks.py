@@ -26,7 +26,7 @@ from .analysis import (
 from .solver import Problem, SolveTrace, REASON_FINITE_TERMINATION
 from .stepsize import DHRecursion, dh_envelope_holds
 from .geometry import Box, require_finite
-from .schema import Count, Descriptor, Fraction, Positive, Vector, field_dict, kind_of
+from .schema import Count, Descriptor, Fraction, Order, Positive, Vector, field_dict, kind_of
 
 
 @dataclass(frozen=True)
@@ -105,17 +105,20 @@ class BoundDomination(_AgainstOptimum):
     tol_rel: float = 0.0
 
     def evaluate(self, ctx):
-        opt = self.optimum(ctx.problem)
-        bound = self.bound.resolve(ctx.problem, ctx.trace, opt)
         ks = ctx.trace.ks
         mask = ks >= self.k_min
+        if not mask.any():  # an empty window bounds nothing
+            return CheckResult(self.kind, False, measured=f"no row has k >= {self.k_min}",
+                               required="<= 0 on a nonempty window")
+        opt = self.optimum(ctx.problem)
+        bound = self.bound.resolve(ctx.problem, ctx.trace, opt)
         theta = ctx.trace.objs[mask] - opt
         bvals = bound.curve(ks[mask])
         ctx.bounds.append((bound, ks[mask], bvals))
         allowed = bvals * (1.0 + self.tol_rel) + self.tol_add
         excess = theta - allowed
-        worst = float(excess.max()) if excess.size else 0.0
-        worst_k = int(ks[mask][np.argmax(excess)]) if excess.size else -1
+        worst = float(excess.max())
+        worst_k = int(ks[mask][np.argmax(excess)])
         return CheckResult(self.kind, worst <= 0.0,
                            measured=f"max excess over bound {worst:.6g} at k={worst_k}",
                            required="<= 0",
@@ -242,7 +245,7 @@ class _OnProblem(Check):
 
 class CurvatureExact(_OnProblem):
     kind = "curvature-exact"
-    sigma: float
+    sigma: Order
     expect: float
     tol: float
     n_samples: Count = 256
@@ -260,8 +263,8 @@ class CurvatureExact(_OnProblem):
 
 class CurvatureDivergence(_OnProblem):
     kind = "curvature-divergence"
-    sigma: float
-    threshold: float = 1e3
+    sigma: Order
+    threshold: Positive = 1e3
     n_samples: Count = 64
     seed: int = 0
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import Matrix, Tagged, build, kinds
+from .schema import Count, Matrix, Positive, Tagged, build, kinds
 
 Vector = np.ndarray
 
@@ -103,11 +103,7 @@ class Simplex(FeasibleSet):
     """Probability simplex {x >= 0, sum x = 1} in R^d."""
 
     kind = "simplex"
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim}")
+    dim: Count
 
     def lmo(self, c: Vector) -> Vector:
         # argmin over vertices; argmin takes the lowest index on ties
@@ -144,14 +140,8 @@ class L1Ball(FeasibleSet):
     """{x : ||x||_1 <= radius}."""
 
     kind = "l1_ball"
-    dim: int
-    radius: float
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        if not 0 < self.radius < math.inf:
-            raise ValueError(f"radius must be finite and positive, got {self.radius}")
+    dim: Count
+    radius: Positive
 
     def lmo(self, c: Vector) -> Vector:
         i = int(np.abs(c).argmax())
@@ -201,14 +191,8 @@ class L2Ball(FeasibleSet):
     """{x : ||x||_2 <= radius}."""
 
     kind = "l2_ball"
-    dim: int
-    radius: float
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        if not 0 < self.radius < math.inf:
-            raise ValueError(f"radius must be finite and positive, got {self.radius}")
+    dim: Count
+    radius: Positive
 
     def lmo(self, c: Vector) -> Vector:
         n = l2_norm(c)
@@ -257,19 +241,18 @@ class Box(FeasibleSet):
     """Axis-aligned box {lower <= x <= upper} componentwise."""
 
     kind = "box"
-    dim: int
+    dim: Count
     lower: Vector
     upper: Vector
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim}")
         lo = _as_vector(self.lower, self.dim, "lower")
         hi = _as_vector(self.upper, self.dim, "upper")
         if not np.all(lo < hi):
             raise ValueError("lower must be strictly below upper componentwise")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        super().__post_init__()  # on the arrays, not on a list entry by entry
 
     def lmo(self, c: Vector) -> Vector:
         # c_i = 0 (and NaN) picks the lower corner: deterministic vertex on ties
@@ -336,6 +319,7 @@ class VertexPolytope(FeasibleSet):
             raise ValueError("vertices must be a nonempty list of d-vectors")
         require_finite(v, "vertices")
         object.__setattr__(self, "vertices", v)
+        super().__post_init__()  # on the array, not on a list row by row
 
     @property
     def dim(self) -> int:

@@ -15,14 +15,13 @@ apply to it (it records no smoothness constant).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .geometry import FeasibleSet, Vector, frozen_copy, l2_norm, require_finite
-from .schema import Tagged, build, kinds
+from .schema import Positive, Tagged, build, kinds, typed
 from .stepsize import line_search_quadratic_exact
 
 
@@ -80,11 +79,7 @@ class CompositePart(Tagged):
     """Convex additive term g for composite problems: g(x) = lam * ||x||_1."""
 
     kind = "l1"
-    lam: float
-
-    def __post_init__(self):
-        if not 0 < self.lam < math.inf:
-            raise ValueError(f"l1 weight must be finite and positive, got {self.lam}")
+    lam: Positive
 
     def value(self, x: Vector) -> float:
         return self.lam * float(np.abs(x).sum())
@@ -152,8 +147,7 @@ def make_power_norm(sigma: float, b, feasible_set: FeasibleSet | None = None) ->
     (sigma-1)-Holder; the constant is left unset until estimated on a
     concrete set.
     """
-    if not 1.0 < sigma <= 2.0:
-        raise ValueError(f"sigma must lie in (1, 2], got {sigma}")
+    typed("sigma", "Order", sigma)
     b = _data("b", b, feasible_set)
 
     def value(x: Vector) -> float:
@@ -258,7 +252,7 @@ def make_linear(c, feasible_set: FeasibleSet | None = None) -> Objective:
 
 _OBJECTIVE_KINDS = {
     "quadratic": (make_quadratic, {"b": "Vector"}),
-    "power_norm": (make_power_norm, {"sigma": "float", "b": "Vector"}),
+    "power_norm": (make_power_norm, {"sigma": "Order", "b": "Vector"}),
     "t_alpha": (make_t_alpha, {"alpha": "float"}),
     "nesterov_max": (make_nesterov_max, {}),
     "linear": (make_linear, {"c": "Vector"}),

@@ -5,9 +5,9 @@ and `kinds` makes a table of kind -> (class, {field: type}) from them.
 `build` calls the factory of a descriptor's kind, from such a table, on the
 fields `read` checked by type (a type ending in " | None" marks a field that
 may be omitted); values are kept as written, and an unknown, missing or
-mistyped field raises a ValueError naming it. A `Tagged` object renders its
-fields back under its kind; a `Descriptor` subclass reads its annotated
-fields through the same `read`.
+mistyped field raises a ValueError naming it. A `Tagged` object checks its
+fields by the same types when it is built and renders them back under its
+kind; a `Descriptor` subclass reads its annotated fields through `read`.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ _TYPES = {"float": ((int, float), "a finite number", lambda v: -math.inf < v < m
           "int": (int, "an integer", None),
           "Positive": ((int, float), "a finite positive number", lambda v: 0 < v < math.inf),
           "Fraction": ((int, float), "a number in (0, 1]", lambda v: 0 < v <= 1),
+          "Order": ((int, float), "a number in (1, 2]", lambda v: 1 < v <= 2),
           "Count": (int, "a positive integer", lambda v: v >= 1),
           "bool": (bool, "a boolean", None), "object": (dict, "an object", None),
           "Vector": ((list, np.ndarray), "a vector of numbers", None),
@@ -88,6 +89,7 @@ def build(desc, kinds: dict, what: str, **args):
 Positive = float  # a finite number > 0
 Count = int  # an integer >= 1
 Fraction = float  # a number in (0, 1]
+Order = float  # a curvature order sigma in (1, 2], the range the paper's rates cover
 Vector = list  # a flat list of numbers
 Matrix = list  # a list of vectors of numbers
 
@@ -113,14 +115,26 @@ def field_dict(obj) -> dict:
 
 def kinds(*classes) -> dict:
     """The table `build` reads: each class under its `kind`, with its field types."""
-    return {cls.kind: (cls, field_types(cls)) for cls in classes}
+    return {cls.kind: (cls, cls._types) for cls in classes}
 
 
 class Tagged:
     """An object a spec section describes: its fields are the annotated ones
-    of its class, and its descriptor tags them with the class's `kind`."""
+    of its class, and its descriptor tags them with the class's `kind`.
+
+    A subclass is a dataclass, and building one checks each field against its
+    annotation with `typed`: a Python call gets a spec's checks and messages.
+    A subclass that normalizes a field does so first, then calls this check.
+    """
 
     kind = ""
+
+    def __init_subclass__(cls):
+        cls._types = field_types(cls)
+
+    def __post_init__(self):
+        for name, typ in self._types.items():
+            typed(name, typ, getattr(self, name))
 
     def descriptor(self) -> dict:
         # the fields as the object holds them: a spec's int stays an int

@@ -359,9 +359,10 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
             break
         x = x_next
 
-    grad = d = x_next = None  # x alone stays alive while phi(x) is taken
-    # x is the loop's own array (a copy of x0, or a step's fresh result)
-    termination = Termination(reason, x, problem.phi(x))
+    # x is the loop's own array (a copy of x0, or a step's fresh result), and
+    # the last row holds phi(x): a gap or budget stop breaks before the step,
+    # and finite termination keeps x
+    termination = Termination(reason, x, obj_k)
     # the array wraps the buffer's memory, no copy
     return SolveTrace(np.frombuffer(rows).reshape(-1, len(TRACE_CSV_COLUMNS)),
                       termination, fingerprint)

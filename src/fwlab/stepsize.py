@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Vector, VertexPolytope
-from .schema import Tagged, build, kinds
+from .schema import Fraction, Positive, Tagged, build, kinds, typed
 
 # stepsizes per block when a schedule or its envelope is evaluated to a
 # horizon: the temporaries of a formula hold O(SCHEDULE_BLOCK) memory
@@ -49,12 +49,11 @@ class LineSearch(StepsizeRule):
     """
 
     kind = "line_search"
-    tol: float = 1e-10
+    tol: Positive = 1e-10
     max_evals: int = 200
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        super().__post_init__()
         if self.max_evals < 2:
             raise ValueError(f"max_evals must be >= 2, got {self.max_evals}")
 
@@ -96,8 +95,9 @@ class Harmonic(OpenLoop):
     c: float
 
     def __post_init__(self):
-        if not 1 <= self.c < math.inf:
-            raise ValueError(f"harmonic offset must be finite and >= 1, got {self.c}")
+        super().__post_init__()
+        if not self.c >= 1:
+            raise ValueError(f"harmonic offset must be >= 1, got {self.c}")
 
     def gamma(self, k):
         return self.c / (k + self.c)
@@ -108,14 +108,8 @@ class Power(OpenLoop):
     """gamma_k = gamma0/(k+1)^p with gamma0, p in (0,1]."""
 
     kind = "power"
-    gamma0: float
-    p: float
-
-    def __post_init__(self):
-        if not 0 < self.gamma0 <= 1:
-            raise ValueError(f"gamma0 must lie in (0,1], got {self.gamma0}")
-        if not 0 < self.p <= 1:
-            raise ValueError(f"exponent must lie in (0,1], got {self.p}")
+    gamma0: Fraction
+    p: Fraction
 
     def gamma(self, k):
         return self.gamma0 / (k + 1.0) ** self.p
@@ -134,11 +128,7 @@ class DHRecursion(OpenLoop):
     """
 
     kind = "dh_recursion"
-    gamma0: float
-
-    def __post_init__(self):
-        if not 0 < self.gamma0 <= 1:
-            raise ValueError(f"gamma0 must lie in (0,1], got {self.gamma0}")
+    gamma0: Fraction
 
     def gamma(self, k):
         return self.gamma0 / (self.gamma0 * k + 1.0)
@@ -151,11 +141,7 @@ class ProjectedGradient(StepsizeRule):
     (and the fingerprint) echoes it unchanged."""
 
     kind = "gpa"
-    step: float
-
-    def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError("gpa rule needs a positive 'step'")
+    step: Positive
 
     def validate(self, problem, stop) -> None:
         """The baseline needs no composite part, a recorded gradient Lipschitz
@@ -194,8 +180,7 @@ def line_search(phi: Callable[[float], float], tol: float = 1e-10, max_evals: in
     the result never exceeds min(phi(0), phi(1)). Ties go to the smaller gamma
     (a zero step beats an equal-valued nonzero one). Raises on non-finite phi.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    typed("tol", "Positive", tol)
     if max_evals < 2:
         raise ValueError(f"max_evals must be >= 2, got {max_evals}")
     if gamma_star is not None and not 0.0 <= gamma_star <= 1.0:

@@ -60,6 +60,19 @@ def test_solve_failing_check_exits_one(tmp_path, capsys):
     assert "[FAIL]" in capsys.readouterr().out
 
 
+def test_bound_domination_on_an_empty_window_fails(tmp_path, capsys):
+    # no row reaches k_min, so the bound is checked on nothing: not a pass
+    raw = _quadratic_raw(stop={"max_iter": 9}, checks=[
+        {"kind": "bound-domination", "k_min": 1000,
+         "bound": {"kind": "harmonic_classic", "C_f": 1e-9}}])
+    out = tmp_path / "out"
+    assert run_cli("solve", _write_spec(tmp_path, raw), "--out", str(out)) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "[FAIL] cliexp :: bound-domination: no row has k >= 1000 "
+        "(required <= 0 on a nonempty window)")
+    assert not (out / "cliexp.bounds.csv").exists()
+
+
 def test_solve_invalid_spec_exits_two(tmp_path, capsys):
     spec = _write_spec(tmp_path, {**_quadratic_raw(), "bogus": 1})
     assert run_cli("solve", spec, "--out", str(tmp_path / "out")) == 2
@@ -74,6 +87,17 @@ def test_solve_mistyped_check_field_exits_two_before_any_artifact(tmp_path, caps
     assert run_cli("solve", _write_spec(tmp_path, raw), "--out", str(out)) == 2
     assert capsys.readouterr().err == ("error: cliexp: checks[0]: 'horizon' must be "
                                        "an integer, got '100'\n")
+    assert not out.exists()
+
+
+def test_solve_out_of_range_sigma_exits_two_before_any_artifact(tmp_path, capsys):
+    # an order outside (1, 2] used to run and then fail as an errored check
+    raw = _quadratic_raw(checks=[{"kind": "curvature-exact", "sigma": 3.0,
+                                  "expect": 1.0, "tol": 1e-6}])
+    out = tmp_path / "out"
+    assert run_cli("solve", _write_spec(tmp_path, raw), "--out", str(out)) == 2
+    assert capsys.readouterr().err == ("error: cliexp: checks[0]: 'sigma' must be "
+                                       "a number in (1, 2], got 3.0\n")
     assert not out.exists()
 
 
@@ -130,10 +154,10 @@ def test_solve_mistyped_check_field_exits_two_before_any_artifact(tmp_path, caps
     ({"problem": {"set": {"kind": "box", "dim": 3, "lower": [-1.0] * 3, "upper": [1.0] * 3},
                   "objective": {"kind": "quadratic", "b": [0.0] * 3},
                   "composite": {"kind": "l1", "lam": math.inf}}},
-     "problem.composite: 'lam' must be a finite number, got inf"),
+     "problem.composite: 'lam' must be a finite positive number, got inf"),
     ({"problem": {"set": {"kind": "l2_ball", "dim": 3, "radius": math.inf},
                   "objective": {"kind": "quadratic", "b": [0.0] * 3}}},
-     "problem.set: 'radius' must be a finite number, got inf"),
+     "problem.set: 'radius' must be a finite positive number, got inf"),
     ({"rule": {"kind": "harmonic", "c": math.inf}}, "rule: 'c' must be a finite number, got inf"),
 ])
 def test_solve_mistyped_section_field_exits_two_before_any_artifact(tmp_path, capsys,

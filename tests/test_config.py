@@ -210,7 +210,8 @@ def test_build_rule_rejects_bad_gpa_descriptors():
     with pytest.raises(ValueError, match=r"smoke: rule: unknown fields \['tol'\]"):
         build_rule(spec)
     spec = parse_spec(_solving_raw(rule={"kind": "gpa", "step": -1.0}))
-    with pytest.raises(ValueError, match="positive 'step'"):
+    with pytest.raises(ValueError,
+                       match="smoke: rule: 'step' must be a finite positive number, got -1.0"):
         build_rule(spec)
 
 
@@ -405,6 +406,8 @@ def _mistyped_checks():
         ("curvature-exact", ("n_samples",), 0), ("curvature-divergence", ("n_samples",), 0),
         ("bound-domination", ("bound", "assemble", "n_samples"), 0),
         ("oracle-grid-match", ("grid_points",), 0), ("oracle-grid-match", ("n_vectors",), 0),
+        ("curvature-exact", ("sigma",), 3.0), ("curvature-divergence", ("sigma",), 0.5),
+        ("curvature-divergence", ("threshold",), -1.0),
     ]:
         desc = first(kind, path)
         yield pytest.param(desc, _with(desc, path, bad), path[-1],

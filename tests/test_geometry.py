@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -419,12 +420,23 @@ def test_set_constructor_validation():
     with pytest.raises(ValueError):
         L2Ball(3, -1.0)
     for radius in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="radius must be finite and positive"):
+        with pytest.raises(ValueError, match="'radius' must be a finite positive number"):
             L1Ball(3, radius)
-        with pytest.raises(ValueError, match="radius must be finite and positive"):
+        with pytest.raises(ValueError, match="'radius' must be a finite positive number"):
             L2Ball(3, radius)
     with pytest.raises(ValueError):
         Box(2, np.array([0.0, 0.0]), np.array([1.0, -1.0]))
+    # a Python call gets the checks and messages a spec gets
+    for build, message in [
+        (lambda: Simplex(2.0), "'dim' must be a positive integer, got 2.0"),
+        (lambda: Simplex(True), "'dim' must be a positive integer, got True"),
+        (lambda: L1Ball(3, True), "'radius' must be a finite positive number, got True"),
+        (lambda: L2Ball(3, "1"), "'radius' must be a finite positive number, got '1'"),
+        (lambda: Box(0, [], []), "'dim' must be a positive integer, got 0"),
+        (lambda: Box(True, [0.0], [1.0]), "'dim' must be a positive integer, got True"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
 
 # --- the norm helper ---------------------------------------------------------

@@ -265,7 +265,7 @@ def test_composite_descriptor_round_trip():
     with pytest.raises(ValueError):
         composite_from_descriptor({"kind": "l2"})
     for lam in (0.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="l1 weight must be finite and positive"):
+        with pytest.raises(ValueError, match="'lam' must be a finite positive number"):
             CompositePart(lam)
 
 

@@ -1,4 +1,5 @@
 """Experiment runner: artifacts, summaries, reproduction, and comparison."""
+import functools
 import gc
 import hashlib
 import json
@@ -16,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fwlab.runner
-from fwlab import checks, config_fingerprint
-from fwlab.config import parse_spec
+from fwlab import Box, Problem, checks, config_fingerprint, make_quadratic, stepsize
+from fwlab.analysis import fit_rate
+from fwlab.cases import CASE_NAMES, case_specs
+from fwlab.config import build_problem, parse_spec
 from fwlab.runner import (
     _compare_csv_pieces,
     _indented_pieces,
@@ -121,6 +124,108 @@ def test_errored_check_keeps_the_exception_type_and_frame(monkeypatch):
     assert result.measured.startswith("check errored: ")
     line = int(result.measured.removeprefix("check errored: "))
     assert result.detail == f"KeyError at test_runner.py:{line}"
+
+
+# --- every check kind can fail ----------------------------------------------------
+
+@functools.cache
+def _canned(name):
+    """(spec, problem, trace) of the canned spec of that name."""
+    spec = next(s for case in CASE_NAMES for s in case_specs(case) if s.name == name)
+    problem = build_problem(spec) if spec.problem is not None else None
+    return spec, problem, _run_trace(spec) if spec.is_solving() else None
+
+
+def _verdict(desc, problem, trace):
+    check = checks.parse_check(desc)
+    return checks.evaluate_check(check, checks.CheckContext(problem, trace))
+
+
+def _opt(desc, problem):
+    return checks.parse_check(desc).optimum(problem)
+
+
+def _with_obj(trace, k, value):
+    """The trace with the objective of row k set to value."""
+    rows = trace.rows.copy()
+    rows[k, 1] = value
+    return SolveTrace(rows, trace.termination)
+
+
+def _bound_below_peak(d, p, t, _):
+    # C_f at 0.9 of the least constant the rows from k_min satisfy
+    window = t.ks >= d["k_min"]
+    bound = checks.parse_check(d).bound
+    peak = float(np.max((t.objs[window] - _opt(d, p)) / bound.curve(t.ks[window])))
+    return {**d, "bound": {**d["bound"], "C_f": 0.9 * peak * d["bound"]["C_f"]}}, p, t
+
+
+def _floor_above_slack(d, p, t, _):
+    # opt raised by twice the least slack, so the worst row falls below the floor
+    window = (t.ks >= d["k_min"]) & (t.ks <= d["k_max"])
+    slack = t.objs[window] - _opt(d, p) - (d["coeff"] / (t.ks[window] + d["offset"]) - d["tol"])
+    return {**d, "opt": _opt(d, p) + 2.0 * float(slack.min())}, p, t
+
+
+class _L1BlindBox(Box):
+    """A box whose composite oracle drops the l1 term: a wrong oracle."""
+
+    def lmo_l1(self, c, lam):
+        return self.lmo(c)
+
+
+def _l1_blind_oracle(d, p, t, _):
+    box = p.feasible_set
+    return d, Problem(_L1BlindBox(box.dim, box.lower, box.upper), p.objective, p.composite), t
+
+
+def _schedule_one_ulp_high(d, p, t, monkeypatch):
+    # the check's input is the schedule itself: every gamma_k one ulp up
+    exact = stepsize.DHRecursion.gamma
+    monkeypatch.setattr(stepsize.DHRecursion, "gamma",
+                        lambda rule, k: np.nextafter(exact(rule, k), 2))
+    return d, p, t
+
+
+# kind: (a canned spec whose check of that kind passes, a mutation of the
+# check's (descriptor, problem, trace) after which it fails). Each mutation
+# changes the input, never the check's code: the trace rows, the problem, opt
+# or one field, or, for schedule-bounds, which reads none of them, the schedule.
+_FLIPS = {
+    "monotonicity": ("holder_rate_sweep_line_s125",
+                     lambda d, p, t, _: (d, p, _with_obj(t, 5, t.objs[4] + 2 * d["tol"]))),
+    "bound-domination": ("harmonic_upper_bound", _bound_below_peak),
+    "lower-bound": ("polyak_lower_bound", _floor_above_slack),
+    "finite-termination": ("sharp_finite_termination",  # the final row dropped
+                           lambda d, p, t, _: (d, p, SolveTrace(t.rows[:-1], t.termination))),
+    "non-convergence-margin": ("nesterov_failure",  # one row in range at the optimum
+                               lambda d, p, t, _: (d, p, _with_obj(t, d["k_max"], _opt(d, p)))),
+    "rate-slope": ("holder_rate_sweep_line_s125",  # max_slope just below the fitted slope
+                   lambda d, p, t, _: ({**d, "max_slope": fit_rate(
+                       t, _opt(d, p), d["tail_fraction"])["slope"] - 0.01}, p, t)),
+    "optimum-proximity": ("gpa_parity_gpa",
+                          lambda d, p, t, _: ({**d, "opt": _opt(d, p) + 3 * d["tol"]}, p, t)),
+    "curvature-exact": ("t_alpha_curvature",  # t^1.5 on [0, 2], not [0, 1]
+                        lambda d, p, t, _: (d, Problem(Box(1, [0.0], [2.0]), p.objective), t)),
+    "curvature-divergence": ("t_alpha_curvature",  # a quadratic has bounded curvature
+                             lambda d, p, t, _: (d, Problem(p.feasible_set,
+                                                            make_quadratic([0.0])), t)),
+    "oracle-grid-match": ("composite_lasso_box_line", _l1_blind_oracle),
+    "schedule-bounds": ("dh_schedule_bounds", _schedule_one_ulp_high),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(checks._CHECKS))
+def test_every_check_kind_can_fail(kind, monkeypatch):
+    # a kind with no declared mutation fails here, so none lands without one
+    assert kind in _FLIPS, f"no mutation is declared that makes a {kind} check fail"
+    name, mutate = _FLIPS[kind]
+    spec, problem, trace = _canned(name)
+    desc = next(d for d in spec.checks if d["kind"] == kind)
+    assert _verdict(desc, problem, trace).passed
+    result = _verdict(*mutate(desc, problem, trace, monkeypatch))
+    assert result.passed is False, result
+    assert not result.measured.startswith("check errored"), result
 
 
 def test_analysis_only_spec_writes_summary_without_trace(tmp_path):

@@ -417,8 +417,10 @@ def test_composite_rows_evaluate_g_once_at_the_iterate(monkeypatch):
                         lambda self, x: calls.append(1) or value(self, x))
     trace = solve(problem, Harmonic(2.0), x0=x0, stop=StopRule(max_iter=20))
     monkeypatch.undo()
-    # g(x_k) and g(x_bar_k) per row, then g at the final point
-    assert len(calls) == 2 * len(trace.rows) + 1
+    # g(x_k) and g(x_bar_k) per row; the final objective is the last row's
+    assert len(calls) == 2 * len(trace.rows)
+    final = trace.termination
+    assert np.float64(final.final_obj).tobytes() == np.float64(problem.phi(final.final_x)).tobytes()
     for x, (_, obj, gap, _, _) in zip(replay_iterates(problem, x0, trace), trace.rows):
         assert obj.tobytes() == np.float64(problem.phi(x)).tobytes()
         assert gap.tobytes() == np.float64(fw_gap(problem, x)[0]).tobytes()
@@ -502,6 +504,8 @@ def test_gpa_unit_step_on_simplex_quadratic_hits_optimum():
     trace = solve(problem, ProjectedGradient(1.0), np.eye(10)[0], StopRule(200))
     assert trace.termination.reason == REASON_FINITE_TERMINATION
     assert trace.termination.final_obj == pytest.approx(0.05, abs=1e-12)
+    # finite termination keeps x, so the last row's objective is phi(final_x)
+    assert trace.termination.final_obj == problem.phi(trace.termination.final_x)
     assert np.allclose(trace.termination.final_x, np.full(10, 0.1), atol=1e-12)
 
 

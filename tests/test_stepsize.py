@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -236,7 +237,7 @@ def test_rule_parameter_validation():
     with pytest.raises(ValueError):
         Harmonic(0.5)
     for c in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="harmonic offset must be finite and >= 1"):
+        with pytest.raises(ValueError, match="'c' must be a finite number"):
             Harmonic(c)
     with pytest.raises(ValueError):
         Power(0.0, 0.5)
@@ -248,6 +249,18 @@ def test_rule_parameter_validation():
         LineSearch(0.0, 200)
     with pytest.raises(ValueError):
         LineSearch(1e-10, 1)
+    # a Python call gets the checks and messages a spec gets
+    for build, message in [
+        (lambda: Harmonic(True), "'c' must be a finite number, got True"),
+        (lambda: Harmonic(0.5), "harmonic offset must be >= 1, got 0.5"),
+        (lambda: Power(1.0, True), "'p' must be a number in (0, 1], got True"),
+        (lambda: Power(2.0, 0.5), "'gamma0' must be a number in (0, 1], got 2.0"),
+        (lambda: DHRecursion(0.0), "'gamma0' must be a number in (0, 1], got 0.0"),
+        (lambda: LineSearch(math.inf, 200), "'tol' must be a finite positive number, got inf"),
+        (lambda: ProjectedGradient(0), "'step' must be a finite positive number, got 0"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
 
 def test_rule_descriptor_round_trip():
