@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import FeasibleSet, Vector
 from .objectives import Objective
-from .schema import Count, Descriptor, Order, Positive, field_dict, typed
+from .schema import Count, Order, Positive, Tagged, field_dict, kinds, typed
 from .stepsize import OpenLoop, StepsizeRule
 from .solver import SolveTrace
 
@@ -173,15 +173,13 @@ def curvature_bound_holder(L_nu: float, nu: float, delta: float) -> float:
     return L_nu * delta ** (1.0 + nu)
 
 
-class RateBound(Descriptor):
+class RateBound(Tagged):
     """A closed-form convergence bound bound(k) on objective suboptimality.
 
     Each kind is a subclass that parses and checks its own parameters and
     evaluates its own formula; `as_dict` prints its fields in the order they
     are declared, all but the nested ones.
     """
-
-    kind = ""
 
     def bound(self, k: int) -> float:
         if k < 0:
@@ -228,14 +226,14 @@ class LineSearchOrderSigma(RateBound):
         return theta0 / base ** (sigma - 1.0)
 
 
-class GivenC(Descriptor):  # assemble: C_sigma itself
+class GivenC(Tagged):  # assemble: C_sigma itself
     C_sigma: Positive
 
     def c_sigma(self, problem, sigma: float) -> float:
         return self.C_sigma
 
 
-class SampledC(Descriptor):  # assemble: inflate times a sampled estimate of C_sigma
+class SampledC(Tagged):  # assemble: inflate times a sampled estimate of C_sigma
     inflate: float
     n_samples: Count
     seed: int
@@ -261,7 +259,7 @@ class OpenLoopOrderSigma(RateBound):
     """
 
     kind = "open_loop_order_sigma"
-    nested = {"assemble": lambda v: (GivenC if "C_sigma" in v else SampledC)(v)}
+    nested = {"assemble": lambda v: (GivenC if "C_sigma" in v else SampledC)(**v)}
     Delta: Positive | None = None  # first, so `as_dict` prints it before sigma
     sigma: Order
     composite: bool = False
@@ -283,12 +281,11 @@ class OpenLoopOrderSigma(RateBound):
             return self
         theta0 = float(trace.objs[0]) - opt
         c_sigma = self.assemble.c_sigma(problem, self.sigma)
-        return OpenLoopOrderSigma({"Delta": max(theta0, c_sigma / self.sigma),
-                                   "sigma": self.sigma, "composite": self.composite})
+        return OpenLoopOrderSigma(Delta=max(theta0, c_sigma / self.sigma),
+                                  sigma=self.sigma, composite=self.composite)
 
 
-BOUND_KINDS = {cls.kind: cls for cls in (HarmonicClassic, LineSearchOrderSigma,
-                                         OpenLoopOrderSigma)}
+BOUND_KINDS = kinds(HarmonicClassic, LineSearchOrderSigma, OpenLoopOrderSigma)
 
 
 def beta_recursion(rule: StepsizeRule, sigma: float, K: int) -> np.ndarray:

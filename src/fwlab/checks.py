@@ -26,7 +26,7 @@ from .analysis import (
 from .solver import Problem, SolveTrace, REASON_FINITE_TERMINATION
 from .stepsize import DHRecursion, dh_envelope_holds
 from .geometry import Box, require_finite
-from .schema import Count, Descriptor, Fraction, Order, Positive, Vector, field_dict, kind_of
+from .schema import Count, Fraction, Order, Positive, Tagged, Vector, build, field_dict, kinds
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ class CheckContext:
     bounds: list = field(default_factory=list)
 
 
-class Check(Descriptor):
-    kind = ""
+class Check(Tagged):
     needs_trace = True
 
     def validate(self, spec, problem: Problem | None) -> None:
@@ -98,7 +97,7 @@ class Monotonicity(Check):
 
 class BoundDomination(_AgainstOptimum):
     kind = "bound-domination"
-    nested = {"bound": lambda v: kind_of(v, BOUND_KINDS, "bound")(v)}
+    nested = {"bound": lambda v: build(v, BOUND_KINDS, "bound")}
     bound: RateBound
     k_min: int = 1
     tol_add: float = 0.0
@@ -318,7 +317,7 @@ class ScheduleBounds(Check):
     horizon: int
 
     def check_values(self):
-        if not self.gamma0s:
+        if len(self.gamma0s) == 0:  # not `not`: the field may be an array
             raise ValueError("'gamma0s' must be a nonempty list")
         for g0 in self.gamma0s:
             DHRecursion(g0)  # rejects out-of-range values
@@ -334,15 +333,14 @@ class ScheduleBounds(Check):
                            required="gamma0/(k+1) <= gamma_k <= gamma0/(gamma0*k+1) everywhere")
 
 
-_CHECKS = {cls.kind: cls for cls in (
-    Monotonicity, BoundDomination, LowerBound, FiniteTermination, NonConvergenceMargin,
-    RateSlope, OptimumProximity, CurvatureExact, CurvatureDivergence, OracleGridMatch,
-    ScheduleBounds)}
+_CHECKS = kinds(Monotonicity, BoundDomination, LowerBound, FiniteTermination,
+                NonConvergenceMargin, RateSlope, OptimumProximity, CurvatureExact,
+                CurvatureDivergence, OracleGridMatch, ScheduleBounds)
 
 
 def parse_check(desc: dict) -> Check:
     """The typed check a descriptor describes; ValueError names a bad field."""
-    return kind_of(desc, _CHECKS, "check")(desc)
+    return build(desc, _CHECKS, "check")
 
 
 def validate_check(desc: dict, spec, problem: Problem | None) -> Check:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import FeasibleSet, require_finite, set_from_descriptor
 from .objectives import composite_from_descriptor, objective_from_descriptor
-from .schema import field_dict, field_types, read, typed
+from .schema import field_dict, field_types, typed
 from .solver import Problem, StopRule, config_fingerprint
 from .stepsize import StepsizeRule, rule_from_descriptor
 
@@ -152,8 +152,8 @@ def resolve_x0(spec: ExperimentSpec, feasible_set: FeasibleSet) -> np.ndarray:
 
 
 def build_stop(spec: ExperimentSpec) -> StopRule:
-    return _section(spec, "stop",
-                    lambda desc: StopRule(**read(desc, field_types(StopRule), False)), spec.stop)
+    return _section(spec, "stop", lambda desc: StopRule(**typed("stop", "object", desc)),
+                    spec.stop)
 
 
 def spec_fingerprint(spec: ExperimentSpec) -> str:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,7 +97,6 @@ class FeasibleSet(Tagged):
         return self.draw(np.random.default_rng(rng_seed))
 
 
-@dataclass(frozen=True, eq=False)
 class Simplex(FeasibleSet):
     """Probability simplex {x >= 0, sum x = 1} in R^d."""
 
@@ -135,7 +133,6 @@ class Simplex(FeasibleSet):
         return np.eye(_row_count(d, limit), d)
 
 
-@dataclass(frozen=True, eq=False)
 class L1Ball(FeasibleSet):
     """{x : ||x||_1 <= radius}."""
 
@@ -186,7 +183,6 @@ class L1Ball(FeasibleSet):
         return _signed_axes(self.dim, self.radius, limit)
 
 
-@dataclass(frozen=True, eq=False)
 class L2Ball(FeasibleSet):
     """{x : ||x||_2 <= radius}."""
 
@@ -236,7 +232,6 @@ class L2Ball(FeasibleSet):
         return _signed_axes(self.dim, self.radius, limit)
 
 
-@dataclass(frozen=True, eq=False)
 class Box(FeasibleSet):
     """Axis-aligned box {lower <= x <= upper} componentwise."""
 
@@ -245,14 +240,13 @@ class Box(FeasibleSet):
     lower: Vector
     upper: Vector
 
-    def __post_init__(self):
+    def check_values(self):
         lo = _as_vector(self.lower, self.dim, "lower")
         hi = _as_vector(self.upper, self.dim, "upper")
         if not np.all(lo < hi):
             raise ValueError("lower must be strictly below upper componentwise")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        super().__post_init__()  # on the arrays, not on a list entry by entry
 
     def lmo(self, c: Vector) -> Vector:
         # c_i = 0 (and NaN) picks the lower corner: deterministic vertex on ties
@@ -306,20 +300,18 @@ class Box(FeasibleSet):
             yield b
 
 
-@dataclass(frozen=True, eq=False)
 class VertexPolytope(FeasibleSet):
     """Convex hull of an explicit vertex list (one vertex per row)."""
 
     kind = "vertex_polytope"
     vertices: Matrix
 
-    def __post_init__(self):
+    def check_values(self):
         v = frozen_copy(self.vertices)
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValueError("vertices must be a nonempty list of d-vectors")
         require_finite(v, "vertices")
         object.__setattr__(self, "vertices", v)
-        super().__post_init__()  # on the array, not on a list row by row
 
     @property
     def dim(self) -> int:

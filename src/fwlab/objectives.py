@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import FeasibleSet, Vector, frozen_copy, l2_norm, require_finite
-from .schema import Positive, Tagged, build, kinds, typed
+from .schema import Positive, Tagged, build, kind_of, kinds, read, typed
 from .stepsize import line_search_quadratic_exact
 
 
@@ -74,7 +74,6 @@ class Objective:
         return self.descriptor_dict
 
 
-@dataclass(frozen=True)
 class CompositePart(Tagged):
     """Convex additive term g for composite problems: g(x) = lam * ||x||_1."""
 
@@ -262,7 +261,8 @@ _COMPOSITE_KINDS = kinds(CompositePart)
 
 
 def objective_from_descriptor(desc: dict, feasible_set: FeasibleSet | None = None) -> Objective:
-    return build(desc, _OBJECTIVE_KINDS, "objective", feasible_set=feasible_set)
+    factory, types = kind_of(desc, _OBJECTIVE_KINDS, "objective")
+    return factory(**read(desc, types), feasible_set=feasible_set)
 
 
 def composite_from_descriptor(desc: dict | None) -> CompositePart | None:

@@ -1,13 +1,12 @@
-"""Field types of spec descriptors, and the one parser every section goes through.
+"""Field types of spec sections, and the one base class every section derives from.
 
 A section's schema is its class's annotated fields: `field_types` reads them,
-and `kinds` makes a table of kind -> (class, {field: type}) from them.
-`build` calls the factory of a descriptor's kind, from such a table, on the
-fields `read` checked by type (a type ending in " | None" marks a field that
-may be omitted); values are kept as written, and an unknown, missing or
-mistyped field raises a ValueError naming it. A `Tagged` object checks its
-fields by the same types when it is built and renders them back under its
-kind; a `Descriptor` subclass reads its annotated fields through `read`.
+and `kinds` makes a table of kind -> class from them. `Tagged` is the one
+section base: building one, by a Python call or by `build` from a spec's
+descriptor, checks each field with `read` (a type ending in " | None" marks a
+field that may be omitted) and keeps its value as written, so an unknown,
+missing or mistyped field raises a ValueError naming it. Its `descriptor()`
+renders the fields back under the class's `kind`.
 """
 from __future__ import annotations
 
@@ -19,6 +18,7 @@ import numpy as np
 _TYPES = {"float": ((int, float), "a finite number", lambda v: -math.inf < v < math.inf),
           "int": (int, "an integer", None),
           "Positive": ((int, float), "a finite positive number", lambda v: 0 < v < math.inf),
+          "NonNegative": ((int, float), "a finite number >= 0", lambda v: 0 <= v < math.inf),
           "Fraction": ((int, float), "a number in (0, 1]", lambda v: 0 < v <= 1),
           "Order": ((int, float), "a number in (1, 2]", lambda v: 1 < v <= 2),
           "Count": (int, "a positive integer", lambda v: v >= 1),
@@ -77,16 +77,18 @@ def kind_of(desc, kinds: dict, what: str):
     return kinds[kind]
 
 
-def build(desc, kinds: dict, what: str, **args):
-    """factory(**fields, **args), for the (factory, types) that desc's kind names."""
-    factory, types = kind_of(desc, kinds, what)
-    return factory(**read(desc, types), **args)
+def build(desc, kinds: dict, what: str):
+    """The section desc's kind names in a `kinds` table, built from desc's
+    other fields; the class reads them, so errors name the field."""
+    cls = kind_of(desc, kinds, what)
+    return cls(**{name: v for name, v in desc.items() if name != "kind"})
 
 
 # Names for the field types of a section's annotations. A field's
 # annotation names its type above, or its class's `nested` table parses it;
 # `T | None = None` marks an optional field with no default value.
 Positive = float  # a finite number > 0
+NonNegative = float  # a finite number >= 0
 Count = int  # an integer >= 1
 Fraction = float  # a number in (0, 1]
 Order = float  # a curvature order sigma in (1, 2], the range the paper's rates cover
@@ -114,56 +116,51 @@ def field_dict(obj) -> dict:
 
 
 def kinds(*classes) -> dict:
-    """The table `build` reads: each class under its `kind`, with its field types."""
-    return {cls.kind: (cls, cls._types) for cls in classes}
+    """The table `build` reads: each section class under its `kind`."""
+    return {cls.kind: cls for cls in classes}
 
 
 class Tagged:
-    """An object a spec section describes: its fields are the annotated ones
-    of its class, and its descriptor tags them with the class's `kind`.
+    """A spec section as a read-only object: its fields are the annotated ones
+    of its class and bases, and an annotated class attribute is that field's
+    default. `nested` maps a field that holds an object to what parses it.
 
-    A subclass is a dataclass, and building one checks each field against its
-    annotation with `typed`: a Python call gets a spec's checks and messages.
-    A subclass that normalizes a field does so first, then calls this check.
+    Fields come by keyword or by position, in declaration order, and are read
+    once through `read`, so a Python call gets a spec's checks and messages;
+    `check_values` then rejects, or normalizes, what their types let through.
+    The descriptor tags the fields with the class's `kind`. Not a dataclass:
+    each dataclass compiles its generated methods when its module is imported
+    (about 0.4 ms a class with CPython 3.11 on a 2-vCPU Xeon), which every
+    fresh launch would pay.
     """
 
     kind = ""
-
-    def __init_subclass__(cls):
-        cls._types = field_types(cls)
-
-    def __post_init__(self):
-        for name, typ in self._types.items():
-            typed(name, typ, getattr(self, name))
-
-    def descriptor(self) -> dict:
-        # the fields as the object holds them: a spec's int stays an int
-        return {"kind": self.kind, **field_dict(self)}
-
-
-class Descriptor:
-    """A descriptor parsed once into a read-only object.
-
-    Its fields are the annotated names of its class and bases, and an
-    annotated class attribute is that field's default. `nested` maps a field
-    that holds an object to what parses it. Not a dataclass: each dataclass
-    compiles its generated methods when its module is imported (about 0.8 ms a
-    class with CPython 3.11 on a 2-vCPU Xeon), which every fresh launch would pay.
-    """
-
     nested = {}
 
     def __init_subclass__(cls):
         cls._types = field_types(cls, cls.nested)
 
-    def __init__(self, desc: dict):
+    def __init__(self, *args, **fields):
+        if len(args) > len(self._types):
+            raise ValueError(f"too many fields: {len(args)} values for {list(self._types)}")
+        named = dict(zip(self._types, args))
+        if twice := named.keys() & fields.keys():
+            raise ValueError(f"fields given twice {sorted(twice)}")
         nested = self.nested
-        for name, value in read(desc, self._types).items():
+        for name, value in read({**named, **fields}, self._types, False).items():
             object.__setattr__(self, name, nested[name](value) if name in nested else value)
         self.check_values()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only")
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={v!r}" for name, v in field_dict(self).items())
+        return f"{type(self).__name__}({fields})"
+
     def check_values(self) -> None:
         """Reject what the field types let through, without the problem."""
+
+    def descriptor(self) -> dict:
+        # the fields as the object holds them: a spec's int stays an int
+        return {"kind": self.kind, **field_dict(self)}

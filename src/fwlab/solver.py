@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import FeasibleSet, Vector, VertexPolytope, l2_norm
 from .objectives import CompositePart, Objective
-from .schema import field_dict
+from .schema import Count, NonNegative, Tagged, field_dict
 from .stepsize import LineSearch, StepsizeRule, line_search, step_toward
 
 REASON_MAX_ITER = "max_iter"
@@ -61,19 +61,15 @@ class Problem:
         }
 
 
-@dataclass(frozen=True)
-class StopRule:
-    max_iter: int
-    gap_tol: float = 0.0  # 0 disables gap-based stopping
+class StopRule(Tagged):
+    """When a solve stops: after row `max_iter`, or once the gap is at most
+    `gap_tol`; a gap_tol of 0 disables gap-based stopping."""
 
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.gap_tol < 0:
-            raise ValueError(f"gap_tol must be >= 0, got {self.gap_tol}")
+    max_iter: Count
+    gap_tol: NonNegative = 0.0
 
     def descriptor(self) -> dict:
-        return field_dict(self)
+        return field_dict(self)  # untagged: a spec's stop section has no kind
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,8 +25,14 @@ SCHEDULE_BLOCK = 4096
 
 
 class StepsizeRule(Tagged):
-    """A stepsize rule: a frozen dataclass whose fields are its spec's, under
-    the class's `kind`."""
+    """A stepsize rule: a read-only object whose fields are its spec's, under
+    the class's `kind`. Two rules are equal when their descriptors are."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.descriptor() == self.descriptor()
+
+    def __hash__(self):
+        return hash(tuple(self.descriptor().values()))
 
     def validate(self, problem, stop) -> None:
         """Every problem and stop rule suit a Frank-Wolfe step; nothing to check."""
@@ -39,7 +44,6 @@ def step_toward(x: Vector, gamma: float, d: Vector) -> Vector:
     return np.add(x, d, out=d)
 
 
-@dataclass(frozen=True)
 class LineSearch(StepsizeRule):
     """gamma_k minimizes the objective on the segment [x_k, x_bar_k].
 
@@ -52,8 +56,7 @@ class LineSearch(StepsizeRule):
     tol: Positive = 1e-10
     max_evals: int = 200
 
-    def __post_init__(self):
-        super().__post_init__()
+    def check_values(self):
         if self.max_evals < 2:
             raise ValueError(f"max_evals must be >= 2, got {self.max_evals}")
 
@@ -87,15 +90,13 @@ class OpenLoop(StepsizeRule):
         return advance
 
 
-@dataclass(frozen=True)
 class Harmonic(OpenLoop):
     """gamma_k = c/(k+c), c >= 1. c=2 is the classic 2/(k+2) schedule."""
 
     kind = "harmonic"
     c: float
 
-    def __post_init__(self):
-        super().__post_init__()
+    def check_values(self):
         if not self.c >= 1:
             raise ValueError(f"harmonic offset must be >= 1, got {self.c}")
 
@@ -103,7 +104,6 @@ class Harmonic(OpenLoop):
         return self.c / (k + self.c)
 
 
-@dataclass(frozen=True)
 class Power(OpenLoop):
     """gamma_k = gamma0/(k+1)^p with gamma0, p in (0,1]."""
 
@@ -115,7 +115,6 @@ class Power(OpenLoop):
         return self.gamma0 / (k + 1.0) ** self.p
 
 
-@dataclass(frozen=True)
 class DHRecursion(OpenLoop):
     """gamma_{k+1} = gamma_k/(1+gamma_k) from gamma0 in (0,1].
 
@@ -134,7 +133,6 @@ class DHRecursion(OpenLoop):
         return self.gamma0 / (self.gamma0 * k + 1.0)
 
 
-@dataclass(frozen=True)
 class ProjectedGradient(StepsizeRule):
     """The projected-gradient baseline x_{k+1} = P(x_k - step*grad(x_k)), not a
     Frank-Wolfe rule. `step` is kept as the spec gave it, so the descriptor

@@ -133,7 +133,7 @@ def test_criterion_04_open_loop_bound_with_sampled_constants():
         est = estimate_curvature(obj, fs, sigma, n_samples=400, seed=7)
         c_sigma = 1.2 * est.sampled_value
         # Delta = max(theta0, C_sigma/sigma); the optimum is 0 at the interior anchor
-        bound = OpenLoopOrderSigma({"sigma": sigma, "assemble": {"C_sigma": c_sigma}})
+        bound = OpenLoopOrderSigma(sigma=sigma, assemble={"C_sigma": c_sigma})
         bound = bound.resolve(Problem(fs, obj), trace, opt=0.0)
         mask = trace.ks >= 1
         excess = trace.objs[mask] - bound.curve(trace.ks[mask])
@@ -275,7 +275,7 @@ def test_criterion_10_composite_split_solver_on_the_box():
                      stop=StopRule(max_iter=10_000))
     theta0 = float(trace_ol.objs[0]) - phi_star
     delta = max(theta0, 20.0 / 2.0)  # curvature bound = squared diameter = 20
-    bound = OpenLoopOrderSigma({"Delta": delta, "sigma": 2.0, "composite": True})
+    bound = OpenLoopOrderSigma(Delta=delta, sigma=2.0, composite=True)
     excess = (trace_ol.objs - phi_star) - bound.curve(trace_ol.ks)
     bound_ok = bool(np.all(excess <= 0.0))
 

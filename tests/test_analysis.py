@@ -222,11 +222,11 @@ def test_curvature_estimate_of_a_one_point_set_is_zero(fs):
 # --- rate bound curves ----------------------------------------------------------------
 
 def _line_search(**params):
-    return LineSearchOrderSigma(params)
+    return LineSearchOrderSigma(**params)
 
 
 def _open_loop(**params):
-    return OpenLoopOrderSigma(params)
+    return OpenLoopOrderSigma(**params)
 
 
 def test_line_search_bound_closed_forms():
@@ -256,7 +256,7 @@ def test_composite_open_loop_bound_shifts_the_index():
 
 
 def test_classic_bound_and_positivity():
-    b = HarmonicClassic({"C_f": 2.0})
+    b = HarmonicClassic(C_f=2.0)
     assert b.bound(0) == 2.0
     assert b.bound(2) == 1.0
     ks = np.arange(1, 50)
@@ -275,7 +275,7 @@ def test_bound_parameter_validation():
     with pytest.raises(ValueError):
         _open_loop(Delta=1.0, sigma=2.5)
     with pytest.raises(ValueError):
-        HarmonicClassic({"C_f": 0.0})
+        HarmonicClassic(C_f=0.0)
 
 
 def test_delta_assembly_takes_the_max():
@@ -286,7 +286,7 @@ def test_delta_assembly_takes_the_max():
 
 def test_bound_as_dict_prints_params_in_order_as_written():
     # summary.json prints str(as_dict()) in a check's detail; an int stays an int
-    assert str(HarmonicClassic({"kind": "harmonic_classic", "C_f": 2}).as_dict()) == \
+    assert str(HarmonicClassic(C_f=2).as_dict()) == \
         "{'kind': 'harmonic_classic', 'params': {'C_f': 2}}"
     assert str(_line_search(C_sigma=2, sigma=1.5, theta0=0.25).as_dict()) == \
         ("{'kind': 'line_search_order_sigma', "

@@ -103,7 +103,7 @@ def test_solve_out_of_range_sigma_exits_two_before_any_artifact(tmp_path, capsys
 
 @pytest.mark.parametrize("over, err", [
     # a TypeError traceback, and a field the fingerprint silently dropped
-    ({"stop": {"max_iter": "5"}}, "stop: 'max_iter' must be an integer, got '5'"),
+    ({"stop": {"max_iter": "5"}}, "stop: 'max_iter' must be a positive integer, got '5'"),
     ({"problem": {"set": {"kind": "simplex", "dim": 3, "radius": 2.0},
                   "objective": {"kind": "quadratic", "b": [0.0, 0.0, 0.0]}}},
      "problem.set: unknown fields ['radius']"),

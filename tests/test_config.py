@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fwlab import analysis, checks, geometry, objectives, stepsize
 from fwlab.config import (
     ExperimentSpec,
     build_problem,
@@ -19,6 +20,7 @@ from fwlab.config import (
     validate_spec,
 )
 from fwlab.geometry import Box, L1Ball, Simplex
+from fwlab.schema import field_types
 from fwlab.stepsize import Harmonic, ProjectedGradient
 
 
@@ -522,6 +524,46 @@ def test_validate_rejects_a_mistyped_section_field_by_name(valid, raw, match):
     validate_spec(parse_spec(valid))
     with pytest.raises(ValueError, match=rf"^smoke: {match}"):
         validate_spec(parse_spec(raw))
+
+
+# every kind of every kinds table, built by a Python call from the fields of
+# its valid descriptor above: an unknown or a missing field is the spec
+# path's ValueError, not a TypeError, and no field of the built section can
+# be assigned
+_KINDS_TABLES = {"set": geometry._SET_KINDS, "rule": stepsize._RULE_KINDS,
+                 "composite": objectives._COMPOSITE_KINDS, "check": checks._CHECKS,
+                 "bound": analysis.BOUND_KINDS}
+_EXAMPLES = {desc["kind"]: desc for desc in [
+    *(desc for section, desc, _ in _VALID_SECTIONS
+      if section not in ("stop", "problem.objective")),
+    *_VALID_CHECKS, *(desc["bound"] for desc in _VALID_CHECKS if "bound" in desc)]}
+
+
+@pytest.mark.parametrize("table, kind", [(table, kind) for table in _KINDS_TABLES
+                                         for kind in _KINDS_TABLES[table]])
+def test_every_section_class_reads_its_fields_and_refuses_assignment(table, kind):
+    cls = _KINDS_TABLES[table][kind]
+    fields = {name: v for name, v in _EXAMPLES[kind].items() if name != "kind"}
+    section = cls(**fields)
+    with pytest.raises(ValueError, match=r"^unknown fields \['extra'\]$"):
+        cls(**fields, extra=1)
+    types = field_types(cls)
+    for name in fields:
+        if not types[name].endswith(" | None"):
+            with pytest.raises(ValueError, match=rf"^missing fields \['{name}'\]$"):
+                cls(**{n: v for n, v in fields.items() if n != name})
+    for name in types:
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(section, name, getattr(section, name))
+
+
+def test_schedule_bounds_takes_its_gamma0s_as_an_array():
+    # a Vector field takes an array, as a descriptor hands it out; the
+    # emptiness test once raised numpy's "truth value ... is ambiguous"
+    check = checks.ScheduleBounds(gamma0s=np.array([0.5, 0.7]), horizon=100)
+    assert check.evaluate(None).passed
+    with pytest.raises(ValueError, match="'gamma0s' must be a nonempty list"):
+        checks.ScheduleBounds(gamma0s=np.array([]), horizon=100)
 
 
 # --- fingerprints ------------------------------------------------------------

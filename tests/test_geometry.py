@@ -434,6 +434,11 @@ def test_set_constructor_validation():
         (lambda: L2Ball(3, "1"), "'radius' must be a finite positive number, got '1'"),
         (lambda: Box(0, [], []), "'dim' must be a positive integer, got 0"),
         (lambda: Box(True, [0.0], [1.0]), "'dim' must be a positive integer, got True"),
+        # the dimension is typed before the vectors are checked against it
+        (lambda: Box(-1, [0.0], [1.0]), "'dim' must be a positive integer, got -1"),
+        # fields by position and by keyword, as a dataclass took them
+        (lambda: Simplex(3, dim=3), "fields given twice ['dim']"),
+        (lambda: Simplex(3, 4), "too many fields: 2 values for ['dim']"),
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
             build()

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -249,6 +250,17 @@ def test_stop_rule_validation():
         StopRule(max_iter=0)
     with pytest.raises(ValueError):
         StopRule(max_iter=10, gap_tol=-1.0)
+    # each once got past the stop rule: a float budget died in the solve with a
+    # TypeError, True ran one row, a NaN tolerance turned the gap stop off and
+    # an infinite one stopped at row 0
+    for build, message in [
+        (lambda: StopRule(2.5), "'max_iter' must be a positive integer, got 2.5"),
+        (lambda: StopRule(True), "'max_iter' must be a positive integer, got True"),
+        (lambda: StopRule(5, math.nan), "'gap_tol' must be a finite number >= 0, got nan"),
+        (lambda: StopRule(5, math.inf), "'gap_tol' must be a finite number >= 0, got inf"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
 
 def _phi_evals_per_search(monkeypatch, problem, x0, max_iter):
