@@ -124,17 +124,22 @@ class BoundDomination(_AgainstOptimum):
                            detail=f"bound {bound.as_dict()}")
 
 
-class LowerBound(_AgainstOptimum):
+class _Window(_AgainstOptimum):
+    """A check of suboptimality on the rows k_min..k_max, a range a subclass
+    declares among its fields."""
+
+    def check_values(self):
+        if self.k_min > self.k_max:
+            raise ValueError("'k_min' must be <= 'k_max'")
+
+
+class LowerBound(_Window):
     kind = "lower-bound"
     coeff: Positive
     k_min: int
     k_max: int
     offset: float = 1.0
     tol: float = 1e-12
-
-    def check_values(self):
-        if self.k_min > self.k_max:
-            raise ValueError("'k_min' must be <= 'k_max'")
 
     def evaluate(self, ctx):
         opt = self.optimum(ctx.problem)
@@ -190,7 +195,7 @@ class FiniteTermination(Check):
                            required=f"reason=finite_termination{want_k}")
 
 
-class NonConvergenceMargin(_AgainstOptimum):
+class NonConvergenceMargin(_Window):
     kind = "non-convergence-margin"
     margin: Positive
     k_min: int

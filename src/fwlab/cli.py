@@ -18,7 +18,6 @@ variable, else ./fwlab-out. Exit code 0 means every evaluated check passed,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -57,16 +56,15 @@ def _print_report(report: ExperimentReport) -> None:
 
 
 def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
+    over = {}
     if getattr(args, "seed", None) is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+        over["seed"] = args.seed
     if getattr(args, "max_iter", None) is not None:
         if spec.stop is None:
             raise _usage_error(f"{spec.name}: --max-iter override needs a "
                                "spec with a stop section")
-        new_stop = dict(spec.stop)
-        new_stop["max_iter"] = args.max_iter
-        spec = dataclasses.replace(spec, stop=new_stop)
-    return spec
+        over["stop"] = {**spec.stop, "max_iter": args.max_iter}
+    return ExperimentSpec(**{**spec.as_dict(), **over}) if over else spec
 
 
 def _cmd_solve(args) -> int:

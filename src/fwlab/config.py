@@ -1,39 +1,67 @@
 """Experiment configuration: named-field JSON specs and their materialization.
 
-A spec file is one JSON object per experiment. Solving specs carry problem,
-rule, x0, and stop; analysis-only specs (curvature probes, schedule
-validation) may omit all four and drive everything from their checks. Checks
-are declarative data so the emitted summary fully records what was asserted.
+A spec file is one JSON object per experiment, read like each of its sections:
+`ExperimentSpec` is a `Tagged` section, so an unknown, missing or mistyped
+field, the `problem` object's included, is rejected by name when the spec is
+parsed. Solving specs carry problem, rule, x0, and stop; analysis-only specs
+(curvature probes, schedule validation) may omit all four, or give them as
+null, and drive everything from their checks. Checks are declarative data so
+the emitted summary fully records what was asserted.
 """
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import FeasibleSet, require_finite, set_from_descriptor
 from .objectives import composite_from_descriptor, objective_from_descriptor
-from .schema import field_dict, field_types, typed
+from .schema import Checks, Name, Section, Tagged, X0, field_dict, read, typed
 from .solver import Problem, StopRule, config_fingerprint
 from .stepsize import StepsizeRule, rule_from_descriptor
 
-_PROBLEM_FIELDS = {"set", "objective", "composite"}
-
-_X0_VERTEX = re.compile(r"^vertex\((\d+)\)$")
-_X0_SAMPLE = re.compile(r"^sample\((\d+)\)$")
+_X0 = re.compile(r"(vertex|sample)\((\d+)\)")
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    name: str
+class ExperimentSpec(Tagged):
+    """One experiment, as its spec file states it. The sections stay the
+    objects the file gives, so the summary echoes them as written; the
+    materializers below build each into its class. The fields of `problem`
+    and the form of an x0 string are checked here, and a null problem, rule,
+    x0, stop or composite is an omitted one."""
+
+    name: Name
     seed: int
-    problem: dict | None = None
-    rule: dict | None = None
-    x0: list | str | None = None
-    stop: dict | None = None
-    checks: list = field(default_factory=list)
+    problem: Section | None = None
+    rule: Section | None = None
+    x0: X0 | None = None
+    stop: Section | None = None
+    checks: Checks = []  # shared by every spec that omits it; never mutated
+
+    def check_values(self):
+        if self.problem is not None:
+            try:
+                read(self.problem, {"set": "object", "objective": "object",
+                                    "composite": "Section | None"}, False)
+            except ValueError as exc:
+                raise ValueError(f"problem: {exc}") from None
+        solving_parts = {"rule": self.rule, "x0": self.x0, "stop": self.stop}
+        missing = [k for k, v in solving_parts.items() if v is None]
+        if 0 < len(missing) < 3:
+            raise ValueError(f"solving specs need rule, x0, and stop together; "
+                             f"missing {missing}")
+        if not missing and self.problem is None:
+            raise ValueError("'problem' is required when rule/x0/stop are given")
+        if isinstance(self.x0, str) and not _X0.fullmatch(self.x0):
+            raise ValueError(f"x0 string must be 'vertex(i)' or 'sample(seed)', "
+                             f"got {self.x0!r}")
+        for i, c in enumerate(self.checks):
+            if not isinstance(c, dict):
+                raise ValueError(f"'checks' must be a list of objects; entry {i} is "
+                                 f"{type(c).__name__}")
+            if "kind" not in c:
+                raise ValueError(f"checks[{i}] is missing 'kind'")
 
     def is_solving(self) -> bool:
         return self.rule is not None
@@ -46,49 +74,10 @@ def parse_spec(raw: dict, source: str = "<spec>") -> ExperimentSpec:
     """Parse and structurally validate one spec object. Errors name the field."""
     if not isinstance(raw, dict):
         raise ValueError(f"{source}: spec must be a JSON object, got {type(raw).__name__}")
-    unknown = raw.keys() - field_types(ExperimentSpec)
-    if unknown:
-        raise ValueError(f"{source}: unknown spec fields {sorted(unknown)}")
-    name = raw.get("name")
-    if not isinstance(name, str) or not name:
-        raise ValueError(f"{source}: 'name' must be a nonempty string")
-    if any(ch in name for ch in "/\\ "):
-        raise ValueError(f"{source}: 'name' must be file-name safe, got {name!r}")
     try:
-        seed = typed("seed", "int", raw.get("seed"))
+        return ExperimentSpec(**raw)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
-
-    problem = raw.get("problem")
-    if problem is not None:
-        if not isinstance(problem, dict):
-            raise ValueError(f"{source}: 'problem' must be an object")
-        bad = set(problem) - _PROBLEM_FIELDS
-        if bad:
-            raise ValueError(f"{source}: unknown problem fields {sorted(bad)}")
-        for key in ("set", "objective"):
-            if key not in problem:
-                raise ValueError(f"{source}: 'problem.{key}' is required")
-
-    rule, x0, stop = raw.get("rule"), raw.get("x0"), raw.get("stop")
-    solving_parts = {"rule": rule, "x0": x0, "stop": stop}
-    present = [k for k, v in solving_parts.items() if v is not None]
-    if present and len(present) != 3:
-        missing = [k for k, v in solving_parts.items() if v is None]
-        raise ValueError(f"{source}: solving specs need rule, x0, and stop together; "
-                         f"missing {missing}")
-    if present and problem is None:
-        raise ValueError(f"{source}: 'problem' is required when rule/x0/stop are given")
-
-    checks = raw.get("checks", [])
-    if not isinstance(checks, list) or any(not isinstance(c, dict) for c in checks):
-        raise ValueError(f"{source}: 'checks' must be a list of objects")
-    for i, c in enumerate(checks):
-        if "kind" not in c:
-            raise ValueError(f"{source}: checks[{i}] is missing 'kind'")
-
-    return ExperimentSpec(name=name, seed=seed, problem=problem, rule=rule,
-                          x0=x0, stop=stop, checks=checks)
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -124,36 +113,28 @@ def build_rule(spec: ExperimentSpec) -> StepsizeRule:
 
 
 def resolve_x0(spec: ExperimentSpec, feasible_set: FeasibleSet) -> np.ndarray:
-    x0 = spec.x0
-    if isinstance(x0, list):
-        arr = np.asarray(_section(spec, "x0", typed, "x0", "Vector", x0), dtype=float)
-        if arr.ndim != 1 or arr.size != feasible_set.dim:
-            raise ValueError(f"{spec.name}: x0 has shape {arr.shape}, "
-                             f"set dimension is {feasible_set.dim}")
-        require_finite(arr, f"{spec.name}: x0")
-        return arr
-    if isinstance(x0, str):
-        m = _X0_VERTEX.match(x0)
-        if m:
-            i = int(m.group(1))
-            # a table shorter than i + 1 rows is the whole table, so its
-            # length is the full count the error reports
-            pts = feasible_set.extreme_points(i + 1)
-            if i >= len(pts):
-                raise ValueError(f"{spec.name}: vertex({i}) out of range, "
-                                 f"set has {len(pts)} listed extreme points")
-            return pts[i]
-        m = _X0_SAMPLE.match(x0)
-        if m:
-            return feasible_set.sample(int(m.group(1)))
-        raise ValueError(f"{spec.name}: x0 string must be 'vertex(i)' or 'sample(seed)', "
-                         f"got {x0!r}")
-    raise ValueError(f"{spec.name}: x0 must be a vector, 'vertex(i)', or 'sample(seed)'")
+    if isinstance(spec.x0, str):
+        kind, i = _X0.fullmatch(spec.x0).groups()
+        if kind == "sample":
+            return feasible_set.sample(int(i))
+        i = int(i)
+        # a table shorter than i + 1 rows is the whole table, so its
+        # length is the full count the error reports
+        pts = feasible_set.extreme_points(i + 1)
+        if i >= len(pts):
+            raise ValueError(f"{spec.name}: vertex({i}) out of range, "
+                             f"set has {len(pts)} listed extreme points")
+        return pts[i]
+    arr = np.asarray(_section(spec, "x0", typed, "x0", "Vector", spec.x0), dtype=float)
+    if arr.ndim != 1 or arr.size != feasible_set.dim:
+        raise ValueError(f"{spec.name}: x0 has shape {arr.shape}, "
+                         f"set dimension is {feasible_set.dim}")
+    require_finite(arr, f"{spec.name}: x0")
+    return arr
 
 
 def build_stop(spec: ExperimentSpec) -> StopRule:
-    return _section(spec, "stop", lambda desc: StopRule(**typed("stop", "object", desc)),
-                    spec.stop)
+    return _section(spec, "stop", lambda desc: StopRule(**desc), spec.stop)
 
 
 def spec_fingerprint(spec: ExperimentSpec) -> str:

@@ -24,7 +24,14 @@ _TYPES = {"float": ((int, float), "a finite number", lambda v: -math.inf < v < m
           "Count": (int, "a positive integer", lambda v: v >= 1),
           "bool": (bool, "a boolean", None), "object": (dict, "an object", None),
           "Vector": ((list, np.ndarray), "a vector of numbers", None),
-          "Matrix": ((list, np.ndarray), "a list of vectors of numbers", None)}
+          "Matrix": ((list, np.ndarray), "a list of vectors of numbers", None),
+          # a spec file's own fields: a section it may leave null, the start
+          # point, the file-name-safe experiment name and the check list
+          "Section": ((dict, type(None)), "an object or null", None),
+          "X0": ((list, str, type(None)), "a vector, 'vertex(i)' or 'sample(seed)'", None),
+          "Name": (str, "a nonempty string with no '/', '\\' or space",
+                   lambda v: v != "" and not any(ch in v for ch in "/\\ ")),
+          "Checks": (list, "a list of objects", None)}
 
 
 def _show(v) -> str:
@@ -94,6 +101,10 @@ Fraction = float  # a number in (0, 1]
 Order = float  # a curvature order sigma in (1, 2], the range the paper's rates cover
 Vector = list  # a flat list of numbers
 Matrix = list  # a list of vectors of numbers
+Section = dict  # an object, or null for an omitted section
+X0 = list  # a vector, or the string 'vertex(i)' or 'sample(seed)'
+Name = str  # a nonempty string with no '/', '\\' or space
+Checks = list  # a list of objects
 
 
 def field_types(cls, nested=()) -> dict:
@@ -140,7 +151,7 @@ class Tagged:
     def __init_subclass__(cls):
         cls._types = field_types(cls, cls.nested)
 
-    def __init__(self, *args, **fields):
+    def __init__(self, /, *args, **fields):  # so a field named 'self' is unknown
         if len(args) > len(self._types):
             raise ValueError(f"too many fields: {len(args)} values for {list(self._types)}")
         named = dict(zip(self._types, args))

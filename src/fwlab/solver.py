@@ -278,8 +278,7 @@ def _searcher(problem: Problem, rule: LineSearch
     def searched(k: int, x: Vector, grad: Vector, d: Vector) -> tuple[float, Vector]:
         gamma_star = None if segment_min is None else segment_min(x, d, grad)
         try:
-            gamma_k = line_search(lambda t: phi_along(x, d, t),
-                                  rule.tol, rule.max_evals, gamma_star)
+            gamma_k = line_search(lambda t: phi_along(x, d, t), rule, gamma_star)
         except ValueError as exc:
             raise ValueError(f"line search failed at iteration {k}: {exc}") from exc
         return gamma_k, step_toward(x, gamma_k, d)

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Vector, VertexPolytope
-from .schema import Fraction, Positive, Tagged, build, kinds, typed
+from .schema import Fraction, Positive, Tagged, build, kinds
 
 # stepsizes per block when a schedule or its envelope is evaluated to a
 # horizon: the temporaries of a formula hold O(SCHEDULE_BLOCK) memory
@@ -167,20 +167,20 @@ class ProjectedGradient(StepsizeRule):
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio conjugate, ~0.618
 
 
-def line_search(phi: Callable[[float], float], tol: float = 1e-10, max_evals: int = 200,
+def line_search(phi: Callable[[float], float], rule: LineSearch = LineSearch(),
                 gamma_star: float | None = None) -> float:
     """Minimize phi over [0,1]: golden section, or a known minimizer checked.
 
     Given gamma_star, the exact minimizer from a closed form, phi is evaluated
     at 0, 1 and gamma_star only; otherwise golden-section search runs until
-    the bracket is narrower than tol or max_evals evaluations are spent.
+    the bracket is narrower than the rule's tol or its max_evals evaluations
+    are spent. The rule's fields were checked when it was built, so a solve
+    that searches once a row checks them once.
     Returns the best evaluated point; both endpoints are always evaluated, so
     the result never exceeds min(phi(0), phi(1)). Ties go to the smaller gamma
     (a zero step beats an equal-valued nonzero one). Raises on non-finite phi.
     """
-    typed("tol", "Positive", tol)
-    if max_evals < 2:
-        raise ValueError(f"max_evals must be >= 2, got {max_evals}")
+    tol, max_evals = rule.tol, rule.max_evals
     if gamma_star is not None and not 0.0 <= gamma_star <= 1.0:
         raise ValueError(f"segment minimizer must lie in [0,1], got {gamma_star}")
 

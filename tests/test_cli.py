@@ -104,6 +104,8 @@ def test_solve_out_of_range_sigma_exits_two_before_any_artifact(tmp_path, capsys
 @pytest.mark.parametrize("over, err", [
     # a TypeError traceback, and a field the fingerprint silently dropped
     ({"stop": {"max_iter": "5"}}, "stop: 'max_iter' must be a positive integer, got '5'"),
+    ({"stop": {"max_iter": 5, "gap_tol": -1.0}},
+     "stop: 'gap_tol' must be a finite number >= 0, got -1.0"),
     ({"problem": {"set": {"kind": "simplex", "dim": 3, "radius": 2.0},
                   "objective": {"kind": "quadratic", "b": [0.0, 0.0, 0.0]}}},
      "problem.set: unknown fields ['radius']"),
@@ -166,6 +168,15 @@ def test_solve_mistyped_section_field_exits_two_before_any_artifact(tmp_path, ca
     assert run_cli("solve", _write_spec(tmp_path, _quadratic_raw(**over)),
                    "--out", str(out)) == 2
     assert capsys.readouterr().err == f"error: cliexp: {err}\n"
+    assert not out.exists()
+
+
+def test_solve_bool_seed_exits_two_before_any_artifact(tmp_path, capsys):
+    # the top level is read before the spec has a name, so the error names the file
+    spec = _write_spec(tmp_path, _quadratic_raw(seed=True))
+    out = tmp_path / "out"
+    assert run_cli("solve", spec, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {spec}: 'seed' must be an integer, got True\n"
     assert not out.exists()
 
 

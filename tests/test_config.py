@@ -56,7 +56,7 @@ def test_parse_full_solving_spec():
 
 
 def test_parse_rejects_unknown_spec_fields():
-    with pytest.raises(ValueError, match="unknown spec fields.*'extra'"):
+    with pytest.raises(ValueError, match=r"unknown fields \['extra'\]"):
         parse_spec(_solving_raw(extra=1))
 
 
@@ -85,14 +85,14 @@ def test_parse_rejects_a_seed_that_is_not_an_integer(seed):
 def test_parse_rejects_unknown_problem_fields():
     raw = _solving_raw()
     raw["problem"]["mystery"] = 1
-    with pytest.raises(ValueError, match="unknown problem fields"):
+    with pytest.raises(ValueError, match=r"problem: unknown fields \['mystery'\]"):
         parse_spec(raw)
 
 
 def test_parse_requires_set_and_objective():
     raw = _solving_raw()
     del raw["problem"]["objective"]
-    with pytest.raises(ValueError, match="'problem.objective' is required"):
+    with pytest.raises(ValueError, match=r"problem: missing fields \['objective'\]"):
         parse_spec(raw)
 
 
@@ -128,7 +128,7 @@ def test_load_spec_round_trips_through_json(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(_solving_raw()))
     spec = load_spec(path)
-    assert spec == parse_spec(_solving_raw())
+    assert spec.as_dict() == parse_spec(_solving_raw()).as_dict()
 
 
 def test_load_spec_reports_invalid_json_with_path(tmp_path):
@@ -193,9 +193,42 @@ def test_resolve_x0_vertex_builds_one_row_not_the_table():
 
 
 def test_resolve_x0_rejects_unknown_string():
-    spec = parse_spec(_solving_raw(x0="center"))
+    # checked when the spec is parsed, so resolve_x0 never sees it
     with pytest.raises(ValueError, match="'vertex\\(i\\)' or 'sample\\(seed\\)'"):
-        resolve_x0(spec, Simplex(3))
+        parse_spec(_solving_raw(x0="center"))
+
+
+@pytest.mark.parametrize("x0", ["vertex(0)\n", "sample(3) ", " vertex(0)", "vertex(-1)",
+                                "vertex()", "sample(1)(2)"])
+def test_parse_rejects_an_x0_string_that_is_not_exactly_one_form(x0):
+    with pytest.raises(ValueError, match=re.escape(
+            f"<spec>: x0 string must be 'vertex(i)' or 'sample(seed)', got {x0!r}")):
+        parse_spec(_solving_raw(x0=x0))
+
+
+def test_parse_reads_a_null_section_as_omitted():
+    spec = parse_spec({"name": "probe", "seed": 0, "problem": None, "rule": None,
+                       "x0": None, "stop": None})
+    assert not spec.is_solving() and spec.problem is None
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"name": None}, "'name' must be a nonempty string with no '/', '\\' or space, got None"),
+    ({"seed": None}, "'seed' must be an integer, got None"),
+    ({"checks": None}, "'checks' must be a list of objects, got None"),
+    ({"checks": [{"kind": "monotonicity"}, 3]},
+     "'checks' must be a list of objects; entry 1 is int"),
+    ({"rule": 5}, "'rule' must be an object or null, got 5"),
+    ({"stop": [5]}, "'stop' must be an object or null, got list"),
+    ({"x0": 0}, "'x0' must be a vector, 'vertex(i)' or 'sample(seed)', got 0"),
+    ({"problem": {"set": None, "objective": {"kind": "quadratic", "b": [0.0] * 3}}},
+     "problem: 'set' must be an object, got None"),
+    ({"problem": [1]}, "'problem' must be an object or null, got list"),
+    ({"self": 1}, "unknown fields ['self']"),
+])
+def test_parse_rejects_a_mistyped_spec_field_by_name(over, message):
+    with pytest.raises(ValueError, match="^" + re.escape(f"<spec>: {message}") + "$"):
+        parse_spec(_solving_raw(**over))
 
 
 def test_build_rule_returns_rule_object_or_gpa_descriptor():
@@ -557,6 +590,16 @@ def test_every_section_class_reads_its_fields_and_refuses_assignment(table, kind
             setattr(section, name, getattr(section, name))
 
 
+@pytest.mark.parametrize("desc", [
+    {"kind": "lower-bound", "opt": 0.0, "coeff": 0.1, "k_min": 5, "k_max": 4},
+    # once validated, then failed every run with "min suboptimality over k range nan"
+    {"kind": "non-convergence-margin", "opt": 0.0, "margin": 0.1, "k_min": 5, "k_max": 4},
+])
+def test_a_window_check_rejects_k_min_past_k_max(desc):
+    with pytest.raises(ValueError, match=r"^smoke: checks\[0\]: 'k_min' must be <= 'k_max'$"):
+        validate_spec(parse_spec(_solving_raw(checks=[desc])))
+
+
 def test_schedule_bounds_takes_its_gamma0s_as_an_array():
     # a Vector field takes an array, as a descriptor hands it out; the
     # emptiness test once raised numpy's "truth value ... is ambiguous"
@@ -679,6 +722,6 @@ def test_fingerprint_matches_solver_trace():
 
 def test_as_dict_round_trips():
     spec = parse_spec(_solving_raw())
-    assert parse_spec(spec.as_dict()) == spec
+    assert parse_spec(spec.as_dict()).as_dict() == spec.as_dict()
     analysis = ExperimentSpec(name="probe", seed=0)
-    assert parse_spec(analysis.as_dict()) == analysis
+    assert parse_spec(analysis.as_dict()).as_dict() == analysis.as_dict()

@@ -331,7 +331,7 @@ def test_exact_quadratic_step_beats_a_grid_and_golden_section(kind, dim, seed):
     residuals = x + np.linspace(0.0, 1.0, 2001)[:, None] * d - b
     grid_min = float(np.min(0.5 * np.einsum("ij,ij->i", residuals, residuals)))
     assert phi(gamma) <= grid_min + 1e-12 * scale
-    golden = line_search(phi, 1e-10, 200)
+    golden = line_search(phi, LineSearch(1e-10, 200))
     assert phi(gamma) <= phi(golden) + 1e-12 * scale
 
 

@@ -49,17 +49,17 @@ def dh_terms_iterative(gamma0: float, upto: int) -> np.ndarray:
 # --- golden-section line search ------------------------------------------------
 
 def test_line_search_locates_interior_quadratic_minimum():
-    gamma = line_search(lambda g: (g - 0.3) ** 2, tol=1e-10, max_evals=200)
+    gamma = line_search(lambda g: (g - 0.3) ** 2, LineSearch(1e-10, 200))
     assert abs(gamma - 0.3) < 1e-9
 
 
 def test_line_search_returns_endpoint_for_monotone_profiles():
-    assert line_search(lambda g: g, tol=1e-10, max_evals=200) == 0.0
-    assert line_search(lambda g: -g, tol=1e-10, max_evals=200) == 1.0
+    assert line_search(lambda g: g, LineSearch(1e-10, 200)) == 0.0
+    assert line_search(lambda g: -g, LineSearch(1e-10, 200)) == 1.0
 
 
 def test_line_search_constant_profile_ties_to_smallest_gamma():
-    assert line_search(lambda g: 5.0, tol=1e-10, max_evals=200) == 0.0
+    assert line_search(lambda g: 5.0, LineSearch(1e-10, 200)) == 0.0
 
 
 def test_line_search_respects_eval_budget():
@@ -69,7 +69,7 @@ def test_line_search_respects_eval_budget():
         calls.append(g)
         return (g - 0.5) ** 2
 
-    line_search(phi, tol=1e-15, max_evals=10)
+    line_search(phi, LineSearch(1e-15, 10))
     assert len(calls) <= 10
 
 
@@ -83,14 +83,14 @@ def test_line_search_returns_best_evaluated_point():
         seen[g] = v
         return v
 
-    gamma = line_search(phi, tol=1e-10, max_evals=40)
+    gamma = line_search(phi, LineSearch(1e-10, 40))
     assert gamma in seen
     assert seen[gamma] == min(seen.values())
 
 
 def test_line_search_rejects_non_finite_values():
     with pytest.raises(ValueError, match="not finite"):
-        line_search(lambda g: float("nan"), tol=1e-8, max_evals=50)
+        line_search(lambda g: float("nan"), LineSearch(1e-8, 50))
 
 
 def test_line_search_given_a_minimizer_compares_it_with_the_endpoints():
