@@ -117,14 +117,11 @@ def resolve_x0(spec: ExperimentSpec, feasible_set: FeasibleSet) -> np.ndarray:
         kind, i = _X0.fullmatch(spec.x0).groups()
         if kind == "sample":
             return feasible_set.sample(int(i))
-        i = int(i)
-        # a table shorter than i + 1 rows is the whole table, so its
-        # length is the full count the error reports
-        pts = feasible_set.extreme_points(i + 1)
-        if i >= len(pts):
+        i, count = int(i), feasible_set.extreme_point_count()
+        if i >= count:
             raise ValueError(f"{spec.name}: vertex({i}) out of range, "
-                             f"set has {len(pts)} listed extreme points")
-        return pts[i]
+                             f"set has {count} listed extreme points")
+        return feasible_set.extreme_point(i)
     arr = np.asarray(_section(spec, "x0", typed, "x0", "Vector", spec.x0), dtype=float)
     if arr.ndim != 1 or arr.size != feasible_set.dim:
         raise ValueError(f"{spec.name}: x0 has shape {arr.shape}, "
@@ -173,6 +170,7 @@ def validate_spec(spec: ExperimentSpec) -> list:
         x0 = resolve_x0(spec, problem.feasible_set)
         if not problem.feasible_set.contains(x0, 1e-9):
             raise ValueError(f"{spec.name}: x0 is not feasible")
+        del x0  # not held through the checks' validation
         _section(spec, "rule", rule.validate, problem, build_stop(spec))
     checks = []
     for i, desc in enumerate(spec.checks):

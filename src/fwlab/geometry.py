@@ -92,6 +92,15 @@ class FeasibleSet(Tagged):
         """
         raise NotImplementedError
 
+    def extreme_point_count(self) -> int:
+        """The number of rows of `extreme_points()`, none of them built."""
+        raise NotImplementedError
+
+    def extreme_point(self, i: int) -> Vector:
+        """Row i of `extreme_points()`, 0 <= i < extreme_point_count(), bit for
+        bit, as a fresh array built alone at O(dim) cost."""
+        raise NotImplementedError
+
     def sample(self, rng_seed: int) -> Vector:
         """Feasible point, deterministic for a fixed seed."""
         return self.draw(np.random.default_rng(rng_seed))
@@ -105,9 +114,7 @@ class Simplex(FeasibleSet):
 
     def lmo(self, c: Vector) -> Vector:
         # argmin over vertices; argmin takes the lowest index on ties
-        out = np.zeros(self.dim)
-        out[int(c.argmin())] = 1.0
-        return out
+        return self.extreme_point(int(c.argmin()))
 
     def lmo_l1(self, c: Vector, lam: float) -> Vector:
         # ||x||_1 = 1 on the whole simplex, so the l1 term is a constant
@@ -131,6 +138,14 @@ class Simplex(FeasibleSet):
     def extreme_points(self, limit: int | None = None) -> np.ndarray:
         d = self.dim
         return np.eye(_row_count(d, limit), d)
+
+    def extreme_point_count(self) -> int:
+        return self.dim
+
+    def extreme_point(self, i: int) -> Vector:
+        out = np.zeros(self.dim)
+        out[i] = 1.0
+        return out
 
 
 class L1Ball(FeasibleSet):
@@ -182,6 +197,12 @@ class L1Ball(FeasibleSet):
     def extreme_points(self, limit: int | None = None) -> np.ndarray:
         return _signed_axes(self.dim, self.radius, limit)
 
+    def extreme_point_count(self) -> int:
+        return 2 * self.dim
+
+    def extreme_point(self, i: int) -> Vector:
+        return _signed_axis(self.dim, self.radius, i)
+
 
 class L2Ball(FeasibleSet):
     """{x : ||x||_2 <= radius}."""
@@ -230,6 +251,12 @@ class L2Ball(FeasibleSet):
 
     def extreme_points(self, limit: int | None = None) -> np.ndarray:
         return _signed_axes(self.dim, self.radius, limit)
+
+    def extreme_point_count(self) -> int:
+        return 2 * self.dim
+
+    def extreme_point(self, i: int) -> Vector:
+        return _signed_axis(self.dim, self.radius, i)
 
 
 class Box(FeasibleSet):
@@ -280,24 +307,30 @@ class Box(FeasibleSet):
         return np.add(self.lower, x, out=x)
 
     def extreme_points(self, limit: int | None = None) -> np.ndarray:
-        d = self.dim
-        if d <= 12:
-            rows, total = itertools.product(*zip(self.lower, self.upper)), 2 ** d
+        n = _row_count(self.extreme_point_count(), limit)
+        if self.dim <= 12:
+            rows = itertools.islice(itertools.product(*zip(self.lower, self.upper)), n)
         else:
-            rows, total = self._corners_and_flips(), 2 + 2 * d
-        return np.array(list(itertools.islice(rows, _row_count(total, limit)))).reshape(-1, d)
+            rows = map(self.extreme_point, range(n))
+        return np.array(list(rows)).reshape(-1, self.dim)
 
-    def _corners_and_flips(self):
-        # too many corners to enumerate: both extreme corners plus single flips
-        yield self.lower.copy()
-        yield self.upper.copy()
-        for i in range(self.dim):
-            a = self.lower.copy()
-            a[i] = self.upper[i]
-            yield a
-            b = self.upper.copy()
-            b[i] = self.lower[i]
-            yield b
+    def extreme_point_count(self) -> int:
+        # too many corners to enumerate past d = 12: both extreme corners
+        # plus the single flips of each
+        return 2 ** self.dim if self.dim <= 12 else 2 + 2 * self.dim
+
+    def extreme_point(self, i: int) -> Vector:
+        lo, up = self.lower, self.upper
+        if self.dim <= 12:
+            # corner i of the product, whose last coordinate varies fastest:
+            # bit d - 1 - j of i picks the upper end of coordinate j
+            return np.where((i >> np.arange(self.dim - 1, -1, -1)) & 1, up, lo)
+        if i < 2:
+            return (lo, up)[i].copy()
+        j, flip = divmod(i - 2, 2)  # lower with j raised, then upper with j lowered
+        row = (lo, up)[flip].copy()
+        row[j] = (up, lo)[flip][j]
+        return row
 
 
 class VertexPolytope(FeasibleSet):
@@ -371,6 +404,12 @@ class VertexPolytope(FeasibleSet):
     def extreme_points(self, limit: int | None = None) -> np.ndarray:
         return self.vertices[:_row_count(len(self.vertices), limit)].copy()
 
+    def extreme_point_count(self) -> int:
+        return len(self.vertices)
+
+    def extreme_point(self, i: int) -> Vector:
+        return self.vertices[i].copy()
+
 
 def _row_count(total: int, limit: int | None) -> int:
     """How many of a table's `total` rows a call with this limit returns."""
@@ -391,27 +430,45 @@ def _signed_axes(dim: int, radius: float, limit: int | None) -> np.ndarray:
                       -radius * np.eye(max(n - dim, 0), dim)])
 
 
+def _signed_axis(dim: int, radius: float, i: int) -> Vector:
+    """Row i of `_signed_axes`: r * e_i, or -r * e_(i - dim) with -0.0 off the axis."""
+    if i < dim:
+        out = np.zeros(dim)
+        out[i] = radius
+    else:
+        out = np.full(dim, -0.0)
+        out[i - dim] = -radius
+    return out
+
+
+# divisors 1, 2, ... made at a time by the simplex projection: 32 kB
+_DIVISOR_BLOCK = 4096
+
+
 def _project_onto_simplex_face(x: Vector, total: float) -> Vector:
     """Euclidean projection onto {z >= 0, sum z = total} by sort and threshold.
 
     With u = x sorted descending and css its cumulative sums less total, rho
     is the last index with u[rho] > css[rho] / (rho + 1), and the projection
-    is max(x - css[rho] / (rho + 1), 0). It works in place on three n-vectors
-    (u, css and the quotient, which becomes the result), each value the same
-    bits as the out-of-place formula.
+    is max(x - css[rho] / (rho + 1), 0). It works in place on two n-vectors:
+    u, and css, which the quotients css / (i + 1) overwrite, their divisors
+    made a block at a time, and which then becomes the result. theta =
+    q[rho] is the double css[rho] / (rho + 1), and each value is the same bits
+    as the out-of-place formula.
     """
     u = np.sort(x)[::-1]
-    css = np.cumsum(u)
-    css -= total
-    q = np.arange(1.0, x.size + 1)
-    np.divide(css, q, out=q)
+    q = np.cumsum(u)
+    q -= total
+    for start in range(0, x.size, _DIVISOR_BLOCK):
+        block = q[start:start + _DIVISOR_BLOCK]
+        np.divide(block, np.arange(start + 1.0, start + 1.0 + block.size), out=block)
     above = u > q
     rho = x.size - 1 - int(above[::-1].argmax())
     if not above[rho]:  # argmax finds no True: x holds a NaN or an infinity
         raise ValueError("no threshold index: the simplex projection needs finite "
                          "entries and a positive total")
-    theta = css[rho] / (rho + 1.0)
-    del u, css, above
+    theta = q[rho]
+    del u, above
     np.subtract(x, theta, out=q)
     return np.maximum(q, 0.0, out=q)
 

@@ -54,9 +54,11 @@ class ExperimentReport:
 
 def _run_trace(spec: ExperimentSpec) -> SolveTrace:
     problem = build_problem(spec)
-    rule = build_rule(spec)
-    x0 = resolve_x0(spec, problem.feasible_set)
-    trace = solve(problem, rule, x0=x0, stop=build_stop(spec), seed=spec.seed)
+    # x0 passed inline: the solve holds the only reference, and drops it at
+    # its first step
+    trace = solve(problem, build_rule(spec), x0=resolve_x0(spec, problem.feasible_set),
+                  stop=build_stop(spec), seed=spec.seed)
+    del problem  # the drift check builds its own
     expected = spec_fingerprint(spec)
     if expected and trace.config_fingerprint != expected:
         raise RuntimeError(
@@ -118,7 +120,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> ExperimentRepor
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    problem = build_problem(spec) if spec.problem is not None else None
     trace = _run_trace(spec) if spec.is_solving() else None
 
     trace_path: Path | None = None
@@ -126,6 +127,10 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> ExperimentRepor
         trace_path = out / f"{spec.name}.trace.csv"
         write_trace_csv(trace, trace_path)
 
+    # the checks' problem is built once the solve's is gone, and it goes,
+    # with the curves the checks kept, before the summary's fingerprint
+    # builds one more
+    problem = build_problem(spec) if spec.problem is not None else None
     ctx = CheckContext(problem=problem, trace=trace)
     results = tuple(evaluate_check(check, ctx) for check in checks)
 
@@ -133,6 +138,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> ExperimentRepor
     if ctx.bounds:
         bounds_path = out / f"{spec.name}.bounds.csv"
         _write_bounds_csv(bounds_path, ctx.bounds)
+    del problem, ctx
 
     passed = all(r.passed for r in results)
     summary = {

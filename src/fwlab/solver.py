@@ -306,14 +306,18 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
     writes x_{k+1} into d, so an open-loop row holds three n-vectors (x, the
     gradient and d, then x, d and x_{k+1} - x), and a line search writes its
     trial points into one more. Each value is the same bits as the
-    out-of-place expression.
+    out-of-place expression. The loop never writes into x, so a C-contiguous
+    float64 x0 is the first iterate itself, not a copy; `final_x` never shares
+    x0's memory.
     """
     rule.validate(problem, stop)
-    x = np.array(x0, dtype=float)
+    # a strided or non-float64 x0 is converted into a copy
+    x = np.ascontiguousarray(x0, dtype=float)
+    del x0  # once a step's result replaces x, no name here keeps x0 alive
     if not problem.feasible_set.contains(x, 1e-9):
         raise ValueError("x0 is not feasible (tolerance 1e-9)")
     # rendered before the loop, while no row's vectors are alive
-    fingerprint = config_fingerprint(problem.descriptor(), rule.descriptor(), x0,
+    fingerprint = config_fingerprint(problem.descriptor(), rule.descriptor(), x,
                                      stop.descriptor(), seed)
     # every other rule steps itself; the search stays here, where bench/tracer.py
     # counts it at solver.line_search, until ROADMAP item 1 moves that seam
@@ -354,10 +358,10 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
             break
         x = x_next
 
-    # x is the loop's own array (a copy of x0, or a step's fresh result), and
     # the last row holds phi(x): a gap or budget stop breaks before the step,
-    # and finite termination keeps x
-    termination = Termination(reason, x, obj_k)
+    # and finite termination keeps x. Past row 0, x is a step's fresh result;
+    # at row 0 it may be the caller's x0, so the final point is its copy
+    termination = Termination(reason, x.copy() if k == 0 else x, obj_k)
     # the array wraps the buffer's memory, no copy
     return SolveTrace(np.frombuffer(rows).reshape(-1, len(TRACE_CSV_COLUMNS)),
                       termination, fingerprint)

@@ -178,10 +178,12 @@ def test_resolve_x0_vertex_out_of_range_reports_the_full_count():
                                   f"set has {count} listed extreme points")
 
 
-def test_resolve_x0_vertex_builds_one_row_not_the_table():
-    # the whole [r*I; -r*I] table at n = 2000 is 64 MB
-    fs = L1Ball(2000, 1.0)
-    spec = parse_spec(_solving_raw(x0="vertex(0)"))
+@pytest.mark.parametrize("fs, i", [(L1Ball(2000, 1.0), 0), (Simplex(2000), 1999),
+                                   (L1Ball(2000, 1.0), 3999)])
+def test_resolve_x0_vertex_builds_one_row_not_the_table(fs, i):
+    # building rows 0..i to return row i peaked at 32 MB for vertex(1999)
+    # on the simplex and at 64 MB for vertex(3999), the ball's last row
+    spec = parse_spec(_solving_raw(x0=f"vertex({i})"))
     tracemalloc.start()
     try:
         x0 = resolve_x0(spec, fs)
@@ -189,7 +191,8 @@ def test_resolve_x0_vertex_builds_one_row_not_the_table():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    assert x0[0] == 1.0 and not x0[1:].any()
+    assert x0[i % 2000] == (-1.0 if i >= 2000 else 1.0)
+    assert np.count_nonzero(x0) == 1 and np.signbit(x0).all() == (i >= 2000)
 
 
 def test_resolve_x0_rejects_unknown_string():

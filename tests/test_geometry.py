@@ -352,6 +352,25 @@ def test_bounded_extreme_points_are_a_bitwise_prefix(fs, data):
     assert head.tobytes() == full[:k].tobytes()
 
 
+@pytest.mark.parametrize("fs", [
+    Simplex(4), L1Ball(3, 2.0), L2Ball(4, 1), Box(1, [-1.0], [0.5]),
+    Box(5, np.arange(5.0) - 2.5, np.arange(5.0) ** 2 - 1.0),
+    Box(12, -np.ones(12), np.linspace(0.1, 2.0, 12)),
+    Box(13, -np.linspace(0.5, 1.5, 13), np.ones(13)),
+    Box(20, np.arange(20.0) - 30.0, np.arange(20.0)),
+    VertexPolytope(np.random.default_rng(4).normal(size=(7, 3))),
+], ids=lambda fs: f"{fs.kind}-{fs.dim}")
+def test_each_extreme_point_is_its_table_row_bit_for_bit(fs):
+    table = fs.extreme_points()
+    assert fs.extreme_point_count() == len(table)
+    for i, row in enumerate(table):
+        # bytes, not values: the balls' negative half holds -0.0 entries
+        point = fs.extreme_point(i)
+        assert point.tobytes() == row.tobytes() and point.flags.writeable
+        assert not any(np.shares_memory(point, v) for v in vars(fs).values()
+                       if isinstance(v, np.ndarray))
+
+
 def test_bounded_extreme_points_keep_negative_zeros():
     head = L1Ball(3, 2.0).extreme_points(4)
     assert np.signbit(head[3, 1:]).all() and not np.signbit(head[:3]).any()

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
@@ -254,6 +255,33 @@ def test_rerun_is_byte_identical(tmp_path):
     run_experiment(parse_spec(_raw()), b)
     for fname in ("exp.trace.csv", "exp.summary.json"):
         assert (a / fname).read_bytes() == (b / fname).read_bytes()
+
+
+def test_a_run_holds_one_problem_and_one_x0_at_a_time(tmp_path):
+    def raw(n):
+        b = np.random.default_rng(5).standard_normal(n).tolist()
+        return _raw(f"simplex_{n}", x0="sample(7)", stop={"max_iter": 5},
+                    problem={"set": {"kind": "simplex", "dim": n},
+                             "objective": {"kind": "quadratic", "b": b}},
+                    checks=[{"kind": "bound-domination", "k_min": 1, "tol_add": 1e-9,
+                             "bound": {"kind": "harmonic_classic", "C_f": 2.0}}])
+
+    run_experiment(parse_spec(raw(4)), tmp_path)  # first calls, outside the count
+    n = 100_000
+    spec = parse_spec(raw(n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = run_experiment(spec, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.passed  # the check read f*, whose projection is part of the peak
+    # the checks' phase sets it: the final point, the checks' b and the two
+    # n-vectors of the f* projection, 4.27 n-vectors. Building the checks'
+    # problem before the solve, holding the solve's problem and x0 through
+    # the drift check and copying x0 into the loop made it 6.02
+    assert peak < 5.0 * 8 * n
 
 
 @pytest.mark.parametrize("entry", [-0.0, 5e-324])

@@ -239,6 +239,36 @@ def test_finite_termination_compares_iterates_not_step_norms():
     assert len(trace.rows) == 2
     assert trace.ks[-1] == 1
 
+
+@pytest.mark.parametrize("rule, stop, reason", [
+    (Harmonic(2.0), StopRule(max_iter=10, gap_tol=1e-3), REASON_GAP_TOL),
+    (LineSearch(), StopRule(max_iter=10), REASON_FINITE_TERMINATION),
+], ids=["gap_tol", "finite_termination"])
+def test_a_solve_ending_at_row_0_hands_out_its_own_final_point(rule, stop, reason):
+    # x0 is the first iterate itself, not a copy; a solve that never steps
+    # away from it must still not hand the caller's array back
+    problem = Problem(Simplex(3), make_linear(np.array([1.0, 2.0, 3.0]), Simplex(3)))
+    x0 = np.array([1.0, 0.0, 0.0])
+    trace = solve(problem, rule, x0=x0, stop=stop)
+    assert trace.termination.reason == reason and len(trace.rows) == 1
+    x0[:] = [0.0, 0.0, 1.0]
+    assert trace.termination.final_x.tolist() == [1.0, 0.0, 0.0]
+
+
+def test_a_strided_x0_solves_as_its_contiguous_copy():
+    problem = _simplex_quadratic(4)
+    big = np.zeros(8)
+    big[::2] = [0.1, 0.2, 0.3, 0.4]
+    for rule in (Harmonic(2.0), LineSearch()):
+        strided = solve(problem, rule, x0=big[::2], stop=StopRule(max_iter=20))
+        contiguous = solve(problem, rule, x0=big[::2].copy(), stop=StopRule(max_iter=20))
+        assert strided.rows.tobytes() == contiguous.rows.tobytes()
+        assert strided.config_fingerprint == contiguous.config_fingerprint
+        assert (strided.termination.final_x.tobytes()
+                == contiguous.termination.final_x.tobytes())
+    assert big.tolist() == [0.1, 0.0, 0.2, 0.0, 0.3, 0.0, 0.4, 0.0]
+
+
 def test_infeasible_start_rejected():
     with pytest.raises(ValueError, match="x0 is not feasible"):
         solve(_simplex_quadratic(), Harmonic(2.0), x0=np.array([0.6, 0.6, 0.0]),
