@@ -11,7 +11,6 @@ of its vectors, and its descriptor hands out those arrays, not lists.
 """
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -85,20 +84,33 @@ class FeasibleSet(Tagged):
 
     def extreme_points(self, limit: int | None = None) -> np.ndarray:
         """A finite family of extreme points, one per row (representative for the
-        l2 ball, whose true extreme set is the whole sphere).
+        l2 ball, whose true extreme set is the whole sphere): row i is
+        `extreme_point(i)`.
 
         With a limit, only the first `limit` rows of that same sequence are
         built, at O(limit * dim) cost.
         """
-        raise NotImplementedError
+        # each set class binds this method in its own namespace, where
+        # bench/tracer.py wraps it class by class
+        rows = np.empty((_row_count(self.extreme_point_count(), limit), self.dim))
+        for i, row in enumerate(rows):
+            row[:] = self._extreme_point(i)
+        return rows
 
     def extreme_point_count(self) -> int:
         """The number of rows of `extreme_points()`, none of them built."""
         raise NotImplementedError
 
     def extreme_point(self, i: int) -> Vector:
-        """Row i of `extreme_points()`, 0 <= i < extreme_point_count(), bit for
-        bit, as a fresh array built alone at O(dim) cost."""
+        """Row i of `extreme_points()`, 0 <= i < extreme_point_count(), as a
+        fresh array built alone at O(dim) cost."""
+        count = self.extreme_point_count()
+        if not 0 <= i < count:
+            raise ValueError(f"extreme point index must be in [0, {count}), got {i}")
+        return self._extreme_point(i)
+
+    def _extreme_point(self, i: int) -> Vector:
+        """`extreme_point(i)` for an index already known to be in range."""
         raise NotImplementedError
 
     def sample(self, rng_seed: int) -> Vector:
@@ -114,7 +126,7 @@ class Simplex(FeasibleSet):
 
     def lmo(self, c: Vector) -> Vector:
         # argmin over vertices; argmin takes the lowest index on ties
-        return self.extreme_point(int(c.argmin()))
+        return self._extreme_point(int(c.argmin()))
 
     def lmo_l1(self, c: Vector, lam: float) -> Vector:
         # ||x||_1 = 1 on the whole simplex, so the l1 term is a constant
@@ -135,14 +147,12 @@ class Simplex(FeasibleSet):
         e /= e.sum()
         return e
 
-    def extreme_points(self, limit: int | None = None) -> np.ndarray:
-        d = self.dim
-        return np.eye(_row_count(d, limit), d)
+    extreme_points = FeasibleSet.extreme_points
 
     def extreme_point_count(self) -> int:
         return self.dim
 
-    def extreme_point(self, i: int) -> Vector:
+    def _extreme_point(self, i: int) -> Vector:
         out = np.zeros(self.dim)
         out[i] = 1.0
         return out
@@ -194,13 +204,12 @@ class L1Ball(FeasibleSet):
         x *= self.radius * u ** (1.0 / self.dim)
         return x
 
-    def extreme_points(self, limit: int | None = None) -> np.ndarray:
-        return _signed_axes(self.dim, self.radius, limit)
+    extreme_points = FeasibleSet.extreme_points
 
     def extreme_point_count(self) -> int:
         return 2 * self.dim
 
-    def extreme_point(self, i: int) -> Vector:
+    def _extreme_point(self, i: int) -> Vector:
         return _signed_axis(self.dim, self.radius, i)
 
 
@@ -249,13 +258,12 @@ class L2Ball(FeasibleSet):
         g *= self.radius * u ** (1.0 / self.dim) / n
         return g
 
-    def extreme_points(self, limit: int | None = None) -> np.ndarray:
-        return _signed_axes(self.dim, self.radius, limit)
+    extreme_points = FeasibleSet.extreme_points
 
     def extreme_point_count(self) -> int:
         return 2 * self.dim
 
-    def extreme_point(self, i: int) -> Vector:
+    def _extreme_point(self, i: int) -> Vector:
         return _signed_axis(self.dim, self.radius, i)
 
 
@@ -306,20 +314,14 @@ class Box(FeasibleSet):
         x *= self.upper - self.lower
         return np.add(self.lower, x, out=x)
 
-    def extreme_points(self, limit: int | None = None) -> np.ndarray:
-        n = _row_count(self.extreme_point_count(), limit)
-        if self.dim <= 12:
-            rows = itertools.islice(itertools.product(*zip(self.lower, self.upper)), n)
-        else:
-            rows = map(self.extreme_point, range(n))
-        return np.array(list(rows)).reshape(-1, self.dim)
+    extreme_points = FeasibleSet.extreme_points
 
     def extreme_point_count(self) -> int:
         # too many corners to enumerate past d = 12: both extreme corners
         # plus the single flips of each
         return 2 ** self.dim if self.dim <= 12 else 2 + 2 * self.dim
 
-    def extreme_point(self, i: int) -> Vector:
+    def _extreme_point(self, i: int) -> Vector:
         lo, up = self.lower, self.upper
         if self.dim <= 12:
             # corner i of the product, whose last coordinate varies fastest:
@@ -401,13 +403,12 @@ class VertexPolytope(FeasibleSet):
         w /= w.sum()
         return w @ self.vertices
 
-    def extreme_points(self, limit: int | None = None) -> np.ndarray:
-        return self.vertices[:_row_count(len(self.vertices), limit)].copy()
+    extreme_points = FeasibleSet.extreme_points
 
     def extreme_point_count(self) -> int:
         return len(self.vertices)
 
-    def extreme_point(self, i: int) -> Vector:
+    def _extreme_point(self, i: int) -> Vector:
         return self.vertices[i].copy()
 
 
@@ -420,18 +421,10 @@ def _row_count(total: int, limit: int | None) -> int:
     return min(total, limit)
 
 
-def _signed_axes(dim: int, radius: float, limit: int | None) -> np.ndarray:
-    """The first rows of [r * I; -r * I], the listed extreme points of both balls.
-
-    The negative half keeps the -0.0 entries that -r * I holds off the diagonal.
-    """
-    n = _row_count(2 * dim, limit)
-    return np.vstack([radius * np.eye(min(n, dim), dim),
-                      -radius * np.eye(max(n - dim, 0), dim)])
-
-
 def _signed_axis(dim: int, radius: float, i: int) -> Vector:
-    """Row i of `_signed_axes`: r * e_i, or -r * e_(i - dim) with -0.0 off the axis."""
+    """Row i of [r * I; -r * I], the listed extreme points of both balls:
+    r * e_i, or -r * e_(i - dim) with the -0.0 entries that -r * I holds off
+    the diagonal."""
     if i < dim:
         out = np.zeros(dim)
         out[i] = radius

@@ -361,7 +361,8 @@ def test_bounded_extreme_points_are_a_bitwise_prefix(fs, data):
     VertexPolytope(np.random.default_rng(4).normal(size=(7, 3))),
 ], ids=lambda fs: f"{fs.kind}-{fs.dim}")
 def test_each_extreme_point_is_its_table_row_bit_for_bit(fs):
-    table = fs.extreme_points()
+    # the written-out table pins the order of the rows and their -0.0 entries
+    table = _full_table(fs)
     assert fs.extreme_point_count() == len(table)
     for i, row in enumerate(table):
         # bytes, not values: the balls' negative half holds -0.0 entries
@@ -369,6 +370,17 @@ def test_each_extreme_point_is_its_table_row_bit_for_bit(fs):
         assert point.tobytes() == row.tobytes() and point.flags.writeable
         assert not any(np.shares_memory(point, v) for v in vars(fs).values()
                        if isinstance(v, np.ndarray))
+
+
+@pytest.mark.parametrize("fs", [Simplex(3), L1Ball(2, 1.0), Box(3, -np.ones(3), np.ones(3)),
+                                Box(13, -np.ones(13), np.ones(13)),
+                                VertexPolytope(np.eye(3))], ids=lambda fs: f"{fs.kind}-{fs.dim}")
+def test_extreme_point_rejects_an_index_out_of_range(fs):
+    # neither a negative index counted from the end nor a box corner index
+    # whose high bits would be dropped
+    for i in (-1, fs.extreme_point_count()):
+        with pytest.raises(ValueError, match="extreme point index"):
+            fs.extreme_point(i)
 
 
 def test_bounded_extreme_points_keep_negative_zeros():
