@@ -238,6 +238,10 @@ class SampledC(Tagged):  # assemble: inflate times a sampled estimate of C_sigma
     n_samples: Count
     seed: int
 
+    def check_values(self):
+        if self.inflate < 1:  # the sample is a lower estimate: never shrink it
+            raise ValueError(f"'inflate' must be >= 1, got {self.inflate!r}")
+
     def c_sigma(self, problem, sigma: float) -> float:
         est = estimate_curvature(problem.objective, problem.feasible_set, sigma,
                                  n_samples=self.n_samples, seed=self.seed)

@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .solver import Problem, SolveTrace, REASON_FINITE_TERMINATION
 from .stepsize import DHRecursion, dh_envelope_holds
-from .geometry import Box, require_finite
+from .geometry import Box, finite_vector
 from .schema import Count, Fraction, Order, Positive, Tagged, Vector, build, field_dict, kinds
 
 
@@ -141,6 +141,11 @@ class LowerBound(_Window):
     offset: float = 1.0
     tol: float = 1e-12
 
+    def check_values(self):
+        super().check_values()
+        if self.k_min + self.offset <= 0:  # the floor coeff / (k + offset) must be finite, > 0
+            raise ValueError(f"'offset' must be > -k_min = {-self.k_min}, got {self.offset!r}")
+
     def evaluate(self, ctx):
         opt = self.optimum(ctx.problem)
         k_min, k_max = self.k_min, self.k_max
@@ -168,13 +173,9 @@ class FiniteTermination(Check):
 
     def validate(self, spec, problem):
         super().validate(spec, problem)
-        if self.final_x is None:
-            return
-        if len(self.final_x) != problem.feasible_set.dim:
-            raise ValueError(f"'final_x' has shape {(len(self.final_x),)}, "
-                             f"set dimension is {problem.feasible_set.dim}")
-        # a NaN entry would pass evaluate's err > tol test
-        require_finite(np.asarray(self.final_x, dtype=float), "'final_x'")
+        if self.final_x is not None:
+            # a NaN entry would pass evaluate's err > tol test
+            finite_vector("final_x", self.final_x, problem.feasible_set.dim)
 
     def evaluate(self, ctx):
         term = ctx.trace.termination

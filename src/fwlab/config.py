@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 
-from .geometry import FeasibleSet, require_finite, set_from_descriptor
+from .geometry import FeasibleSet, finite_vector, set_from_descriptor
 from .objectives import composite_from_descriptor, objective_from_descriptor
 from .schema import Checks, Name, Section, Tagged, X0, field_dict, read, typed
 from .solver import Problem, StopRule, config_fingerprint
@@ -122,12 +122,11 @@ def resolve_x0(spec: ExperimentSpec, feasible_set: FeasibleSet) -> np.ndarray:
             raise ValueError(f"{spec.name}: vertex({i}) out of range, "
                              f"set has {count} listed extreme points")
         return feasible_set.extreme_point(i)
-    arr = np.asarray(_section(spec, "x0", typed, "x0", "Vector", spec.x0), dtype=float)
-    if arr.ndim != 1 or arr.size != feasible_set.dim:
-        raise ValueError(f"{spec.name}: x0 has shape {arr.shape}, "
-                         f"set dimension is {feasible_set.dim}")
-    require_finite(arr, f"{spec.name}: x0")
-    return arr
+    x0 = _section(spec, "x0", typed, "x0", "Vector", spec.x0)
+    try:
+        return finite_vector("x0", x0, feasible_set.dim)
+    except ValueError as exc:
+        raise ValueError(f"{spec.name}: {exc}") from None
 
 
 def build_stop(spec: ExperimentSpec) -> StopRule:

@@ -29,13 +29,13 @@ def frozen_copy(x) -> np.ndarray:
     return arr
 
 
-def _as_vector(x, dim: int, name: str) -> Vector:
+def finite_vector(name: str, x, dim: int | None) -> Vector:
+    """frozen_copy(x) of shape (dim,), any if dim is None, and finite entries: the
+    one check of every vector that must fit a set. Its ValueError names the field."""
     arr = frozen_copy(x)
-    if arr.shape != (dim,):
-        raise ValueError(
-            f"{name} must be a vector of dimension {dim}, got shape {arr.shape}"
-        )
-    require_finite(arr, name)
+    if dim is not None and arr.shape != (dim,):
+        raise ValueError(f"'{name}' has shape {arr.shape}, set dimension is {dim}")
+    require_finite(arr, f"'{name}'")
     return arr
 
 
@@ -158,12 +158,35 @@ class Simplex(FeasibleSet):
         return out
 
 
-class L1Ball(FeasibleSet):
+class _Ball(FeasibleSet):
+    """Base of the two norm balls {x : ||x|| <= radius} in R^dim. Their listed
+    extreme points are the signed axes r * e_i, then -r * e_i: all of the l1
+    ball's, a representative few of the l2 ball's sphere."""
+
+    dim: Count
+    radius: Positive
+
+    def diameter(self) -> float:
+        return 2.0 * self.radius
+
+    def extreme_point_count(self) -> int:
+        return 2 * self.dim
+
+    def _extreme_point(self, i: int) -> Vector:
+        # row i of [r * I; -r * I], whose lower half holds -0.0 off the diagonal
+        if i < self.dim:
+            out = np.zeros(self.dim)
+            out[i] = self.radius
+        else:
+            out = np.full(self.dim, -0.0)
+            out[i - self.dim] = -self.radius
+        return out
+
+
+class L1Ball(_Ball):
     """{x : ||x||_1 <= radius}."""
 
     kind = "l1_ball"
-    dim: Count
-    radius: Positive
 
     def lmo(self, c: Vector) -> Vector:
         i = int(np.abs(c).argmax())
@@ -187,9 +210,6 @@ class L1Ball(FeasibleSet):
         shrunk = _project_onto_simplex_face(a, self.radius)
         return np.sign(x) * shrunk
 
-    def diameter(self) -> float:
-        return 2.0 * self.radius
-
     def contains(self, x: Vector, tol: float = 1e-9) -> bool:
         return bool(float(np.abs(x).sum()) <= self.radius + tol)
 
@@ -206,19 +226,11 @@ class L1Ball(FeasibleSet):
 
     extreme_points = FeasibleSet.extreme_points
 
-    def extreme_point_count(self) -> int:
-        return 2 * self.dim
 
-    def _extreme_point(self, i: int) -> Vector:
-        return _signed_axis(self.dim, self.radius, i)
-
-
-class L2Ball(FeasibleSet):
+class L2Ball(_Ball):
     """{x : ||x||_2 <= radius}."""
 
     kind = "l2_ball"
-    dim: Count
-    radius: Positive
 
     def lmo(self, c: Vector) -> Vector:
         n = l2_norm(c)
@@ -242,9 +254,6 @@ class L2Ball(FeasibleSet):
             return x.copy()
         return self.radius / n * x
 
-    def diameter(self) -> float:
-        return 2.0 * self.radius
-
     def contains(self, x: Vector, tol: float = 1e-9) -> bool:
         return l2_norm(x) <= self.radius + tol
 
@@ -260,12 +269,6 @@ class L2Ball(FeasibleSet):
 
     extreme_points = FeasibleSet.extreme_points
 
-    def extreme_point_count(self) -> int:
-        return 2 * self.dim
-
-    def _extreme_point(self, i: int) -> Vector:
-        return _signed_axis(self.dim, self.radius, i)
-
 
 class Box(FeasibleSet):
     """Axis-aligned box {lower <= x <= upper} componentwise."""
@@ -276,8 +279,8 @@ class Box(FeasibleSet):
     upper: Vector
 
     def check_values(self):
-        lo = _as_vector(self.lower, self.dim, "lower")
-        hi = _as_vector(self.upper, self.dim, "upper")
+        lo = finite_vector("lower", self.lower, self.dim)
+        hi = finite_vector("upper", self.upper, self.dim)
         if not np.all(lo < hi):
             raise ValueError("lower must be strictly below upper componentwise")
         object.__setattr__(self, "lower", lo)
@@ -419,19 +422,6 @@ def _row_count(total: int, limit: int | None) -> int:
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     return min(total, limit)
-
-
-def _signed_axis(dim: int, radius: float, i: int) -> Vector:
-    """Row i of [r * I; -r * I], the listed extreme points of both balls:
-    r * e_i, or -r * e_(i - dim) with the -0.0 entries that -r * I holds off
-    the diagonal."""
-    if i < dim:
-        out = np.zeros(dim)
-        out[i] = radius
-    else:
-        out = np.full(dim, -0.0)
-        out[i - dim] = -radius
-    return out
 
 
 # divisors 1, 2, ... made at a time by the simplex projection: 32 kB

@@ -8,9 +8,11 @@ minimizer of the objective along a segment. A factory keeps a read-only
 float64 copy of its vector data (b or c), so a caller's later write cannot
 change the objective behind its descriptor, which hands out that same array.
 
-The nonsmooth max objective carries a pointwise gradient selection with a fixed
-tie rule; it exists to demonstrate failure, and certificate invariants do not
-apply to it (it records no smoothness constant).
+The scalar t^alpha objective is defined on t >= 0 only, and rejects a set
+that reaches below 0. The nonsmooth max objective carries a pointwise gradient
+selection with a fixed tie rule; it exists to demonstrate failure, and
+certificate invariants do not apply to it (it records no smoothness constant).
+Its optimum is known only on a disc (an l2 ball).
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import FeasibleSet, Vector, frozen_copy, l2_norm, require_finite
+from .geometry import FeasibleSet, L2Ball, Vector, finite_vector, l2_norm
 from .schema import Positive, Tagged, build, kind_of, kinds, read, typed
 from .stepsize import line_search_quadratic_exact
 
@@ -91,16 +93,6 @@ def _optimum_if_inside(b: Vector, feasible_set: FeasibleSet) -> tuple:
     return None, None
 
 
-def _data(name: str, v, feasible_set: FeasibleSet | None) -> Vector:
-    """frozen_copy(v), finite, and of the set's dimension when there is a set."""
-    v = frozen_copy(v)
-    if feasible_set is not None and v.shape != (feasible_set.dim,):
-        raise ValueError(f"'{name}' has shape {v.shape}, "
-                         f"set dimension is {feasible_set.dim}")
-    require_finite(v, f"'{name}'")
-    return v
-
-
 def make_quadratic(b, feasible_set: FeasibleSet | None = None) -> Objective:
     """f(x) = 0.5 * ||x - b||^2, gradient x - b, 1-Lipschitz and 1-strongly convex.
 
@@ -108,7 +100,7 @@ def make_quadratic(b, feasible_set: FeasibleSet | None = None) -> Objective:
     projection of b (exact for this objective), e.g. b=0 on the d-simplex gives
     x* = (1/d, ..., 1/d) and f* = 1/(2d).
     """
-    b = _data("b", b, feasible_set)
+    b = finite_vector("b", b, None if feasible_set is None else feasible_set.dim)
 
     def value(x: Vector) -> float:
         d = x - b
@@ -147,7 +139,7 @@ def make_power_norm(sigma: float, b, feasible_set: FeasibleSet | None = None) ->
     concrete set.
     """
     typed("sigma", "Order", sigma)
-    b = _data("b", b, feasible_set)
+    b = finite_vector("b", b, None if feasible_set is None else feasible_set.dim)
 
     def value(x: Vector) -> float:
         return l2_norm(x - b) ** sigma
@@ -175,15 +167,21 @@ def _of_dimension(kind: str, dim: int, feasible_set: FeasibleSet | None) -> None
 
 
 def make_t_alpha(alpha: float, feasible_set: FeasibleSet | None = None) -> Objective:
-    """One-dimensional f(t) = t^alpha on [0,1] for alpha in (1, 2).
+    """One-dimensional f(t) = t^alpha on t >= 0 for alpha in (1, 2).
 
     The gradient alpha * t^(alpha-1) is (alpha-1)-Holder with constant alpha,
     yet the order-2 curvature over [0,1] is unbounded; this is the stock example
-    separating the order-sigma machinery from the Lipschitz case.
+    separating the order-sigma machinery from the Lipschitz case. f is
+    increasing, so the optimum is the set's lowest point, t = 0 without a set;
+    a set that reaches below 0, where t^alpha is complex, is rejected.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
     _of_dimension("t_alpha", 1, feasible_set)
+    lowest = np.zeros(1) if feasible_set is None else feasible_set.lmo(np.ones(1))
+    if lowest[0] < 0.0:
+        raise ValueError(f"t_alpha is defined on t >= 0; the set reaches "
+                         f"t = {float(lowest[0])!r}")
 
     def value(x: Vector) -> float:
         return float(x[0]) ** alpha
@@ -194,7 +192,7 @@ def make_t_alpha(alpha: float, feasible_set: FeasibleSet | None = None) -> Objec
     return Objective(
         value, grad,
         holder=HolderInfo(alpha - 1.0, alpha),
-        optimum=lambda: (np.array([0.0]), 0.0),
+        optimum=lambda: (lowest, value(lowest)),
         descriptor_dict={"kind": "t_alpha", "alpha": alpha},
     )
 
@@ -204,12 +202,16 @@ def make_nesterov_max(feasible_set: FeasibleSet | None = None) -> Objective:
 
     grad = (1,0) where x[0] > x[1], (0,1) where x[0] < x[1], and (1,0) on the
     diagonal by a fixed tie rule (any selection shows the same behavior;
-    determinism is what matters). Over the unit disc the optimum is
-    x* = -(1/sqrt2, 1/sqrt2) with value -1/sqrt2. Convex but nondifferentiable:
-    gap certificates do not apply.
+    determinism is what matters). The optimum is recorded on a disc only,
+    x* = -r * (1/sqrt2, 1/sqrt2) with value -r/sqrt2; on any other set it is
+    unknown. Convex but nondifferentiable: gap certificates do not apply.
     """
     _of_dimension("nesterov_max", 2, feasible_set)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
+
+    def optimum():
+        corner = -feasible_set.radius * inv_sqrt2
+        return np.array([corner, corner]), corner
 
     def value(x: Vector) -> float:
         return float(max(x[0], x[1]))
@@ -221,14 +223,14 @@ def make_nesterov_max(feasible_set: FeasibleSet | None = None) -> Objective:
 
     return Objective(
         value, grad,
-        optimum=lambda: (np.array([-inv_sqrt2, -inv_sqrt2]), -inv_sqrt2),
+        optimum=optimum if isinstance(feasible_set, L2Ball) else None,
         descriptor_dict={"kind": "nesterov_max"},
     )
 
 
 def make_linear(c, feasible_set: FeasibleSet | None = None) -> Objective:
     """f(x) = <c, x> with constant gradient c. Rejects c = 0 (no sharp minimum)."""
-    c = _data("c", c, feasible_set)
+    c = finite_vector("c", c, None if feasible_set is None else feasible_set.dim)
     if not np.any(c != 0.0):
         raise ValueError("c must be nonzero")
 

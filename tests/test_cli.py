@@ -145,8 +145,8 @@ def test_solve_out_of_range_sigma_exits_two_before_any_artifact(tmp_path, capsys
     ({"problem": {"set": {"kind": "box", "dim": 3, "lower": [math.nan, 0.0, 0.0],
                           "upper": [1.0] * 3},
                   "objective": {"kind": "quadratic", "b": [0.0] * 3}}},
-     "problem.set: lower contains non-finite entries"),
-    ({"x0": [math.nan, 0.0, 1.0]}, "x0 contains non-finite entries"),
+     "problem.set: 'lower' contains non-finite entries"),
+    ({"x0": [math.nan, 0.0, 1.0]}, "'x0' contains non-finite entries"),
     # a NaN final_x passed the check, since err > tol is False for NaN
     *(({"checks": [{"kind": "finite-termination", "final_x": [bad, 0.0, 0.0]}]},
        "checks[0]: 'final_x' contains non-finite entries")
@@ -168,6 +168,50 @@ def test_solve_mistyped_section_field_exits_two_before_any_artifact(tmp_path, ca
     assert run_cli("solve", _write_spec(tmp_path, _quadratic_raw(**over)),
                    "--out", str(out)) == 2
     assert capsys.readouterr().err == f"error: cliexp: {err}\n"
+    assert not out.exists()
+
+
+def _box_spec_with(field, v):
+    """A solving spec on [-1, 1]^3 whose vector `field` is v; each of its
+    other vectors fits the set."""
+    box = {"kind": "box", "dim": 3, "lower": [-1.0] * 3, "upper": [1.0] * 3}
+    objective = ({"kind": "linear", "c": [1.0] * 3} if field == "c"
+                 else {"kind": "quadratic", "b": [0.0] * 3})
+    check = {"kind": "finite-termination", "final_x": [0.0] * 3}
+    raw = _quadratic_raw(problem={"set": box, "objective": objective},
+                         x0=[0.0] * 3, checks=[check])
+    {"lower": box, "upper": box, "b": objective, "c": objective, "x0": raw,
+     "final_x": check}[field][field] = v
+    return raw
+
+
+@pytest.mark.parametrize("field, where", [
+    ("lower", "problem.set: "), ("upper", "problem.set: "),
+    ("b", "problem.objective: "), ("c", "problem.objective: "),
+    ("x0", ""), ("final_x", "checks[0]: "),
+], ids=["lower", "upper", "b", "c", "x0", "final_x"])
+@pytest.mark.parametrize("v, fault", [
+    ([0.0, 0.0], "has shape (2,), set dimension is 3"),
+    ([0.0, math.nan, 0.0], "contains non-finite entries"),
+], ids=["short", "nan"])
+def test_every_vector_that_must_fit_the_set_fails_with_one_message(tmp_path, capsys,
+                                                                   field, where, v, fault):
+    out = tmp_path / "out"
+    assert run_cli("solve", _write_spec(tmp_path, _box_spec_with(field, v)),
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: cliexp: {where}'{field}' {fault}\n"
+    assert not out.exists()
+
+
+def test_t_alpha_on_a_set_below_zero_exits_two_before_any_artifact(tmp_path, capsys):
+    # (-1.0) ** 1.5 is complex: the solve died on a TypeError traceback
+    box = {"kind": "box", "dim": 1, "lower": [-1.0], "upper": [1.0]}
+    raw = _quadratic_raw(problem={"set": box, "objective": {"kind": "t_alpha", "alpha": 1.5}},
+                         x0=[0.5])
+    out = tmp_path / "out"
+    assert run_cli("solve", _write_spec(tmp_path, raw), "--out", str(out)) == 2
+    assert capsys.readouterr().err == ("error: cliexp: problem.objective: t_alpha is "
+                                       "defined on t >= 0; the set reaches t = -1.0\n")
     assert not out.exists()
 
 

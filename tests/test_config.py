@@ -356,6 +356,65 @@ def test_validate_rejects_final_x_of_the_wrong_dimension():
     validate_spec(parse_spec(_solving_raw(checks=[check])))
 
 
+def _t_alpha_raw(lower):
+    box = {"kind": "box", "dim": 1, "lower": [lower], "upper": [1.0]}
+    return {"name": "tt", "seed": 0,
+            "problem": {"set": box, "objective": {"kind": "t_alpha", "alpha": 1.5}},
+            "checks": [{"kind": "curvature-exact", "sigma": 1.5, "expect": 1.5,
+                        "tol": 1e-6, "n_samples": 10}]}
+
+
+def test_t_alpha_optimum_is_the_lowest_point_of_its_set():
+    # f* was recorded as 0 on every set, though t^1.5 is 0.5^1.5 at best on [0.5, 1]
+    for lower, want in ((0.5, 0.5 ** 1.5), (0.0, 0.0)):
+        spec = parse_spec(_t_alpha_raw(lower))
+        validate_spec(spec)
+        objective = build_problem(spec).objective
+        assert objective.x_star.tobytes() == np.array([lower]).tobytes()
+        assert objective.f_star == want
+
+
+def test_validate_rejects_a_t_alpha_set_that_reaches_below_zero():
+    # (-1.0) ** 1.5 is complex: a solve died on a TypeError from math.isfinite
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "tt: problem.objective: t_alpha is defined on t >= 0; "
+            "the set reaches t = -1.0") + "$"):
+        validate_spec(parse_spec(_t_alpha_raw(-1.0)))
+
+
+def test_nesterov_max_off_the_disc_needs_an_explicit_opt():
+    # the box [-1, 1]^2 reaches f = -1; the disc's -1/sqrt2 is not its optimum
+    box = {"kind": "box", "dim": 2, "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
+    problem = {"set": box, "objective": {"kind": "nesterov_max"}}
+    check = {"kind": "optimum-proximity", "tol": 1e-6}
+    raw = _solving_raw(problem=problem, x0=[1.0, 0.0], checks=[check])
+    with pytest.raises(ValueError, match=r"^smoke: checks\[0\]: objective has no "
+                                         r"recorded optimum; give 'opt' explicitly$"):
+        validate_spec(parse_spec(raw))
+    validate_spec(parse_spec(_solving_raw(problem=problem, x0=[1.0, 0.0],
+                                          checks=[{**check, "opt": -1.0}])))
+    disc = {"kind": "l2_ball", "dim": 2, "radius": 2.0}
+    validate_spec(parse_spec(_solving_raw(problem={**problem, "set": disc},
+                                          x0=[1.0, 0.0], checks=[check])))
+
+
+@pytest.mark.parametrize("check, err", [
+    # a factor below 1 deflates the sampled lower estimate, and one <= 0 negates it
+    *(({"kind": "bound-domination", "opt": 0.0,
+        "bound": {"kind": "open_loop_order_sigma", "sigma": 1.5,
+                  "assemble": {"inflate": inflate, "n_samples": 10, "seed": 0}}},
+       f"'inflate' must be >= 1, got {inflate!r}") for inflate in (0.5, 0, -1)),
+    # k_min + offset <= 0 divides by zero (-inf slack) or makes the floor vacuous
+    *(({"kind": "lower-bound", "opt": 0.0, "coeff": 0.25, "offset": offset,
+        "k_min": 1, "k_max": 49}, f"'offset' must be > -k_min = -1, got {offset!r}")
+      for offset in (-1.0, -60.0)),
+], ids=["inflate-0.5", "inflate-0", "inflate-neg1", "offset-neg1", "offset-neg60"])
+def test_validate_rejects_a_bound_parameter_that_makes_its_check_vacuous(check, err):
+    spec = parse_spec(_solving_raw(checks=[check]))
+    with pytest.raises(ValueError, match="^" + re.escape(f"smoke: checks[0]: {err}") + "$"):
+        validate_spec(spec)
+
+
 # One valid descriptor per check kind (and per bound and assemble shape), all
 # validated against a composite box problem, which every kind accepts. Each
 # field of each, nested ones included, is fed a string, null and a bool (an

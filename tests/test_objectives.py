@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fwlab import (
     Box,
     CompositePart,
+    L1Ball,
     L2Ball,
     Problem,
     Simplex,
@@ -214,6 +215,14 @@ def test_t_alpha_value_grad_and_tags():
     assert f.f_star == 0.0
 
 
+def test_t_alpha_rejects_a_set_that_reaches_below_zero():
+    # (-1.0) ** 1.5 is complex; tests/test_config.py checks the spec path
+    for fs in (Box(1, [-1.0], [1.0]), L1Ball(1, 1.0), L2Ball(1, 2.0)):
+        with pytest.raises(ValueError, match=r"^t_alpha is defined on t >= 0; "
+                                             r"the set reaches t = -"):
+            make_t_alpha(1.5, fs)
+
+
 def test_t_alpha_rejects_degenerate_exponents():
     with pytest.raises(ValueError):
         make_t_alpha(1.0)
@@ -231,11 +240,20 @@ def test_nesterov_max_value_and_tie_rule():
     assert np.array_equal(f.grad(np.array([0.4, 0.4])), [1.0, 0.0])
 
 
-def test_nesterov_max_recorded_optimum():
-    f = make_nesterov_max()
-    r = 1.0 / np.sqrt(2.0)
-    assert np.allclose(f.x_star, [-r, -r], atol=1e-15)
-    assert f.f_star == pytest.approx(-r, abs=1e-15)
+def test_nesterov_max_records_its_optimum_on_a_disc_only():
+    # on the unit disc, the bits it has always recorded
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    f = make_nesterov_max(L2Ball(2, 1.0))
+    assert f.x_star.tobytes() == np.array([-inv_sqrt2, -inv_sqrt2]).tobytes()
+    assert np.float64(f.f_star).tobytes() == np.float64(-inv_sqrt2).tobytes()
+    # a disc of radius r: the corner -r * (1/sqrt2, 1/sqrt2), where f is f*
+    f = make_nesterov_max(L2Ball(2, 3.0))
+    assert np.array_equal(f.x_star, [-3.0 * inv_sqrt2] * 2)
+    assert f.f_star == f.value(f.x_star) == pytest.approx(-3.0 / np.sqrt(2.0), rel=1e-15)
+    # the box [-1, 1]^2 reaches f = -1, below the disc's -1/sqrt2: unknown there
+    for fs in (Box(2, [-1.0, -1.0], [1.0, 1.0]), L1Ball(2, 1.0), None):
+        f = make_nesterov_max(fs)
+        assert f.x_star is None and f.f_star is None
 
 
 # --- linear -----------------------------------------------------------------------
