@@ -190,7 +190,7 @@ class RateBound(Tagged):
         raise NotImplementedError
 
     def curve(self, ks) -> np.ndarray:
-        return np.array([self.bound(int(k)) for k in ks])
+        return np.fromiter((self.bound(int(k)) for k in ks), np.float64, count=len(ks))
 
     def resolve(self, problem, trace: SolveTrace, opt: float) -> RateBound:
         """The bound with every parameter known, given the solve it is checked on."""

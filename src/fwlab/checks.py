@@ -111,13 +111,18 @@ class BoundDomination(_AgainstOptimum):
                                required="<= 0 on a nonempty window")
         opt = self.optimum(ctx.problem)
         bound = self.bound.resolve(ctx.problem, ctx.trace, opt)
-        theta = ctx.trace.objs[mask] - opt
-        bvals = bound.curve(ks[mask])
-        ctx.bounds.append((bound, ks[mask], bvals))
-        allowed = bvals * (1.0 + self.tol_rel) + self.tol_add
-        excess = theta - allowed
+        ks = ks[mask]
+        bvals = bound.curve(ks)
+        ctx.bounds.append((bound, ks, bvals))
+        # (objs - opt) - (bvals * (1 + tol_rel) + tol_add), in place: beside
+        # the window's k and curve, which the bounds CSV keeps, one working array
+        excess = ctx.trace.objs[mask]
+        excess -= opt
+        allowed = bvals * (1.0 + self.tol_rel)
+        allowed += self.tol_add
+        excess -= allowed
         worst = float(excess.max())
-        worst_k = int(ks[mask][np.argmax(excess)])
+        worst_k = int(ks[np.argmax(excess)])
         return CheckResult(self.kind, worst <= 0.0,
                            measured=f"max excess over bound {worst:.6g} at k={worst_k}",
                            required="<= 0",

@@ -122,9 +122,8 @@ def resolve_x0(spec: ExperimentSpec, feasible_set: FeasibleSet) -> np.ndarray:
             raise ValueError(f"{spec.name}: vertex({i}) out of range, "
                              f"set has {count} listed extreme points")
         return feasible_set.extreme_point(i)
-    x0 = _section(spec, "x0", typed, "x0", "Vector", spec.x0)
     try:
-        return finite_vector("x0", x0, feasible_set.dim)
+        return finite_vector("x0", typed("x0", "Vector", spec.x0), feasible_set.dim)
     except ValueError as exc:
         raise ValueError(f"{spec.name}: {exc}") from None
 

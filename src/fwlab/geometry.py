@@ -35,7 +35,7 @@ def finite_vector(name: str, x, dim: int | None) -> Vector:
     arr = frozen_copy(x)
     if dim is not None and arr.shape != (dim,):
         raise ValueError(f"'{name}' has shape {arr.shape}, set dimension is {dim}")
-    require_finite(arr, f"'{name}'")
+    require_finite(arr, name)
     return arr
 
 
@@ -52,7 +52,7 @@ def l2_norm(v: Vector) -> float:
 
 def require_finite(arr: Vector, name: str) -> None:
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError(f"'{name}' contains non-finite entries")
 
 
 class FeasibleSet(Tagged):
@@ -346,8 +346,8 @@ class VertexPolytope(FeasibleSet):
 
     def check_values(self):
         v = frozen_copy(self.vertices)
-        if v.ndim != 2 or v.shape[0] < 1:
-            raise ValueError("vertices must be a nonempty list of d-vectors")
+        if v.ndim != 2 or v.size == 0:  # no vertex, or vertices of dimension 0
+            raise ValueError("'vertices' must be a nonempty list of d-vectors")
         require_finite(v, "vertices")
         object.__setattr__(self, "vertices", v)
 

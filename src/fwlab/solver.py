@@ -33,7 +33,7 @@ TRACE_CSV_COLUMNS = ("k", "obj", "gap", "gamma", "step_norm")
 # is rendered: floats, or a bounds CSV's (k, value) pairs; a trace CSV
 # formats RENDER_CHUNK // 5 rows a call. Pieces stream to their file or hash,
 # so a rendering holds O(RENDER_CHUNK) memory whatever the vector's length
-RENDER_CHUNK = 4096
+RENDER_CHUNK = 1024
 
 
 @dataclass(frozen=True)

@@ -265,6 +265,14 @@ def test_classic_bound_and_positivity():
         curve = bound.curve(ks)
         assert np.all(curve > 0)
         assert np.all(np.diff(curve) <= 0)
+        # the curve holds bound(k)'s own doubles, bit for bit, from k = 0
+        window = np.arange(1000)
+        assert bound.curve(window).tobytes() == \
+            np.array([bound.bound(int(k)) for k in window], dtype=np.float64).tobytes()
+        with pytest.raises(ValueError, match="iteration index must be >= 0"):
+            bound.curve(np.arange(-1, 5))
+    # the plain open-loop bound starts at k = 1: its curve reads inf at k = 0
+    assert _open_loop(Delta=1.0, sigma=1.5).curve(np.arange(3))[0] == math.inf
 
 
 def test_bound_parameter_validation():

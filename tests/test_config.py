@@ -148,7 +148,7 @@ def test_resolve_x0_vector_and_dimension_check():
     with pytest.raises(ValueError, match="dimension"):
         resolve_x0(bad, fs)
     for x0 in ([1.0, "0", 0.0], [True, False, False]):  # numpy reads both as [1, 0, 0]
-        with pytest.raises(ValueError, match=r"^smoke: x0: 'x0' must be a vector of "
+        with pytest.raises(ValueError, match=r"^smoke: 'x0' must be a vector of "
                                              r"numbers; entry [01] is "):
             resolve_x0(parse_spec(_solving_raw(x0=x0)), fs)
 
@@ -286,6 +286,18 @@ def test_validate_rejects_composite_on_a_vertex_polytope():
                              "vertices": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
     raw["problem"]["composite"] = {"kind": "l1", "lam": 0.1}
     with pytest.raises(ValueError, match=r"smoke: problem\.composite: .*vertex_polytope"):
+        validate_spec(parse_spec(raw))
+
+
+@pytest.mark.parametrize("vertices, message", [
+    ([[1.0, 0.0, 0.0], [0.0, math.nan, 1.0]], "'vertices' contains non-finite entries"),
+    ([], "'vertices' must be a nonempty list of d-vectors"),
+    ([[]], "'vertices' must be a nonempty list of d-vectors"),
+], ids=["nan", "empty", "zero-dimensional"])
+def test_validate_names_the_vertices_of_a_bad_vertex_polytope(vertices, message):
+    raw = _solving_raw()
+    raw["problem"]["set"] = {"kind": "vertex_polytope", "vertices": vertices}
+    with pytest.raises(ValueError, match=rf"^smoke: problem\.set: {re.escape(message)}$"):
         validate_spec(parse_spec(raw))
 
 

@@ -440,6 +440,43 @@ def test_streamed_bounds_csv_matches_the_one_shot_rendering(tmp_path):
     assert (tmp_path / "b.csv").read_bytes() == want.encode()
 
 
+def _peak_above_base(fn, *args) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _harmonic_trace(rows: int):
+    b = np.linspace(0.0, 1.0, 10)
+    problem = Problem(Box(10, [0.0] * 10, [1.0] * 10), make_quadratic(b))
+    return problem, fwlab.solve(problem, stepsize.Harmonic(2.0), np.zeros(10),
+                                fwlab.StopRule(max_iter=rows - 1))
+
+
+def test_a_long_bound_check_and_its_writers_hold_o_chunk_memory(tmp_path):
+    check = checks.parse_check({"kind": "bound-domination", "opt": 0.0,
+                                "bound": {"kind": "harmonic_classic", "C_f": 10.0}})
+    problem, short = _harmonic_trace(5)  # first calls, outside the count
+    check.evaluate(checks.CheckContext(problem, short))
+    write_trace_csv(short, tmp_path / "short.csv")
+
+    rows = 20_001
+    _, trace = _harmonic_trace(rows)
+    ctx = checks.CheckContext(problem, trace)
+    # above the trace's 40 bytes a row, the window check holds the mask, the
+    # k column, the window's k and curve, its slack and one working array: 41
+    assert _peak_above_base(checks.evaluate_check, check, ctx) <= 44 * rows
+    assert ctx.bounds and ctx.bounds[0][1].size == rows - 1
+    # the writers hold O(RENDER_CHUNK) memory whatever the trace's length
+    assert _peak_above_base(_write_bounds_csv, tmp_path / "b.csv", ctx.bounds) < 0.25e6
+    assert _peak_above_base(write_trace_csv, trace, tmp_path / "t.csv") < 0.1e6
+
+
 def test_summary_of_a_long_run_is_the_stdlib_indented_json(tmp_path):
     n = RENDER_CHUNK + 1
     b = np.nan_to_num(_edge_floats(n)).clip(-9.0, 9.0)  # keeps -0.0 and subnormals
