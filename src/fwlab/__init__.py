@@ -37,7 +37,6 @@ from .solver import (
     Problem,
     SolveTrace,
     StopRule,
-    Termination,
     config_fingerprint,
     solve,
     trace_summary,

@@ -320,8 +320,8 @@ def fit_rate(trace: SolveTrace, opt: float, tail_fraction: float) -> dict:
     """
     if not 0.0 < tail_fraction <= 1.0:
         raise ValueError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
-    past_start = trace.ks >= 1
-    ks, objs = trace.ks[past_start], trace.objs[past_start]
+    objs = trace.objs[1:]  # row k is iterate k: the rows past the start
+    ks = np.arange(1, 1 + len(objs))
     n_positive = int(np.count_nonzero(objs > opt))
     if n_positive < 20:
         raise ValueError(

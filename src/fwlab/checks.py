@@ -49,6 +49,15 @@ class CheckContext:
     bounds: list = field(default_factory=list)
 
 
+def _window(trace: SolveTrace, k_min: int, k_max: int | None = None):
+    """The k values k_min..k_max (k_max None: no end) the trace holds, and the
+    slice of rows they index: row k is iterate k, so [max(k_min, 0),
+    min(k_max, K - 1)], an empty slice (not a negative index) if that is empty."""
+    lo, hi = max(k_min, 0), len(trace.rows) if k_max is None else k_max + 1
+    hi = max(lo, min(hi, len(trace.rows)))
+    return np.arange(lo, hi), slice(lo, hi)
+
+
 class Check(Tagged):
     needs_trace = True
 
@@ -104,20 +113,17 @@ class BoundDomination(_AgainstOptimum):
     tol_rel: float = 0.0
 
     def evaluate(self, ctx):
-        ks = ctx.trace.ks
-        mask = ks >= self.k_min
-        if not mask.any():  # an empty window bounds nothing
+        ks, rows = _window(ctx.trace, self.k_min)
+        if not len(ks):  # an empty window bounds nothing
             return CheckResult(self.kind, False, measured=f"no row has k >= {self.k_min}",
                                required="<= 0 on a nonempty window")
         opt = self.optimum(ctx.problem)
         bound = self.bound.resolve(ctx.problem, ctx.trace, opt)
-        ks = ks[mask]
         bvals = bound.curve(ks)
         ctx.bounds.append((bound, ks, bvals))
         # (objs - opt) - (bvals * (1 + tol_rel) + tol_add), in place: beside
         # the window's k and curve, which the bounds CSV keeps, one working array
-        excess = ctx.trace.objs[mask]
-        excess -= opt
+        excess = ctx.trace.objs[rows] - opt
         allowed = bvals * (1.0 + self.tol_rel)
         allowed += self.tol_add
         excess -= allowed
@@ -154,17 +160,14 @@ class LowerBound(_Window):
     def evaluate(self, ctx):
         opt = self.optimum(ctx.problem)
         k_min, k_max = self.k_min, self.k_max
-        ks = ctx.trace.ks
-        mask = (ks >= k_min) & (ks <= k_max)
-        if int(mask.sum()) < (k_max - k_min + 1):
+        ks, rows = _window(ctx.trace, k_min, k_max)
+        if len(ks) < (k_max - k_min + 1):
             return CheckResult(self.kind, False,
-                               measured=f"trace covers {int(mask.sum())} of the k range",
+                               measured=f"trace covers {len(ks)} of the k range",
                                required=f"all k in [{k_min}, {k_max}]")
-        theta = ctx.trace.objs[mask] - opt
-        floor = self.coeff / (ks[mask] + self.offset) - self.tol
-        slack = theta - floor
+        slack = (ctx.trace.objs[rows] - opt) - (self.coeff / (ks + self.offset) - self.tol)
         worst = float(slack.min())
-        worst_k = int(ks[mask][np.argmin(slack)])
+        worst_k = int(ks[np.argmin(slack)])
         return CheckResult(self.kind, worst >= 0.0,
                            measured=f"min slack above floor {worst:.6g} at k={worst_k}",
                            required=">= 0")
@@ -183,16 +186,15 @@ class FiniteTermination(Check):
             finite_vector("final_x", self.final_x, problem.feasible_set.dim)
 
     def evaluate(self, ctx):
-        term = ctx.trace.termination
-        last_k = int(ctx.trace.ks[-1])
+        last_k = len(ctx.trace.rows) - 1
         problems = []
-        if term.reason != REASON_FINITE_TERMINATION:
-            problems.append(f"reason={term.reason}")
+        if ctx.trace.reason != REASON_FINITE_TERMINATION:
+            problems.append(f"reason={ctx.trace.reason}")
         if self.at_k is not None and last_k != self.at_k:
             problems.append(f"stopped at k={last_k}")
         if self.final_x is not None:
             want = np.asarray(self.final_x, dtype=float)
-            err = float(np.max(np.abs(term.final_x - want)))
+            err = float(np.max(np.abs(ctx.trace.final_x - want)))
             if err > self.tol:
                 problems.append(f"final_x off by {err:.3g}")
         want_k = f" at k={self.at_k}" if self.at_k is not None else ""
@@ -209,9 +211,7 @@ class NonConvergenceMargin(_Window):
 
     def evaluate(self, ctx):
         opt = self.optimum(ctx.problem)
-        ks = ctx.trace.ks
-        mask = (ks >= self.k_min) & (ks <= self.k_max)
-        gaps = ctx.trace.objs[mask] - opt
+        gaps = ctx.trace.objs[_window(ctx.trace, self.k_min, self.k_max)[1]] - opt
         measured = float(gaps.min()) if gaps.size else float("nan")
         return CheckResult(self.kind, bool(gaps.size) and measured >= self.margin,
                            measured=f"min suboptimality over k range {measured:.6g}",
@@ -236,7 +236,7 @@ class OptimumProximity(_AgainstOptimum):
     tol: Positive
 
     def evaluate(self, ctx):
-        err = abs(ctx.trace.termination.final_obj - self.optimum(ctx.problem))
+        err = abs(ctx.trace.final_obj - self.optimum(ctx.problem))
         return CheckResult(self.kind, err <= self.tol,
                            measured=f"|final_obj - opt| = {err:.6g}",
                            required=f"<= {self.tol:g}")

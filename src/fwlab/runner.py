@@ -81,13 +81,14 @@ def _indented_pieces(v, pad: str = ""):
     """json.dumps(v, indent=2, sort_keys=True) in pieces, indented by pad past
     the first line.
 
-    A flat list of plain floats and ints, or a nonempty 1-D float64 array (as
-    `trace_summary` hands out final_x) rendered as its list, goes through the
-    stdlib's C encoder one chunk per call; a number's JSON text never contains
-    ", ", so splitting the compact text there gives the indented items.
+    A numeric array renders as its `tolist()`, row by row past one dimension. A
+    flat list of plain floats and ints, or a 1-D array (as `trace_summary`
+    hands out final_x), goes through the C encoder a chunk per call; a number's
+    JSON text has no ", ", so splitting the compact text there gives the items.
     """
     inner = pad + "  "
     sep = ",\n" + inner
+    array = isinstance(v, np.ndarray)
     if isinstance(v, dict) and v and all(isinstance(k, str) for k in v):
         lead = "{\n" + inner
         for k in sorted(v):
@@ -95,10 +96,9 @@ def _indented_pieces(v, pad: str = ""):
             yield from _indented_pieces(v[k], inner)
             lead = sep
         yield "\n" + pad + "}"
-    elif (isinstance(v, (list, tuple)) and v or isinstance(v, np.ndarray)
-          and v.ndim == 1 and v.dtype == np.float64 and v.size):
+    elif array and v.ndim and len(v) or isinstance(v, (list, tuple)) and v:
         lead = "[\n" + inner
-        if isinstance(v, np.ndarray) or set(map(type, v)) <= {float, int}:
+        if (v.ndim == 1) if array else set(map(type, v)) <= {float, int}:
             for chunk in chunks(v):
                 yield lead + json.dumps(chunk)[1:-1].replace(", ", sep)
                 lead = sep
@@ -111,7 +111,7 @@ def _indented_pieces(v, pad: str = ""):
     elif isinstance(v, dict) and v:  # non-string keys, which the stdlib sorts
         yield json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + pad)
     else:  # a scalar or an empty container: the C encoder, which leaves no cycles
-        yield json.dumps(v)
+        yield json.dumps(v.tolist() if array else v)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> ExperimentReport:
@@ -198,12 +198,11 @@ def compare(specs: list[ExperimentSpec], out_dir: str | Path) -> Path:
     if len(set(names)) != len(names):
         raise ValueError("compare specs must have distinct names")
 
-    # the same set, objective and composite part (absent or null: none), or
-    # the comparison is meaningless
-    first = specs[0].problem
+    # the same set, objective and composite part (absent or null: none), or the
+    # comparison is meaningless; by value, so [0, 1] and array([0.0, 1.0]) match
+    first = build_problem(specs[0]).descriptor()
     for spec in specs[1:]:
-        if any(spec.problem.get(key) != first.get(key)
-               for key in ("set", "objective", "composite")):
+        if not _same(build_problem(spec).descriptor(), first):
             raise ValueError(
                 f"spec {spec.name!r} runs a different problem than "
                 f"{specs[0].name!r}; compare requires a shared set, objective "
@@ -220,6 +219,15 @@ def compare(specs: list[ExperimentSpec], out_dir: str | Path) -> Path:
     return path
 
 
+def _same(a, b) -> bool:
+    """a == b, with a descriptor's arrays equal when their shapes and values are."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
 def _compare_csv_pieces(names: list[str], traces: list[SolveTrace]):
     """The wide CSV of `compare`, in pieces of about RENDER_CHUNK cells, one
     format call each. The traces that still have a row k change only where
@@ -231,6 +239,6 @@ def _compare_csv_pieces(names: list[str], traces: list[SolveTrace]):
     for start, end in zip(edges, edges[1:]):
         live = [length > start for length in lengths]
         cols = [np.arange(start, end, dtype=float)]
-        cols += [t.rows[start:end, 1:3] for t, on in zip(traces, live) if on]
+        cols += [t.rows[start:end, :2] for t, on in zip(traces, live) if on]
         row = "%d" + "".join(",%.17g,%.17g" if on else ",," for on in live) + "\n"
         yield (row * (end - start)) % tuple(np.column_stack(cols).ravel().tolist())

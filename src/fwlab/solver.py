@@ -27,7 +27,8 @@ REASON_MAX_ITER = "max_iter"
 REASON_GAP_TOL = "gap_tol"
 REASON_FINITE_TERMINATION = "finite_termination"
 
-TRACE_CSV_COLUMNS = ("k", "obj", "gap", "gamma", "step_norm")
+ROW_COLUMNS = ("obj", "gap", "gamma", "step_norm")
+TRACE_CSV_COLUMNS = ("k",) + ROW_COLUMNS
 
 # items per format call when an artifact or a fingerprint's canonical text
 # is rendered: floats, or a bounds CSV's (k, value) pairs; a trace CSV
@@ -72,34 +73,27 @@ class StopRule(Tagged):
         return field_dict(self)  # untagged: a spec's stop section has no kind
 
 
-@dataclass(frozen=True)
-class Termination:
-    reason: str
-    final_x: Vector
-    final_obj: float
-
-
 @dataclass(frozen=True, eq=False)
 class SolveTrace:
     """A solve's rows, one per iterate, and how it ended.
 
-    `rows` is a read-only (K, 5) float64 array whose columns are
-    TRACE_CSV_COLUMNS: 40 bytes a row. Any sequence of 5-field rows is
-    accepted and converted; an array of float64 rows is kept as it is, behind
-    a read-only view.
+    `rows` is a read-only (K, 4) float64 array whose columns are ROW_COLUMNS:
+    32 bytes a row. Row k holds the values at x_k, so a row's index is its k;
+    K >= 1, since a solve records row 0 whatever stops it. Any sequence of
+    4-field rows is accepted and converted; an array of float64 rows is kept
+    as it is, behind a read-only view.
     """
 
     rows: np.ndarray
-    termination: Termination
+    reason: str
+    final_x: Vector
     config_fingerprint: str = ""
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.size == 0:
-            rows = rows.reshape(0, len(TRACE_CSV_COLUMNS))
-        if rows.ndim != 2 or rows.shape[1] != len(TRACE_CSV_COLUMNS):
-            raise ValueError(f"trace rows must have {len(TRACE_CSV_COLUMNS)} fields, "
-                             f"got shape {rows.shape}")
+        if rows.ndim != 2 or rows.shape[1] != len(ROW_COLUMNS) or not len(rows):
+            raise ValueError(f"trace rows must be a (K, {len(ROW_COLUMNS)}) array "
+                             f"with K >= 1, got shape {rows.shape}")
         rows = rows.view()
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
@@ -110,17 +104,14 @@ class SolveTrace:
     def iterations(self) -> np.ndarray:
         return self.rows
 
-    # the int k column is built once on first access; obj is a view of its
-    # column, read-only like every column of the rows
-    @cached_property
-    def ks(self) -> np.ndarray:
-        column = self.rows[:, 0].astype(np.int64)
-        column.flags.writeable = False
-        return column
-
+    # a view of its column, made once, read-only like every column of the rows
     @cached_property
     def objs(self) -> np.ndarray:
-        return self.rows[:, 1]
+        return self.rows[:, 0]
+
+    @property
+    def final_obj(self) -> float:  # phi(final_x): the last row is recorded there
+        return float(self.rows[-1, 0])
 
 
 # the configuration rendered last, as (key, fingerprint): a run hashes its
@@ -296,7 +287,7 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
     objective has one and the problem no composite term); the projected-gradient
     baseline steps to P(x_k - step * grad) instead, its gap column still the
     linear-subproblem certificate. Row k records the values at x_k; the final
-    point is `termination.final_x`. Stops on a gap certificate (only when
+    point is `final_x`. Stops on a gap certificate (only when
     stop.gap_tol > 0), on the iteration budget, or on an exact fixed point
     x_{k+1} == x_k (bitwise), which sharp minima produce. The `seed` enters
     only the config fingerprint; the loop itself draws no randomness.
@@ -326,7 +317,7 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
 
     composite = problem.composite
     g_x = None
-    rows = array("d")  # the trace's rows, five floats each, in column order
+    rows = array("d")  # the trace's rows, four floats each, in column order
     for k in range(stop.max_iter + 1):
         # phi(x) with g(x) taken once, for the objective and the gap alike
         obj_k = problem.objective.value(x)
@@ -339,18 +330,18 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
         gap_k, d = _gap(problem, x, grad, g_x)
 
         if stop.gap_tol > 0 and gap_k <= stop.gap_tol:
-            rows.extend((k, obj_k, gap_k, 0.0, 0.0))
+            rows.extend((obj_k, gap_k, 0.0, 0.0))
             reason = REASON_GAP_TOL
             break
         if k == stop.max_iter:
-            rows.extend((k, obj_k, gap_k, 0.0, 0.0))
+            rows.extend((obj_k, gap_k, 0.0, 0.0))
             reason = REASON_MAX_ITER
             break
 
         gamma_k, x_next = advance(k, x, grad, d)
         grad = d = None
         step_norm = l2_norm(x_next - x)
-        rows.extend((k, obj_k, gap_k, gamma_k, step_norm))
+        rows.extend((obj_k, gap_k, gamma_k, step_norm))
         # equal iterates step by 0 (NaN where both hold the same infinity),
         # so a positive step skips the elementwise comparison
         if not step_norm > 0.0 and np.array_equal(x_next, x):
@@ -360,22 +351,22 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
 
     # the last row holds phi(x): a gap or budget stop breaks before the step,
     # and finite termination keeps x. Past row 0, x is a step's fresh result;
-    # at row 0 it may be the caller's x0, so the final point is its copy
-    termination = Termination(reason, x.copy() if k == 0 else x, obj_k)
+    # at row 0 it may be the caller's x0, so the final point is its copy;
     # the array wraps the buffer's memory, no copy
-    return SolveTrace(np.frombuffer(rows).reshape(-1, len(TRACE_CSV_COLUMNS)),
-                      termination, fingerprint)
+    return SolveTrace(np.frombuffer(rows).reshape(-1, len(ROW_COLUMNS)), reason,
+                      x.copy() if k == 0 else x, fingerprint)
 
 
 def _trace_csv_pieces(trace: SolveTrace):
     """CSV rendering with 17-significant-digit floats (exact round-trip), in
-    pieces of RENDER_CHUNK // 5 rows, one format call each; k is an integral
-    float, which %d writes as the int it is."""
+    pieces of RENDER_CHUNK // 5 rows, one format call each; k is the row
+    index, an integral float beside each chunk, which %d writes as an int."""
     yield ",".join(TRACE_CSV_COLUMNS) + "\n"
     step = RENDER_CHUNK // len(TRACE_CSV_COLUMNS)
     for start in range(0, len(trace.rows), step):
         chunk = trace.rows[start:start + step]
-        yield ("%d,%.17g,%.17g,%.17g,%.17g\n" * len(chunk)) % tuple(chunk.ravel().tolist())
+        cells = np.column_stack((np.arange(start, start + len(chunk), dtype=float), chunk))
+        yield ("%d,%.17g,%.17g,%.17g,%.17g\n" * len(chunk)) % tuple(cells.ravel().tolist())
 
 
 def trace_to_csv(trace: SolveTrace) -> str:
@@ -395,10 +386,10 @@ def trace_summary(trace: SolveTrace) -> dict:
     return {
         "n_iterations": len(trace.rows),
         "termination": {
-            "reason": trace.termination.reason,
-            "final_x": trace.termination.final_x,
-            "final_obj": trace.termination.final_obj,
+            "reason": trace.reason,
+            "final_x": trace.final_x,
+            "final_obj": trace.final_obj,
         },
         "config_fingerprint": trace.config_fingerprint,
-        "final_gap": float(trace.rows[-1, 2]) if len(trace.rows) else None,
+        "final_gap": float(trace.rows[-1, 1]),
     }

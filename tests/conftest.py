@@ -61,10 +61,10 @@ def replay_iterates(problem, x0, trace):
     """
     x = np.array(x0, dtype=float)
     iterates = [x]
-    for gamma in trace.rows[:-1, 3].tolist():
+    for gamma in trace.rows[:-1, 2].tolist():
         x = x + gamma * fw_gap(problem, x)[1]
         iterates.append(x)
-    assert np.array_equal(x, trace.termination.final_x)
+    assert np.array_equal(x, trace.final_x)
     return iterates
 
 

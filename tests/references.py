@@ -3,10 +3,11 @@
 The simplex projection behind f* reuses its buffers; this keeps the plain
 sort-and-threshold expression it replaced. A schedule is evaluated a block at
 a time, the compare CSV is rendered from the trace's row array a chunk at a
-time and the rate fit selects its points from the trace's columns; this keeps
-the one-shot schedule, the per-cell rendering and the per-row point loop they
-replaced. Tests require the package to match each of them bit for bit.
-Nothing in the package reads this module.
+time, the rate fit selects its points from the trace's columns and the window
+checks slice the rows k_min..k_max; this keeps the one-shot schedule, the
+per-cell rendering, the per-row point loop and the boolean masks over a k
+column they replaced. Tests require the package to match each of them bit for
+bit. Nothing in the package reads this module.
 """
 import math
 
@@ -41,7 +42,7 @@ def compare_csv_per_cell(names, traces):
         row = [str(k)]
         for t in traces:
             if k < len(t.rows):
-                _, obj, gap, _, _ = t.rows[k].tolist()
+                obj, gap, _, _ = t.rows[k].tolist()
                 row.append("%.17g" % obj)
                 row.append("%.17g" % gap)
             else:
@@ -56,9 +57,9 @@ def fit_points(trace, opt, tail_fraction):
     last tail_fraction of rows with k >= 1, residuals at or below the
     roundoff floor max(0, 100*eps*|opt|) dropped."""
     ks, objs = [], []
-    for k, obj, _, _, _ in trace.rows.tolist():
+    for k, (obj, _, _, _) in enumerate(trace.rows.tolist()):
         if k >= 1:
-            ks.append(int(k))
+            ks.append(k)
             objs.append(obj)
     start = len(ks) - max(1, int(round(tail_fraction * len(ks))))
     floor = 100.0 * np.finfo(float).eps * abs(opt)
@@ -69,3 +70,36 @@ def fit_points(trace, opt, tail_fraction):
             xs.append(math.log(k))
             ys.append(math.log(resid))
     return xs, ys
+
+
+def window_check_by_mask(check, problem, trace):
+    """(passed, measured) of a bound-domination, lower-bound or
+    non-convergence-margin check, its rows picked by a boolean mask over the
+    k column 0..K-1, and the (k, bound) window a bound check exports."""
+    ks = np.arange(len(trace.rows))
+    objs = trace.objs
+    if check.kind == "bound-domination":
+        mask = ks >= check.k_min
+        if not mask.any():
+            return False, f"no row has k >= {check.k_min}", None
+        opt = check.optimum(problem)
+        bound = check.bound.resolve(problem, trace, opt)
+        bvals = bound.curve(ks[mask])
+        excess = (objs[mask] - opt) - (bvals * (1.0 + check.tol_rel) + check.tol_add)
+        worst = float(excess.max())
+        worst_k = int(ks[mask][np.argmax(excess)])
+        return (worst <= 0.0, f"max excess over bound {worst:.6g} at k={worst_k}",
+                (ks[mask], bvals))
+    opt = check.optimum(problem)
+    mask = (ks >= check.k_min) & (ks <= check.k_max)
+    if check.kind == "lower-bound":
+        if int(mask.sum()) < check.k_max - check.k_min + 1:
+            return False, f"trace covers {int(mask.sum())} of the k range", None
+        slack = (objs[mask] - opt) - (check.coeff / (ks[mask] + check.offset) - check.tol)
+        worst = float(slack.min())
+        worst_k = int(ks[mask][np.argmin(slack)])
+        return worst >= 0.0, f"min slack above floor {worst:.6g} at k={worst_k}", None
+    gaps = objs[mask] - opt
+    measured = float(gaps.min()) if gaps.size else float("nan")
+    return (bool(gaps.size) and measured >= check.margin,
+            f"min suboptimality over k range {measured:.6g}", None)

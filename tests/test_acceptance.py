@@ -88,7 +88,7 @@ def test_criterion_01_harmonic_iterates_stay_above_lower_bound():
     problem = _simplex_quadratic(100)
     trace = solve(problem, Harmonic(2.0), x0=np.eye(100)[0],
                   stop=StopRule(max_iter=49))
-    ks, theta = trace.ks, trace.objs - 1.0 / 200.0
+    ks, theta = np.arange(len(trace.rows)), trace.objs - 1.0 / 200.0
     mask = ks >= 1
     slack = theta[mask] - (1.0 / (4.0 * (ks[mask] + 1.0)) - 1e-12)
     ok = bool(np.all(slack >= 0.0))
@@ -102,7 +102,7 @@ def test_criterion_02_classic_upper_bound_dominates_harmonic_run():
     trace = solve(problem, Harmonic(2.0), x0=np.eye(100)[0],
                   stop=StopRule(max_iter=10_000))
     theta = trace.objs - 1.0 / 200.0
-    excess = theta - (4.0 / (trace.ks + 2.0) + 1e-12)
+    excess = theta - (4.0 / (np.arange(len(trace.rows)) + 2.0) + 1e-12)
     ok = bool(np.all(excess <= 0.0))
     _finish(2, "classic 4/(k+2) envelope on the simplex quadratic",
             ok, f"max excess {excess.max():.3g} over k=0..10000", t0, 2.0)
@@ -135,8 +135,8 @@ def test_criterion_04_open_loop_bound_with_sampled_constants():
         # Delta = max(theta0, C_sigma/sigma); the optimum is 0 at the interior anchor
         bound = OpenLoopOrderSigma(sigma=sigma, assemble={"C_sigma": c_sigma})
         bound = bound.resolve(Problem(fs, obj), trace, opt=0.0)
-        mask = trace.ks >= 1
-        excess = trace.objs[mask] - bound.curve(trace.ks[mask])
+        # row k is iterate k: the rows past the start
+        excess = trace.objs[1:] - bound.curve(np.arange(1, len(trace.rows)))
         worst = max(worst, float(excess.max()))
     ok = worst <= 0.0
     _finish(4, "order-sigma open-loop envelope with sampled inflated constants",
@@ -167,8 +167,7 @@ def test_criterion_06_kinked_objective_keeps_harmonic_run_away_from_optimum():
     problem = Problem(L2Ball(2, 1.0), make_nesterov_max())
     trace = solve(problem, Harmonic(2.0), x0=np.array([1.0, 0.0]),
                   stop=StopRule(max_iter=1000))
-    mask = trace.ks >= 100
-    margin = float((trace.objs[mask] - (-1.0 / np.sqrt(2.0))).min())
+    margin = float((trace.objs[100:] - (-1.0 / np.sqrt(2.0))).min())
     ok = margin >= 0.2
     _finish(6, "max-of-coordinates objective stays a fixed margin above its optimum",
             ok, f"min margin {margin:.6g} over k=100..1000", t0, 1.0)
@@ -276,7 +275,7 @@ def test_criterion_10_composite_split_solver_on_the_box():
     theta0 = float(trace_ol.objs[0]) - phi_star
     delta = max(theta0, 20.0 / 2.0)  # curvature bound = squared diameter = 20
     bound = OpenLoopOrderSigma(Delta=delta, sigma=2.0, composite=True)
-    excess = (trace_ol.objs - phi_star) - bound.curve(trace_ol.ks)
+    excess = (trace_ol.objs - phi_star) - bound.curve(np.arange(len(trace_ol.rows)))
     bound_ok = bool(np.all(excess <= 0.0))
 
     rng = np.random.default_rng(42)
@@ -303,13 +302,13 @@ def test_criterion_11_sharp_linear_problem_terminates_finitely():
     problem = Problem(fs, make_linear(np.array([1.0, 2.0, 3.0]), fs))
     trace = solve(problem, LineSearch(1e-10, 200), x0=np.array([0.0, 0.0, 1.0]),
                   stop=StopRule(max_iter=100))
-    ok = (trace.termination.reason == "finite_termination"
-          and trace.ks[-1] == 1
-          and bool(np.all(np.abs(trace.termination.final_x
+    ok = (trace.reason == "finite_termination"
+          and len(trace.rows) - 1 == 1
+          and bool(np.all(np.abs(trace.final_x
                                  - np.array([1.0, 0.0, 0.0])) <= 1e-12)))
     _finish(11, "linear objective over the simplex stops at its vertex",
-            ok, f"reason={trace.termination.reason} at k={trace.ks[-1]}, "
-                f"final_x={trace.termination.final_x.tolist()}", t0, 0.1)
+            ok, f"reason={trace.reason} at k={len(trace.rows) - 1}, "
+                f"final_x={trace.final_x.tolist()}", t0, 0.1)
 
 
 def test_criterion_12_projection_free_run_matches_projected_gradient():
@@ -319,8 +318,8 @@ def test_criterion_12_projection_free_run_matches_projected_gradient():
     fw = solve(problem, Harmonic(2.0), x0=x0, stop=StopRule(max_iter=20_000))
     gpa = solve(problem, ProjectedGradient(1.0), x0, StopRule(200))
     f_star = 1.0 / 20.0
-    err_fw = fw.termination.final_obj - f_star
-    err_gpa = gpa.termination.final_obj - f_star
+    err_fw = fw.final_obj - f_star
+    err_gpa = gpa.final_obj - f_star
     ok = abs(err_fw) <= 1e-6 and abs(err_gpa) <= 1e-6
     _finish(12, "both solvers land on the simplex quadratic optimum",
             ok, f"final error {err_fw:.3g} (projection-free) and "
@@ -394,7 +393,7 @@ def test_criterion_13_randomized_invariant_suite():
         for rule in (Harmonic(2.0), LineSearch(1e-10, 200)):
             x0 = fs.sample(0)
             trace = solve(problem, rule, x0=x0, stop=StopRule(max_iter=300))
-            for x, gap in zip(replay_iterates(problem, x0, trace), trace.rows[:, 2]):
+            for x, gap in zip(replay_iterates(problem, x0, trace), trace.rows[:, 1]):
                 if not fs.contains(x, 1e-9):
                     failures.append(f"iterate left {type(fs).__name__}")
                 if gap < -1e-12:

@@ -33,7 +33,7 @@ from fwlab import (
     solve,
 )
 from fwlab.analysis import _EXTREME_PAIR_CAP, DEFAULT_GAMMA_GRID
-from fwlab.solver import SolveTrace, Termination
+from fwlab.solver import SolveTrace
 
 from references import fit_points
 from scalar_recursions import (
@@ -476,10 +476,9 @@ def test_xu_recursion_input_validation():
 # --- empirical rate fitting --------------------------------------------------------------
 
 def _synthetic_trace(objs):
-    rows = np.zeros((len(objs), 5))
-    rows[:, 0] = np.arange(len(objs))
-    rows[:, 1] = objs
-    return SolveTrace(rows, Termination("max_iter", np.zeros(1), float(objs[-1])))
+    rows = np.zeros((len(objs), 4))
+    rows[:, 0] = objs
+    return SolveTrace(rows, "max_iter", np.zeros(1))
 
 
 def test_fit_rate_recovers_exact_power_laws():

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import canon_text, json_floats, json_values
-from references import compare_csv_per_cell
+from references import compare_csv_per_cell, window_check_by_mask
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +34,6 @@ from fwlab.runner import (
 from fwlab.solver import (
     RENDER_CHUNK,
     SolveTrace,
-    Termination,
     _canonical_pieces,
     trace_to_csv,
     write_trace_csv,
@@ -149,22 +148,22 @@ def _opt(desc, problem):
 def _with_obj(trace, k, value):
     """The trace with the objective of row k set to value."""
     rows = trace.rows.copy()
-    rows[k, 1] = value
-    return SolveTrace(rows, trace.termination)
+    rows[k, 0] = value
+    return SolveTrace(rows, trace.reason, trace.final_x)
 
 
 def _bound_below_peak(d, p, t, _):
     # C_f at 0.9 of the least constant the rows from k_min satisfy
-    window = t.ks >= d["k_min"]
+    ks = np.arange(d["k_min"], len(t.rows))  # row k is iterate k
     bound = checks.parse_check(d).bound
-    peak = float(np.max((t.objs[window] - _opt(d, p)) / bound.curve(t.ks[window])))
+    peak = float(np.max((t.objs[ks] - _opt(d, p)) / bound.curve(ks)))
     return {**d, "bound": {**d["bound"], "C_f": 0.9 * peak * d["bound"]["C_f"]}}, p, t
 
 
 def _floor_above_slack(d, p, t, _):
     # opt raised by twice the least slack, so the worst row falls below the floor
-    window = (t.ks >= d["k_min"]) & (t.ks <= d["k_max"])
-    slack = t.objs[window] - _opt(d, p) - (d["coeff"] / (t.ks[window] + d["offset"]) - d["tol"])
+    ks = np.arange(d["k_min"], d["k_max"] + 1)  # row k is iterate k
+    slack = t.objs[ks] - _opt(d, p) - (d["coeff"] / (ks + d["offset"]) - d["tol"])
     return {**d, "opt": _opt(d, p) + 2.0 * float(slack.min())}, p, t
 
 
@@ -198,7 +197,7 @@ _FLIPS = {
     "bound-domination": ("harmonic_upper_bound", _bound_below_peak),
     "lower-bound": ("polyak_lower_bound", _floor_above_slack),
     "finite-termination": ("sharp_finite_termination",  # the final row dropped
-                           lambda d, p, t, _: (d, p, SolveTrace(t.rows[:-1], t.termination))),
+                           lambda d, p, t, _: (d, p, SolveTrace(t.rows[:-1], t.reason, t.final_x))),
     "non-convergence-margin": ("nesterov_failure",  # one row in range at the optimum
                                lambda d, p, t, _: (d, p, _with_obj(t, d["k_max"], _opt(d, p)))),
     "rate-slope": ("holder_rate_sweep_line_s125",  # max_slope just below the fitted slope
@@ -227,6 +226,61 @@ def test_every_check_kind_can_fail(kind, monkeypatch):
     result = _verdict(*mutate(desc, problem, trace, monkeypatch))
     assert result.passed is False, result
     assert not result.measured.startswith("check errored"), result
+
+
+# --- window edges -----------------------------------------------------------------
+
+# (k_min, k_max) against an 11-row trace, rows k = 0..10: a window that starts
+# below row 0, ends below it, ends on or past the last row, or starts past it
+_WINDOWS = [(-3, 4), (-5, -1), (-4, -2), (0, 0), (3, 10), (3, 25), (10, 10), (11, 20),
+            (14, 20)]
+
+
+@functools.cache
+def _eleven_rows():
+    fs = Box(4, [0.0] * 4, [1.0] * 4)
+    problem = Problem(fs, make_quadratic(np.array([0.1, 0.4, 0.7, 1.0]), fs))
+    return problem, fwlab.solve(problem, stepsize.Harmonic(2.0), np.zeros(4),
+                                fwlab.StopRule(max_iter=10))
+
+
+def _window_checks():
+    for k_min, k_max in _WINDOWS:
+        for c_f in (0.01, 2.0):
+            yield {"kind": "bound-domination", "opt": 0.0, "k_min": k_min,
+                   "bound": {"kind": "harmonic_classic", "C_f": c_f}}
+        for coeff in (1e-3, 10.0):
+            yield {"kind": "lower-bound", "opt": 0.0, "coeff": coeff, "offset": 10.0,
+                   "k_min": k_min, "k_max": k_max}
+        for margin in (1e-3, 10.0):
+            yield {"kind": "non-convergence-margin", "opt": 0.0, "margin": margin,
+                   "k_min": k_min, "k_max": k_max}
+
+
+@pytest.mark.parametrize("desc", list(_window_checks()), ids=repr)
+def test_window_checks_match_the_mask_form_at_every_edge(desc):
+    problem, trace = _eleven_rows()
+    check = checks.parse_check(desc)
+    ctx = checks.CheckContext(problem, trace)
+    result = checks.evaluate_check(check, ctx)
+    passed, measured, window = window_check_by_mask(check, problem, trace)
+    assert (result.passed, result.measured) == (passed, measured)
+    if window is None:
+        assert not ctx.bounds
+    else:  # the bounds CSV gets the mask's k values and curve
+        ((_, ks, values),) = ctx.bounds
+        assert ks.tolist() == window[0].tolist()
+        assert values.tobytes() == window[1].tobytes()
+
+
+def test_a_window_ending_below_row_0_is_empty():
+    _, trace = _eleven_rows()
+    for k_min, k_max in ((-5, -1), (-4, -2), (-3, -3)):
+        ks, rows = checks._window(trace, k_min, k_max)
+        # never a negative-index slice, which would count rows from the end
+        assert len(ks) == 0 and len(trace.rows[rows]) == 0
+    ks, rows = checks._window(trace, -2, 25)
+    assert ks.tolist() == list(range(11)) and trace.rows[rows].shape == (11, 4)
 
 
 def test_analysis_only_spec_writes_summary_without_trace(tmp_path):
@@ -412,6 +466,34 @@ def test_streamed_summary_json_matches_the_stdlib(n):
         json.dumps({"final_x": v, "n": n}, indent=2, sort_keys=True).encode()
 
 
+@pytest.mark.parametrize("array", [
+    np.array([0, 1, 0]), np.eye(3), np.arange(6).reshape(2, 3), np.arange(RENDER_CHUNK + 2),
+    np.linspace(-1.0, 1.0, RENDER_CHUNK + 1, dtype=np.float32), np.array([-0.0, 5e-324]),
+    np.array([True, False]), np.empty(0), np.empty((3, 0)), np.empty((0, 3)), np.array(2.5),
+    np.array(7), np.zeros((2, 2, 2))], ids=lambda a: f"{a.dtype}{list(a.shape)}")
+def test_summary_renders_a_numeric_array_as_its_list(array):
+    listed = array.tolist()
+    assert _indented(array).encode() == json.dumps(listed, indent=2).encode()
+    assert _indented({"v": array, "w": [array]}).encode() == \
+        json.dumps({"v": listed, "w": [listed]}, indent=2, sort_keys=True).encode()
+
+
+def test_specs_built_with_numeric_arrays_run_and_write_their_listed_summary(tmp_path):
+    polytope = {"set": {"kind": "vertex_polytope", "vertices": np.eye(3)},
+                "objective": {"kind": "quadratic", "b": [0.2, 0.3, 0.5]}}
+    integral = {"set": {"kind": "simplex", "dim": 3},
+                "objective": {"kind": "quadratic", "b": np.array([0, 1, 0])}}
+    for name, problem in (("polytope", polytope), ("integral", integral)):
+        report = run_experiment(parse_spec(_raw(name=name, problem=problem, checks=[])),
+                                tmp_path)
+        text = Path(report.summary_path).read_text()
+        listed = json.loads(text)
+        assert text == json.dumps(listed, indent=2, sort_keys=True) + "\n"
+    assert listed["spec"]["problem"]["objective"]["b"] == [0, 1, 0]
+    polytope_spec = json.loads((tmp_path / "polytope.summary.json").read_text())["spec"]
+    assert polytope_spec["problem"]["set"]["vertices"] == np.eye(3).tolist()
+
+
 # a trace CSV formats RENDER_CHUNK // 5 rows per call
 ROW_CHUNK = RENDER_CHUNK // 5
 ROW_CHUNK_LENGTHS = (ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 1)
@@ -420,8 +502,8 @@ ROW_CHUNK_LENGTHS = (ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 1)
 @pytest.mark.parametrize("n", CHUNK_LENGTHS + ROW_CHUNK_LENGTHS)
 def test_streamed_trace_csv_matches_the_one_shot_rendering(n, tmp_path):
     cols = _edge_floats(4 * n).reshape(4, n).tolist()
-    rows = [(k, *fields) for k, fields in enumerate(zip(*cols))]
-    trace = SolveTrace(np.array(rows), Termination("max_iter", np.zeros(1), 0.0))
+    trace = SolveTrace(np.array(cols).T, "max_iter", np.zeros(1))
+    rows = [(k, *fields) for k, fields in enumerate(zip(*cols))]  # k is the row index
     want = ("k,obj,gap,gamma,step_norm\n"
             + ("%d,%.17g,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(chain.from_iterable(rows)))
     write_trace_csv(trace, tmp_path / "t.csv")
@@ -468,9 +550,9 @@ def test_a_long_bound_check_and_its_writers_hold_o_chunk_memory(tmp_path):
     rows = 20_001
     _, trace = _harmonic_trace(rows)
     ctx = checks.CheckContext(problem, trace)
-    # above the trace's 40 bytes a row, the window check holds the mask, the
-    # k column, the window's k and curve, its slack and one working array: 41
-    assert _peak_above_base(checks.evaluate_check, check, ctx) <= 44 * rows
+    # above the trace's 32 bytes a row, the window check holds the window's
+    # k and curve, its slack and one working array: 32
+    assert _peak_above_base(checks.evaluate_check, check, ctx) <= 35 * rows
     assert ctx.bounds and ctx.bounds[0][1].size == rows - 1
     # the writers hold O(RENDER_CHUNK) memory whatever the trace's length
     assert _peak_above_base(_write_bounds_csv, tmp_path / "b.csv", ctx.bounds) < 0.25e6
@@ -532,9 +614,8 @@ def test_compare_writes_wide_csv_with_padding(tmp_path):
 
 
 def _edge_trace(n: int, seed: int) -> SolveTrace:
-    rows = np.column_stack([np.arange(n, dtype=float),
-                            _edge_floats(4 * n + seed)[:4 * n].reshape(n, 4)])
-    return SolveTrace(rows, Termination("max_iter", np.zeros(1), 0.0))
+    rows = _edge_floats(4 * n + seed)[:4 * n].reshape(n, 4)
+    return SolveTrace(rows, "max_iter", np.zeros(1))
 
 
 # a compare CSV of p traces formats RENDER_CHUNK // (1 + 2p) rows per call
@@ -568,6 +649,31 @@ def test_compare_rejects_mismatched_problems_before_solving(tmp_path):
     }
     with pytest.raises(ValueError, match="different problem"):
         compare([parse_spec(a), parse_spec(b)], tmp_path)
+    assert not (tmp_path / "compare.csv").exists()
+
+
+def _quadratic_b(name, b):
+    return parse_spec(_raw(name=name, problem={"set": {"kind": "simplex", "dim": 4},
+                                               "objective": {"kind": "quadratic", "b": b}}))
+
+
+def test_compare_takes_a_list_and_an_equal_array_for_one_problem(tmp_path):
+    path = compare([_quadratic_b("listed", [0.0, 0.5, 0.0, 0.25]),
+                    _quadratic_b("array", np.array([0.0, 0.5, 0.0, 0.25]))], tmp_path)
+    assert path.read_text().splitlines()[0] == "k,obj_listed,gap_listed,obj_array,gap_array"
+
+
+def test_compare_takes_ints_and_equal_floats_for_one_problem(tmp_path):
+    assert compare([_quadratic_b("ints", [0, 1, 0, 0]),
+                    _quadratic_b("floats", [0.0, 1.0, 0.0, 0.0])], tmp_path).exists()
+
+
+def test_compare_rejects_a_different_b_in_an_array(tmp_path):
+    with pytest.raises(ValueError, match=r"^spec 'other' runs a different problem than "
+                                         r"'array'; compare requires a shared set, "
+                                         r"objective and composite part$"):
+        compare([_quadratic_b("array", np.array([0, 1, 0, 0])),
+                 _quadratic_b("other", np.array([1, 0, 0, 0]))], tmp_path)
     assert not (tmp_path / "compare.csv").exists()
 
 

@@ -38,7 +38,6 @@ from fwlab.solver import (
     REASON_MAX_ITER,
     TRACE_CSV_COLUMNS,
     SolveTrace,
-    Termination,
     _canonical_pieces,
     _gap,
 )
@@ -56,14 +55,14 @@ def _simplex_quadratic(n=3):
 def test_trace_records_pre_step_rows_zero_through_max_iter():
     trace = solve(_simplex_quadratic(), Harmonic(2.0),
                   x0=np.array([1.0, 0.0, 0.0]), stop=StopRule(max_iter=5))
-    assert trace.ks.tolist() == [0, 1, 2, 3, 4, 5]
-    assert trace.termination.reason == REASON_MAX_ITER
+    assert len(trace.rows) == 6  # row k is iterate k, for k = 0..5
+    assert trace.reason == REASON_MAX_ITER
     # row 0 holds the values at the start point, before any step
     assert trace.objs[0] == 0.5
     # the budget row is recorded without stepping, at the final point
-    _, obj, _, gamma, step_norm = trace.rows[-1]
+    obj, _, gamma, step_norm = trace.rows[-1]
     assert gamma == 0.0 and step_norm == 0.0
-    assert trace.termination.final_obj == obj
+    assert trace.final_obj == obj
 
 
 def test_trace_rows_hold_no_copy_of_the_iterate():
@@ -116,17 +115,16 @@ def test_fingerprint_is_rendered_before_the_loop_allocates_a_row():
 def test_trace_columns_are_built_once_and_read_only():
     trace = solve(_simplex_quadratic(), Harmonic(2.0),
                   x0=np.array([1.0, 0.0, 0.0]), stop=StopRule(max_iter=5))
-    assert trace.ks is trace.ks
     assert trace.objs is trace.objs
-    assert trace.ks.tolist() == [int(row[0]) for row in trace.rows.tolist()]
-    assert trace.objs.tolist() == [row[1] for row in trace.rows.tolist()]
+    assert trace.objs.tolist() == [row[0] for row in trace.rows.tolist()]
+    assert trace.final_obj == trace.rows.tolist()[-1][0]
     with pytest.raises(ValueError, match="read-only"):
         trace.objs[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
-        trace.rows[0, 2] = 0.0
+        trace.rows[0, 1] = 0.0
 
 
-def test_trace_rows_hold_40_bytes_a_row():
+def test_trace_rows_hold_32_bytes_a_row():
     problem = _simplex_quadratic(10)
     x0 = np.eye(10)[0]
     stop = StopRule(max_iter=20_000)
@@ -138,13 +136,13 @@ def test_trace_rows_hold_40_bytes_a_row():
         held, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert trace.rows.shape == (20_001, 5)
-    # five floats a row in one buffer, plus its growth slack; a list of
-    # five-field tuples held about 225 bytes a row
-    assert held <= 48 * 20_001
+    assert trace.rows.shape == (20_001, 4)
+    # four floats a row in one buffer, plus its growth slack; k is the row
+    # index, so no column holds it
+    assert held <= 40 * 20_001
     # while it runs, the open-loop schedule holds one block of its stepsizes;
     # its whole float64 array added 8 bytes a row, a list of Python floats 32
-    assert peak <= 43 * 20_001
+    assert peak <= 35 * 20_001
 
 
 def test_open_loop_budget_costs_no_memory_the_rows_do_not_reach():
@@ -159,39 +157,42 @@ def test_open_loop_budget_costs_no_memory_the_rows_do_not_reach():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert trace.termination.reason == "gap_tol"
+    assert trace.reason == "gap_tol"
     assert len(trace.rows) < 1000
     assert peak < 1_000_000
 
 
 def test_trace_built_from_rows_gives_the_rows_back():
     floats = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 0.1, -1.7976931348623157e308]
-    rows = [[k, *(floats[(k + j) % len(floats)] for j in range(4))] for k in range(11)]
+    rows = [[floats[(k + j) % len(floats)] for j in range(4)] for k in range(11)]
     want = np.array(rows)
     for given in (rows, want):
-        trace = SolveTrace(given, Termination("max_iter", np.zeros(1), 0.0))
-        assert trace.rows.shape == (11, 5) and trace.rows.dtype == np.float64
+        trace = SolveTrace(given, "max_iter", np.zeros(1))
+        assert trace.rows.shape == (11, 4) and trace.rows.dtype == np.float64
         # the bytes tell -0.0 from 0.0 and match NaN, which == would not
         assert trace.rows.tobytes() == want.tobytes()
         assert trace.rows[3].tobytes() == want[3].tobytes()
         assert trace.rows[-1].tobytes() == want[-1].tobytes()
         assert trace.rows[2:9:3].tobytes() == want[2:9:3].tobytes()
-        assert trace.ks.tolist() == list(range(11))
-        assert trace.ks.dtype == np.int64
+        assert np.float64(trace.final_obj).tobytes() == want[-1, 0].tobytes()
+        assert trace.objs.tobytes() == want[:, 0].tobytes()
         with pytest.raises(IndexError):
             trace.rows[11]
     # an array of float64 rows is kept, not copied, behind a read-only view
     assert trace.rows.base is want
     assert want.flags.writeable
-    assert SolveTrace([], trace.termination).rows.shape == (0, 5)
-    with pytest.raises(ValueError, match="5 fields"):
-        SolveTrace([(0, 1.0, 2.0, 3.0)], trace.termination)
+    # a solve records row 0 whatever stops it, so a trace has a row
+    for empty in ([], np.empty((0, 4))):
+        with pytest.raises(ValueError, match=r"\(K, 4\) array with K >= 1"):
+            SolveTrace(empty, "max_iter", np.zeros(1))
+    with pytest.raises(ValueError, match=r"\(K, 4\) array"):
+        SolveTrace([(0, 1.0, 2.0, 3.0, 4.0)], "max_iter", np.zeros(1))
 
 
 def test_open_loop_gamma_column_matches_schedule():
     trace = solve(_simplex_quadratic(), Harmonic(2.0),
                   x0=np.array([1.0, 0.0, 0.0]), stop=StopRule(max_iter=4))
-    for k, gamma in zip(trace.ks[:-1].tolist(), trace.rows[:-1, 3].tolist()):
+    for k, gamma in enumerate(trace.rows[:-1, 2].tolist()):
         assert gamma == 2.0 / (k + 2.0)
 
 
@@ -199,12 +200,12 @@ def test_gap_tol_stop_certifies_the_reported_point():
     problem = _simplex_quadratic(5)
     trace = solve(problem, Harmonic(2.0), x0=np.eye(5)[0],
                   stop=StopRule(max_iter=10_000, gap_tol=1e-3))
-    assert trace.termination.reason == REASON_GAP_TOL
-    _, obj, gap, _, _ = trace.rows[-1].tolist()
+    assert trace.reason == REASON_GAP_TOL
+    obj, gap, _, _ = trace.rows[-1].tolist()
     assert gap <= 1e-3
     # stop fires before stepping: the certified iterate is the final point
-    assert trace.termination.final_obj == obj
-    assert fw_gap(problem, trace.termination.final_x)[0] == gap
+    assert trace.final_obj == obj
+    assert fw_gap(problem, trace.final_x)[0] == gap
     assert len(trace.rows) < 10_001
 
 
@@ -213,16 +214,16 @@ def test_gap_tol_zero_never_stops_on_gap():
     trace = solve(problem, Harmonic(2.0), x0=np.array([1.0, 0.0, 0.0]),
                   stop=StopRule(max_iter=50, gap_tol=0.0))
     # gap hits exactly 0 at the optimum yet the loop continues to a fixed point
-    assert trace.termination.reason == REASON_FINITE_TERMINATION
+    assert trace.reason == REASON_FINITE_TERMINATION
 
 
 def test_finite_termination_on_sharp_linear_problem():
     problem = Problem(Simplex(3), make_linear(np.array([1.0, 2.0, 3.0]), Simplex(3)))
     trace = solve(problem, LineSearch(1e-10, 200), x0=np.array([0.0, 0.0, 1.0]),
                   stop=StopRule(max_iter=100))
-    assert trace.termination.reason == REASON_FINITE_TERMINATION
-    assert trace.ks[-1] == 1
-    assert np.array_equal(trace.termination.final_x, [1.0, 0.0, 0.0])
+    assert trace.reason == REASON_FINITE_TERMINATION
+    assert len(trace.rows) - 1 == 1  # the last row's k
+    assert np.array_equal(trace.final_x, [1.0, 0.0, 0.0])
 
 
 def test_finite_termination_compares_iterates_not_step_norms():
@@ -231,13 +232,13 @@ def test_finite_termination_compares_iterates_not_step_norms():
     fs = Box(1, np.array([0.0]), np.array([1e-300]))
     trace = solve(Problem(fs, make_linear(np.array([-1.0]))), Harmonic(2.0),
                   x0=np.array([0.0]), stop=StopRule(max_iter=10))
-    _, _, _, gamma, step_norm = trace.rows[0]
+    _, _, gamma, step_norm = trace.rows[0]
     assert step_norm == 0.0
     assert gamma == 1.0
-    assert np.array_equal(trace.termination.final_x, [1e-300])
-    assert trace.termination.reason == REASON_FINITE_TERMINATION
+    assert np.array_equal(trace.final_x, [1e-300])
+    assert trace.reason == REASON_FINITE_TERMINATION
     assert len(trace.rows) == 2
-    assert trace.ks[-1] == 1
+    assert len(trace.rows) - 1 == 1  # the last row's k
 
 
 @pytest.mark.parametrize("rule, stop, reason", [
@@ -250,9 +251,9 @@ def test_a_solve_ending_at_row_0_hands_out_its_own_final_point(rule, stop, reaso
     problem = Problem(Simplex(3), make_linear(np.array([1.0, 2.0, 3.0]), Simplex(3)))
     x0 = np.array([1.0, 0.0, 0.0])
     trace = solve(problem, rule, x0=x0, stop=stop)
-    assert trace.termination.reason == reason and len(trace.rows) == 1
+    assert trace.reason == reason and len(trace.rows) == 1
     x0[:] = [0.0, 0.0, 1.0]
-    assert trace.termination.final_x.tolist() == [1.0, 0.0, 0.0]
+    assert trace.final_x.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_a_strided_x0_solves_as_its_contiguous_copy():
@@ -264,8 +265,8 @@ def test_a_strided_x0_solves_as_its_contiguous_copy():
         contiguous = solve(problem, rule, x0=big[::2].copy(), stop=StopRule(max_iter=20))
         assert strided.rows.tobytes() == contiguous.rows.tobytes()
         assert strided.config_fingerprint == contiguous.config_fingerprint
-        assert (strided.termination.final_x.tobytes()
-                == contiguous.termination.final_x.tobytes())
+        assert (strided.final_x.tobytes()
+                == contiguous.final_x.tobytes())
     assert big.tolist() == [0.1, 0.0, 0.2, 0.0, 0.3, 0.0, 0.4, 0.0]
 
 
@@ -312,7 +313,7 @@ def _phi_evals_per_search(monkeypatch, problem, x0, max_iter):
     monkeypatch.setattr(fwlab.solver, "line_search", counting)
     trace = solve(problem, LineSearch(1e-10, 200), x0=x0, stop=StopRule(max_iter))
     # every row steps but a budget row
-    assert len(counts) == np.count_nonzero(trace.ks < max_iter)
+    assert len(counts) == min(len(trace.rows), max_iter)  # the rows with k < max_iter
     assert len(counts) >= 10
     return counts
 
@@ -349,7 +350,7 @@ def test_exact_quadratic_step_beats_a_grid_and_golden_section(kind, dim, seed):
     problem = Problem(fs, make_quadratic(b))
     x = fs.draw(rng)
     trace = solve(problem, LineSearch(1e-10, 200), x0=x, stop=StopRule(max_iter=1))
-    gamma = float(trace.rows[0, 3])
+    gamma = float(trace.rows[0, 2])
     d = fs.lmo(problem.objective.grad(x)) - x
 
     def phi(t):
@@ -461,9 +462,9 @@ def test_composite_rows_evaluate_g_once_at_the_iterate(monkeypatch):
     monkeypatch.undo()
     # g(x_k) and g(x_bar_k) per row; the final objective is the last row's
     assert len(calls) == 2 * len(trace.rows)
-    final = trace.termination
-    assert np.float64(final.final_obj).tobytes() == np.float64(problem.phi(final.final_x)).tobytes()
-    for x, (_, obj, gap, _, _) in zip(replay_iterates(problem, x0, trace), trace.rows):
+    assert (np.float64(trace.final_obj).tobytes()
+            == np.float64(problem.phi(trace.final_x)).tobytes())
+    for x, (obj, gap, _, _) in zip(replay_iterates(problem, x0, trace), trace.rows):
         assert obj.tobytes() == np.float64(problem.phi(x)).tobytes()
         assert gap.tobytes() == np.float64(fw_gap(problem, x)[0]).tobytes()
 
@@ -544,11 +545,11 @@ def test_composite_solve_is_monotone_under_line_search():
 def test_gpa_unit_step_on_simplex_quadratic_hits_optimum():
     problem = _simplex_quadratic(10)
     trace = solve(problem, ProjectedGradient(1.0), np.eye(10)[0], StopRule(200))
-    assert trace.termination.reason == REASON_FINITE_TERMINATION
-    assert trace.termination.final_obj == pytest.approx(0.05, abs=1e-12)
+    assert trace.reason == REASON_FINITE_TERMINATION
+    assert trace.final_obj == pytest.approx(0.05, abs=1e-12)
     # finite termination keeps x, so the last row's objective is phi(final_x)
-    assert trace.termination.final_obj == problem.phi(trace.termination.final_x)
-    assert np.allclose(trace.termination.final_x, np.full(10, 0.1), atol=1e-12)
+    assert trace.final_obj == problem.phi(trace.final_x)
+    assert np.allclose(trace.final_x, np.full(10, 0.1), atol=1e-12)
 
 
 def test_gpa_rejects_bad_steps_and_composite_problems():
@@ -576,7 +577,7 @@ def test_gpa_evaluates_one_gradient_per_row():
 def test_gpa_gamma_column_is_the_fixed_step():
     problem = _simplex_quadratic(4)
     trace = solve(problem, ProjectedGradient(0.5), np.eye(4)[0], StopRule(5))
-    for gamma in trace.rows[:-1, 3]:
+    for gamma in trace.rows[:-1, 2]:
         assert gamma == 0.5
 
 
@@ -590,7 +591,7 @@ def test_all_iterates_stay_feasible(seed):
     problem = Problem(fs, make_quadratic(rng.normal(scale=0.4, size=3), fs))
     x0 = fs.sample(seed)
     trace = solve(problem, Harmonic(2.0), x0=x0, stop=StopRule(max_iter=30))
-    for x, gap in zip(replay_iterates(problem, x0, trace), trace.rows[:, 2]):
+    for x, gap in zip(replay_iterates(problem, x0, trace), trace.rows[:, 1]):
         assert fs.contains(x, 1e-9)
         assert gap >= -1e-12  # oracle roundoff only
 
@@ -714,10 +715,10 @@ def test_trace_csv_round_trips_exact_floats(tmp_path):
     assert lines[0] == ",".join(TRACE_CSV_COLUMNS)
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == len(trace.rows)
-    for want, (k, obj, gap, gamma, step_norm) in zip(trace.rows.tolist(), rows):
+    for i, (want, (k, obj, gap, gamma, step_norm)) in enumerate(zip(trace.rows.tolist(), rows)):
         obj, gap, gamma, step_norm = map(float, (obj, gap, gamma, step_norm))
-        assert int(k) == want[0]
-        assert obj == want[1]  # %.17g reproduces doubles exactly
-        assert gap == want[2]
-        assert gamma == want[3]
-        assert step_norm == want[4]
+        assert int(k) == i  # the row index
+        assert obj == want[0]  # %.17g reproduces doubles exactly
+        assert gap == want[1]
+        assert gamma == want[2]
+        assert step_norm == want[3]
