@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import FeasibleSet, Vector
 from .objectives import Objective
-from .schema import Count, Order, Positive, Tagged, field_dict, kinds, typed
+from .schema import Count, Order, Positive, Seed, Tagged, field_dict, kinds, typed
 from .stepsize import OpenLoop, StepsizeRule
 from .solver import SolveTrace
 
@@ -236,7 +236,7 @@ class GivenC(Tagged):  # assemble: C_sigma itself
 class SampledC(Tagged):  # assemble: inflate times a sampled estimate of C_sigma
     inflate: float
     n_samples: Count
-    seed: int
+    seed: Seed
 
     def check_values(self):
         if self.inflate < 1:  # the sample is a lower estimate: never shrink it
@@ -263,7 +263,7 @@ class OpenLoopOrderSigma(RateBound):
     """
 
     kind = "open_loop_order_sigma"
-    nested = {"assemble": lambda v: (GivenC if "C_sigma" in v else SampledC)(**v)}
+    nested = {"assemble": lambda v: (GivenC if "C_sigma" in v else SampledC).from_dict(v)}
     Delta: Positive | None = None  # first, so `as_dict` prints it before sigma
     sigma: Order
     composite: bool = False

@@ -26,7 +26,8 @@ from .analysis import (
 from .solver import Problem, SolveTrace, REASON_FINITE_TERMINATION
 from .stepsize import DHRecursion, dh_envelope_holds
 from .geometry import Box, finite_vector
-from .schema import Count, Fraction, Order, Positive, Tagged, Vector, build, field_dict, kinds
+from .schema import (Count, Fraction, Order, Positive, Seed, Tagged, Vector, build,
+                     field_dict, kinds)
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class Check(Tagged):
 
 
 class _AgainstOptimum(Check):
-    """A check of suboptimality: against `opt`, or the objective's own optimum."""
+    """A check of suboptimality: against `opt`, or the problem's own optimum."""
 
     opt: float | None = None
 
@@ -83,9 +84,9 @@ class _AgainstOptimum(Check):
         if problem.composite is not None:
             raise ValueError("composite problems need an explicit 'opt' "
                              "(the recorded optimum covers the smooth part only)")
-        if problem.objective.f_star is None:
+        if problem.f_star is None:
             raise ValueError("objective has no recorded optimum; give 'opt' explicitly")
-        return float(problem.objective.f_star)
+        return float(problem.f_star)
 
     def validate(self, spec, problem):
         super().validate(spec, problem)
@@ -259,7 +260,7 @@ class CurvatureExact(_OnProblem):
     expect: float
     tol: float
     n_samples: Count = 256
-    seed: int = 0
+    seed: Seed = 0
 
     def evaluate(self, ctx):
         est = estimate_curvature(ctx.problem.objective, ctx.problem.feasible_set,
@@ -276,7 +277,7 @@ class CurvatureDivergence(_OnProblem):
     sigma: Order
     threshold: Positive = 1e3
     n_samples: Count = 64
-    seed: int = 0
+    seed: Seed = 0
 
     def evaluate(self, ctx):
         value = probe_curvature_divergence(ctx.problem.objective, ctx.problem.feasible_set,
@@ -290,7 +291,7 @@ class CurvatureDivergence(_OnProblem):
 class OracleGridMatch(Check):
     kind = "oracle-grid-match"
     needs_trace = False
-    seed: int
+    seed: Seed
     n_vectors: Count = 100
     tol: float = 1e-6
     grid_points: Count = 2001

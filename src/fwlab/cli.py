@@ -29,12 +29,22 @@ from .cases import CASE_NAMES
 from .checks import CheckResult
 from .config import ExperimentSpec, build_problem, load_spec
 from .runner import ExperimentReport, compare, reproduce, run_experiment
+from .schema import typed
 from .stepsize import DHRecursion, OpenLoop, dh_envelope_holds, rule_from_descriptor
 
 
 def _usage_error(msg: str) -> SystemExit:
     print(f"error: {msg}", file=sys.stderr)
     return SystemExit(2)
+
+
+def _seed(text: str) -> int:
+    """A seed flag's value, checked as a spec's seed field is."""
+    try:
+        return typed("seed", "Seed", int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, "
+                                         f"got {text!r}") from None
 
 
 def _default_out() -> str:
@@ -178,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec_file")
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--n-samples", type=int, default=256)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", default=_default_out())
     p.set_defaults(fn=_cmd_estimate_curvature)
 

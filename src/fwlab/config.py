@@ -75,7 +75,7 @@ def parse_spec(raw: dict, source: str = "<spec>") -> ExperimentSpec:
     if not isinstance(raw, dict):
         raise ValueError(f"{source}: spec must be a JSON object, got {type(raw).__name__}")
     try:
-        return ExperimentSpec(**raw)
+        return ExperimentSpec.from_dict(raw)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
 
@@ -101,11 +101,13 @@ def build_problem(spec: ExperimentSpec) -> Problem:
     if spec.problem is None:
         raise ValueError(f"{spec.name}: spec has no problem section")
     feasible_set = _section(spec, "problem.set", set_from_descriptor, spec.problem["set"])
-    objective = _section(spec, "problem.objective", objective_from_descriptor,
-                         spec.problem["objective"], feasible_set)
+    # the objective meets its set alone first, so a misfit names problem.objective
+    problem = _section(spec, "problem.objective", lambda desc: Problem(
+        feasible_set, objective_from_descriptor(desc)), spec.problem["objective"])
     composite = _section(spec, "problem.composite", composite_from_descriptor,
                          spec.problem.get("composite"))
-    return _section(spec, "problem.composite", Problem, feasible_set, objective, composite)
+    return problem if composite is None else _section(
+        spec, "problem.composite", Problem, feasible_set, problem.objective, composite)
 
 
 def build_rule(spec: ExperimentSpec) -> StepsizeRule:
@@ -129,7 +131,7 @@ def resolve_x0(spec: ExperimentSpec, feasible_set: FeasibleSet) -> np.ndarray:
 
 
 def build_stop(spec: ExperimentSpec) -> StopRule:
-    return _section(spec, "stop", lambda desc: StopRule(**desc), spec.stop)
+    return _section(spec, "stop", StopRule.from_dict, spec.stop)
 
 
 def spec_fingerprint(spec: ExperimentSpec) -> str:

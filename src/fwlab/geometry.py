@@ -29,13 +29,17 @@ def frozen_copy(x) -> np.ndarray:
     return arr
 
 
-def finite_vector(name: str, x, dim: int | None) -> Vector:
-    """frozen_copy(x) of shape (dim,), any if dim is None, and finite entries: the
-    one check of every vector that must fit a set. Its ValueError names the field."""
-    arr = frozen_copy(x)
+def finite_vector(name: str, x, dim: int | None = None) -> Vector:
+    """frozen_copy(x), finite and of shape (dim,) (any if dim is None): the one
+    check of every vector that must fit a set. Its ValueError names the field."""
+    arr = fit_shape(name, frozen_copy(x), dim)
+    require_finite(arr, name)
+    return arr
+
+
+def fit_shape(name: str, arr: Vector, dim: int | None) -> Vector:
     if dim is not None and arr.shape != (dim,):
         raise ValueError(f"'{name}' has shape {arr.shape}, set dimension is {dim}")
-    require_finite(arr, name)
     return arr
 
 

@@ -1,28 +1,27 @@
-"""Differentiable convex test objectives.
+"""Differentiable convex test objectives, each a function of x alone.
 
 Each factory returns an immutable Objective bundling evaluation, gradient,
 optional smoothness metadata (the gradient's Holder constant, a Lipschitz
-constant where nu = 1), when a feasible set is supplied, the known constrained
-optimum (computed on first read), and, where it has a closed form, the
-minimizer of the objective along a segment. A factory keeps a read-only
-float64 copy of its vector data (b or c), so a caller's later write cannot
-change the objective behind its descriptor, which hands out that same array.
+constant where nu = 1), where it has a closed form the minimizer of the
+objective along a segment, and `fit`, which `Problem` calls to place it on
+its feasible set. A factory keeps a read-only float64 copy of its
+vector data (b or c), so a caller's later write cannot change the objective
+behind its descriptor, which hands out that same array.
 
-The scalar t^alpha objective is defined on t >= 0 only, and rejects a set
-that reaches below 0. The nonsmooth max objective carries a pointwise gradient
-selection with a fixed tie rule; it exists to demonstrate failure, and
-certificate invariants do not apply to it (it records no smoothness constant).
-Its optimum is known only on a disc (an l2 ball).
+The scalar t^alpha objective is defined on t >= 0 only, and does not fit a
+set that reaches below 0. The nonsmooth max objective carries a pointwise
+gradient selection with a fixed tie rule; it exists to demonstrate failure,
+and certificate invariants do not apply to it (it records no smoothness
+constant). Its optimum is known only on a disc (an l2 ball).
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .geometry import FeasibleSet, L2Ball, Vector, finite_vector, l2_norm
+from .geometry import FeasibleSet, L2Ball, Vector, finite_vector, fit_shape, l2_norm
 from .schema import Positive, Tagged, build, kind_of, kinds, read, typed
 from .stepsize import line_search_quadratic_exact
 
@@ -47,30 +46,16 @@ class Objective:
     `segment_min(x, d, grad)`, when set, is the exact minimizer over
     gamma in [0,1] of f(x + gamma d), given grad = f'(x).
 
-    `optimum()`, when set, returns the known constrained optimum as
-    (x_star, f_star), either of which may be None. It runs once, on the
-    first read of `x_star` or `f_star`, so building an objective never pays
-    for a projection or a membership LP that no check reads.
+    `Problem` calls `fit(feasible_set)`: a ValueError where f is not defined
+    on the set, else a function giving f's minimizer there, or None.
     """
 
     value: Callable[[Vector], float]
     grad: Callable[[Vector], Vector]
     descriptor_dict: dict
+    fit: Callable[[FeasibleSet], Callable[[], Vector | None]]
     holder: HolderInfo | None = None
     segment_min: Callable[[Vector, Vector, Vector], float] | None = None
-    optimum: Callable[[], tuple[Vector | None, float | None]] | None = None
-
-    @functools.cached_property
-    def _optimum(self) -> tuple[Vector | None, float | None]:
-        return (None, None) if self.optimum is None else self.optimum()
-
-    @property
-    def x_star(self) -> Vector | None:
-        return self._optimum[0]
-
-    @property
-    def f_star(self) -> float | None:
-        return self._optimum[1]
 
     def descriptor(self) -> dict:
         return self.descriptor_dict
@@ -86,21 +71,19 @@ class CompositePart(Tagged):
         return self.lam * float(np.abs(x).sum())
 
 
-def _optimum_if_inside(b: Vector, feasible_set: FeasibleSet) -> tuple:
-    """(b, 0) when the unconstrained minimizer b is feasible, else unknown."""
-    if feasible_set.contains(b, 0.0):
-        return b.copy(), 0.0
-    return None, None
+def _optimum_if_inside(b: Vector, feasible_set: FeasibleSet) -> Vector | None:
+    """b when the unconstrained minimizer b is feasible, else unknown."""
+    return b.copy() if feasible_set.contains(b, 0.0) else None
 
 
-def make_quadratic(b, feasible_set: FeasibleSet | None = None) -> Objective:
+def make_quadratic(b) -> Objective:
     """f(x) = 0.5 * ||x - b||^2, gradient x - b, 1-Lipschitz and 1-strongly convex.
 
-    With a feasible set that supports projection, the constrained optimum is the
-    projection of b (exact for this objective), e.g. b=0 on the d-simplex gives
+    On a set that supports projection, the optimum is the projection of b
+    (exact for this objective), e.g. b=0 on the d-simplex gives
     x* = (1/d, ..., 1/d) and f* = 1/(2d).
     """
-    b = finite_vector("b", b, None if feasible_set is None else feasible_set.dim)
+    b = finite_vector("b", b)
 
     def value(x: Vector) -> float:
         d = x - b
@@ -114,23 +97,26 @@ def make_quadratic(b, feasible_set: FeasibleSet | None = None) -> Objective:
         # .dot may give -0.0 where @ gives +0.0 (n = 1); the step is the same
         return line_search_quadratic_exact(float(grad.dot(d)), float(d.dot(d)))
 
-    def optimum():
-        try:
-            x_star = feasible_set.project(b)
-        except ValueError:
-            return _optimum_if_inside(b, feasible_set)
-        return x_star, value(x_star)
+    def fit(feasible_set: FeasibleSet):
+        fit_shape("b", b, feasible_set.dim)
+
+        def optimum():
+            try:
+                return feasible_set.project(b)
+            except ValueError:
+                return _optimum_if_inside(b, feasible_set)
+        return optimum
 
     return Objective(
         value, grad,
         holder=HolderInfo(1.0, 1.0),  # exactly 1-Lipschitz, a true constant
         descriptor_dict={"kind": "quadratic", "b": b},
+        fit=fit,
         segment_min=segment_min,
-        optimum=None if feasible_set is None else optimum,
     )
 
 
-def make_power_norm(sigma: float, b, feasible_set: FeasibleSet | None = None) -> Objective:
+def make_power_norm(sigma: float, b) -> Objective:
     """f(x) = ||x - b||_2^sigma for sigma in (1, 2].
 
     grad(x) = sigma * ||x-b||^(sigma-2) * (x-b), set to 0 at x = b (f is
@@ -139,7 +125,7 @@ def make_power_norm(sigma: float, b, feasible_set: FeasibleSet | None = None) ->
     concrete set.
     """
     typed("sigma", "Order", sigma)
-    b = finite_vector("b", b, None if feasible_set is None else feasible_set.dim)
+    b = finite_vector("b", b)
 
     def value(x: Vector) -> float:
         return l2_norm(x - b) ** sigma
@@ -151,37 +137,36 @@ def make_power_norm(sigma: float, b, feasible_set: FeasibleSet | None = None) ->
             return np.zeros_like(d)
         return sigma * n ** (sigma - 2.0) * d
 
+    def fit(feasible_set: FeasibleSet):
+        fit_shape("b", b, feasible_set.dim)
+        return lambda: _optimum_if_inside(b, feasible_set)
+
     return Objective(
         value, grad,
         holder=HolderInfo(sigma - 1.0, None),
-        optimum=None if feasible_set is None else lambda: _optimum_if_inside(b, feasible_set),
+        fit=fit,
         descriptor_dict={"kind": "power_norm", "sigma": sigma, "b": b},
     )
 
 
-def _of_dimension(kind: str, dim: int, feasible_set: FeasibleSet | None) -> None:
+def _of_dimension(kind: str, dim: int, feasible_set: FeasibleSet) -> None:
     """Reject a set whose dimension is not the objective's fixed one."""
-    if feasible_set is not None and feasible_set.dim != dim:
+    if feasible_set.dim != dim:
         raise ValueError(f"{kind} is {dim}-dimensional, "
                          f"set dimension is {feasible_set.dim}")
 
 
-def make_t_alpha(alpha: float, feasible_set: FeasibleSet | None = None) -> Objective:
+def make_t_alpha(alpha: float) -> Objective:
     """One-dimensional f(t) = t^alpha on t >= 0 for alpha in (1, 2).
 
     The gradient alpha * t^(alpha-1) is (alpha-1)-Holder with constant alpha,
     yet the order-2 curvature over [0,1] is unbounded; this is the stock example
     separating the order-sigma machinery from the Lipschitz case. f is
-    increasing, so the optimum is the set's lowest point, t = 0 without a set;
-    a set that reaches below 0, where t^alpha is complex, is rejected.
+    increasing, so the optimum is the set's lowest point; it does not fit a
+    set that reaches below 0, where t^alpha is complex.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
-    _of_dimension("t_alpha", 1, feasible_set)
-    lowest = np.zeros(1) if feasible_set is None else feasible_set.lmo(np.ones(1))
-    if lowest[0] < 0.0:
-        raise ValueError(f"t_alpha is defined on t >= 0; the set reaches "
-                         f"t = {float(lowest[0])!r}")
 
     def value(x: Vector) -> float:
         return float(x[0]) ** alpha
@@ -189,29 +174,32 @@ def make_t_alpha(alpha: float, feasible_set: FeasibleSet | None = None) -> Objec
     def grad(x: Vector) -> Vector:
         return np.array([alpha * float(x[0]) ** (alpha - 1.0)])
 
+    def fit(feasible_set: FeasibleSet):
+        _of_dimension("t_alpha", 1, feasible_set)
+        lowest = feasible_set.lmo(np.ones(1))
+        if lowest[0] < 0.0:
+            raise ValueError(f"t_alpha is defined on t >= 0; the set reaches "
+                             f"t = {float(lowest[0])!r}")
+        return lambda: lowest
+
     return Objective(
         value, grad,
         holder=HolderInfo(alpha - 1.0, alpha),
-        optimum=lambda: (lowest, value(lowest)),
+        fit=fit,
         descriptor_dict={"kind": "t_alpha", "alpha": alpha},
     )
 
 
-def make_nesterov_max(feasible_set: FeasibleSet | None = None) -> Objective:
+def make_nesterov_max() -> Objective:
     """f(x) = max(x[0], x[1]) on R^2 with a pointwise gradient selection.
 
     grad = (1,0) where x[0] > x[1], (0,1) where x[0] < x[1], and (1,0) on the
     diagonal by a fixed tie rule (any selection shows the same behavior;
-    determinism is what matters). The optimum is recorded on a disc only,
+    determinism is what matters). The optimum is known on a disc only,
     x* = -r * (1/sqrt2, 1/sqrt2) with value -r/sqrt2; on any other set it is
     unknown. Convex but nondifferentiable: gap certificates do not apply.
     """
-    _of_dimension("nesterov_max", 2, feasible_set)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-
-    def optimum():
-        corner = -feasible_set.radius * inv_sqrt2
-        return np.array([corner, corner]), corner
 
     def value(x: Vector) -> float:
         return float(max(x[0], x[1]))
@@ -221,18 +209,22 @@ def make_nesterov_max(feasible_set: FeasibleSet | None = None) -> Objective:
             return np.array([1.0, 0.0])
         return np.array([0.0, 1.0])
 
+    def fit(feasible_set: FeasibleSet):
+        _of_dimension("nesterov_max", 2, feasible_set)
+        disc = isinstance(feasible_set, L2Ball)
+        return lambda: np.full(2, -feasible_set.radius * inv_sqrt2) if disc else None
+
     return Objective(
         value, grad,
-        optimum=optimum if isinstance(feasible_set, L2Ball) else None,
+        fit=fit,
         descriptor_dict={"kind": "nesterov_max"},
     )
 
 
-def make_linear(c, feasible_set: FeasibleSet | None = None) -> Objective:
-    """f(x) = <c, x> with constant gradient c. Rejects c = 0 (no sharp minimum)."""
-    c = finite_vector("c", c, None if feasible_set is None else feasible_set.dim)
-    if not np.any(c != 0.0):
-        raise ValueError("c must be nonzero")
+def make_linear(c) -> Objective:
+    """f(x) = <c, x> with constant gradient c. It fits no set with c = 0
+    (no sharp minimum)."""
+    c = finite_vector("c", c)
 
     def value(x: Vector) -> float:
         return float(c @ x)
@@ -240,13 +232,15 @@ def make_linear(c, feasible_set: FeasibleSet | None = None) -> Objective:
     def grad(x: Vector) -> Vector:
         return c.copy()
 
-    def optimum():
-        x_star = feasible_set.lmo(c)
-        return x_star, value(x_star)
+    def fit(feasible_set: FeasibleSet):
+        fit_shape("c", c, feasible_set.dim)
+        if not np.any(c != 0.0):
+            raise ValueError("c must be nonzero")
+        return lambda: feasible_set.lmo(c)
 
     return Objective(
         value, grad,
-        optimum=None if feasible_set is None else optimum,
+        fit=fit,
         descriptor_dict={"kind": "linear", "c": c},
     )
 
@@ -262,9 +256,9 @@ _OBJECTIVE_KINDS = {
 _COMPOSITE_KINDS = kinds(CompositePart)
 
 
-def objective_from_descriptor(desc: dict, feasible_set: FeasibleSet | None = None) -> Objective:
+def objective_from_descriptor(desc: dict) -> Objective:
     factory, types = kind_of(desc, _OBJECTIVE_KINDS, "objective")
-    return factory(**read(desc, types), feasible_set=feasible_set)
+    return factory(**read(desc, types))
 
 
 def composite_from_descriptor(desc: dict | None) -> CompositePart | None:

@@ -22,6 +22,7 @@ _TYPES = {"float": ((int, float), "a finite number", lambda v: -math.inf < v < m
           "Fraction": ((int, float), "a number in (0, 1]", lambda v: 0 < v <= 1),
           "Order": ((int, float), "a number in (1, 2]", lambda v: 1 < v <= 2),
           "Count": (int, "a positive integer", lambda v: v >= 1),
+          "Seed": (int, "a non-negative integer", lambda v: v >= 0),
           "bool": (bool, "a boolean", None), "object": (dict, "an object", None),
           "Vector": ((list, np.ndarray), "a vector of numbers", None),
           "Matrix": ((list, np.ndarray), "a list of vectors of numbers", None),
@@ -66,8 +67,8 @@ def read(desc, types: dict, tagged: bool = True) -> dict:
     if not isinstance(desc, dict):
         raise ValueError(f"must be an object, got {_show(desc)}")
     unknown = desc.keys() - types.keys() - ({"kind"} if tagged else set())
-    if unknown:
-        raise ValueError(f"unknown fields {sorted(unknown)}")
+    if unknown:  # a Python-built spec may hold a key that is not a string
+        raise ValueError(f"unknown fields {sorted(unknown, key=str)}")
     missing = {name for name, typ in types.items() if not typ.endswith(" | None")} - desc.keys()
     if missing:
         raise ValueError(f"missing fields {sorted(missing)}")
@@ -88,7 +89,7 @@ def build(desc, kinds: dict, what: str):
     """The section desc's kind names in a `kinds` table, built from desc's
     other fields; the class reads them, so errors name the field."""
     cls = kind_of(desc, kinds, what)
-    return cls(**{name: v for name, v in desc.items() if name != "kind"})
+    return cls.from_dict({name: v for name, v in desc.items() if name != "kind"})
 
 
 # Names for the field types of a section's annotations. A field's
@@ -97,6 +98,7 @@ def build(desc, kinds: dict, what: str):
 Positive = float  # a finite number > 0
 NonNegative = float  # a finite number >= 0
 Count = int  # an integer >= 1
+Seed = int  # an integer >= 0, as numpy's generators take
 Fraction = float  # a number in (0, 1]
 Order = float  # a curvature order sigma in (1, 2], the range the paper's rates cover
 Vector = list  # a flat list of numbers
@@ -161,6 +163,15 @@ class Tagged:
         for name, value in read({**named, **fields}, self._types, False).items():
             object.__setattr__(self, name, nested[name](value) if name in nested else value)
         self.check_values()
+
+    @classmethod
+    def from_dict(cls, fields: dict):
+        """cls(**fields), but a key that is not a string, which no keyword can
+        be, is rejected by `read` with the other unknown fields, where the
+        call would raise a TypeError naming neither."""
+        if not all(isinstance(name, str) for name in fields):
+            read(fields, cls._types, False)  # raises, as no such key names a field
+        return cls(**fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only")

@@ -13,7 +13,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -39,14 +39,24 @@ RENDER_CHUNK = 1024
 
 @dataclass(frozen=True)
 class Problem:
+    """min f(x) + g(x) over the set. Building one runs `objective.fit`; f's minimizer
+    there, `x_star` (None if unknown), and f(x_star) are found on first read, once."""
+
     feasible_set: FeasibleSet
     objective: Objective
     composite: CompositePart | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "_x_star", cache(self.objective.fit(self.feasible_set)))
         if self.composite is not None and isinstance(self.feasible_set, VertexPolytope):
             raise ValueError("composite terms need a set with an exact composite oracle "
                              "(simplex, l1_ball, l2_ball or box), not vertex_polytope")
+
+    x_star = property(lambda self: self._x_star())
+
+    @cached_property
+    def f_star(self) -> float | None:
+        return None if self.x_star is None else self.objective.value(self.x_star)
 
     def phi(self, x: Vector) -> float:
         v = self.objective.value(x)

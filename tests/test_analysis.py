@@ -57,7 +57,7 @@ def test_scalar_power_curvature_is_the_exponent_exactly():
 
 def test_quadratic_curvature_reaches_squared_diameter():
     fs = Simplex(3)
-    est = estimate_curvature(make_quadratic(np.zeros(3), fs), fs, sigma=2.0,
+    est = estimate_curvature(make_quadratic(np.zeros(3)), fs, sigma=2.0,
                              n_samples=128, seed=0)
     # vertices pairs are included: the supremum ||s-x||^2 = 2 is attained
     assert est.sampled_value == pytest.approx(2.0, abs=1e-9)
@@ -67,7 +67,7 @@ def test_quadratic_curvature_reaches_squared_diameter():
 
 def test_curvature_estimate_is_prefix_monotone_in_samples():
     fs = L2Ball(3, 1.0)
-    obj = make_quadratic(np.array([0.2, -0.1, 0.3]), fs)
+    obj = make_quadratic(np.array([0.2, -0.1, 0.3]))
     prev = 0.0
     for n in [16, 64, 256]:
         est = estimate_curvature(obj, fs, sigma=2.0, n_samples=n, seed=42)
@@ -77,7 +77,7 @@ def test_curvature_estimate_is_prefix_monotone_in_samples():
 
 def test_gamma_grid_must_live_in_unit_interval_and_include_one():
     fs = Simplex(2)
-    obj = make_quadratic(np.zeros(2), fs)
+    obj = make_quadratic(np.zeros(2))
     with pytest.raises(ValueError):
         estimate_curvature(obj, fs, sigma=2.0, gamma_grid=[0.5, 2.0, 1.0])
     with pytest.raises(ValueError):
@@ -95,7 +95,7 @@ def test_divergence_probe_blows_up_only_for_unbounded_curvature():
     value = probe_curvature_divergence(make_t_alpha(1.5), fs, sigma=1.5)
     assert 1.5 - 1e-9 <= value <= 1.7
     fs3 = Simplex(3)
-    value = probe_curvature_divergence(make_quadratic(np.zeros(3), fs3), fs3,
+    value = probe_curvature_divergence(make_quadratic(np.zeros(3)), fs3,
                                        sigma=2.0)
     assert 2.0 - 1e-9 <= value < 1e3
 
@@ -504,7 +504,7 @@ def test_fit_rate_takes_the_points_a_row_by_row_selection_takes(tail_fraction):
 
 def test_fit_rate_on_a_real_solve_shows_first_order_decay():
     fs = Simplex(100)
-    problem = Problem(fs, make_quadratic(np.zeros(100), fs))
+    problem = Problem(fs, make_quadratic(np.zeros(100)))
     trace = solve(problem, Harmonic(2.0), x0=np.eye(100)[0],
                   stop=StopRule(max_iter=2000))
     fit = fit_rate(trace, opt=1.0 / 200.0, tail_fraction=0.5)

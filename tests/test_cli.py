@@ -303,6 +303,19 @@ def test_estimate_curvature_writes_json(tmp_path, capsys):
     assert "sampled order-2.0 curvature" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_estimate_curvature_rejects_a_seed_flag_that_is_no_seed(tmp_path, capsys, seed):
+    # -1 once failed in numpy's generator: "error: expected non-negative
+    # integer", naming no flag
+    spec = _write_spec(tmp_path, _quadratic_raw(name="curv"))
+    out = tmp_path / "out"
+    assert run_cli("estimate-curvature", spec, "--sigma", "2.0", "--seed", seed,
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --seed: must be a non-negative integer, got {seed!r}\n")
+    assert not out.exists()
+
+
 def test_estimate_curvature_needs_a_problem(tmp_path, capsys):
     spec = _write_spec(tmp_path, {"name": "empty", "seed": 0})
     assert run_cli("estimate-curvature", spec, "--sigma", "2.0") == 2

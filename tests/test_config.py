@@ -381,9 +381,9 @@ def test_t_alpha_optimum_is_the_lowest_point_of_its_set():
     for lower, want in ((0.5, 0.5 ** 1.5), (0.0, 0.0)):
         spec = parse_spec(_t_alpha_raw(lower))
         validate_spec(spec)
-        objective = build_problem(spec).objective
-        assert objective.x_star.tobytes() == np.array([lower]).tobytes()
-        assert objective.f_star == want
+        problem = build_problem(spec)
+        assert problem.x_star.tobytes() == np.array([lower]).tobytes()
+        assert problem.f_star == want
 
 
 def test_validate_rejects_a_t_alpha_set_that_reaches_below_zero():
@@ -523,16 +523,72 @@ def _mistyped_checks():
                            id=f"reported-{kind}-{'.'.join(path)}={bad!r}")
 
 
-@pytest.mark.parametrize("valid, check, field", _mistyped_checks())
-def test_validate_rejects_a_mistyped_check_field_by_name(valid, check, field):
-    raw = _solving_raw(x0=[1.0, 0.0, 0.0])
+def _box_composite_raw(check):
+    """The smoke spec on an l1-composite quadratic over [-1, 1]^3, which
+    every check of _VALID_CHECKS takes, with check as its one check."""
+    raw = _solving_raw(x0=[1.0, 0.0, 0.0], checks=[check])
     raw["problem"] = {"set": {"kind": "box", "dim": 3, "lower": [-1.0] * 3,
                               "upper": [1.0] * 3},
                       "objective": {"kind": "quadratic", "b": [0.5, 0.0, 0.0]},
                       "composite": {"kind": "l1", "lam": 0.1}}
-    validate_spec(parse_spec({**raw, "checks": [valid]}))
+    return raw
+
+
+@pytest.mark.parametrize("valid, check, field", _mistyped_checks())
+def test_validate_rejects_a_mistyped_check_field_by_name(valid, check, field):
+    validate_spec(parse_spec(_box_composite_raw(valid)))
     with pytest.raises(ValueError, match=rf"smoke: checks\[0\]: '{field}' must be "):
-        validate_spec(parse_spec({**raw, "checks": [check]}))
+        validate_spec(parse_spec(_box_composite_raw(check)))
+
+
+@pytest.mark.parametrize("kind, path", [
+    ("curvature-exact", ("seed",)), ("curvature-divergence", ("seed",)),
+    ("oracle-grid-match", ("seed",)), ("bound-domination", ("bound", "assemble", "seed")),
+], ids=["curvature-exact", "curvature-divergence", "oracle-grid-match", "assemble"])
+def test_validate_rejects_a_negative_seed_by_name(kind, path):
+    # each once validated, and the check then errored in numpy's generator
+    # with "expected non-negative integer", naming no field
+    valid = next(desc for desc in _VALID_CHECKS
+                 if desc["kind"] == kind and path in set(_field_paths(desc)))
+    validate_spec(parse_spec(_box_composite_raw(_with(valid, path, 0))))
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "smoke: checks[0]: 'seed' must be a non-negative integer, got -1") + "$"):
+        validate_spec(parse_spec(_box_composite_raw(_with(valid, path, -1))))
+
+
+# where a key lands in a spec, and the section its error names
+_KEY_SECTIONS = {
+    "spec": ((), "<spec>: "),
+    "problem": (("problem",), "<spec>: problem: "),
+    "set": (("problem", "set"), "smoke: problem.set: "),
+    "objective": (("problem", "objective"), "smoke: problem.objective: "),
+    "composite": (("problem", "composite"), "smoke: problem.composite: "),
+    "rule": (("rule",), "smoke: rule: "),
+    "stop": (("stop",), "smoke: stop: "),
+    "check": (("checks", 0), "smoke: checks[0]: "),
+    "bound": (("checks", 0, "bound"), "smoke: checks[0]: "),
+}
+
+
+@pytest.mark.parametrize("keys, listed", [
+    ({1: 2}, "[1]"),
+    ({1: 2, "zz": 3}, "[1, 'zz']"),
+], ids=["int", "int-and-str"])
+@pytest.mark.parametrize("section", _KEY_SECTIONS)
+def test_a_key_that_is_not_a_string_is_an_unknown_field(section, keys, listed):
+    # a Python-built spec's int key was a bare "keywords must be strings"
+    # TypeError, and beside a string key it broke the sort of the unknowns
+    path, where = _KEY_SECTIONS[section]
+    raw = _box_composite_raw({"kind": "bound-domination", "opt": 0.0,
+                              "bound": {"kind": "harmonic_classic", "C_f": 4.0}})
+    validate_spec(parse_spec(raw))
+    target = raw
+    for key in path:
+        target = target[key]
+    target.update(keys)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{where}unknown fields {listed}")
+                       + "$"):
+        validate_spec(parse_spec(raw))
 
 
 # One valid descriptor per rule, set, objective and composite kind, and the

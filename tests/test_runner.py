@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import math
+import re
 import sys
 import tracemalloc
 from itertools import chain
@@ -65,6 +66,21 @@ def test_run_experiment_writes_trace_and_summary(tmp_path):
     # no bound check, so no bounds artifact
     assert not (tmp_path / "exp.bounds.csv").exists()
     assert report.trace_path.endswith("exp.trace.csv")
+
+
+def test_the_readme_examples_run(tmp_path):
+    # the documented library API and spec format, run as the README gives them
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```(\w+)\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    python = [code for lang, code in blocks if lang == "python"]
+    (spec,) = [code for lang, code in blocks if lang == "json"]
+    assert len(python) == 2
+    namespace = {}
+    for code in python:  # in order: the second block reuses the first's problem
+        exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["trace"].reason == "max_iter"
+    report = run_experiment(parse_spec(json.loads(spec), "README.md"), tmp_path)
+    assert report.passed and len(report.check_results) == 2
 
 
 def test_summary_records_config_verdicts_and_termination(tmp_path):
@@ -239,7 +255,7 @@ _WINDOWS = [(-3, 4), (-5, -1), (-4, -2), (0, 0), (3, 10), (3, 25), (10, 10), (11
 @functools.cache
 def _eleven_rows():
     fs = Box(4, [0.0] * 4, [1.0] * 4)
-    problem = Problem(fs, make_quadratic(np.array([0.1, 0.4, 0.7, 1.0]), fs))
+    problem = Problem(fs, make_quadratic(np.array([0.1, 0.4, 0.7, 1.0])))
     return problem, fwlab.solve(problem, stepsize.Harmonic(2.0), np.zeros(4),
                                 fwlab.StopRule(max_iter=10))
 

@@ -47,7 +47,7 @@ from conftest import canon_text, fw_gap, json_floats, json_values, replay_iterat
 
 def _simplex_quadratic(n=3):
     fs = Simplex(n)
-    return Problem(fs, make_quadratic(np.zeros(n), fs))
+    return Problem(fs, make_quadratic(np.zeros(n)))
 
 
 # --- trace semantics ---------------------------------------------------------------
@@ -68,7 +68,7 @@ def test_trace_records_pre_step_rows_zero_through_max_iter():
 def test_trace_rows_hold_no_copy_of_the_iterate():
     n = 10_000
     fs = Simplex(n)
-    problem = Problem(fs, make_quadratic(np.zeros(n), fs))
+    problem = Problem(fs, make_quadratic(np.zeros(n)))
     x0 = np.zeros(n)
     x0[0] = 1.0
     tracemalloc.start()
@@ -86,7 +86,7 @@ def test_trace_rows_hold_no_copy_of_the_iterate():
 def test_fingerprint_is_rendered_before_the_loop_allocates_a_row():
     n = 100_000
     fs = Simplex(n)
-    problem = Problem(fs, make_quadratic(np.zeros(n), fs))
+    problem = Problem(fs, make_quadratic(np.zeros(n)))
     x0 = np.zeros(n)
     x0[0] = 1.0
     stop, rule = StopRule(max_iter=5), Harmonic(2.0)
@@ -210,7 +210,7 @@ def test_gap_tol_stop_certifies_the_reported_point():
 
 
 def test_gap_tol_zero_never_stops_on_gap():
-    problem = Problem(Simplex(3), make_linear(np.array([1.0, 2.0, 3.0]), Simplex(3)))
+    problem = Problem(Simplex(3), make_linear(np.array([1.0, 2.0, 3.0])))
     trace = solve(problem, Harmonic(2.0), x0=np.array([1.0, 0.0, 0.0]),
                   stop=StopRule(max_iter=50, gap_tol=0.0))
     # gap hits exactly 0 at the optimum yet the loop continues to a fixed point
@@ -218,7 +218,7 @@ def test_gap_tol_zero_never_stops_on_gap():
 
 
 def test_finite_termination_on_sharp_linear_problem():
-    problem = Problem(Simplex(3), make_linear(np.array([1.0, 2.0, 3.0]), Simplex(3)))
+    problem = Problem(Simplex(3), make_linear(np.array([1.0, 2.0, 3.0])))
     trace = solve(problem, LineSearch(1e-10, 200), x0=np.array([0.0, 0.0, 1.0]),
                   stop=StopRule(max_iter=100))
     assert trace.reason == REASON_FINITE_TERMINATION
@@ -248,7 +248,7 @@ def test_finite_termination_compares_iterates_not_step_norms():
 def test_a_solve_ending_at_row_0_hands_out_its_own_final_point(rule, stop, reason):
     # x0 is the first iterate itself, not a copy; a solve that never steps
     # away from it must still not hand the caller's array back
-    problem = Problem(Simplex(3), make_linear(np.array([1.0, 2.0, 3.0]), Simplex(3)))
+    problem = Problem(Simplex(3), make_linear(np.array([1.0, 2.0, 3.0])))
     x0 = np.array([1.0, 0.0, 0.0])
     trace = solve(problem, rule, x0=x0, stop=stop)
     assert trace.reason == reason and len(trace.rows) == 1
@@ -368,7 +368,7 @@ def test_exact_quadratic_step_beats_a_grid_and_golden_section(kind, dim, seed):
 
 def test_line_search_failure_carries_iteration_context():
     fs = Box(1, np.array([0.0]), np.array([1.0]))
-    base = make_quadratic(np.ones(1), fs)  # descent direction points at x = 1
+    base = make_quadratic(np.ones(1))  # descent direction points at x = 1
 
     def poisoned(x):
         return float("nan") if x[0] > 0.9 else float(0.5 * (x - 1.0) @ (x - 1.0))
@@ -588,7 +588,7 @@ def test_gpa_gamma_column_is_the_fixed_step():
 def test_all_iterates_stay_feasible(seed):
     rng = np.random.default_rng(seed)
     fs = L2Ball(3, 1.0)
-    problem = Problem(fs, make_quadratic(rng.normal(scale=0.4, size=3), fs))
+    problem = Problem(fs, make_quadratic(rng.normal(scale=0.4, size=3)))
     x0 = fs.sample(seed)
     trace = solve(problem, Harmonic(2.0), x0=x0, stop=StopRule(max_iter=30))
     for x, gap in zip(replay_iterates(problem, x0, trace), trace.rows[:, 1]):
