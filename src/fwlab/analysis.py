@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FeasibleSet, Vector
-from .objectives import Objective
+from .geometry import Vector
 from .schema import Count, Order, Positive, Seed, Tagged, field_dict, kinds, typed
 from .stepsize import OpenLoop, StepsizeRule
-from .solver import SolveTrace
+from .solver import Problem, SolveTrace
 
 # 13 log-spaced points on [1e-3, 10^-0.5] plus gamma = 1: small gammas probe
 # local curvature, gamma = 1 probes the full segment
@@ -51,14 +50,14 @@ def _validate_gamma_grid(gamma_grid) -> list[float]:
 
 
 def estimate_curvature(
-    obj: Objective,
-    feasible_set: FeasibleSet,
+    problem: Problem,
     sigma: float,
     n_samples: int = 256,
     gamma_grid=None,
     seed: int = 0,
 ) -> CurvatureEstimate:
-    """Sampled lower estimate of the order-sigma curvature constant.
+    """Sampled lower estimate of the order-sigma curvature constant of the
+    problem's objective f over its set (the composite term plays no part).
 
     Takes the max of the curvature expression over n_samples random feasible
     pairs plus all ordered extreme-point pairs (suprema tend to live on the
@@ -73,6 +72,7 @@ def estimate_curvature(
     When the objective carries a true Holder constant matching sigma = 1 + nu,
     the corresponding upper bound L_nu * diam^(1+nu) is attached for contrast.
     """
+    obj, feasible_set = problem.objective, problem.feasible_set
     typed("sigma", "Order", sigma)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -126,8 +126,7 @@ def estimate_curvature(
 
 
 def probe_curvature_divergence(
-    obj: Objective,
-    feasible_set: FeasibleSet,
+    problem: Problem,
     sigma: float,
     threshold: float = 1e3,
     max_depth: int = 12,
@@ -151,7 +150,7 @@ def probe_curvature_divergence(
     best = 0.0
     for depth in range(3, min(max_depth, noise_depth) + 1):
         grid = list(np.logspace(-float(depth), -0.5, 2 * depth)) + [1.0]
-        est = estimate_curvature(obj, feasible_set, sigma,
+        est = estimate_curvature(problem, sigma,
                                  n_samples=n_samples, gamma_grid=grid, seed=seed)
         best = max(best, est.sampled_value)
         if best > threshold:
@@ -243,8 +242,7 @@ class SampledC(Tagged):  # assemble: inflate times a sampled estimate of C_sigma
             raise ValueError(f"'inflate' must be >= 1, got {self.inflate!r}")
 
     def c_sigma(self, problem, sigma: float) -> float:
-        est = estimate_curvature(problem.objective, problem.feasible_set, sigma,
-                                 n_samples=self.n_samples, seed=self.seed)
+        est = estimate_curvature(problem, sigma, n_samples=self.n_samples, seed=self.seed)
         return self.inflate * est.sampled_value
 
 

@@ -263,9 +263,8 @@ class CurvatureExact(_OnProblem):
     seed: Seed = 0
 
     def evaluate(self, ctx):
-        est = estimate_curvature(ctx.problem.objective, ctx.problem.feasible_set,
-                                 float(self.sigma), n_samples=self.n_samples,
-                                 seed=self.seed)
+        est = estimate_curvature(ctx.problem, float(self.sigma),
+                                 n_samples=self.n_samples, seed=self.seed)
         err = abs(est.sampled_value - self.expect)
         return CheckResult(self.kind, err <= self.tol,
                            measured=f"sampled value {est.sampled_value!r}",
@@ -280,8 +279,8 @@ class CurvatureDivergence(_OnProblem):
     seed: Seed = 0
 
     def evaluate(self, ctx):
-        value = probe_curvature_divergence(ctx.problem.objective, ctx.problem.feasible_set,
-                                           float(self.sigma), threshold=self.threshold,
+        value = probe_curvature_divergence(ctx.problem, float(self.sigma),
+                                           threshold=self.threshold,
                                            n_samples=self.n_samples, seed=self.seed)
         return CheckResult(self.kind, value > self.threshold,
                            measured=f"refined estimate reached {value:.6g}",

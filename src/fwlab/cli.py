@@ -108,9 +108,8 @@ def _cmd_reproduce(args) -> int:
 def _cmd_estimate_curvature(args) -> int:
     spec = load_spec(args.spec_file)
     problem = build_problem(spec)
-    estimate = estimate_curvature(
-        problem.objective, problem.feasible_set, sigma=args.sigma,
-        n_samples=args.n_samples, seed=args.seed if args.seed is not None else 0)
+    estimate = estimate_curvature(problem, sigma=args.sigma, n_samples=args.n_samples,
+                                  seed=args.seed if args.seed is not None else 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{spec.name}.curvature.json"

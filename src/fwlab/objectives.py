@@ -43,8 +43,10 @@ class HolderInfo:
 class Objective:
     """An objective and what is known about it.
 
-    `segment_min(x, d, grad)`, when set, is the exact minimizer over
-    gamma in [0,1] of f(x + gamma d), given grad = f'(x).
+    `segment_min(slope, d)`, when set, is the exact minimizer over gamma in
+    [0,1] of f(x + gamma d), given the slope <f'(x), d>. It takes no x and no
+    gradient: a line-search row holds x, d, the trial array and `value`'s
+    temporary.
 
     `Problem` calls `fit(feasible_set)`: a ValueError where f is not defined
     on the set, else a function giving f's minimizer there, or None.
@@ -55,7 +57,7 @@ class Objective:
     descriptor_dict: dict
     fit: Callable[[FeasibleSet], Callable[[], Vector | None]]
     holder: HolderInfo | None = None
-    segment_min: Callable[[Vector, Vector, Vector], float] | None = None
+    segment_min: Callable[[float, Vector], float] | None = None
 
     def descriptor(self) -> dict:
         return self.descriptor_dict
@@ -92,10 +94,10 @@ def make_quadratic(b) -> Objective:
     def grad(x: Vector) -> Vector:
         return x - b
 
-    def segment_min(x: Vector, d: Vector, grad: Vector) -> float:
-        # f(x + gamma d) = f(x) + gamma <grad, d> + 0.5 gamma^2 ||d||^2
+    def segment_min(slope: float, d: Vector) -> float:
+        # f(x + gamma d) = f(x) + gamma slope + 0.5 gamma^2 ||d||^2, slope = <grad, d>
         # .dot may give -0.0 where @ gives +0.0 (n = 1); the step is the same
-        return line_search_quadratic_exact(float(grad.dot(d)), float(d.dot(d)))
+        return line_search_quadratic_exact(slope, float(d.dot(d)))
 
     def fit(feasible_set: FeasibleSet):
         fit_shape("b", b, feasible_set.dim)

@@ -141,7 +141,9 @@ class Tagged:
     Fields come by keyword or by position, in declaration order, and are read
     once through `read`, so a Python call gets a spec's checks and messages;
     `check_values` then rejects, or normalizes, what their types let through.
-    The descriptor tags the fields with the class's `kind`. Not a dataclass:
+    An error of a `nested` parser is prefixed with its field's name, so a fault
+    inside a nested object says which object holds it. The descriptor tags the
+    fields with the class's `kind`. Not a dataclass:
     each dataclass compiles its generated methods when its module is imported
     (about 0.4 ms a class with CPython 3.11 on a 2-vCPU Xeon), which every
     fresh launch would pay.
@@ -161,7 +163,12 @@ class Tagged:
             raise ValueError(f"fields given twice {sorted(twice)}")
         nested = self.nested
         for name, value in read({**named, **fields}, self._types, False).items():
-            object.__setattr__(self, name, nested[name](value) if name in nested else value)
+            if name in nested:
+                try:
+                    value = nested[name](value)
+                except ValueError as exc:  # say which object holds the fault
+                    raise ValueError(f"{name}: {exc}") from None
+            object.__setattr__(self, name, value)
         self.check_values()
 
     @classmethod

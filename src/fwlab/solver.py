@@ -237,9 +237,10 @@ def _canonical_pieces(v, vector=_vector_text):
 
 
 def _gap(problem: Problem, x: Vector, grad: Vector,
-         g_x: float | None) -> tuple[float, Vector]:
-    """The gap <grad, x - x_bar> (+ g(x) - g(x_bar)) at x, given g_x = g(x), and
-    the direction d = x_bar - x, written into the array the oracle returned.
+         g_x: float | None) -> tuple[float, float, Vector]:
+    """The gap <grad, x - x_bar> (+ g(x) - g(x_bar)) at x, given g_x = g(x), the
+    slope <grad, d> and the direction d = x_bar - x, written into the array the
+    oracle returned.
 
     g(x_bar) is taken before d overwrites x_bar. x - x_bar is -d elementwise, so
     <grad, x - x_bar> is -<grad, d>; `0.0 -` turns a zero of either sign into
@@ -249,18 +250,21 @@ def _gap(problem: Problem, x: Vector, grad: Vector,
     if composite is None:
         d = problem.feasible_set.lmo(grad)
         np.subtract(d, x, out=d)
-        return 0.0 - float(grad.dot(d)), d
+        slope = float(grad.dot(d))
+        return 0.0 - slope, slope, d
     d = problem.feasible_set.lmo_l1(grad, composite.lam)
     g_bar = composite.value(d)
     np.subtract(d, x, out=d)
-    return (0.0 - float(grad.dot(d))) + g_x - g_bar, d
+    slope = float(grad.dot(d))
+    return (0.0 - slope) + g_x - g_bar, slope, d
 
 
 def _searcher(problem: Problem, rule: LineSearch
-              ) -> Callable[[int, Vector, Vector, Vector], tuple[float, Vector]]:
-    """`advance(k, x, grad, d)` of a line search: gamma_k and x_{k+1}, given
-    x_k, the gradient at x_k and the direction d_k = x_bar_k - x_k to the
-    linear-subproblem minimizer, with x_{k+1} written into d."""
+              ) -> Callable[[int, Vector, float, Vector], tuple[float, Vector]]:
+    """`advance(k, x, slope, d)` of a line search: gamma_k and x_{k+1}, given
+    x_k, the slope <f'(x_k), d_k> and the direction d_k = x_bar_k - x_k to the
+    linear-subproblem minimizer, with x_{k+1} written into d. The search reads
+    only that number of the gradient, so it takes no gradient to keep alive."""
     # the closed form minimizes f alone, so it serves only when phi = f
     segment_min = problem.objective.segment_min if problem.composite is None else None
     # every trial point x + t * d of every row is written into one array, made
@@ -276,8 +280,8 @@ def _searcher(problem: Problem, rule: LineSearch
         np.multiply(d, t, out=point)
         return problem.phi(np.add(x, point, out=point))
 
-    def searched(k: int, x: Vector, grad: Vector, d: Vector) -> tuple[float, Vector]:
-        gamma_star = None if segment_min is None else segment_min(x, d, grad)
+    def searched(k: int, x: Vector, slope: float, d: Vector) -> tuple[float, Vector]:
+        gamma_star = None if segment_min is None else segment_min(slope, d)
         try:
             gamma_k = line_search(lambda t: phi_along(x, d, t), rule, gamma_star)
         except ValueError as exc:
@@ -305,11 +309,13 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
     A row works in place where the arithmetic allows it: d = x_bar - x is
     written into the fresh array the oracle returned and a Frank-Wolfe step
     writes x_{k+1} into d, so an open-loop row holds three n-vectors (x, the
-    gradient and d, then x, d and x_{k+1} - x), and a line search writes its
-    trial points into one more. Each value is the same bits as the
-    out-of-place expression. The loop never writes into x, so a C-contiguous
-    float64 x0 is the first iterate itself, not a copy; `final_x` never shares
-    x0's memory.
+    gradient and d, then x, d and x_{k+1} - x). A line search reads only the
+    slope <grad, d> of the gradient, which the gap already takes, so the
+    gradient is dropped before its first trial point: a line-search row holds
+    x, d, the trial array and `value`'s temporary. Each value is the same bits
+    as the out-of-place expression. The loop never writes into x, so a
+    C-contiguous float64 x0 is the first iterate itself, not a copy; `final_x`
+    never shares x0's memory.
     """
     rule.validate(problem, stop)
     # a strided or non-float64 x0 is converted into a copy
@@ -322,8 +328,8 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
                                      stop.descriptor(), seed)
     # every other rule steps itself; the search stays here, where bench/tracer.py
     # counts it at solver.line_search, until ROADMAP item 1 moves that seam
-    advance = (_searcher(problem, rule) if isinstance(rule, LineSearch)
-               else rule.stepper(problem, stop.max_iter))
+    search = isinstance(rule, LineSearch)
+    advance = _searcher(problem, rule) if search else rule.stepper(problem, stop.max_iter)
 
     composite = problem.composite
     g_x = None
@@ -337,7 +343,9 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
         if not math.isfinite(obj_k):
             raise ValueError(f"objective value is not finite at iteration {k}: {obj_k}")
         grad = problem.objective.grad(x)
-        gap_k, d = _gap(problem, x, grad, g_x)
+        gap_k, slope, d = _gap(problem, x, grad, g_x)
+        if search:  # the slope <grad, d> in the gradient's place, which a search
+            grad = slope  # reads alone: the gradient goes before its first trial
 
         if stop.gap_tol > 0 and gap_k <= stop.gap_tol:
             rows.extend((obj_k, gap_k, 0.0, 0.0))

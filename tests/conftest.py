@@ -48,7 +48,8 @@ def fw_gap(problem, x):
     from fwlab.solver import _gap
 
     g_x = None if problem.composite is None else problem.composite.value(x)
-    return _gap(problem, x, problem.objective.grad(x), g_x)
+    gap, _, d = _gap(problem, x, problem.objective.grad(x), g_x)
+    return gap, d
 
 
 def replay_iterates(problem, x0, trace):

@@ -112,8 +112,8 @@ def test_criterion_03_scalar_power_curvature_exact_and_divergent():
     t0 = time.perf_counter()
     obj = make_t_alpha(1.5)
     fs = Box(1, np.array([0.0]), np.array([1.0]))
-    est = estimate_curvature(obj, fs, sigma=1.5, n_samples=200, seed=3)
-    probe = probe_curvature_divergence(obj, fs, sigma=2.0)
+    est = estimate_curvature(Problem(fs, obj), sigma=1.5, n_samples=200, seed=3)
+    probe = probe_curvature_divergence(Problem(fs, obj), sigma=2.0)
     exact_ok = abs(est.sampled_value - 1.5) <= 1e-9
     ok = exact_ok and probe > 1e3
     _finish(3, "matched-order curvature of t^1.5 is the exponent, order 2 diverges",
@@ -130,7 +130,7 @@ def test_criterion_04_open_loop_bound_with_sampled_constants():
         trace = solve(Problem(fs, obj), Harmonic(2.0),
                       x0=np.array([1.0, 0.0, 0.0, 0.0, 0.0]),
                       stop=StopRule(max_iter=10_000))
-        est = estimate_curvature(obj, fs, sigma, n_samples=400, seed=7)
+        est = estimate_curvature(Problem(fs, obj), sigma, n_samples=400, seed=7)
         c_sigma = 1.2 * est.sampled_value
         # Delta = max(theta0, C_sigma/sigma); the optimum is 0 at the interior anchor
         bound = OpenLoopOrderSigma(sigma=sigma, assemble={"C_sigma": c_sigma})

@@ -51,13 +51,13 @@ def test_scalar_power_curvature_is_the_exponent_exactly():
     # exponent itself, so the estimate is exact, not approximate
     obj = make_t_alpha(1.5)
     fs = Box(1, np.array([0.0]), np.array([1.0]))
-    est = estimate_curvature(obj, fs, sigma=1.5, n_samples=64, seed=0)
+    est = estimate_curvature(Problem(fs, obj), sigma=1.5, n_samples=64, seed=0)
     assert est.sampled_value == pytest.approx(1.5, abs=1e-12)
 
 
 def test_quadratic_curvature_reaches_squared_diameter():
     fs = Simplex(3)
-    est = estimate_curvature(make_quadratic(np.zeros(3)), fs, sigma=2.0,
+    est = estimate_curvature(Problem(fs, make_quadratic(np.zeros(3))), sigma=2.0,
                              n_samples=128, seed=0)
     # vertices pairs are included: the supremum ||s-x||^2 = 2 is attained
     assert est.sampled_value == pytest.approx(2.0, abs=1e-9)
@@ -70,7 +70,7 @@ def test_curvature_estimate_is_prefix_monotone_in_samples():
     obj = make_quadratic(np.array([0.2, -0.1, 0.3]))
     prev = 0.0
     for n in [16, 64, 256]:
-        est = estimate_curvature(obj, fs, sigma=2.0, n_samples=n, seed=42)
+        est = estimate_curvature(Problem(fs, obj), sigma=2.0, n_samples=n, seed=42)
         assert est.sampled_value >= prev
         prev = est.sampled_value
 
@@ -79,26 +79,36 @@ def test_gamma_grid_must_live_in_unit_interval_and_include_one():
     fs = Simplex(2)
     obj = make_quadratic(np.zeros(2))
     with pytest.raises(ValueError):
-        estimate_curvature(obj, fs, sigma=2.0, gamma_grid=[0.5, 2.0, 1.0])
+        estimate_curvature(Problem(fs, obj), sigma=2.0, gamma_grid=[0.5, 2.0, 1.0])
     with pytest.raises(ValueError):
-        estimate_curvature(obj, fs, sigma=2.0, gamma_grid=[0.1, 0.5])
+        estimate_curvature(Problem(fs, obj), sigma=2.0, gamma_grid=[0.1, 0.5])
     assert DEFAULT_GAMMA_GRID[-1] == 1.0
     assert len(DEFAULT_GAMMA_GRID) == 14
 
 
 def test_divergence_probe_blows_up_only_for_unbounded_curvature():
     fs = Box(1, np.array([0.0]), np.array([1.0]))
-    value = probe_curvature_divergence(make_t_alpha(1.5), fs, sigma=2.0)
+    value = probe_curvature_divergence(Problem(fs, make_t_alpha(1.5)), sigma=2.0)
     assert value > 1e3
     # order matched to the Holder exponent: bounded; the roundoff-aware depth
     # cap keeps amplified float noise from faking a divergence
-    value = probe_curvature_divergence(make_t_alpha(1.5), fs, sigma=1.5)
+    value = probe_curvature_divergence(Problem(fs, make_t_alpha(1.5)), sigma=1.5)
     assert 1.5 - 1e-9 <= value <= 1.7
     fs3 = Simplex(3)
-    value = probe_curvature_divergence(make_quadratic(np.zeros(3)), fs3,
-                                       sigma=2.0)
+    value = probe_curvature_divergence(Problem(fs3, make_quadratic(np.zeros(3))), sigma=2.0)
     assert 2.0 - 1e-9 <= value < 1e3
 
+
+
+def test_curvature_estimates_take_the_problem_that_fitted_the_objective():
+    # an objective and a set given apart skipped the fit: a b of the wrong
+    # length reached the sampler and died on numpy's broadcast error
+    with pytest.raises(ValueError, match=r"^'b' has shape \(2,\), set dimension is 3$"):
+        estimate_curvature(Problem(Simplex(3), make_quadratic([0.0, 1.0])), 2.0)
+    problem = Problem(Simplex(3), make_quadratic([0.0, 1.0, 0.0]))
+    assert estimate_curvature(problem, 2.0, n_samples=8).sampled_value == \
+        pytest.approx(2.0, abs=1e-9)
+    assert 2.0 - 1e-9 <= probe_curvature_divergence(problem, 2.0, n_samples=8) < 1e3
 
 
 def _curvature_term(obj, x, s, gamma, sigma):
@@ -159,7 +169,8 @@ def _curvature_cases(draw):
 @example(case=(make_quadratic(np.array([0.0])), Simplex(1), 2.0, None), n_samples=1, seed=0)
 def test_curvature_estimate_equals_the_per_gamma_reference(case, n_samples, seed):
     obj, fs, sigma, grid = case
-    est = estimate_curvature(obj, fs, sigma, n_samples=n_samples, gamma_grid=grid, seed=seed)
+    est = estimate_curvature(Problem(fs, obj), sigma, n_samples=n_samples, gamma_grid=grid,
+                             seed=seed)
     want = _reference_curvature(obj, fs, sigma, n_samples,
                                 DEFAULT_GAMMA_GRID if grid is None else grid, seed)
     assert est.sampled_value == want
@@ -174,7 +185,7 @@ def test_curvature_estimate_takes_one_gradient_per_pair():
         grad=lambda x: grads.append(1) or objective.grad(x),
         value=lambda x: values.append(1) or objective.value(x))
     grid = [0.01, 0.1, 0.5, 1.0]
-    estimate_curvature(counted, fs, sigma=2.0, n_samples=10, gamma_grid=grid, seed=3)
+    estimate_curvature(Problem(fs, counted), sigma=2.0, n_samples=10, gamma_grid=grid, seed=3)
     pairs = 10 + 8 * 7  # the random pairs and the ordered pairs of 8 vertices
     assert len(grads) == pairs
     assert len(values) == pairs * (len(grid) + 1)
@@ -186,7 +197,7 @@ def test_curvature_estimate_holds_one_pair_at_a_time():
     obj = make_quadratic(np.zeros(n))
     tracemalloc.start()
     try:
-        estimate_curvature(obj, fs, sigma=2.0, n_samples=256, seed=0)
+        estimate_curvature(Problem(fs, obj), sigma=2.0, n_samples=256, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -214,7 +225,7 @@ def test_holder_curvature_bound_is_zero_on_a_one_point_set():
                          ids=["simplex_1", "one_vertex"])
 def test_curvature_estimate_of_a_one_point_set_is_zero(fs):
     obj = make_quadratic(np.full(fs.dim, 0.3))
-    est = estimate_curvature(obj, fs, sigma=2.0, n_samples=8, seed=1)
+    est = estimate_curvature(Problem(fs, obj), sigma=2.0, n_samples=8, seed=1)
     assert est.sampled_value == 0.0
     assert est.holder_upper_bound == 0.0
 

@@ -415,7 +415,7 @@ def test_nesterov_max_off_the_disc_needs_an_explicit_opt():
     *(({"kind": "bound-domination", "opt": 0.0,
         "bound": {"kind": "open_loop_order_sigma", "sigma": 1.5,
                   "assemble": {"inflate": inflate, "n_samples": 10, "seed": 0}}},
-       f"'inflate' must be >= 1, got {inflate!r}") for inflate in (0.5, 0, -1)),
+       f"bound: assemble: 'inflate' must be >= 1, got {inflate!r}") for inflate in (0.5, 0, -1)),
     # k_min + offset <= 0 divides by zero (-inf slack) or makes the floor vacuous
     *(({"kind": "lower-bound", "opt": 0.0, "coeff": 0.25, "offset": offset,
         "k_min": 1, "k_max": 49}, f"'offset' must be > -k_min = -1, got {offset!r}")
@@ -493,7 +493,7 @@ def _mistyped_checks():
             if type(good) in (int, float):
                 bads += [math.inf, math.nan]  # JSON's Infinity and NaN
             for bad in bads:
-                yield pytest.param(desc, _with(desc, path, bad), path[-1],
+                yield pytest.param(desc, _with(desc, path, bad), path,
                                    id=f"{desc['kind']}-{'.'.join(path)}={bad!r}")
     # the inputs that used to pass validation, escape it as a TypeError, or
     # run on a coerced or out-of-range value
@@ -519,7 +519,7 @@ def _mistyped_checks():
         ("curvature-divergence", ("threshold",), -1.0),
     ]:
         desc = first(kind, path)
-        yield pytest.param(desc, _with(desc, path, bad), path[-1],
+        yield pytest.param(desc, _with(desc, path, bad), path,
                            id=f"reported-{kind}-{'.'.join(path)}={bad!r}")
 
 
@@ -534,10 +534,16 @@ def _box_composite_raw(check):
     return raw
 
 
-@pytest.mark.parametrize("valid, check, field", _mistyped_checks())
-def test_validate_rejects_a_mistyped_check_field_by_name(valid, check, field):
+def _nested_at(path) -> str:
+    """The prefix an error at path carries: each object holding the field."""
+    return "".join(f"{key}: " for key in path[:-1])
+
+
+@pytest.mark.parametrize("valid, check, path", _mistyped_checks())
+def test_validate_rejects_a_mistyped_check_field_by_name(valid, check, path):
     validate_spec(parse_spec(_box_composite_raw(valid)))
-    with pytest.raises(ValueError, match=rf"smoke: checks\[0\]: '{field}' must be "):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"smoke: checks[0]: {_nested_at(path)}'{path[-1]}' must be ")):
         validate_spec(parse_spec(_box_composite_raw(check)))
 
 
@@ -552,8 +558,37 @@ def test_validate_rejects_a_negative_seed_by_name(kind, path):
                  if desc["kind"] == kind and path in set(_field_paths(desc)))
     validate_spec(parse_spec(_box_composite_raw(_with(valid, path, 0))))
     with pytest.raises(ValueError, match="^" + re.escape(
-            "smoke: checks[0]: 'seed' must be a non-negative integer, got -1") + "$"):
+            f"smoke: checks[0]: {_nested_at(path)}'seed' must be a non-negative integer, "
+            "got -1") + "$"):
         validate_spec(parse_spec(_box_composite_raw(_with(valid, path, -1))))
+
+
+_OPEN_LOOP_SAMPLED = {"kind": "open_loop_order_sigma", "sigma": 1.5,
+                      "assemble": {"inflate": 1.2, "n_samples": 10, "seed": 0}}
+
+
+@pytest.mark.parametrize("bound, err", [
+    ({"kind": "harmonic_classic", "C_f": 4.0, "zz": 1}, "bound: unknown fields ['zz']"),
+    ({"kind": "harmonic_upper", "C_f": 4.0}, "bound: unknown bound kind 'harmonic_upper'"),
+    ({"kind": "harmonic_classic", "C_f": -1.0},
+     "bound: 'C_f' must be a finite positive number, got -1.0"),
+    (_with(_OPEN_LOOP_SAMPLED, ("assemble", "zz"), 1), "bound: assemble: unknown fields ['zz']"),
+    # an assemble object's shape is its kind, so one that names a kind is unknown
+    (_with(_OPEN_LOOP_SAMPLED, ("assemble",), {"kind": "given", "C_sigma": 4.0}),
+     "bound: assemble: unknown fields ['kind']"),
+    (_with(_OPEN_LOOP_SAMPLED, ("assemble", "inflate"), 0.5),
+     "bound: assemble: 'inflate' must be >= 1, got 0.5"),
+], ids=["bound-unknown-field", "bound-unknown-kind", "bound-out-of-range",
+        "assemble-unknown-field", "assemble-unknown-kind", "assemble-out-of-range"])
+def test_an_error_inside_a_nested_check_object_names_that_object(bound, err):
+    # each once read "smoke: checks[0]: ..." with no object named, the same
+    # text as a fault on the check itself
+    check = {"kind": "bound-domination", "opt": 0.0, "bound": bound}
+    with pytest.raises(ValueError, match="^" + re.escape(f"smoke: checks[0]: {err}") + "$"):
+        validate_spec(parse_spec(_box_composite_raw(check)))
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "smoke: checks[0]: unknown fields ['zz']") + "$"):
+        validate_spec(parse_spec(_box_composite_raw({**check, "zz": 1})))
 
 
 # where a key lands in a spec, and the section its error names
@@ -566,7 +601,7 @@ _KEY_SECTIONS = {
     "rule": (("rule",), "smoke: rule: "),
     "stop": (("stop",), "smoke: stop: "),
     "check": (("checks", 0), "smoke: checks[0]: "),
-    "bound": (("checks", 0, "bound"), "smoke: checks[0]: "),
+    "bound": (("checks", 0, "bound"), "smoke: checks[0]: bound: "),
 }
 
 

@@ -114,7 +114,8 @@ def test_quadratic_value_and_segment_step_are_bitwise_the_matmul_forms(entries):
     b, x, d = (np.array(column) for column in zip(*entries))
     f = make_quadratic(b)
     grad = f.grad(x)
-    value, gamma = f.value(x), f.segment_min(x, d, grad)
+    # the slope as solver._gap takes it, for the gap and the search alike
+    value, gamma = f.value(x), f.segment_min(float(grad.dot(d)), d)
     # plain floats: an np.float64 here turns check verdicts into np.bool_
     assert type(value) is float and type(gamma) is float
     r = x - b

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -380,6 +381,62 @@ def test_line_search_failure_carries_iteration_context():
               stop=StopRule(max_iter=5))
 
 
+def test_a_line_search_row_holds_one_n_vector_more_than_an_open_loop_row():
+    # an open-loop row holds x, the gradient and d; a line-search row holds x,
+    # d, the trial array and value's x - b. With the gradient kept through the
+    # search it held two n-vectors more than the open-loop row, not one
+    n = 20_000
+    rng = np.random.default_rng(0)
+    half = rng.uniform(0.5, 1.5, n)
+    fs = Box(n, -half, half)
+    problem = Problem(fs, make_quadratic(rng.standard_normal(n)))
+    x0 = fs.lmo(np.ones(n))
+    stop = StopRule(max_iter=5)
+
+    def peak_bytes(rule):
+        solve(problem, rule, x0=x0, stop=stop)  # first calls' caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            trace = solve(problem, rule, x0=x0, stop=stop)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(trace.rows) == 6
+        return peak
+
+    assert peak_bytes(LineSearch()) <= peak_bytes(Harmonic(2.0)) + 1.1 * 8 * n
+
+
+@pytest.mark.parametrize("objective, composite", [
+    (make_quadratic(np.array([2.0, -1.0, 0.5])), None),
+    (make_quadratic(np.array([2.0, -1.0, 0.5])), CompositePart(0.5)),
+    (make_power_norm(1.5, np.array([2.0, -1.0, 0.5])), None),
+], ids=["closed-form", "golden-section-composite", "golden-section-power-norm"])
+def test_a_line_search_drops_each_rows_gradient_before_its_trials(objective, composite):
+    # the search reads only the slope <grad, d>: no row's gradient may be
+    # alive at any value call, the row's own and the search's trials alike
+    gradients, alive = [], []
+
+    def grad(x):
+        g = objective.grad(x)
+        gradients.append(weakref.ref(g))
+        return g
+
+    def value(x):
+        alive.append(sum(ref() is not None for ref in gradients))
+        return objective.value(x)
+
+    watched = dataclasses.replace(objective, value=value, grad=grad)
+    problem = Problem(L2Ball(3, 1.0), watched, composite)
+    trace = solve(problem, LineSearch(), x0=np.array([0.0, 1.0, 0.0]),
+                  stop=StopRule(max_iter=10))
+    # one value call a row, and at least three a search on every row but the last
+    assert len(alive) >= len(trace.rows) + 3 * (len(trace.rows) - 1)
+    assert len(gradients) == len(trace.rows)
+    assert set(alive) == {0}
+
+
 # --- gap ----------------------------------------------------------------------------
 
 def test_gap_certifies_suboptimality_on_convex_problems():
@@ -442,10 +499,12 @@ def test_gap_is_bitwise_the_product_with_x_minus_x_bar(kind, entries, at_x_bar, 
         g_x = composite.value(x)
         want = want + g_x - composite.value(x_bar)
     x_arg, grad_arg = x.copy(), grad.copy()
-    gap, d = _gap(problem, x, grad, g_x)
-    assert type(gap) is float
+    gap, slope, d = _gap(problem, x, grad, g_x)
+    assert type(gap) is float and type(slope) is float
     assert np.float64(gap).tobytes() == np.float64(want).tobytes()
     assert d.tobytes() == (x_bar - x).tobytes()
+    # the slope a line search reads in the gradient's place
+    assert np.float64(slope).tobytes() == np.float64(float(grad.dot(d))).tobytes()
     # d is written into the oracle's answer, never into an argument
     assert x.tobytes() == x_arg.tobytes() and grad.tobytes() == grad_arg.tobytes()
 
