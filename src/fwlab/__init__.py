@@ -11,7 +11,12 @@ from .geometry import (
 )
 from .objectives import (
     CompositePart,
+    Linear,
+    NesterovMax,
     Objective,
+    PowerNorm,
+    Quadratic,
+    TAlpha,
     composite_from_descriptor,
     make_linear,
     make_nesterov_max,

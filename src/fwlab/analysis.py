@@ -25,6 +25,8 @@ DEFAULT_GAMMA_GRID: tuple[float, ...] = tuple(np.logspace(-3.0, -0.5, 13)) + (1.
 
 _EXTREME_PAIR_CAP = 24  # at most this many extreme points enter the pair augmentation
 
+_MAX_DEPTH = 12  # the divergence probe's finest gamma grid reaches down to 10^-12
+
 
 @dataclass(frozen=True)
 class CurvatureEstimate:
@@ -129,7 +131,6 @@ def probe_curvature_divergence(
     problem: Problem,
     sigma: float,
     threshold: float = 1e3,
-    max_depth: int = 12,
     n_samples: int = 64,
     seed: int = 0,
 ) -> float:
@@ -148,7 +149,7 @@ def probe_curvature_divergence(
     eps = float(np.finfo(float).eps)
     noise_depth = int(math.log10(0.01 * threshold / (sigma * eps)) / sigma)
     best = 0.0
-    for depth in range(3, min(max_depth, noise_depth) + 1):
+    for depth in range(3, min(_MAX_DEPTH, noise_depth) + 1):
         grid = list(np.logspace(-float(depth), -0.5, 2 * depth)) + [1.0]
         est = estimate_curvature(problem, sigma,
                                  n_samples=n_samples, gamma_grid=grid, seed=seed)

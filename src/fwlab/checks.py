@@ -138,11 +138,26 @@ class BoundDomination(_AgainstOptimum):
 
 class _Window(_AgainstOptimum):
     """A check of suboptimality on the rows k_min..k_max, a range a subclass
-    declares among its fields."""
+    declares among its fields. It fails unless the trace holds every row of
+    that range: a part of it would pass on rows the check never saw."""
 
     def check_values(self):
         if self.k_min > self.k_max:
             raise ValueError("'k_min' must be <= 'k_max'")
+
+    def evaluate(self, ctx):
+        opt = self.optimum(ctx.problem)
+        k_min, k_max = self.k_min, self.k_max
+        ks, rows = _window(ctx.trace, k_min, k_max)
+        if len(ks) < (k_max - k_min + 1):
+            return CheckResult(self.kind, False,
+                               measured=f"trace covers {len(ks)} of the k range",
+                               required=f"all k in [{k_min}, {k_max}]")
+        return self.judge(ctx.trace.objs[rows] - opt, ks)
+
+    def judge(self, gaps, ks) -> CheckResult:
+        """The verdict on the suboptimality gaps of rows ks, the whole range."""
+        raise NotImplementedError
 
 
 class LowerBound(_Window):
@@ -158,15 +173,8 @@ class LowerBound(_Window):
         if self.k_min + self.offset <= 0:  # the floor coeff / (k + offset) must be finite, > 0
             raise ValueError(f"'offset' must be > -k_min = {-self.k_min}, got {self.offset!r}")
 
-    def evaluate(self, ctx):
-        opt = self.optimum(ctx.problem)
-        k_min, k_max = self.k_min, self.k_max
-        ks, rows = _window(ctx.trace, k_min, k_max)
-        if len(ks) < (k_max - k_min + 1):
-            return CheckResult(self.kind, False,
-                               measured=f"trace covers {len(ks)} of the k range",
-                               required=f"all k in [{k_min}, {k_max}]")
-        slack = (ctx.trace.objs[rows] - opt) - (self.coeff / (ks + self.offset) - self.tol)
+    def judge(self, gaps, ks):
+        slack = gaps - (self.coeff / (ks + self.offset) - self.tol)
         worst = float(slack.min())
         worst_k = int(ks[np.argmin(slack)])
         return CheckResult(self.kind, worst >= 0.0,
@@ -210,11 +218,9 @@ class NonConvergenceMargin(_Window):
     k_min: int
     k_max: int
 
-    def evaluate(self, ctx):
-        opt = self.optimum(ctx.problem)
-        gaps = ctx.trace.objs[_window(ctx.trace, self.k_min, self.k_max)[1]] - opt
-        measured = float(gaps.min()) if gaps.size else float("nan")
-        return CheckResult(self.kind, bool(gaps.size) and measured >= self.margin,
+    def judge(self, gaps, ks):
+        measured = float(gaps.min())
+        return CheckResult(self.kind, measured >= self.margin,
                            measured=f"min suboptimality over k range {measured:.6g}",
                            required=f">= {self.margin:g}")
 

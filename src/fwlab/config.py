@@ -43,7 +43,7 @@ class ExperimentSpec(Tagged):
         if self.problem is not None:
             try:
                 read(self.problem, {"set": "object", "objective": "object",
-                                    "composite": "Section | None"}, False)
+                                    "composite": "Section | None"})
             except ValueError as exc:
                 raise ValueError(f"problem: {exc}") from None
         solving_parts = {"rule": self.rule, "x0": self.x0, "stop": self.stop}

@@ -1,12 +1,14 @@
 """Differentiable convex test objectives, each a function of x alone.
 
-Each factory returns an immutable Objective bundling evaluation, gradient,
-optional smoothness metadata (the gradient's Holder constant, a Lipschitz
-constant where nu = 1), where it has a closed form the minimizer of the
-objective along a segment, and `fit`, which `Problem` calls to place it on
-its feasible set. A factory keeps a read-only float64 copy of its
-vector data (b or c), so a caller's later write cannot change the objective
-behind its descriptor, which hands out that same array.
+Each kind is a read-only `Tagged` section whose fields are its spec's, so a
+Python call gets a spec's checks. Its methods are evaluation, gradient, where
+it has a closed form the minimizer of the objective along a segment, and
+`fit`, which `Problem` calls to place it on its feasible set; `holder` is the
+gradient's Holder constant (a Lipschitz constant where nu = 1), where known.
+`objective()` gives them as the `Objective` record a `Problem` holds. A kind
+keeps a read-only float64 copy of its vector data (b or c), so a caller's
+later write cannot change the objective behind its descriptor, which hands
+out that same array.
 
 The scalar t^alpha objective is defined on t >= 0 only, and does not fit a
 set that reaches below 0. The nonsmooth max objective carries a pointwise
@@ -22,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import FeasibleSet, L2Ball, Vector, finite_vector, fit_shape, l2_norm
-from .schema import Positive, Tagged, build, kind_of, kinds, read, typed
+from .schema import Order, Positive, Tagged, build, kinds
 from .stepsize import line_search_quadratic_exact
 
 
@@ -41,7 +43,8 @@ class HolderInfo:
 
 @dataclass(frozen=True)
 class Objective:
-    """An objective and what is known about it.
+    """An objective and what is known about it, as the callables a `Problem`
+    holds; a caller may swap one with `dataclasses.replace`.
 
     `segment_min(slope, d)`, when set, is the exact minimizer over gamma in
     [0,1] of f(x + gamma d), given the slope <f'(x), d>. It takes no x and no
@@ -54,13 +57,22 @@ class Objective:
 
     value: Callable[[Vector], float]
     grad: Callable[[Vector], Vector]
-    descriptor_dict: dict
+    descriptor: Callable[[], dict]
     fit: Callable[[FeasibleSet], Callable[[], Vector | None]]
     holder: HolderInfo | None = None
     segment_min: Callable[[float, Vector], float] | None = None
 
-    def descriptor(self) -> dict:
-        return self.descriptor_dict
+
+class _Kind(Tagged):
+    """Base of the objective kinds: each fills in `value`, `grad` and `fit`."""
+
+    holder = None
+    segment_min = None
+
+    def objective(self) -> Objective:
+        """The record of this section's bound methods."""
+        return Objective(self.value, self.grad, self.descriptor, self.fit,
+                         self.holder, self.segment_min)
 
 
 class CompositePart(Tagged):
@@ -78,29 +90,35 @@ def _optimum_if_inside(b: Vector, feasible_set: FeasibleSet) -> Vector | None:
     return b.copy() if feasible_set.contains(b, 0.0) else None
 
 
-def make_quadratic(b) -> Objective:
+class Quadratic(_Kind):
     """f(x) = 0.5 * ||x - b||^2, gradient x - b, 1-Lipschitz and 1-strongly convex.
 
     On a set that supports projection, the optimum is the projection of b
     (exact for this objective), e.g. b=0 on the d-simplex gives
     x* = (1/d, ..., 1/d) and f* = 1/(2d).
     """
-    b = finite_vector("b", b)
 
-    def value(x: Vector) -> float:
-        d = x - b
+    kind = "quadratic"
+    b: Vector
+    holder = HolderInfo(1.0, 1.0)  # exactly 1-Lipschitz, a true constant
+
+    def check_values(self):
+        object.__setattr__(self, "b", finite_vector("b", self.b))
+
+    def value(self, x: Vector) -> float:
+        d = x - self.b
         return 0.5 * float(d.dot(d))
 
-    def grad(x: Vector) -> Vector:
-        return x - b
+    def grad(self, x: Vector) -> Vector:
+        return x - self.b
 
-    def segment_min(slope: float, d: Vector) -> float:
+    def segment_min(self, slope: float, d: Vector) -> float:
         # f(x + gamma d) = f(x) + gamma slope + 0.5 gamma^2 ||d||^2, slope = <grad, d>
         # .dot may give -0.0 where @ gives +0.0 (n = 1); the step is the same
         return line_search_quadratic_exact(slope, float(d.dot(d)))
 
-    def fit(feasible_set: FeasibleSet):
-        fit_shape("b", b, feasible_set.dim)
+    def fit(self, feasible_set: FeasibleSet):
+        b = fit_shape("b", self.b, feasible_set.dim)
 
         def optimum():
             try:
@@ -109,16 +127,8 @@ def make_quadratic(b) -> Objective:
                 return _optimum_if_inside(b, feasible_set)
         return optimum
 
-    return Objective(
-        value, grad,
-        holder=HolderInfo(1.0, 1.0),  # exactly 1-Lipschitz, a true constant
-        descriptor_dict={"kind": "quadratic", "b": b},
-        fit=fit,
-        segment_min=segment_min,
-    )
 
-
-def make_power_norm(sigma: float, b) -> Objective:
+class PowerNorm(_Kind):
     """f(x) = ||x - b||_2^sigma for sigma in (1, 2].
 
     grad(x) = sigma * ||x-b||^(sigma-2) * (x-b), set to 0 at x = b (f is
@@ -126,29 +136,28 @@ def make_power_norm(sigma: float, b) -> Objective:
     (sigma-1)-Holder; the constant is left unset until estimated on a
     concrete set.
     """
-    typed("sigma", "Order", sigma)
-    b = finite_vector("b", b)
 
-    def value(x: Vector) -> float:
-        return l2_norm(x - b) ** sigma
+    kind = "power_norm"
+    sigma: Order
+    b: Vector
 
-    def grad(x: Vector) -> Vector:
-        d = x - b
+    def check_values(self):
+        object.__setattr__(self, "b", finite_vector("b", self.b))
+        object.__setattr__(self, "holder", HolderInfo(self.sigma - 1.0, None))
+
+    def value(self, x: Vector) -> float:
+        return l2_norm(x - self.b) ** self.sigma
+
+    def grad(self, x: Vector) -> Vector:
+        d = x - self.b
         n = l2_norm(d)
         if n == 0.0:
             return np.zeros_like(d)
-        return sigma * n ** (sigma - 2.0) * d
+        return self.sigma * n ** (self.sigma - 2.0) * d
 
-    def fit(feasible_set: FeasibleSet):
-        fit_shape("b", b, feasible_set.dim)
+    def fit(self, feasible_set: FeasibleSet):
+        b = fit_shape("b", self.b, feasible_set.dim)
         return lambda: _optimum_if_inside(b, feasible_set)
-
-    return Objective(
-        value, grad,
-        holder=HolderInfo(sigma - 1.0, None),
-        fit=fit,
-        descriptor_dict={"kind": "power_norm", "sigma": sigma, "b": b},
-    )
 
 
 def _of_dimension(kind: str, dim: int, feasible_set: FeasibleSet) -> None:
@@ -158,7 +167,7 @@ def _of_dimension(kind: str, dim: int, feasible_set: FeasibleSet) -> None:
                          f"set dimension is {feasible_set.dim}")
 
 
-def make_t_alpha(alpha: float) -> Objective:
+class TAlpha(_Kind):
     """One-dimensional f(t) = t^alpha on t >= 0 for alpha in (1, 2).
 
     The gradient alpha * t^(alpha-1) is (alpha-1)-Holder with constant alpha,
@@ -167,32 +176,31 @@ def make_t_alpha(alpha: float) -> Objective:
     increasing, so the optimum is the set's lowest point; it does not fit a
     set that reaches below 0, where t^alpha is complex.
     """
-    if not 1.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
 
-    def value(x: Vector) -> float:
-        return float(x[0]) ** alpha
+    kind = "t_alpha"
+    alpha: float
 
-    def grad(x: Vector) -> Vector:
-        return np.array([alpha * float(x[0]) ** (alpha - 1.0)])
+    def check_values(self):
+        if not 1.0 < self.alpha < 2.0:
+            raise ValueError(f"alpha must lie in (1, 2), got {self.alpha}")
+        object.__setattr__(self, "holder", HolderInfo(self.alpha - 1.0, self.alpha))
 
-    def fit(feasible_set: FeasibleSet):
-        _of_dimension("t_alpha", 1, feasible_set)
+    def value(self, x: Vector) -> float:
+        return float(x[0]) ** self.alpha
+
+    def grad(self, x: Vector) -> Vector:
+        return np.array([self.alpha * float(x[0]) ** (self.alpha - 1.0)])
+
+    def fit(self, feasible_set: FeasibleSet):
+        _of_dimension(self.kind, 1, feasible_set)
         lowest = feasible_set.lmo(np.ones(1))
         if lowest[0] < 0.0:
             raise ValueError(f"t_alpha is defined on t >= 0; the set reaches "
                              f"t = {float(lowest[0])!r}")
         return lambda: lowest
 
-    return Objective(
-        value, grad,
-        holder=HolderInfo(alpha - 1.0, alpha),
-        fit=fit,
-        descriptor_dict={"kind": "t_alpha", "alpha": alpha},
-    )
 
-
-def make_nesterov_max() -> Objective:
+class NesterovMax(_Kind):
     """f(x) = max(x[0], x[1]) on R^2 with a pointwise gradient selection.
 
     grad = (1,0) where x[0] > x[1], (0,1) where x[0] < x[1], and (1,0) on the
@@ -201,66 +209,73 @@ def make_nesterov_max() -> Objective:
     x* = -r * (1/sqrt2, 1/sqrt2) with value -r/sqrt2; on any other set it is
     unknown. Convex but nondifferentiable: gap certificates do not apply.
     """
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
 
-    def value(x: Vector) -> float:
+    kind = "nesterov_max"
+
+    def value(self, x: Vector) -> float:
         return float(max(x[0], x[1]))
 
-    def grad(x: Vector) -> Vector:
+    def grad(self, x: Vector) -> Vector:
         if x[0] >= x[1]:
             return np.array([1.0, 0.0])
         return np.array([0.0, 1.0])
 
-    def fit(feasible_set: FeasibleSet):
-        _of_dimension("nesterov_max", 2, feasible_set)
+    def fit(self, feasible_set: FeasibleSet):
+        _of_dimension(self.kind, 2, feasible_set)
         disc = isinstance(feasible_set, L2Ball)
+        inv_sqrt2 = 1.0 / np.sqrt(2.0)
         return lambda: np.full(2, -feasible_set.radius * inv_sqrt2) if disc else None
 
-    return Objective(
-        value, grad,
-        fit=fit,
-        descriptor_dict={"kind": "nesterov_max"},
-    )
+
+class Linear(_Kind):
+    """f(x) = <c, x> with constant gradient c. It fits no set with c = 0
+    (no sharp minimum)."""
+
+    kind = "linear"
+    c: Vector
+
+    def check_values(self):
+        object.__setattr__(self, "c", finite_vector("c", self.c))
+
+    def value(self, x: Vector) -> float:
+        return float(self.c @ x)
+
+    def grad(self, x: Vector) -> Vector:
+        return self.c.copy()
+
+    def fit(self, feasible_set: FeasibleSet):
+        fit_shape("c", self.c, feasible_set.dim)
+        if not np.any(self.c != 0.0):
+            raise ValueError("c must be nonzero")
+        return lambda: feasible_set.lmo(self.c)
+
+
+def make_quadratic(b) -> Objective:
+    return Quadratic(b).objective()
+
+
+def make_power_norm(sigma: float, b) -> Objective:
+    return PowerNorm(sigma, b).objective()
+
+
+def make_t_alpha(alpha: float) -> Objective:
+    return TAlpha(alpha).objective()
+
+
+def make_nesterov_max() -> Objective:
+    return NesterovMax().objective()
 
 
 def make_linear(c) -> Objective:
-    """f(x) = <c, x> with constant gradient c. It fits no set with c = 0
-    (no sharp minimum)."""
-    c = finite_vector("c", c)
-
-    def value(x: Vector) -> float:
-        return float(c @ x)
-
-    def grad(x: Vector) -> Vector:
-        return c.copy()
-
-    def fit(feasible_set: FeasibleSet):
-        fit_shape("c", c, feasible_set.dim)
-        if not np.any(c != 0.0):
-            raise ValueError("c must be nonzero")
-        return lambda: feasible_set.lmo(c)
-
-    return Objective(
-        value, grad,
-        fit=fit,
-        descriptor_dict={"kind": "linear", "c": c},
-    )
+    return Linear(c).objective()
 
 
-_OBJECTIVE_KINDS = {
-    "quadratic": (make_quadratic, {"b": "Vector"}),
-    "power_norm": (make_power_norm, {"sigma": "Order", "b": "Vector"}),
-    "t_alpha": (make_t_alpha, {"alpha": "float"}),
-    "nesterov_max": (make_nesterov_max, {}),
-    "linear": (make_linear, {"c": "Vector"}),
-}
-
+_OBJECTIVE_KINDS = kinds(Quadratic, PowerNorm, TAlpha, NesterovMax, Linear)
 _COMPOSITE_KINDS = kinds(CompositePart)
 
 
 def objective_from_descriptor(desc: dict) -> Objective:
-    factory, types = kind_of(desc, _OBJECTIVE_KINDS, "objective")
-    return factory(**read(desc, types))
+    return build(desc, _OBJECTIVE_KINDS, "objective").objective()
 
 
 def composite_from_descriptor(desc: dict | None) -> CompositePart | None:

@@ -61,12 +61,11 @@ def typed(name: str, typ: str, v):
     return v
 
 
-def read(desc, types: dict, tagged: bool = True) -> dict:
-    """The fields of desc, each checked against its type in `types`; a tagged
-    descriptor's 'kind' is not one of them."""
+def read(desc, types: dict) -> dict:
+    """The fields of desc, each checked against its type in `types`."""
     if not isinstance(desc, dict):
         raise ValueError(f"must be an object, got {_show(desc)}")
-    unknown = desc.keys() - types.keys() - ({"kind"} if tagged else set())
+    unknown = desc.keys() - types.keys()
     if unknown:  # a Python-built spec may hold a key that is not a string
         raise ValueError(f"unknown fields {sorted(unknown, key=str)}")
     missing = {name for name, typ in types.items() if not typ.endswith(" | None")} - desc.keys()
@@ -75,21 +74,15 @@ def read(desc, types: dict, tagged: bool = True) -> dict:
     return {name: typed(name, types[name], v) for name, v in desc.items() if name in types}
 
 
-def kind_of(desc, kinds: dict, what: str):
-    """The entry of `kinds` that desc's 'kind' names."""
+def build(desc, kinds: dict, what: str):
+    """The section desc's 'kind' names in a `kinds` table, built from desc's
+    other fields; the class reads them, so errors name the field."""
     if not isinstance(desc, dict):
         raise ValueError(f"{what} must be an object, got {_show(desc)}")
     kind = desc.get("kind")
     if not isinstance(kind, str) or kind not in kinds:
         raise ValueError(f"unknown {what} kind {kind!r}")
-    return kinds[kind]
-
-
-def build(desc, kinds: dict, what: str):
-    """The section desc's kind names in a `kinds` table, built from desc's
-    other fields; the class reads them, so errors name the field."""
-    cls = kind_of(desc, kinds, what)
-    return cls.from_dict({name: v for name, v in desc.items() if name != "kind"})
+    return kinds[kind].from_dict({name: v for name, v in desc.items() if name != "kind"})
 
 
 # Names for the field types of a section's annotations. A field's
@@ -162,7 +155,7 @@ class Tagged:
         if twice := named.keys() & fields.keys():
             raise ValueError(f"fields given twice {sorted(twice)}")
         nested = self.nested
-        for name, value in read({**named, **fields}, self._types, False).items():
+        for name, value in read({**named, **fields}, self._types).items():
             if name in nested:
                 try:
                     value = nested[name](value)
@@ -177,7 +170,7 @@ class Tagged:
         be, is rejected by `read` with the other unknown fields, where the
         call would raise a TypeError naming neither."""
         if not all(isinstance(name, str) for name in fields):
-            read(fields, cls._types, False)  # raises, as no such key names a field
+            read(fields, cls._types)  # raises, as no such key names a field
         return cls(**fields)
 
     def __setattr__(self, name, value):

@@ -92,14 +92,12 @@ def window_check_by_mask(check, problem, trace):
                 (ks[mask], bvals))
     opt = check.optimum(problem)
     mask = (ks >= check.k_min) & (ks <= check.k_max)
+    if int(mask.sum()) < check.k_max - check.k_min + 1:  # a part of the range
+        return False, f"trace covers {int(mask.sum())} of the k range", None
     if check.kind == "lower-bound":
-        if int(mask.sum()) < check.k_max - check.k_min + 1:
-            return False, f"trace covers {int(mask.sum())} of the k range", None
         slack = (objs[mask] - opt) - (check.coeff / (ks[mask] + check.offset) - check.tol)
         worst = float(slack.min())
         worst_k = int(ks[mask][np.argmin(slack)])
         return worst >= 0.0, f"min slack above floor {worst:.6g} at k={worst_k}", None
-    gaps = objs[mask] - opt
-    measured = float(gaps.min()) if gaps.size else float("nan")
-    return (bool(gaps.size) and measured >= check.margin,
-            f"min suboptimality over k range {measured:.6g}", None)
+    measured = float((objs[mask] - opt).min())
+    return measured >= check.margin, f"min suboptimality over k range {measured:.6g}", None

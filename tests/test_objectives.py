@@ -416,6 +416,31 @@ def test_objective_descriptor_unknown_kind():
         objective_from_descriptor({"kind": "entropy"})
 
 
+@pytest.mark.parametrize("make, kind, fields, message", [
+    (make_quadratic, "quadratic", {"b": [True, 0.0]},
+     "'b' must be a vector of numbers; entry 0 is True"),
+    (make_quadratic, "quadratic", {"b": [1.0, "x"]},
+     "'b' must be a vector of numbers; entry 1 is 'x'"),
+    (make_quadratic, "quadratic", {"b": np.zeros((2, 2))},
+     "'b' must be a vector of numbers, got ndarray"),
+    (make_power_norm, "power_norm", {"sigma": "1.5", "b": [0.0]},
+     "'sigma' must be a number in (1, 2], got '1.5'"),
+    (make_power_norm, "power_norm", {"sigma": 1.5, "b": [False]},
+     "'b' must be a vector of numbers; entry 0 is False"),
+    (make_t_alpha, "t_alpha", {"alpha": "1.5"}, "'alpha' must be a finite number, got '1.5'"),
+    (make_linear, "linear", {"c": [[1.0, 2.0]]},
+     "'c' must be a vector of numbers; entry 0 is list"),
+], ids=["bool-in-b", "string-in-b", "2d-b", "string-sigma", "power-norm-bool-in-b",
+        "string-alpha", "2d-c"])
+def test_each_constructor_rejects_a_mistyped_field_by_name_as_a_spec_does(
+        make, kind, fields, message):
+    with pytest.raises(ValueError) as library:
+        make(**fields)
+    with pytest.raises(ValueError) as spec:
+        objective_from_descriptor({"kind": kind, **fields})
+    assert str(library.value) == str(spec.value) == message
+
+
 # --- gradient regularity samplers ------------------------------------------------------
 
 def test_holder_estimate_quadratic_is_sharp_from_below():

@@ -299,6 +299,22 @@ def test_a_window_ending_below_row_0_is_empty():
     assert ks.tolist() == list(range(11)) and trace.rows[rows].shape == (11, 4)
 
 
+@pytest.mark.parametrize("check", [
+    {"kind": "non-convergence-margin", "margin": 1e-9},
+    {"kind": "lower-bound", "coeff": 1e-9},
+], ids=lambda c: c["kind"])
+def test_a_window_check_fails_on_a_trace_that_covers_part_of_its_range(check, tmp_path):
+    # nesterov_failure stopped at k = 150 holds rows 100..150 of the range
+    # 100..1000, on which a margin of 1e-9 holds
+    spec, _, _ = _canned("nesterov_failure")
+    raw = {**spec.as_dict(), "stop": {"max_iter": 150},
+           "checks": [{**check, "k_min": 100, "k_max": 1000}]}
+    (result,) = run_experiment(parse_spec(raw), tmp_path).check_results
+    assert not result.passed
+    assert (result.measured, result.required) == ("trace covers 51 of the k range",
+                                                  "all k in [100, 1000]")
+
+
 def test_analysis_only_spec_writes_summary_without_trace(tmp_path):
     raw = {
         "name": "probe",

@@ -29,6 +29,7 @@ from fwlab import (
     make_nesterov_max,
     make_power_norm,
     make_quadratic,
+    make_t_alpha,
     solve,
     trace_to_csv,
     write_trace_csv,
@@ -631,6 +632,32 @@ def test_gpa_evaluates_one_gradient_per_row():
     trace = solve(problem, ProjectedGradient(0.5), np.eye(4)[0], StopRule(10))
     assert len(trace.rows) == 11
     assert len(calls) == 11
+
+
+@pytest.mark.parametrize("objective, feasible_set, x0", [
+    (make_quadratic([0.5, 0.2, 0.3]), Simplex(3), [1.0, 0.0, 0.0]),
+    (make_power_norm(1.5, [0.5, 0.2, 0.3]), Simplex(3), [1.0, 0.0, 0.0]),
+    (make_t_alpha(1.5), Box(1, [0.0], [1.0]), [1.0]),
+    (make_nesterov_max(), L2Ball(2, 1.0), [1.0, 0.0]),
+    (make_linear([1.0, -2.0, 0.5]), L2Ball(3, 1.0), [0.0, 0.0, 1.0]),
+], ids=["quadratic", "power_norm", "t_alpha", "nesterov_max", "linear"])
+def test_every_objective_kind_takes_one_value_and_one_grad_call_per_open_loop_row(
+        objective, feasible_set, x0):
+    # the seam bench/tracer.py counts through: callables swapped into the record
+    calls = {"value": 0, "grad": 0}
+
+    def counted(name, fn):
+        def call(x):
+            calls[name] += 1
+            return fn(x)
+        return call
+
+    watched = dataclasses.replace(objective, value=counted("value", objective.value),
+                                  grad=counted("grad", objective.grad))
+    trace = solve(Problem(feasible_set, watched), Harmonic(2.0), np.array(x0),
+                  StopRule(max_iter=20))
+    assert len(trace.rows) > 1
+    assert calls == {"value": len(trace.rows), "grad": len(trace.rows)}
 
 
 def test_gpa_gamma_column_is_the_fixed_step():
