@@ -43,9 +43,9 @@ from fwlab import (  # noqa: E402
     L2Ball,
     LineSearch,
     Problem,
+    Quadratic,
     Simplex,
     StopRule,
-    make_quadratic,
     solve,
     trace_to_csv,
 )
@@ -69,7 +69,7 @@ def make_set(kind: str, n: int, rng: np.random.Generator):
 def sweep_one(kind: str, n: int, rule_name: str, rows: int, repeats: int) -> dict:
     rng = np.random.default_rng([SEED, KINDS.index(kind), n])
     fs = make_set(kind, n, rng)
-    problem = Problem(fs, make_quadratic(rng.standard_normal(n)))
+    problem = Problem(fs, Quadratic(rng.standard_normal(n)))
     x0 = fs.lmo(np.ones(n))
     stop = StopRule(max_iter=rows - 1)  # rows 0..max_iter
     rule = RULES[rule_name]

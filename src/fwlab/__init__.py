@@ -18,11 +18,6 @@ from .objectives import (
     Quadratic,
     TAlpha,
     composite_from_descriptor,
-    make_linear,
-    make_nesterov_max,
-    make_power_norm,
-    make_quadratic,
-    make_t_alpha,
     objective_from_descriptor,
 )
 from .stepsize import (

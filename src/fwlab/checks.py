@@ -26,7 +26,7 @@ from .analysis import (
 from .solver import Problem, SolveTrace, REASON_FINITE_TERMINATION
 from .stepsize import DHRecursion, dh_envelope_holds
 from .geometry import Box, finite_vector
-from .schema import (Count, Fraction, Order, Positive, Seed, Tagged, Vector, build,
+from .schema import (Count, Fraction, Index, Order, Positive, Seed, Tagged, Vector, build,
                      field_dict, kinds)
 
 
@@ -52,11 +52,10 @@ class CheckContext:
 
 def _window(trace: SolveTrace, k_min: int, k_max: int | None = None):
     """The k values k_min..k_max (k_max None: no end) the trace holds, and the
-    slice of rows they index: row k is iterate k, so [max(k_min, 0),
-    min(k_max, K - 1)], an empty slice (not a negative index) if that is empty."""
-    lo, hi = max(k_min, 0), len(trace.rows) if k_max is None else k_max + 1
-    hi = max(lo, min(hi, len(trace.rows)))
-    return np.arange(lo, hi), slice(lo, hi)
+    slice of rows they index: row k is iterate k, so [k_min, min(k_max, K - 1)],
+    empty if k_min > K - 1 (both ends are >= 0, so never a negative index)."""
+    hi = len(trace.rows) if k_max is None else min(k_max + 1, len(trace.rows))
+    return np.arange(k_min, hi), slice(k_min, hi)
 
 
 class Check(Tagged):
@@ -109,7 +108,7 @@ class BoundDomination(_AgainstOptimum):
     kind = "bound-domination"
     nested = {"bound": lambda v: build(v, BOUND_KINDS, "bound")}
     bound: RateBound
-    k_min: int = 1
+    k_min: Index = 1
     tol_add: float = 0.0
     tol_rel: float = 0.0
 
@@ -163,8 +162,8 @@ class _Window(_AgainstOptimum):
 class LowerBound(_Window):
     kind = "lower-bound"
     coeff: Positive
-    k_min: int
-    k_max: int
+    k_min: Index
+    k_max: Index
     offset: float = 1.0
     tol: float = 1e-12
 
@@ -184,7 +183,7 @@ class LowerBound(_Window):
 
 class FiniteTermination(Check):
     kind = "finite-termination"
-    at_k: int | None = None
+    at_k: Index | None = None
     final_x: Vector | None = None
     tol: float = 1e-12
 
@@ -215,8 +214,8 @@ class FiniteTermination(Check):
 class NonConvergenceMargin(_Window):
     kind = "non-convergence-margin"
     margin: Positive
-    k_min: int
-    k_max: int
+    k_min: Index
+    k_max: Index
 
     def judge(self, gaps, ks):
         measured = float(gaps.min())

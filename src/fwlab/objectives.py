@@ -1,14 +1,14 @@
 """Differentiable convex test objectives, each a function of x alone.
 
 Each kind is a read-only `Tagged` section whose fields are its spec's, so a
-Python call gets a spec's checks. Its methods are evaluation, gradient, where
-it has a closed form the minimizer of the objective along a segment, and
-`fit`, which `Problem` calls to place it on its feasible set; `holder` is the
-gradient's Holder constant (a Lipschitz constant where nu = 1), where known.
-`objective()` gives them as the `Objective` record a `Problem` holds. A kind
-keeps a read-only float64 copy of its vector data (b or c), so a caller's
-later write cannot change the objective behind its descriptor, which hands
-out that same array.
+Python call gets a spec's checks; an objective is built by its class, as sets
+and rules are. Its methods are evaluation, gradient, where it has a closed
+form the minimizer of the objective along a segment, and `fit`, which
+`Problem` calls to place it on its feasible set; `holder` is the gradient's
+Holder constant (a Lipschitz constant where nu = 1), where known. A `Problem`
+holds them as the kind's `objective()` record. A kind keeps a read-only
+float64 copy of its vector data (b or c), so a caller's later write cannot
+change the objective behind its descriptor, which hands out that same array.
 
 The scalar t^alpha objective is defined on t >= 0 only, and does not fit a
 set that reaches below 0. The nonsmooth max objective carries a pointwise
@@ -43,8 +43,8 @@ class HolderInfo:
 
 @dataclass(frozen=True)
 class Objective:
-    """An objective and what is known about it, as the callables a `Problem`
-    holds; a caller may swap one with `dataclasses.replace`.
+    """An objective kind's callables, as the record a `Problem` builds from the
+    kind and holds; a caller may swap one with `dataclasses.replace`.
 
     `segment_min(slope, d)`, when set, is the exact minimizer over gamma in
     [0,1] of f(x + gamma d), given the slope <f'(x), d>. It takes no x and no
@@ -250,32 +250,12 @@ class Linear(_Kind):
         return lambda: feasible_set.lmo(self.c)
 
 
-def make_quadratic(b) -> Objective:
-    return Quadratic(b).objective()
-
-
-def make_power_norm(sigma: float, b) -> Objective:
-    return PowerNorm(sigma, b).objective()
-
-
-def make_t_alpha(alpha: float) -> Objective:
-    return TAlpha(alpha).objective()
-
-
-def make_nesterov_max() -> Objective:
-    return NesterovMax().objective()
-
-
-def make_linear(c) -> Objective:
-    return Linear(c).objective()
-
-
 _OBJECTIVE_KINDS = kinds(Quadratic, PowerNorm, TAlpha, NesterovMax, Linear)
 _COMPOSITE_KINDS = kinds(CompositePart)
 
 
-def objective_from_descriptor(desc: dict) -> Objective:
-    return build(desc, _OBJECTIVE_KINDS, "objective").objective()
+def objective_from_descriptor(desc: dict) -> _Kind:
+    return build(desc, _OBJECTIVE_KINDS, "objective")
 
 
 def composite_from_descriptor(desc: dict | None) -> CompositePart | None:

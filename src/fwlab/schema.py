@@ -33,6 +33,7 @@ _TYPES = {"float": ((int, float), "a finite number", lambda v: -math.inf < v < m
           "Name": (str, "a nonempty string with no '/', '\\' or space",
                    lambda v: v != "" and not any(ch in v for ch in "/\\ ")),
           "Checks": (list, "a list of objects", None)}
+_TYPES["Index"] = _TYPES["Seed"]  # row 0 is a trace's first
 
 
 def _show(v) -> str:
@@ -92,6 +93,7 @@ Positive = float  # a finite number > 0
 NonNegative = float  # a finite number >= 0
 Count = int  # an integer >= 1
 Seed = int  # an integer >= 0, as numpy's generators take
+Index = int  # a trace row's k, an integer >= 0
 Fraction = float  # a number in (0, 1]
 Order = float  # a curvature order sigma in (1, 2], the range the paper's rates cover
 Vector = list  # a flat list of numbers

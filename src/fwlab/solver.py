@@ -39,14 +39,17 @@ RENDER_CHUNK = 1024
 
 @dataclass(frozen=True)
 class Problem:
-    """min f(x) + g(x) over the set. Building one runs `objective.fit`; f's minimizer
-    there, `x_star` (None if unknown), and f(x_star) are found on first read, once."""
+    """min f(x) + g(x) over the set, f a kind (held as its `Objective` record) or a
+    record (kept as given). Building one runs `objective.fit`; f's minimizer there,
+    `x_star` (None if unknown), and f(x_star) are found on first read, once."""
 
     feasible_set: FeasibleSet
     objective: Objective
     composite: CompositePart | None = None
 
     def __post_init__(self):
+        if not isinstance(self.objective, Objective):
+            object.__setattr__(self, "objective", self.objective.objective())
         object.__setattr__(self, "_x_star", cache(self.objective.fit(self.feasible_set)))
         if self.composite is not None and isinstance(self.feasible_set, VertexPolytope):
             raise ValueError("composite terms need a set with an exact composite oracle "

@@ -33,20 +33,20 @@ from fwlab import (
     L1Ball,
     L2Ball,
     LineSearch,
+    Linear,
+    NesterovMax,
     OpenLoopOrderSigma,
+    PowerNorm,
     Problem,
     ProjectedGradient,
+    Quadratic,
     Simplex,
     StopRule,
+    TAlpha,
     VertexPolytope,
     beta_recursion,
     estimate_curvature,
     fit_rate,
-    make_linear,
-    make_nesterov_max,
-    make_power_norm,
-    make_quadratic,
-    make_t_alpha,
     probe_curvature_divergence,
     solve,
     trace_to_csv,
@@ -80,7 +80,7 @@ def _finish(num: int, name: str, ok: bool, detail: str,
 
 def _simplex_quadratic(dim: int) -> Problem:
     fs = Simplex(dim)
-    return Problem(fs, make_quadratic(np.zeros(dim)))
+    return Problem(fs, Quadratic(np.zeros(dim)))
 
 
 def test_criterion_01_harmonic_iterates_stay_above_lower_bound():
@@ -110,7 +110,7 @@ def test_criterion_02_classic_upper_bound_dominates_harmonic_run():
 
 def test_criterion_03_scalar_power_curvature_exact_and_divergent():
     t0 = time.perf_counter()
-    obj = make_t_alpha(1.5)
+    obj = TAlpha(1.5)
     fs = Box(1, np.array([0.0]), np.array([1.0]))
     est = estimate_curvature(Problem(fs, obj), sigma=1.5, n_samples=200, seed=3)
     probe = probe_curvature_divergence(Problem(fs, obj), sigma=2.0)
@@ -126,7 +126,7 @@ def test_criterion_04_open_loop_bound_with_sampled_constants():
     fs = L2Ball(5, 1.0)
     worst = -np.inf
     for sigma in (1.25, 1.5):
-        obj = make_power_norm(sigma, _ANCHOR)
+        obj = PowerNorm(sigma, _ANCHOR)
         trace = solve(Problem(fs, obj), Harmonic(2.0),
                       x0=np.array([1.0, 0.0, 0.0, 0.0, 0.0]),
                       stop=StopRule(max_iter=10_000))
@@ -150,7 +150,7 @@ def test_criterion_05_line_search_is_monotone_with_fast_tail():
     details = []
     ok = True
     for sigma in (1.25, 1.5):
-        obj = make_power_norm(sigma, _ANCHOR)
+        obj = PowerNorm(sigma, _ANCHOR)
         trace = solve(Problem(fs, obj), LineSearch(1e-10, 200),
                       x0=np.array([1.0, 0.0, 0.0, 0.0, 0.0]),
                       stop=StopRule(max_iter=2000))
@@ -164,7 +164,7 @@ def test_criterion_05_line_search_is_monotone_with_fast_tail():
 
 def test_criterion_06_kinked_objective_keeps_harmonic_run_away_from_optimum():
     t0 = time.perf_counter()
-    problem = Problem(L2Ball(2, 1.0), make_nesterov_max())
+    problem = Problem(L2Ball(2, 1.0), NesterovMax())
     trace = solve(problem, Harmonic(2.0), x0=np.array([1.0, 0.0]),
                   stop=StopRule(max_iter=1000))
     margin = float((trace.objs[100:] - (-1.0 / np.sqrt(2.0))).min())
@@ -261,7 +261,7 @@ def test_criterion_10_composite_split_solver_on_the_box():
     fs = Box(5, -np.ones(5), np.ones(5))
     b = np.array([0.9, -0.4, 0.2, -1.5, 0.0])
     lam = 0.5
-    problem = Problem(fs, make_quadratic(b), CompositePart(lam))
+    problem = Problem(fs, Quadratic(b), CompositePart(lam))
     # coordinate-wise soft-threshold-then-clip optimum of f + g on the box
     x_star = np.clip(np.sign(b) * np.maximum(np.abs(b) - lam, 0.0), -1.0, 1.0)
     phi_star = 0.5 * float(((x_star - b) ** 2).sum()) + lam * float(np.abs(x_star).sum())
@@ -299,7 +299,7 @@ def test_criterion_10_composite_split_solver_on_the_box():
 def test_criterion_11_sharp_linear_problem_terminates_finitely():
     t0 = time.perf_counter()
     fs = Simplex(3)
-    problem = Problem(fs, make_linear(np.array([1.0, 2.0, 3.0])))
+    problem = Problem(fs, Linear(np.array([1.0, 2.0, 3.0])))
     trace = solve(problem, LineSearch(1e-10, 200), x0=np.array([0.0, 0.0, 1.0]),
                   stop=StopRule(max_iter=100))
     ok = (trace.reason == "finite_termination"
@@ -373,7 +373,7 @@ def test_criterion_13_randomized_invariant_suite():
     for fs in sets:
         b = rng.standard_normal(fs.dim)
         for composite in (None, CompositePart(0.3)):
-            problem = Problem(fs, make_quadratic(b), composite)
+            problem = Problem(fs, Quadratic(b), composite)
             for i in range(20):
                 x = fs.sample(100 + i)
                 gap, _ = fw_gap(problem, x)
@@ -389,7 +389,7 @@ def test_criterion_13_randomized_invariant_suite():
     # every iterate of a solve stays feasible and reports a nonnegative gap
     for fs in sets:
         b = rng.standard_normal(fs.dim)
-        problem = Problem(fs, make_quadratic(b))
+        problem = Problem(fs, Quadratic(b))
         for rule in (Harmonic(2.0), LineSearch(1e-10, 200)):
             x0 = fs.sample(0)
             trace = solve(problem, rule, x0=x0, stop=StopRule(max_iter=300))
@@ -401,7 +401,7 @@ def test_criterion_13_randomized_invariant_suite():
 
     # bit-identical reruns
     fs = sets[0]
-    problem = Problem(fs, make_quadratic(np.zeros(4)))
+    problem = Problem(fs, Quadratic(np.zeros(4)))
     a = solve(problem, Harmonic(2.0), x0=fs.sample(3), stop=StopRule(max_iter=100))
     b2 = solve(problem, Harmonic(2.0), x0=fs.sample(3), stop=StopRule(max_iter=100))
     if trace_to_csv(a) != trace_to_csv(b2):
@@ -409,9 +409,9 @@ def test_criterion_13_randomized_invariant_suite():
 
     # analytic gradients agree with central differences away from kinks
     probes = [
-        (make_quadratic(rng.standard_normal(4)), 4),
-        (make_power_norm(1.5, rng.standard_normal(4)), 4),
-        (make_nesterov_max(), 2),
+        (Quadratic(rng.standard_normal(4)), 4),
+        (PowerNorm(1.5, rng.standard_normal(4)), 4),
+        (NesterovMax(), 2),
     ]
     h = 1e-6
     for obj, dim in probes:

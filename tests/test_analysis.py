@@ -18,17 +18,17 @@ from fwlab import (
     LineSearchOrderSigma,
     OpenLoopOrderSigma,
     Power,
+    PowerNorm,
     Problem,
+    Quadratic,
     Simplex,
     StopRule,
+    TAlpha,
     VertexPolytope,
     beta_recursion,
     curvature_bound_holder,
     estimate_curvature,
     fit_rate,
-    make_power_norm,
-    make_quadratic,
-    make_t_alpha,
     probe_curvature_divergence,
     solve,
 )
@@ -49,7 +49,7 @@ from scalar_recursions import (
 def test_scalar_power_curvature_is_the_exponent_exactly():
     # at the pair (0, 1) and any gamma the scaled deviation collapses to the
     # exponent itself, so the estimate is exact, not approximate
-    obj = make_t_alpha(1.5)
+    obj = TAlpha(1.5)
     fs = Box(1, np.array([0.0]), np.array([1.0]))
     est = estimate_curvature(Problem(fs, obj), sigma=1.5, n_samples=64, seed=0)
     assert est.sampled_value == pytest.approx(1.5, abs=1e-12)
@@ -57,7 +57,7 @@ def test_scalar_power_curvature_is_the_exponent_exactly():
 
 def test_quadratic_curvature_reaches_squared_diameter():
     fs = Simplex(3)
-    est = estimate_curvature(Problem(fs, make_quadratic(np.zeros(3))), sigma=2.0,
+    est = estimate_curvature(Problem(fs, Quadratic(np.zeros(3))), sigma=2.0,
                              n_samples=128, seed=0)
     # vertices pairs are included: the supremum ||s-x||^2 = 2 is attained
     assert est.sampled_value == pytest.approx(2.0, abs=1e-9)
@@ -67,7 +67,7 @@ def test_quadratic_curvature_reaches_squared_diameter():
 
 def test_curvature_estimate_is_prefix_monotone_in_samples():
     fs = L2Ball(3, 1.0)
-    obj = make_quadratic(np.array([0.2, -0.1, 0.3]))
+    obj = Quadratic(np.array([0.2, -0.1, 0.3]))
     prev = 0.0
     for n in [16, 64, 256]:
         est = estimate_curvature(Problem(fs, obj), sigma=2.0, n_samples=n, seed=42)
@@ -77,7 +77,7 @@ def test_curvature_estimate_is_prefix_monotone_in_samples():
 
 def test_gamma_grid_must_live_in_unit_interval_and_include_one():
     fs = Simplex(2)
-    obj = make_quadratic(np.zeros(2))
+    obj = Quadratic(np.zeros(2))
     with pytest.raises(ValueError):
         estimate_curvature(Problem(fs, obj), sigma=2.0, gamma_grid=[0.5, 2.0, 1.0])
     with pytest.raises(ValueError):
@@ -88,14 +88,14 @@ def test_gamma_grid_must_live_in_unit_interval_and_include_one():
 
 def test_divergence_probe_blows_up_only_for_unbounded_curvature():
     fs = Box(1, np.array([0.0]), np.array([1.0]))
-    value = probe_curvature_divergence(Problem(fs, make_t_alpha(1.5)), sigma=2.0)
+    value = probe_curvature_divergence(Problem(fs, TAlpha(1.5)), sigma=2.0)
     assert value > 1e3
     # order matched to the Holder exponent: bounded; the roundoff-aware depth
     # cap keeps amplified float noise from faking a divergence
-    value = probe_curvature_divergence(Problem(fs, make_t_alpha(1.5)), sigma=1.5)
+    value = probe_curvature_divergence(Problem(fs, TAlpha(1.5)), sigma=1.5)
     assert 1.5 - 1e-9 <= value <= 1.7
     fs3 = Simplex(3)
-    value = probe_curvature_divergence(Problem(fs3, make_quadratic(np.zeros(3))), sigma=2.0)
+    value = probe_curvature_divergence(Problem(fs3, Quadratic(np.zeros(3))), sigma=2.0)
     assert 2.0 - 1e-9 <= value < 1e3
 
 
@@ -104,8 +104,8 @@ def test_curvature_estimates_take_the_problem_that_fitted_the_objective():
     # an objective and a set given apart skipped the fit: a b of the wrong
     # length reached the sampler and died on numpy's broadcast error
     with pytest.raises(ValueError, match=r"^'b' has shape \(2,\), set dimension is 3$"):
-        estimate_curvature(Problem(Simplex(3), make_quadratic([0.0, 1.0])), 2.0)
-    problem = Problem(Simplex(3), make_quadratic([0.0, 1.0, 0.0]))
+        estimate_curvature(Problem(Simplex(3), Quadratic([0.0, 1.0])), 2.0)
+    problem = Problem(Simplex(3), Quadratic([0.0, 1.0, 0.0]))
     assert estimate_curvature(problem, 2.0, n_samples=8).sampled_value == \
         pytest.approx(2.0, abs=1e-9)
     assert 2.0 - 1e-9 <= probe_curvature_divergence(problem, 2.0, n_samples=8) < 1e3
@@ -156,7 +156,7 @@ def _curvature_cases(draw):
         fs = VertexPolytope(rng.normal(size=(draw(st.integers(1, 6)), d)))
     sigma = draw(st.floats(1.0, 2.0, exclude_min=True))
     b = rng.normal(size=d)
-    obj = make_power_norm(sigma, b) if draw(st.booleans()) else make_quadratic(b)
+    obj = PowerNorm(sigma, b) if draw(st.booleans()) else Quadratic(b)
     grid = draw(st.one_of(
         st.none(),
         st.lists(st.floats(1e-6, 1.0), max_size=6).map(lambda g: g + [1.0])))
@@ -166,7 +166,7 @@ def _curvature_cases(draw):
 @given(_curvature_cases(), st.integers(1, 24), st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=60)
 # a one-point set: diameter 0 once made the Holder bound raise
-@example(case=(make_quadratic(np.array([0.0])), Simplex(1), 2.0, None), n_samples=1, seed=0)
+@example(case=(Quadratic(np.array([0.0])), Simplex(1), 2.0, None), n_samples=1, seed=0)
 def test_curvature_estimate_equals_the_per_gamma_reference(case, n_samples, seed):
     obj, fs, sigma, grid = case
     est = estimate_curvature(Problem(fs, obj), sigma, n_samples=n_samples, gamma_grid=grid,
@@ -178,7 +178,7 @@ def test_curvature_estimate_equals_the_per_gamma_reference(case, n_samples, seed
 
 def test_curvature_estimate_takes_one_gradient_per_pair():
     fs = L1Ball(4, 1.0)
-    objective = make_quadratic(np.array([0.3, -0.2, 0.1, 0.5]))
+    objective = Quadratic(np.array([0.3, -0.2, 0.1, 0.5])).objective()
     grads, values = [], []
     counted = dataclasses.replace(
         objective,
@@ -194,7 +194,7 @@ def test_curvature_estimate_takes_one_gradient_per_pair():
 def test_curvature_estimate_holds_one_pair_at_a_time():
     n = 10_000
     fs = L2Ball(n, 1.0)
-    obj = make_quadratic(np.zeros(n))
+    obj = Quadratic(np.zeros(n))
     tracemalloc.start()
     try:
         estimate_curvature(Problem(fs, obj), sigma=2.0, n_samples=256, seed=0)
@@ -224,7 +224,7 @@ def test_holder_curvature_bound_is_zero_on_a_one_point_set():
 @pytest.mark.parametrize("fs", [Simplex(1), VertexPolytope(np.array([[0.5, -0.2]]))],
                          ids=["simplex_1", "one_vertex"])
 def test_curvature_estimate_of_a_one_point_set_is_zero(fs):
-    obj = make_quadratic(np.full(fs.dim, 0.3))
+    obj = Quadratic(np.full(fs.dim, 0.3))
     est = estimate_curvature(Problem(fs, obj), sigma=2.0, n_samples=8, seed=1)
     assert est.sampled_value == 0.0
     assert est.holder_upper_bound == 0.0
@@ -515,7 +515,7 @@ def test_fit_rate_takes_the_points_a_row_by_row_selection_takes(tail_fraction):
 
 def test_fit_rate_on_a_real_solve_shows_first_order_decay():
     fs = Simplex(100)
-    problem = Problem(fs, make_quadratic(np.zeros(100)))
+    problem = Problem(fs, Quadratic(np.zeros(100)))
     trace = solve(problem, Harmonic(2.0), x0=np.eye(100)[0],
                   stop=StopRule(max_iter=2000))
     fit = fit_rate(trace, opt=1.0 / 200.0, tail_fraction=0.5)

@@ -12,10 +12,10 @@ from fwlab import (
     L1Ball,
     L2Ball,
     Problem,
+    Quadratic,
     Simplex,
     VertexPolytope,
     config_fingerprint,
-    make_quadratic,
     set_from_descriptor,
 )
 from fwlab.geometry import _project_onto_simplex_face, l2_norm
@@ -418,7 +418,7 @@ def test_box_and_polytope_own_their_vectors():
     x, c = np.array([0.5, 0.5]), np.array([1.0, 2.0])
 
     def fingerprint(fs):
-        return config_fingerprint(Problem(fs, make_quadratic(np.zeros(2))).descriptor(),
+        return config_fingerprint(Problem(fs, Quadratic(np.zeros(2))).descriptor(),
                                   {"kind": "harmonic", "c": 2.0}, [0.0, 0.0],
                                   {"max_iter": 1}, 0)
 

@@ -13,15 +13,15 @@ from fwlab import (
     CompositePart,
     L1Ball,
     L2Ball,
+    Linear,
+    NesterovMax,
+    PowerNorm,
     Problem,
+    Quadratic,
     Simplex,
+    TAlpha,
     composite_from_descriptor,
     config_fingerprint,
-    make_linear,
-    make_nesterov_max,
-    make_power_norm,
-    make_quadratic,
-    make_t_alpha,
     objective_from_descriptor,
 )
 from fwlab.stepsize import line_search_quadratic_exact
@@ -54,14 +54,14 @@ def estimate_holder_constant(obj, feasible_set, nu: float, n_pairs: int, seed: i
 
 def test_quadratic_value_and_gradient():
     b = np.array([1.0, -2.0])
-    f = make_quadratic(b)
+    f = Quadratic(b)
     x = np.array([3.0, 0.0])
     assert f.value(x) == pytest.approx(0.5 * (4.0 + 4.0), abs=1e-15)
     assert np.allclose(f.grad(x), x - b, atol=1e-15)
 
 
 def test_quadratic_records_projected_optimum():
-    f = make_quadratic(np.zeros(3))
+    f = Quadratic(np.zeros(3))
     problem = Problem(Simplex(3), f)
     assert np.allclose(problem.x_star, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
     assert problem.f_star == pytest.approx(1.0 / 6.0, abs=1e-12)
@@ -71,7 +71,7 @@ def test_quadratic_records_projected_optimum():
 def test_simplex_optimum_holds_under_two_and_a_half_n_vectors():
     n = 100_000
     b = np.random.default_rng(0).standard_normal(n)
-    f = make_quadratic(b)
+    f = Quadratic(b)
     problem = Problem(Simplex(n), f)
     tracemalloc.start()
     try:
@@ -91,9 +91,9 @@ def test_simplex_optimum_holds_under_two_and_a_half_n_vectors():
 
 
 @pytest.mark.parametrize("make, name", [
-    (make_quadratic, "'b'"),
-    (lambda v: make_power_norm(1.5, v), "'b'"),
-    (make_linear, "'c'"),
+    (Quadratic, "'b'"),
+    (lambda v: PowerNorm(1.5, v), "'b'"),
+    (Linear, "'c'"),
 ], ids=["quadratic", "power_norm", "linear"])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_objective_data_must_be_finite(make, name, bad):
@@ -112,7 +112,7 @@ _DOT_ENTRIES = st.one_of(st.floats(-1e6, 1e6),
 @example([(2.0, 2.0, 0.5), (-0.0, 0.0, 0.0)])
 def test_quadratic_value_and_segment_step_are_bitwise_the_matmul_forms(entries):
     b, x, d = (np.array(column) for column in zip(*entries))
-    f = make_quadratic(b)
+    f = Quadratic(b)
     grad = f.grad(x)
     # the slope as solver._gap takes it, for the gap and the search alike
     value, gamma = f.value(x), f.segment_min(float(grad.dot(d)), d)
@@ -128,13 +128,13 @@ def test_quadratic_optimum_on_hull_set_needs_membership():
     tri = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
     from fwlab import VertexPolytope
 
-    problem = Problem(VertexPolytope(tri), make_quadratic(np.array([0.0, -0.25])))
+    problem = Problem(VertexPolytope(tri), Quadratic(np.array([0.0, -0.25])))
     # b inside the hull: optimum is b itself despite no projection operator
     assert np.allclose(problem.x_star, [0.0, -0.25])
     assert problem.f_star == 0.0
 
 
-@pytest.mark.parametrize("make", [make_quadratic, lambda b: make_power_norm(1.5, b)])
+@pytest.mark.parametrize("make", [Quadratic, lambda b: PowerNorm(1.5, b)])
 def test_polytope_optimum_runs_one_lp_on_first_read(make, monkeypatch):
     from fwlab import VertexPolytope
 
@@ -162,20 +162,20 @@ def test_quadratic_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
     b = rng.normal(size=4)
     x = rng.normal(size=4)
-    f = make_quadratic(b)
+    f = Quadratic(b)
     assert np.allclose(f.grad(x), fd_grad(f.value, x), atol=1e-6)
 
 
 # --- power norm ------------------------------------------------------------------
 
 def test_power_norm_zero_gradient_at_anchor():
-    f = make_power_norm(1.5, np.array([0.3, -0.1]))
+    f = PowerNorm(1.5, np.array([0.3, -0.1]))
     assert np.array_equal(f.grad(np.array([0.3, -0.1])), np.zeros(2))
     assert f.value(np.array([0.3, -0.1])) == 0.0
 
 
 def test_power_norm_holder_tag():
-    f = make_power_norm(1.25, np.zeros(2))
+    f = PowerNorm(1.25, np.zeros(2))
     assert f.holder is not None
     assert f.holder.nu == pytest.approx(0.25)
     assert f.holder.const is None  # no closed-form constant recorded
@@ -188,13 +188,13 @@ def test_power_norm_gradient_matches_finite_differences(sigma, seed):
     x = b + rng.normal(size=3)  # stay away from the nonsmooth anchor
     if np.linalg.norm(x - b) < 0.1:
         x = b + np.array([0.5, 0.0, 0.0])
-    f = make_power_norm(sigma, b)
+    f = PowerNorm(sigma, b)
     assert np.allclose(f.grad(x), fd_grad(f.value, x), atol=1e-5)
 
 
 def test_power_norm_optimum_recorded_when_anchor_feasible():
     b = np.array([0.1, 0.2, 0.0, 0.0, 0.0])
-    problem = Problem(L2Ball(5, 1.0), make_power_norm(1.5, b))
+    problem = Problem(L2Ball(5, 1.0), PowerNorm(1.5, b))
     assert np.array_equal(problem.x_star, b)
     assert problem.f_star == 0.0
 
@@ -202,7 +202,7 @@ def test_power_norm_optimum_recorded_when_anchor_feasible():
 # --- scalar t^alpha ---------------------------------------------------------------
 
 def test_t_alpha_value_grad_and_tags():
-    f = make_t_alpha(1.5)
+    f = TAlpha(1.5)
     t = np.array([0.25])
     assert f.value(t) == pytest.approx(0.125, abs=1e-15)
     assert f.grad(t)[0] == pytest.approx(1.5 * 0.5, abs=1e-12)
@@ -215,20 +215,20 @@ def test_t_alpha_rejects_a_set_that_reaches_below_zero():
     for fs in (Box(1, [-1.0], [1.0]), L1Ball(1, 1.0), L2Ball(1, 2.0)):
         with pytest.raises(ValueError, match=r"^t_alpha is defined on t >= 0; "
                                              r"the set reaches t = -"):
-            Problem(fs, make_t_alpha(1.5))
+            Problem(fs, TAlpha(1.5))
 
 
 def test_t_alpha_rejects_degenerate_exponents():
     with pytest.raises(ValueError):
-        make_t_alpha(1.0)
+        TAlpha(1.0)
     with pytest.raises(ValueError):
-        make_t_alpha(2.0)
+        TAlpha(2.0)
 
 
 # --- nonsmooth max -----------------------------------------------------------------
 
 def test_nesterov_max_value_and_tie_rule():
-    f = make_nesterov_max()
+    f = NesterovMax()
     assert f.value(np.array([0.3, -0.5])) == 0.3
     assert np.array_equal(f.grad(np.array([0.2, 0.7])), [0.0, 1.0])
     # diagonal tie resolves to the first coordinate, deterministically
@@ -238,7 +238,7 @@ def test_nesterov_max_value_and_tie_rule():
 def test_nesterov_max_records_its_optimum_on_a_disc_only():
     # on the unit disc, the bits it has always recorded
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    f = make_nesterov_max()
+    f = NesterovMax()
     problem = Problem(L2Ball(2, 1.0), f)
     assert problem.x_star.tobytes() == np.array([-inv_sqrt2, -inv_sqrt2]).tobytes()
     assert np.float64(problem.f_star).tobytes() == np.float64(-inv_sqrt2).tobytes()
@@ -256,7 +256,7 @@ def test_nesterov_max_records_its_optimum_on_a_disc_only():
 # --- linear -----------------------------------------------------------------------
 
 def test_linear_optimum_from_lmo():
-    f = make_linear(np.array([1.0, 2.0, 3.0]))
+    f = Linear(np.array([1.0, 2.0, 3.0]))
     problem = Problem(Simplex(3), f)
     assert np.array_equal(problem.x_star, [1.0, 0.0, 0.0])
     assert problem.f_star == 1.0
@@ -265,17 +265,17 @@ def test_linear_optimum_from_lmo():
 
 def test_linear_rejects_zero_cost():
     with pytest.raises(ValueError, match="^c must be nonzero$"):
-        Problem(Simplex(3), make_linear(np.zeros(3)))
+        Problem(Simplex(3), Linear(np.zeros(3)))
 
 
 # --- an objective on its set ----------------------------------------------------
 
 @pytest.mark.parametrize("objective, message", [
-    (make_quadratic([0.0, 1.0]), "'b' has shape (2,), set dimension is 3"),
-    (make_power_norm(1.5, [0.0] * 4), "'b' has shape (4,), set dimension is 3"),
-    (make_linear([1.0, 2.0]), "'c' has shape (2,), set dimension is 3"),
-    (make_t_alpha(1.5), "t_alpha is 1-dimensional, set dimension is 3"),
-    (make_nesterov_max(), "nesterov_max is 2-dimensional, set dimension is 3"),
+    (Quadratic([0.0, 1.0]), "'b' has shape (2,), set dimension is 3"),
+    (PowerNorm(1.5, [0.0] * 4), "'b' has shape (4,), set dimension is 3"),
+    (Linear([1.0, 2.0]), "'c' has shape (2,), set dimension is 3"),
+    (TAlpha(1.5), "t_alpha is 1-dimensional, set dimension is 3"),
+    (NesterovMax(), "nesterov_max is 2-dimensional, set dimension is 3"),
 ], ids=["quadratic", "power_norm", "linear", "t_alpha", "nesterov_max"])
 def test_problem_rejects_an_objective_that_does_not_fit_its_set(objective, message):
     # a short b once built, and the solve died on numpy's broadcast error
@@ -286,7 +286,7 @@ def test_problem_rejects_an_objective_that_does_not_fit_its_set(objective, messa
 def test_one_objective_on_two_sets_reports_each_sets_own_optimum():
     # an objective once kept the optimum of the set it was built on, so the
     # simplex reported the ball's f* = 0
-    f = make_quadratic([0.1, 0.2, 0.3])
+    f = Quadratic([0.1, 0.2, 0.3])
     on_simplex, on_ball = Problem(Simplex(3), f), Problem(L2Ball(3, 5.0), f)
     want = project_onto_simplex_face(np.array([0.1, 0.2, 0.3]), 1.0)
     assert on_simplex.x_star.tobytes() == want.tobytes()
@@ -296,7 +296,7 @@ def test_one_objective_on_two_sets_reports_each_sets_own_optimum():
 
 def test_the_optimum_is_found_once_a_problem():
     calls = []
-    base = make_quadratic([0.1, 0.2, 0.3])
+    base = Quadratic([0.1, 0.2, 0.3]).objective()
 
     def fit(feasible_set):
         find = base.fit(feasible_set)
@@ -319,8 +319,8 @@ def test_the_optimum_is_found_once_a_problem():
 _EPS = np.finfo(float).eps
 
 
-_MAKERS = {"quadratic": make_quadratic, "linear": make_linear,
-           "power_norm": lambda v: make_power_norm(1.5, v)}
+_MAKERS = {"quadratic": Quadratic, "linear": Linear,
+           "power_norm": lambda v: PowerNorm(1.5, v)}
 
 
 @given(st.data(), st.integers(0, len(small_sets()) - 1), st.sampled_from(sorted(_MAKERS)),
@@ -374,11 +374,11 @@ def test_objective_descriptor_round_trip():
     probes = [np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.5, 0.0])]
     # the fixed-dimension objectives rebuild on a set of their own dimension
     for obj, on in [
-        (make_quadratic(np.array([0.2, 0.0, -0.1])), fs),
-        (make_power_norm(1.5, np.array([0.2, 0.0, -0.1])), fs),
-        (make_t_alpha(1.3), Box(1, np.array([0.0]), np.array([1.0]))),
-        (make_nesterov_max(), L2Ball(2, 1.0)),
-        (make_linear(np.array([1.0, -1.0, 0.5])), fs),
+        (Quadratic(np.array([0.2, 0.0, -0.1])), fs),
+        (PowerNorm(1.5, np.array([0.2, 0.0, -0.1])), fs),
+        (TAlpha(1.3), Box(1, np.array([0.0]), np.array([1.0]))),
+        (NesterovMax(), L2Ball(2, 1.0)),
+        (Linear(np.array([1.0, -1.0, 0.5])), fs),
     ]:
         clone = Problem(on, objective_from_descriptor(obj.descriptor())).objective
         for x in probes:
@@ -389,9 +389,9 @@ def test_objective_descriptor_round_trip():
 
 
 @pytest.mark.parametrize("build, field", [
-    (make_quadratic, "b"),
-    (lambda v: make_power_norm(1.5, v), "b"),
-    (make_linear, "c"),
+    (Quadratic, "b"),
+    (lambda v: PowerNorm(1.5, v), "b"),
+    (Linear, "c"),
 ])
 def test_objective_factories_own_their_vectors(build, field):
     v = np.array([1.0, 2.0])
@@ -417,18 +417,18 @@ def test_objective_descriptor_unknown_kind():
 
 
 @pytest.mark.parametrize("make, kind, fields, message", [
-    (make_quadratic, "quadratic", {"b": [True, 0.0]},
+    (Quadratic, "quadratic", {"b": [True, 0.0]},
      "'b' must be a vector of numbers; entry 0 is True"),
-    (make_quadratic, "quadratic", {"b": [1.0, "x"]},
+    (Quadratic, "quadratic", {"b": [1.0, "x"]},
      "'b' must be a vector of numbers; entry 1 is 'x'"),
-    (make_quadratic, "quadratic", {"b": np.zeros((2, 2))},
+    (Quadratic, "quadratic", {"b": np.zeros((2, 2))},
      "'b' must be a vector of numbers, got ndarray"),
-    (make_power_norm, "power_norm", {"sigma": "1.5", "b": [0.0]},
+    (PowerNorm, "power_norm", {"sigma": "1.5", "b": [0.0]},
      "'sigma' must be a number in (1, 2], got '1.5'"),
-    (make_power_norm, "power_norm", {"sigma": 1.5, "b": [False]},
+    (PowerNorm, "power_norm", {"sigma": 1.5, "b": [False]},
      "'b' must be a vector of numbers; entry 0 is False"),
-    (make_t_alpha, "t_alpha", {"alpha": "1.5"}, "'alpha' must be a finite number, got '1.5'"),
-    (make_linear, "linear", {"c": [[1.0, 2.0]]},
+    (TAlpha, "t_alpha", {"alpha": "1.5"}, "'alpha' must be a finite number, got '1.5'"),
+    (Linear, "linear", {"c": [[1.0, 2.0]]},
      "'c' must be a vector of numbers; entry 0 is list"),
 ], ids=["bool-in-b", "string-in-b", "2d-b", "string-sigma", "power-norm-bool-in-b",
         "string-alpha", "2d-c"])
@@ -444,7 +444,7 @@ def test_each_constructor_rejects_a_mistyped_field_by_name_as_a_spec_does(
 # --- gradient regularity samplers ------------------------------------------------------
 
 def test_holder_estimate_quadratic_is_sharp_from_below():
-    f = make_quadratic(np.zeros(3))
+    f = Quadratic(np.zeros(3))
     est = estimate_holder_constant(f, L2Ball(3, 1.0), nu=1.0, n_pairs=400, seed=0)
     # identity gradient: every pair ratio equals 1 exactly
     assert est == pytest.approx(1.0, abs=1e-9)

@@ -19,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fwlab.runner
-from fwlab import Box, Problem, checks, config_fingerprint, make_quadratic, stepsize
+from fwlab import Box, Problem, Quadratic, checks, config_fingerprint, stepsize
 from fwlab.analysis import fit_rate
 from fwlab.cases import CASE_NAMES, case_specs
-from fwlab.config import build_problem, parse_spec
+from fwlab.config import build_problem, parse_spec, validate_spec
 from fwlab.runner import (
     _compare_csv_pieces,
     _indented_pieces,
@@ -225,7 +225,7 @@ _FLIPS = {
                         lambda d, p, t, _: (d, Problem(Box(1, [0.0], [2.0]), p.objective), t)),
     "curvature-divergence": ("t_alpha_curvature",  # a quadratic has bounded curvature
                              lambda d, p, t, _: (d, Problem(p.feasible_set,
-                                                            make_quadratic([0.0])), t)),
+                                                            Quadratic([0.0])), t)),
     "oracle-grid-match": ("composite_lasso_box_line", _l1_blind_oracle),
     "schedule-bounds": ("dh_schedule_bounds", _schedule_one_ulp_high),
 }
@@ -247,15 +247,14 @@ def test_every_check_kind_can_fail(kind, monkeypatch):
 # --- window edges -----------------------------------------------------------------
 
 # (k_min, k_max) against an 11-row trace, rows k = 0..10: a window that starts
-# below row 0, ends below it, ends on or past the last row, or starts past it
-_WINDOWS = [(-3, 4), (-5, -1), (-4, -2), (0, 0), (3, 10), (3, 25), (10, 10), (11, 20),
-            (14, 20)]
+# on row 0, ends on or past the last row, or starts past it
+_WINDOWS = [(0, 0), (3, 10), (3, 25), (10, 10), (11, 20), (14, 20)]
 
 
 @functools.cache
 def _eleven_rows():
     fs = Box(4, [0.0] * 4, [1.0] * 4)
-    problem = Problem(fs, make_quadratic(np.array([0.1, 0.4, 0.7, 1.0])))
+    problem = Problem(fs, Quadratic(np.array([0.1, 0.4, 0.7, 1.0])))
     return problem, fwlab.solve(problem, stepsize.Harmonic(2.0), np.zeros(4),
                                 fwlab.StopRule(max_iter=10))
 
@@ -289,14 +288,40 @@ def test_window_checks_match_the_mask_form_at_every_edge(desc):
         assert values.tobytes() == window[1].tobytes()
 
 
-def test_a_window_ending_below_row_0_is_empty():
+def test_a_window_past_the_last_row_is_empty_and_one_across_it_ends_there():
     _, trace = _eleven_rows()
-    for k_min, k_max in ((-5, -1), (-4, -2), (-3, -3)):
+    for k_min, k_max in ((11, 20), (14, 20), (11, None)):
         ks, rows = checks._window(trace, k_min, k_max)
-        # never a negative-index slice, which would count rows from the end
         assert len(ks) == 0 and len(trace.rows[rows]) == 0
-    ks, rows = checks._window(trace, -2, 25)
-    assert ks.tolist() == list(range(11)) and trace.rows[rows].shape == (11, 4)
+    for k_max in (25, None):
+        ks, rows = checks._window(trace, 0, k_max)
+        assert ks.tolist() == list(range(11)) and trace.rows[rows].shape == (11, 4)
+
+
+# windows that reach below row 0, the first there is; each names its first
+# negative field
+_BELOW_ROW_0 = [(-3, 4), (-5, -1), (-4, -2), (-3, -3), (-2, 25), (-1, 0), (0, -1)]
+
+
+def _below_row_0_checks():
+    for k_min in sorted({k_min for k_min, _ in _BELOW_ROW_0 if k_min < 0}):
+        yield ({"kind": "bound-domination", "opt": 0.0, "k_min": k_min,
+                "bound": {"kind": "harmonic_classic", "C_f": 2.0}}, "k_min", k_min)
+    for k_min, k_max in _BELOW_ROW_0:
+        field, bad = ("k_min", k_min) if k_min < 0 else ("k_max", k_max)
+        yield ({"kind": "lower-bound", "opt": 0.0, "coeff": 1e-3, "offset": 10.0,
+                "k_min": k_min, "k_max": k_max}, field, bad)
+        yield ({"kind": "non-convergence-margin", "opt": 0.0, "margin": 1e-3,
+                "k_min": k_min, "k_max": k_max}, field, bad)
+    yield {"kind": "finite-termination", "at_k": -1}, "at_k", -1
+
+
+@pytest.mark.parametrize("check, field, bad", list(_below_row_0_checks()), ids=repr)
+def test_a_row_index_below_0_is_rejected_by_name_at_validation(check, field, bad):
+    spec = parse_spec(_raw(checks=[check]))
+    with pytest.raises(ValueError, match=re.escape(
+            f"exp: checks[0]: '{field}' must be a non-negative integer, got {bad}")):
+        validate_spec(spec)
 
 
 @pytest.mark.parametrize("check", [
@@ -567,7 +592,7 @@ def _peak_above_base(fn, *args) -> int:
 
 def _harmonic_trace(rows: int):
     b = np.linspace(0.0, 1.0, 10)
-    problem = Problem(Box(10, [0.0] * 10, [1.0] * 10), make_quadratic(b))
+    problem = Problem(Box(10, [0.0] * 10, [1.0] * 10), Quadratic(b))
     return problem, fwlab.solve(problem, stepsize.Harmonic(2.0), np.zeros(10),
                                 fwlab.StopRule(max_iter=rows - 1))
 

@@ -19,21 +19,23 @@ from fwlab import (
     L1Ball,
     L2Ball,
     LineSearch,
+    Linear,
+    NesterovMax,
+    Objective,
+    PowerNorm,
     Problem,
     ProjectedGradient,
+    Quadratic,
     Simplex,
     StopRule,
+    TAlpha,
     config_fingerprint,
     line_search,
-    make_linear,
-    make_nesterov_max,
-    make_power_norm,
-    make_quadratic,
-    make_t_alpha,
     solve,
     trace_to_csv,
     write_trace_csv,
 )
+from fwlab.config import build_problem, parse_spec
 from fwlab.solver import (
     REASON_FINITE_TERMINATION,
     REASON_GAP_TOL,
@@ -49,7 +51,7 @@ from conftest import canon_text, fw_gap, json_floats, json_values, replay_iterat
 
 def _simplex_quadratic(n=3):
     fs = Simplex(n)
-    return Problem(fs, make_quadratic(np.zeros(n)))
+    return Problem(fs, Quadratic(np.zeros(n)))
 
 
 # --- trace semantics ---------------------------------------------------------------
@@ -70,7 +72,7 @@ def test_trace_records_pre_step_rows_zero_through_max_iter():
 def test_trace_rows_hold_no_copy_of_the_iterate():
     n = 10_000
     fs = Simplex(n)
-    problem = Problem(fs, make_quadratic(np.zeros(n)))
+    problem = Problem(fs, Quadratic(np.zeros(n)))
     x0 = np.zeros(n)
     x0[0] = 1.0
     tracemalloc.start()
@@ -88,7 +90,7 @@ def test_trace_rows_hold_no_copy_of_the_iterate():
 def test_fingerprint_is_rendered_before_the_loop_allocates_a_row():
     n = 100_000
     fs = Simplex(n)
-    problem = Problem(fs, make_quadratic(np.zeros(n)))
+    problem = Problem(fs, Quadratic(np.zeros(n)))
     x0 = np.zeros(n)
     x0[0] = 1.0
     stop, rule = StopRule(max_iter=5), Harmonic(2.0)
@@ -212,7 +214,7 @@ def test_gap_tol_stop_certifies_the_reported_point():
 
 
 def test_gap_tol_zero_never_stops_on_gap():
-    problem = Problem(Simplex(3), make_linear(np.array([1.0, 2.0, 3.0])))
+    problem = Problem(Simplex(3), Linear(np.array([1.0, 2.0, 3.0])))
     trace = solve(problem, Harmonic(2.0), x0=np.array([1.0, 0.0, 0.0]),
                   stop=StopRule(max_iter=50, gap_tol=0.0))
     # gap hits exactly 0 at the optimum yet the loop continues to a fixed point
@@ -220,7 +222,7 @@ def test_gap_tol_zero_never_stops_on_gap():
 
 
 def test_finite_termination_on_sharp_linear_problem():
-    problem = Problem(Simplex(3), make_linear(np.array([1.0, 2.0, 3.0])))
+    problem = Problem(Simplex(3), Linear(np.array([1.0, 2.0, 3.0])))
     trace = solve(problem, LineSearch(1e-10, 200), x0=np.array([0.0, 0.0, 1.0]),
                   stop=StopRule(max_iter=100))
     assert trace.reason == REASON_FINITE_TERMINATION
@@ -232,7 +234,7 @@ def test_finite_termination_compares_iterates_not_step_norms():
     # row 0 moves x from 0 to 1e-300, whose square underflows: the step norm
     # reads 0 although the iterate changed, so only row 1 is a fixed point
     fs = Box(1, np.array([0.0]), np.array([1e-300]))
-    trace = solve(Problem(fs, make_linear(np.array([-1.0]))), Harmonic(2.0),
+    trace = solve(Problem(fs, Linear(np.array([-1.0]))), Harmonic(2.0),
                   x0=np.array([0.0]), stop=StopRule(max_iter=10))
     _, _, gamma, step_norm = trace.rows[0]
     assert step_norm == 0.0
@@ -250,7 +252,7 @@ def test_finite_termination_compares_iterates_not_step_norms():
 def test_a_solve_ending_at_row_0_hands_out_its_own_final_point(rule, stop, reason):
     # x0 is the first iterate itself, not a copy; a solve that never steps
     # away from it must still not hand the caller's array back
-    problem = Problem(Simplex(3), make_linear(np.array([1.0, 2.0, 3.0])))
+    problem = Problem(Simplex(3), Linear(np.array([1.0, 2.0, 3.0])))
     x0 = np.array([1.0, 0.0, 0.0])
     trace = solve(problem, rule, x0=x0, stop=stop)
     assert trace.reason == reason and len(trace.rows) == 1
@@ -322,7 +324,7 @@ def _phi_evals_per_search(monkeypatch, problem, x0, max_iter):
 
 def test_plain_quadratic_searches_take_three_phi_evaluations(monkeypatch):
     fs = L2Ball(3, 1.0)
-    problem = Problem(fs, make_quadratic(np.array([2.0, -1.0, 0.5])))
+    problem = Problem(fs, Quadratic(np.array([2.0, -1.0, 0.5])))
     counts = _phi_evals_per_search(monkeypatch, problem, np.array([0.0, 1.0, 0.0]), 20)
     assert set(counts) == {3}
 
@@ -331,10 +333,10 @@ def test_power_norm_and_composite_searches_keep_golden_section(monkeypatch):
     fs = L2Ball(3, 1.0)
     b = np.array([2.0, -1.0, 0.5])
     x0 = np.array([0.0, 1.0, 0.0])
-    power = Problem(fs, make_power_norm(1.5, b))
+    power = Problem(fs, PowerNorm(1.5, b))
     assert min(_phi_evals_per_search(monkeypatch, power, x0, 20)) > 3
     # the quadratic's closed form ignores the composite term, so it must not run
-    composite = Problem(fs, make_quadratic(b), CompositePart(0.5))
+    composite = Problem(fs, Quadratic(b), CompositePart(0.5))
     assert min(_phi_evals_per_search(monkeypatch, composite, x0, 20)) > 3
 
 
@@ -349,7 +351,7 @@ def test_exact_quadratic_step_beats_a_grid_and_golden_section(kind, dim, seed):
     fs = {"simplex": Simplex(dim), "l1_ball": L1Ball(dim, radius),
           "l2_ball": L2Ball(dim, radius), "box": Box(dim, -half, half)}[kind]
     b = rng.normal(scale=2.0, size=dim)
-    problem = Problem(fs, make_quadratic(b))
+    problem = Problem(fs, Quadratic(b))
     x = fs.draw(rng)
     trace = solve(problem, LineSearch(1e-10, 200), x0=x, stop=StopRule(max_iter=1))
     gamma = float(trace.rows[0, 2])
@@ -370,12 +372,12 @@ def test_exact_quadratic_step_beats_a_grid_and_golden_section(kind, dim, seed):
 
 def test_line_search_failure_carries_iteration_context():
     fs = Box(1, np.array([0.0]), np.array([1.0]))
-    base = make_quadratic(np.ones(1))  # descent direction points at x = 1
+    base = Quadratic(np.ones(1)).objective()  # descent direction points at x = 1
 
     def poisoned(x):
         return float("nan") if x[0] > 0.9 else float(0.5 * (x - 1.0) @ (x - 1.0))
 
-    bad = type(base)(**{**base.__dict__, "value": poisoned})
+    bad = dataclasses.replace(base, value=poisoned)
     problem = Problem(fs, bad)
     with pytest.raises(ValueError, match="iteration 0"):
         solve(problem, LineSearch(1e-10, 50), x0=np.array([0.5]),
@@ -390,7 +392,7 @@ def test_a_line_search_row_holds_one_n_vector_more_than_an_open_loop_row():
     rng = np.random.default_rng(0)
     half = rng.uniform(0.5, 1.5, n)
     fs = Box(n, -half, half)
-    problem = Problem(fs, make_quadratic(rng.standard_normal(n)))
+    problem = Problem(fs, Quadratic(rng.standard_normal(n)))
     x0 = fs.lmo(np.ones(n))
     stop = StopRule(max_iter=5)
 
@@ -410,9 +412,9 @@ def test_a_line_search_row_holds_one_n_vector_more_than_an_open_loop_row():
 
 
 @pytest.mark.parametrize("objective, composite", [
-    (make_quadratic(np.array([2.0, -1.0, 0.5])), None),
-    (make_quadratic(np.array([2.0, -1.0, 0.5])), CompositePart(0.5)),
-    (make_power_norm(1.5, np.array([2.0, -1.0, 0.5])), None),
+    (Quadratic(np.array([2.0, -1.0, 0.5])).objective(), None),
+    (Quadratic(np.array([2.0, -1.0, 0.5])).objective(), CompositePart(0.5)),
+    (PowerNorm(1.5, np.array([2.0, -1.0, 0.5])).objective(), None),
 ], ids=["closed-form", "golden-section-composite", "golden-section-power-norm"])
 def test_a_line_search_drops_each_rows_gradient_before_its_trials(objective, composite):
     # the search reads only the slope <grad, d>: no row's gradient may be
@@ -453,7 +455,7 @@ def test_gap_certifies_suboptimality_on_convex_problems():
 
 def test_composite_gap_includes_the_nonsmooth_part():
     fs = Box(2, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    problem = Problem(fs, make_quadratic(np.array([0.9, -0.4])), CompositePart(0.5))
+    problem = Problem(fs, Quadratic(np.array([0.9, -0.4])), CompositePart(0.5))
     x = np.array([1.0, 1.0])
     gap, d = fw_gap(problem, x)
     grad = problem.objective.grad(x)
@@ -488,7 +490,7 @@ def test_gap_is_bitwise_the_product_with_x_minus_x_bar(kind, entries, at_x_bar, 
     grad = np.array([c for c, _ in entries])
     x = np.array([v for _, v in entries])
     composite = None if lam is None else CompositePart(lam)
-    problem = Problem(_gap_sets(grad.size)[kind], make_quadratic(np.zeros(grad.size)),
+    problem = Problem(_gap_sets(grad.size)[kind], Quadratic(np.zeros(grad.size)),
                       composite)
     x_bar = (problem.feasible_set.lmo(grad) if composite is None
              else problem.feasible_set.lmo_l1(grad, composite.lam))
@@ -512,7 +514,7 @@ def test_gap_is_bitwise_the_product_with_x_minus_x_bar(kind, entries, at_x_bar, 
 
 def test_composite_rows_evaluate_g_once_at_the_iterate(monkeypatch):
     fs = Box(3, np.full(3, -1.0), np.full(3, 1.0))
-    problem = Problem(fs, make_quadratic(np.array([0.9, -0.4, 0.05])), CompositePart(0.5))
+    problem = Problem(fs, Quadratic(np.array([0.9, -0.4, 0.05])), CompositePart(0.5))
     x0 = np.array([-1.0, 1.0, -1.0])
     calls = []
     value = CompositePart.value
@@ -593,7 +595,7 @@ def test_composite_lmo_meets_a_weak_duality_bound(kind, d, lam_exp, c_exp, r_exp
 
 def test_composite_solve_is_monotone_under_line_search():
     fs = Box(2, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    problem = Problem(fs, make_quadratic(np.array([0.9, -1.5])), CompositePart(0.5))
+    problem = Problem(fs, Quadratic(np.array([0.9, -1.5])), CompositePart(0.5))
     trace = solve(problem, LineSearch(1e-10, 200), x0=np.array([-1.0, -1.0]),
                   stop=StopRule(max_iter=60))
     objs = trace.objs
@@ -617,7 +619,7 @@ def test_gpa_rejects_bad_steps_and_composite_problems():
     with pytest.raises(ValueError, match=r"step must lie in \(0, 2/L\)"):
         solve(problem, ProjectedGradient(2.0), np.eye(3)[0], StopRule(10))
     fs = Box(2, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    comp = Problem(fs, make_quadratic(np.zeros(2)), CompositePart(0.5))
+    comp = Problem(fs, Quadratic(np.zeros(2)), CompositePart(0.5))
     with pytest.raises(ValueError, match="composite"):
         solve(comp, ProjectedGradient(1.0), np.zeros(2), StopRule(10))
 
@@ -634,15 +636,36 @@ def test_gpa_evaluates_one_gradient_per_row():
     assert len(calls) == 11
 
 
-@pytest.mark.parametrize("objective, feasible_set, x0", [
-    (make_quadratic([0.5, 0.2, 0.3]), Simplex(3), [1.0, 0.0, 0.0]),
-    (make_power_norm(1.5, [0.5, 0.2, 0.3]), Simplex(3), [1.0, 0.0, 0.0]),
-    (make_t_alpha(1.5), Box(1, [0.0], [1.0]), [1.0]),
-    (make_nesterov_max(), L2Ball(2, 1.0), [1.0, 0.0]),
-    (make_linear([1.0, -2.0, 0.5]), L2Ball(3, 1.0), [0.0, 0.0, 1.0]),
+@pytest.mark.parametrize("kind, feasible_set, x0, spec_problem", [
+    (Quadratic([0.5, 0.2, 0.3]), Simplex(3), [1.0, 0.0, 0.0],
+     {"set": {"kind": "simplex", "dim": 3},
+      "objective": {"kind": "quadratic", "b": [0.5, 0.2, 0.3]}}),
+    (PowerNorm(1.5, [0.5, 0.2, 0.3]), Simplex(3), [1.0, 0.0, 0.0],
+     {"set": {"kind": "simplex", "dim": 3},
+      "objective": {"kind": "power_norm", "sigma": 1.5, "b": [0.5, 0.2, 0.3]}}),
+    (TAlpha(1.5), Box(1, [0.0], [1.0]), [1.0],
+     {"set": {"kind": "box", "dim": 1, "lower": [0.0], "upper": [1.0]},
+      "objective": {"kind": "t_alpha", "alpha": 1.5}}),
+    (NesterovMax(), L2Ball(2, 1.0), [1.0, 0.0],
+     {"set": {"kind": "l2_ball", "dim": 2, "radius": 1.0},
+      "objective": {"kind": "nesterov_max"}}),
+    (Linear([1.0, -2.0, 0.5]), L2Ball(3, 1.0), [0.0, 0.0, 1.0],
+     {"set": {"kind": "l2_ball", "dim": 3, "radius": 1.0},
+      "objective": {"kind": "linear", "c": [1.0, -2.0, 0.5]}}),
 ], ids=["quadratic", "power_norm", "t_alpha", "nesterov_max", "linear"])
 def test_every_objective_kind_takes_one_value_and_one_grad_call_per_open_loop_row(
-        objective, feasible_set, x0):
+        kind, feasible_set, x0, spec_problem):
+    # a problem built on a kind holds its record, and keeps a record as given
+    problem = Problem(feasible_set, kind)
+    record = problem.objective
+    assert isinstance(record, Objective)
+    assert Problem(feasible_set, record).objective is record
+    spec = parse_spec({"name": "by_class", "seed": 0, "problem": spec_problem,
+                       "rule": {"kind": "harmonic", "c": 2.0}, "x0": x0,
+                       "stop": {"max_iter": 20}})
+    from_spec = build_problem(spec)
+    np.testing.assert_equal(problem.descriptor(), from_spec.descriptor())
+
     # the seam bench/tracer.py counts through: callables swapped into the record
     calls = {"value": 0, "grad": 0}
 
@@ -652,12 +675,14 @@ def test_every_objective_kind_takes_one_value_and_one_grad_call_per_open_loop_ro
             return fn(x)
         return call
 
-    watched = dataclasses.replace(objective, value=counted("value", objective.value),
-                                  grad=counted("grad", objective.grad))
-    trace = solve(Problem(feasible_set, watched), Harmonic(2.0), np.array(x0),
-                  StopRule(max_iter=20))
+    watched = dataclasses.replace(record, value=counted("value", record.value),
+                                  grad=counted("grad", record.grad))
+    trace = solve(dataclasses.replace(problem, objective=watched), Harmonic(2.0),
+                  np.array(x0), StopRule(max_iter=20))
     assert len(trace.rows) > 1
     assert calls == {"value": len(trace.rows), "grad": len(trace.rows)}
+    spec_trace = solve(from_spec, Harmonic(2.0), np.array(x0), StopRule(max_iter=20))
+    assert trace.config_fingerprint == spec_trace.config_fingerprint
 
 
 def test_gpa_gamma_column_is_the_fixed_step():
@@ -674,7 +699,7 @@ def test_gpa_gamma_column_is_the_fixed_step():
 def test_all_iterates_stay_feasible(seed):
     rng = np.random.default_rng(seed)
     fs = L2Ball(3, 1.0)
-    problem = Problem(fs, make_quadratic(rng.normal(scale=0.4, size=3)))
+    problem = Problem(fs, Quadratic(rng.normal(scale=0.4, size=3)))
     x0 = fs.sample(seed)
     trace = solve(problem, Harmonic(2.0), x0=x0, stop=StopRule(max_iter=30))
     for x, gap in zip(replay_iterates(problem, x0, trace), trace.rows[:, 1]):
@@ -766,7 +791,7 @@ def test_canonical_json_rejects_keys_that_are_not_strings():
 def test_config_fingerprint_at_large_n_holds_no_string_per_float():
     n = 100_000
     rng = np.random.default_rng(0)
-    problem_desc = Problem(Simplex(n), make_quadratic(rng.normal(size=n))).descriptor()
+    problem_desc = Problem(Simplex(n), Quadratic(rng.normal(size=n))).descriptor()
     x0 = rng.random(n)
     peaks = []
     for _ in range(2):  # a render, then a repeat that the memo answers
