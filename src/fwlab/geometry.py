@@ -246,11 +246,15 @@ class L2Ball(_Ball):
         # minimax: min over the ball of max_{|u|_inf <= lam} <c + u, x> is
         # -r*||S||, attained at -r*S/||S||, where S = sign(c)*max(|c| - lam, 0)
         # is the soft-threshold of c; S = 0 leaves the origin as the minimizer
-        s = np.sign(c) * np.maximum(np.abs(c) - lam, 0.0)
+        s = np.abs(c)
+        s -= lam
+        np.maximum(s, 0.0, out=s)
+        # in the formula's operand order, which picks the NaN a NaN cost gives
+        np.multiply(np.sign(c), s, out=s)
         n = l2_norm(s)
         if n == 0.0:
             return np.zeros(self.dim)
-        return -self.radius / n * s
+        return np.multiply(-self.radius / n, s, out=s)
 
     def project(self, x: Vector) -> Vector:
         n = l2_norm(x)
@@ -298,14 +302,28 @@ class Box(FeasibleSet):
         # coordinate-wise: c_i*y + lam*|y| on [l_i, u_i] is piecewise linear
         # with its only kink at 0, so the minimum sits in {l_i, u_i, 0}
         lo, up = self.lower, self.upper
-        at_lo = c * lo + lam * np.abs(lo)
-        at_up = c * up + lam * np.abs(up)
-        out = np.where(at_lo <= at_up, lo, up)
-        best = np.minimum(at_lo, at_up)
+        # each end's c*y + lam*|y| is built in place, in the same operations
+        # as the plain expression, so three n-vectors are alive at the peak
+        w = np.abs(lo)
+        w *= lam
+        at_lo = c * lo
+        at_lo += w
+        np.abs(up, out=w)
+        w *= lam
+        at_up = c * up
+        at_up += w
+        del w
+        lo_wins = at_lo <= at_up
+        best = np.minimum(at_lo, at_up, out=at_lo)
+        del at_up
+        out = np.where(lo_wins, lo, up)
         # the kink value is 0; it wins only strictly, so endpoint ties keep
         # the candidate order (lower, upper, zero)
-        zero_ok = (lo <= 0.0) & (0.0 <= up)
-        return np.where(zero_ok & (best > 0.0), 0.0, out)
+        zero = best > 0.0
+        zero &= lo <= 0.0
+        zero &= up >= 0.0
+        out[zero] = 0.0
+        return out
 
     def project(self, x: Vector) -> Vector:
         return np.clip(x, self.lower, self.upper)

@@ -19,8 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .geometry import FeasibleSet, Vector, VertexPolytope, l2_norm
-from .objectives import CompositePart, Objective
-from .schema import Count, NonNegative, Tagged, field_dict
+from .objectives import CompositePart, Objective, _Kind
+from .schema import Count, NonNegative, Tagged, _show, field_dict
 from .stepsize import LineSearch, StepsizeRule, line_search, step_toward
 
 REASON_MAX_ITER = "max_iter"
@@ -48,8 +48,12 @@ class Problem:
     composite: CompositePart | None = None
 
     def __post_init__(self):
-        if not isinstance(self.objective, Objective):
+        if isinstance(self.objective, _Kind):
             object.__setattr__(self, "objective", self.objective.objective())
+        elif not isinstance(self.objective, Objective):
+            raise ValueError(f"'objective' must be an objective kind or its record, got "
+                             f"{_show(self.objective)}; objective_from_descriptor builds "
+                             f"a kind from a descriptor")
         object.__setattr__(self, "_x_star", cache(self.objective.fit(self.feasible_set)))
         if self.composite is not None and isinstance(self.feasible_set, VertexPolytope):
             raise ValueError("composite terms need a set with an exact composite oracle "
@@ -270,10 +274,10 @@ def _searcher(problem: Problem, rule: LineSearch
     only that number of the gradient, so it takes no gradient to keep alive."""
     # the closed form minimizes f alone, so it serves only when phi = f
     segment_min = problem.objective.segment_min if problem.composite is None else None
-    # every trial point x + t * d of every row is written into one array, made
-    # at the first trial: it then sits above the first row's vectors, and the
-    # short-lived vectors of later rows fit in the holes below it instead of
-    # growing the heap top that the allocator hands back at each row's end
+    # each search writes its trial points x + t * d into one array, made at
+    # its first trial and dropped when it returns: it is never alive beside a
+    # row's gradient or oracle call, so a composite row's peak, which its
+    # oracle's working vectors set, is no higher under a search than open-loop
     point = None
 
     def phi_along(x: Vector, d: Vector, t: float) -> float:
@@ -284,11 +288,14 @@ def _searcher(problem: Problem, rule: LineSearch
         return problem.phi(np.add(x, point, out=point))
 
     def searched(k: int, x: Vector, slope: float, d: Vector) -> tuple[float, Vector]:
+        nonlocal point
         gamma_star = None if segment_min is None else segment_min(slope, d)
         try:
             gamma_k = line_search(lambda t: phi_along(x, d, t), rule, gamma_star)
         except ValueError as exc:
             raise ValueError(f"line search failed at iteration {k}: {exc}") from exc
+        finally:
+            point = None
         return gamma_k, step_toward(x, gamma_k, d)
 
     return searched

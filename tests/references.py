@@ -6,8 +6,10 @@ a time, the compare CSV is rendered from the trace's row array a chunk at a
 time, the rate fit selects its points from the trace's columns and the window
 checks slice the rows k_min..k_max; this keeps the one-shot schedule, the
 per-cell rendering, the per-row point loop and the boolean masks over a k
-column they replaced. Tests require the package to match each of them bit for
-bit. Nothing in the package reads this module.
+column they replaced. The box and l2-ball composite oracles build their
+answer in place; this keeps the out-of-place expressions they replaced. Tests
+require the package to match each of them bit for bit. Nothing in the package
+reads this module.
 """
 import math
 
@@ -22,6 +24,27 @@ def project_onto_simplex_face(x, total):
     rho = int(np.nonzero(u > css / idx)[0][-1])
     theta = css[rho] / (rho + 1.0)
     return np.maximum(x - theta, 0.0)
+
+
+def box_lmo_l1(lower, upper, c, lam):
+    """argmin of <c, x> + lam*||x||_1 over the box, each coordinate's best of
+    {lower, upper, 0}, ties kept in that order, from out-of-place arrays."""
+    at_lo = c * lower + lam * np.abs(lower)
+    at_up = c * upper + lam * np.abs(upper)
+    out = np.where(at_lo <= at_up, lower, upper)
+    best = np.minimum(at_lo, at_up)
+    zero_ok = (lower <= 0.0) & (0.0 <= upper)
+    return np.where(zero_ok & (best > 0.0), 0.0, out)
+
+
+def l2_ball_lmo_l1(radius, c, lam):
+    """argmin of <c, x> + lam*||x||_1 over the l2 ball: -radius * S/||S|| for
+    the soft-threshold S of c, or the origin when S = 0."""
+    s = np.sign(c) * np.maximum(np.abs(c) - lam, 0.0)
+    n = float(np.linalg.norm(s))
+    if n == 0.0:
+        return np.zeros(c.size)
+    return -radius / n * s
 
 
 def schedule_one_shot(rule, upto):

@@ -21,7 +21,7 @@ from fwlab import (
 from fwlab.geometry import _project_onto_simplex_face, l2_norm
 
 from conftest import projectable_sets, small_sets
-from references import project_onto_simplex_face
+from references import box_lmo_l1, l2_ball_lmo_l1, project_onto_simplex_face
 
 TRIANGLE = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
 
@@ -77,6 +77,52 @@ def test_box_lmo_is_bitwise_the_two_sided_rule(entries):
     box = Box(c.size, lo, hi)
     want = np.where(c > 0, lo, np.where(c < 0, hi, lo))
     assert box.lmo(c).tobytes() == want.tobytes()
+
+
+# signed zeros at either end, an upper end of -0.0, and ends of equal |y|, at
+# which a zero cost ties the two; a cost of -lam on a side in [0, inf), or of
+# lam on one in (-inf, 0], ties both ends at 0 too
+_L1_BOX_SIDES = _BOX_SIDES + [(-1.0, 1.0), (-2.5, 2.5), (0.5, 2.0), (-3.0, -1.0),
+                              (-1.0, 3.0), (-1e-300, 1e300)]
+_LAMS = [1e-9, 0.3, 1.0, 5.0]
+
+
+@st.composite
+def composite_oracle_cases(draw):
+    lam = draw(st.sampled_from(_LAMS))
+    costs = st.one_of(_COST_ENTRIES, st.sampled_from([lam, -lam]))
+    entries = draw(st.lists(st.tuples(costs, st.sampled_from(_L1_BOX_SIDES)),
+                            min_size=1, max_size=12))
+    c = np.array([e for e, _ in entries])
+    lower = np.array([side[0] for _, side in entries])
+    upper = np.array([side[1] for _, side in entries])
+    return c, lower, upper, lam
+
+
+def _large_composite_oracle_case(n=4099, lam=0.3):
+    # past one 4096-element block: every kind of cost and side, tiled
+    rng = np.random.default_rng(0)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.0, math.nan, math.inf, -math.inf, lam, -lam])
+    c = np.where(rng.random(n) < 0.5, rng.choice(pool, n), rng.normal(size=n))
+    lower, upper = np.array(_L1_BOX_SIDES)[rng.integers(0, len(_L1_BOX_SIDES), n)].T
+    return c, lower, upper, lam
+
+
+@given(composite_oracle_cases(), st.sampled_from([0.5, 1.0, 2.5]))
+@example(_large_composite_oracle_case(), 1.5)
+def test_composite_oracles_are_bitwise_the_out_of_place_forms(case, radius):
+    # the box and l2-ball oracles build their answer in place; every bit must
+    # be the plain expressions', and the cost vector is only read
+    c, lower, upper, lam = case
+    before = c.tobytes()
+    with np.errstate(all="ignore"):  # inf and NaN costs
+        got = Box(c.size, lower, upper).lmo_l1(c, lam)
+        want = box_lmo_l1(lower, upper, c, lam)
+        assert got.tobytes() == want.tobytes()
+        got = L2Ball(c.size, radius).lmo_l1(c, lam)
+        want = l2_ball_lmo_l1(radius, c, lam)
+        assert got.tobytes() == want.tobytes()
+    assert c.tobytes() == before
 
 
 @given(st.lists(_COST_ENTRIES, min_size=1, max_size=12))

@@ -283,6 +283,20 @@ def test_problem_rejects_an_objective_that_does_not_fit_its_set(objective, messa
         Problem(Simplex(3), objective)
 
 
+@pytest.mark.parametrize("objective, shown", [
+    ({"kind": "quadratic", "b": [0, 0, 0]}, "dict"),
+    (None, "None"),
+    ("quadratic", "'quadratic'"),
+    (Simplex(3), "Simplex"),
+], ids=["descriptor", "none", "string", "set"])
+def test_problem_names_the_objective_it_cannot_use(objective, shown):
+    # these once died on an AttributeError naming no field
+    message = (f"'objective' must be an objective kind or its record, got {shown}; "
+               "objective_from_descriptor builds a kind from a descriptor")
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        Problem(Simplex(3), objective)
+
+
 def test_one_objective_on_two_sets_reports_each_sets_own_optimum():
     # an objective once kept the optimum of the set it was built on, so the
     # simplex reported the ball's f* = 0

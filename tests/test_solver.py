@@ -384,31 +384,65 @@ def test_line_search_failure_carries_iteration_context():
               stop=StopRule(max_iter=5))
 
 
+def _solve_peak_bytes(problem, rule, x0, stop):
+    """tracemalloc's peak over one solve, above what was alive before it."""
+    solve(problem, rule, x0=x0, stop=stop)  # first calls' caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = solve(problem, rule, x0=x0, stop=stop)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(trace.rows) == stop.max_iter + 1
+    return peak
+
+
+def _row_budget_data(n):
+    """A box of half-widths in [0.5, 1.5] and a quadratic's b, both of size n."""
+    rng = np.random.default_rng(0)
+    half = rng.uniform(0.5, 1.5, n)
+    return Box(n, -half, half), rng.standard_normal(n)
+
+
 def test_a_line_search_row_holds_one_n_vector_more_than_an_open_loop_row():
     # an open-loop row holds x, the gradient and d; a line-search row holds x,
     # d, the trial array and value's x - b. With the gradient kept through the
     # search it held two n-vectors more than the open-loop row, not one
     n = 20_000
-    rng = np.random.default_rng(0)
-    half = rng.uniform(0.5, 1.5, n)
-    fs = Box(n, -half, half)
-    problem = Problem(fs, Quadratic(rng.standard_normal(n)))
+    fs, b = _row_budget_data(n)
+    problem = Problem(fs, Quadratic(b))
     x0 = fs.lmo(np.ones(n))
     stop = StopRule(max_iter=5)
+    assert (_solve_peak_bytes(problem, LineSearch(), x0, stop)
+            <= _solve_peak_bytes(problem, Harmonic(2.0), x0, stop) + 1.1 * 8 * n)
 
-    def peak_bytes(rule):
-        solve(problem, rule, x0=x0, stop=stop)  # first calls' caches
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            trace = solve(problem, rule, x0=x0, stop=stop)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert len(trace.rows) == 6
-        return peak
 
-    assert peak_bytes(LineSearch()) <= peak_bytes(Harmonic(2.0)) + 1.1 * 8 * n
+# a composite row holds the plain open-loop row's x, gradient and d, plus
+# g(x_bar)'s |x_bar|; on the box, the oracle's three working vectors beside
+# the gradient set its peak. Measured n-vectors above the plain open-loop
+# row's (3.0; 3.1 on the box), open-loop / line search:
+#   box      4.13 / 5.13 when the oracle held 5.3 working vectors; now 1.87 / 1.86
+#   l2 ball  2.00 / 2.99 when the soft-threshold held two; now 1.00 / 1.00
+#   l1 ball  1.00 / 2.00 when the trial array lived through the solve; now 1.00 / 1.00
+#   simplex  1.00 / 2.00 likewise; now 1.00 / 1.00
+@pytest.mark.parametrize("rule", [Harmonic(2.0), LineSearch()], ids=["open-loop", "line-search"])
+@pytest.mark.parametrize("kind, budget", [
+    ("simplex", 1.1), ("l1_ball", 1.1), ("l2_ball", 1.1), ("box", 2.1),
+])
+def test_a_composite_row_holds_the_plain_rows_vectors_and_its_oracles(kind, budget, rule):
+    n = 20_000
+    box, _ = _row_budget_data(n)
+    fs = {"simplex": Simplex(n), "l1_ball": L1Ball(n, 1.0), "l2_ball": L2Ball(n, 1.0),
+          "box": box}[kind]
+    # this b keeps every solve off the optimum for its 5 rows; the b above
+    # reaches the simplex's at row 2, where a solve stops
+    objective = Quadratic(np.random.default_rng(1).standard_normal(n))
+    x0 = fs.lmo(np.ones(n))
+    stop = StopRule(max_iter=5)
+    plain = _solve_peak_bytes(Problem(fs, objective), Harmonic(2.0), x0, stop)
+    composite = Problem(fs, objective, CompositePart(0.3))
+    assert _solve_peak_bytes(composite, rule, x0, stop) <= plain + budget * 8 * n
 
 
 @pytest.mark.parametrize("objective, composite", [
