@@ -108,6 +108,7 @@ def main(argv=None) -> int:
     import fwlab.runner
     import workloads
     from fwlab.config import parse_spec
+    from fwlab.geometry import set_from_descriptor
 
     def raw_specs(seed):
         return {raw["name"]: raw for make in workloads.WORKLOADS.values()
@@ -121,10 +122,12 @@ def main(argv=None) -> int:
             fwlab.runner.run_experiment(parse_spec(warm[name]), Path(tmp) / "warm")
             spec = parse_spec(raws[name])
             peaks = probe.run(spec, Path(tmp) / "run")
-            vector = 8 * spec.problem["set"]["dim"]
+            # a vertex polytope has no 'dim' field; its set reads it off the vertices
+            n = set_from_descriptor(spec.problem["set"]).dim
+            vector = 8 * n
             runs.append({
                 "spec": name,
-                "n": vector // 8,
+                "n": n,
                 "peak_mb": {p: round(peaks[p] / MB, 4) for p in PHASES},
                 "peak_n_vectors": {p: round(peaks[p] / vector, 3) for p in PHASES},
             })

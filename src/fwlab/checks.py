@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .solver import Problem, SolveTrace, REASON_FINITE_TERMINATION
 from .stepsize import DHRecursion, dh_envelope_holds
-from .geometry import Box, finite_vector
+from .geometry import Box, fit_shape
 from .schema import (Count, Fraction, Index, Order, Positive, Seed, Tagged, Vector, build,
                      field_dict, kinds)
 
@@ -190,8 +190,7 @@ class FiniteTermination(Check):
     def validate(self, spec, problem):
         super().validate(spec, problem)
         if self.final_x is not None:
-            # a NaN entry would pass evaluate's err > tol test
-            finite_vector("final_x", self.final_x, problem.feasible_set.dim)
+            fit_shape("final_x", self.final_x, problem.feasible_set.dim)
 
     def evaluate(self, ctx):
         last_k = len(ctx.trace.rows) - 1
@@ -201,8 +200,7 @@ class FiniteTermination(Check):
         if self.at_k is not None and last_k != self.at_k:
             problems.append(f"stopped at k={last_k}")
         if self.final_x is not None:
-            want = np.asarray(self.final_x, dtype=float)
-            err = float(np.max(np.abs(ctx.trace.final_x - want)))
+            err = float(np.max(np.abs(ctx.trace.final_x - self.final_x)))
             if err > self.tol:
                 problems.append(f"final_x off by {err:.3g}")
         want_k = f" at k={self.at_k}" if self.at_k is not None else ""
@@ -333,10 +331,10 @@ class ScheduleBounds(Check):
     horizon: int
 
     def check_values(self):
-        if len(self.gamma0s) == 0:  # not `not`: the field may be an array
+        if len(self.gamma0s) == 0:
             raise ValueError("'gamma0s' must be a nonempty list")
         for g0 in self.gamma0s:
-            DHRecursion(g0)  # rejects out-of-range values
+            DHRecursion(float(g0))  # rejects out-of-range values
         if self.horizon < 10:
             raise ValueError("'horizon' must be >= 10")
 

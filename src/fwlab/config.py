@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 
-from .geometry import FeasibleSet, finite_vector, set_from_descriptor
+from .geometry import FeasibleSet, fit_shape, set_from_descriptor
 from .objectives import composite_from_descriptor, objective_from_descriptor
 from .schema import Checks, Name, Section, Tagged, X0, field_dict, read, typed
 from .solver import Problem, StopRule, config_fingerprint
@@ -125,7 +125,7 @@ def resolve_x0(spec: ExperimentSpec, feasible_set: FeasibleSet) -> np.ndarray:
                              f"set has {count} listed extreme points")
         return feasible_set.extreme_point(i)
     try:
-        return finite_vector("x0", typed("x0", "Vector", spec.x0), feasible_set.dim)
+        return fit_shape("x0", typed("x0", "Vector", spec.x0), feasible_set.dim)
     except ValueError as exc:
         raise ValueError(f"{spec.name}: {exc}") from None
 

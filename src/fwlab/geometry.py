@@ -6,8 +6,9 @@ seeded sampling. The simplex, the two balls and the box also solve the
 L1-composite subproblem argmin <c, x> + lam*||x||_1 exactly (lmo_l1); on
 every set the origin wins that subproblem only strictly. All operations are
 pure; sampling is pure given its seed. The norm is l2 throughout. A set's
-fields are its spec's, under its `kind`: it keeps read-only float64 copies
-of its vectors, and its descriptor hands out those arrays, not lists.
+fields are its spec's, under its `kind`: `fwlab.schema` reads each vector
+as a finite read-only float64 copy, and the descriptor hands out those
+arrays, not lists; `fit_shape` checks a vector's length against a set's.
 """
 from __future__ import annotations
 
@@ -20,25 +21,9 @@ from .schema import Count, Matrix, Positive, Tagged, build, kinds
 Vector = np.ndarray
 
 
-def frozen_copy(x) -> np.ndarray:
-    """A private read-only float64 copy of x, for the data a set or an
-    objective owns: a caller's later write to x cannot reach it, and the
-    descriptor that hands it out cannot write to it."""
-    arr = np.array(x, dtype=float)
-    arr.flags.writeable = False
-    return arr
-
-
-def finite_vector(name: str, x, dim: int | None = None) -> Vector:
-    """frozen_copy(x), finite and of shape (dim,) (any if dim is None): the one
-    check of every vector that must fit a set. Its ValueError names the field."""
-    arr = fit_shape(name, frozen_copy(x), dim)
-    require_finite(arr, name)
-    return arr
-
-
-def fit_shape(name: str, arr: Vector, dim: int | None) -> Vector:
-    if dim is not None and arr.shape != (dim,):
+def fit_shape(name: str, arr: Vector, dim: int) -> Vector:
+    """arr, the field `name`, where its shape is (dim,); a ValueError else."""
+    if arr.shape != (dim,):
         raise ValueError(f"'{name}' has shape {arr.shape}, set dimension is {dim}")
     return arr
 
@@ -52,11 +37,6 @@ def l2_norm(v: Vector) -> float:
     """
     v = v.ravel(order="K")
     return math.sqrt(v.dot(v))
-
-
-def require_finite(arr: Vector, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"'{name}' contains non-finite entries")
 
 
 class FeasibleSet(Tagged):
@@ -287,12 +267,10 @@ class Box(FeasibleSet):
     upper: Vector
 
     def check_values(self):
-        lo = finite_vector("lower", self.lower, self.dim)
-        hi = finite_vector("upper", self.upper, self.dim)
-        if not np.all(lo < hi):
-            raise ValueError("lower must be strictly below upper componentwise")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        fit_shape("lower", self.lower, self.dim)
+        fit_shape("upper", self.upper, self.dim)
+        if not np.all(self.lower < self.upper):
+            raise ValueError("'lower' must be strictly below 'upper' componentwise")
 
     def lmo(self, c: Vector) -> Vector:
         # c_i = 0 (and NaN) picks the lower corner: deterministic vertex on ties
@@ -367,11 +345,9 @@ class VertexPolytope(FeasibleSet):
     vertices: Matrix
 
     def check_values(self):
-        v = frozen_copy(self.vertices)
+        v = self.vertices
         if v.ndim != 2 or v.size == 0:  # no vertex, or vertices of dimension 0
             raise ValueError("'vertices' must be a nonempty list of d-vectors")
-        require_finite(v, "vertices")
-        object.__setattr__(self, "vertices", v)
 
     @property
     def dim(self) -> int:

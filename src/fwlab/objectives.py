@@ -6,9 +6,10 @@ and rules are. Its methods are evaluation, gradient, where it has a closed
 form the minimizer of the objective along a segment, and `fit`, which
 `Problem` calls to place it on its feasible set; `holder` is the gradient's
 Holder constant (a Lipschitz constant where nu = 1), where known. A `Problem`
-holds them as the kind's `objective()` record. A kind keeps a read-only
-float64 copy of its vector data (b or c), so a caller's later write cannot
-change the objective behind its descriptor, which hands out that same array.
+holds them as the kind's `objective()` record. `fwlab.schema` reads a kind's
+vector data (b or c) as a finite read-only float64 copy, so a caller's later
+write cannot change the objective behind its descriptor, which hands out that
+same array; `fit` checks its length against the set's.
 
 The scalar t^alpha objective is defined on t >= 0 only, and does not fit a
 set that reaches below 0. The nonsmooth max objective carries a pointwise
@@ -23,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import FeasibleSet, L2Ball, Vector, finite_vector, fit_shape, l2_norm
+from .geometry import FeasibleSet, L2Ball, Vector, fit_shape, l2_norm
 from .schema import Order, Positive, Tagged, build, kinds
 from .stepsize import line_search_quadratic_exact
 
@@ -102,9 +103,6 @@ class Quadratic(_Kind):
     b: Vector
     holder = HolderInfo(1.0, 1.0)  # exactly 1-Lipschitz, a true constant
 
-    def check_values(self):
-        object.__setattr__(self, "b", finite_vector("b", self.b))
-
     def value(self, x: Vector) -> float:
         d = x - self.b
         return 0.5 * float(d.dot(d))
@@ -142,7 +140,6 @@ class PowerNorm(_Kind):
     b: Vector
 
     def check_values(self):
-        object.__setattr__(self, "b", finite_vector("b", self.b))
         object.__setattr__(self, "holder", HolderInfo(self.sigma - 1.0, None))
 
     def value(self, x: Vector) -> float:
@@ -182,7 +179,7 @@ class TAlpha(_Kind):
 
     def check_values(self):
         if not 1.0 < self.alpha < 2.0:
-            raise ValueError(f"alpha must lie in (1, 2), got {self.alpha}")
+            raise ValueError(f"'alpha' must lie in (1, 2), got {self.alpha}")
         object.__setattr__(self, "holder", HolderInfo(self.alpha - 1.0, self.alpha))
 
     def value(self, x: Vector) -> float:
@@ -233,9 +230,6 @@ class Linear(_Kind):
 
     kind = "linear"
     c: Vector
-
-    def check_values(self):
-        object.__setattr__(self, "c", finite_vector("c", self.c))
 
     def value(self, x: Vector) -> float:
         return float(self.c @ x)

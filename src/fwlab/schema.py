@@ -4,9 +4,11 @@ A section's schema is its class's annotated fields: `field_types` reads them,
 and `kinds` makes a table of kind -> class from them. `Tagged` is the one
 section base: building one, by a Python call or by `build` from a spec's
 descriptor, checks each field with `read` (a type ending in " | None" marks a
-field that may be omitted) and keeps its value as written, so an unknown,
-missing or mistyped field raises a ValueError naming it. Its `descriptor()`
-renders the fields back under the class's `kind`.
+field that may be omitted), so an unknown, missing or mistyped field raises a
+ValueError naming it. It keeps each value as written, but for a `Vector` or
+`Matrix` field, which `typed` reads once as a private, finite, read-only
+float64 copy. Its `descriptor()` renders the fields back under the class's
+`kind`.
 """
 from __future__ import annotations
 
@@ -30,8 +32,8 @@ _TYPES = {"float": ((int, float), "a finite number", lambda v: -math.inf < v < m
           # point, the file-name-safe experiment name and the check list
           "Section": ((dict, type(None)), "an object or null", None),
           "X0": ((list, str, type(None)), "a vector, 'vertex(i)' or 'sample(seed)'", None),
-          "Name": (str, "a nonempty string with no '/', '\\' or space",
-                   lambda v: v != "" and not any(ch in v for ch in "/\\ ")),
+          "Name": (str, "a nonempty string with no '/', '\\', space or NUL",
+                   lambda v: v != "" and not any(ch in v for ch in "/\\ \0")),
           "Checks": (list, "a list of objects", None)}
 _TYPES["Index"] = _TYPES["Seed"]  # row 0 is a trace's first
 
@@ -42,8 +44,27 @@ def _show(v) -> str:
 
 
 def typed(name: str, typ: str, v):
-    """v, checked against the type named typ; ValueError names the field."""
+    """v, checked against the type named typ; ValueError names the field. A
+    `Vector` or `Matrix` comes back as a private, finite, read-only float64
+    copy, so a caller's later write cannot reach it and a descriptor that
+    hands it out cannot write to it."""
     typ = typ.removesuffix(" | None")
+    _check(name, typ, v)
+    if typ not in ("Vector", "Matrix"):
+        return v
+    try:
+        arr = np.array(v, dtype=float)
+    except OverflowError:  # an integer past float64's range, which json reads
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
+        raise ValueError(f"'{name}' contains non-finite entries")
+    arr.flags.writeable = False
+    return arr
+
+
+def _check(name: str, typ: str, v) -> None:
+    """Raise where v is not of the type named typ; a `Matrix` list's rows are
+    checked as vectors, each as given, and must be of one length."""
     types, what, in_range = _TYPES[typ]
     if (not isinstance(v, types) or (isinstance(v, bool) and typ != "bool")
             or (in_range is not None and not in_range(v))
@@ -52,14 +73,16 @@ def typed(name: str, typ: str, v):
         raise ValueError(f"'{name}' must be {what}, got {_show(v)}")
     if typ == "Matrix" and isinstance(v, list):
         for i, row in enumerate(v):
-            typed(f"{name}[{i}]", "Vector", row)
+            _check(f"{name}[{i}]", "Vector", row)
+            if len(row) != len(v[0]):
+                raise ValueError(f"'{name}' rows differ in length: row 0 has "
+                                 f"{len(v[0])} entries, row {i} has {len(row)}")
     # one C-level pass over the types; the exact test (which also takes
     # subclasses of int and float) only where that pass finds another type
     elif typ == "Vector" and isinstance(v, list) and not set(map(type, v)) <= {int, float}:
         for i, u in enumerate(v):
             if isinstance(u, bool) or not isinstance(u, (int, float)):
                 raise ValueError(f"'{name}' must be {what}; entry {i} is {_show(u)}")
-    return v
 
 
 def read(desc, types: dict) -> dict:
@@ -96,11 +119,11 @@ Seed = int  # an integer >= 0, as numpy's generators take
 Index = int  # a trace row's k, an integer >= 0
 Fraction = float  # a number in (0, 1]
 Order = float  # a curvature order sigma in (1, 2], the range the paper's rates cover
-Vector = list  # a flat list of numbers
-Matrix = list  # a list of vectors of numbers
+Vector = list  # a flat list of numbers, held as a 1-D float64 array
+Matrix = list  # a list of vectors of numbers of one length, held as a 2-D one
 Section = dict  # an object, or null for an omitted section
 X0 = list  # a vector, or the string 'vertex(i)' or 'sample(seed)'
-Name = str  # a nonempty string with no '/', '\\' or space
+Name = str  # a nonempty string with no '/', '\\', space or NUL
 Checks = list  # a list of objects
 
 

@@ -58,7 +58,7 @@ class LineSearch(StepsizeRule):
 
     def check_values(self):
         if self.max_evals < 2:
-            raise ValueError(f"max_evals must be >= 2, got {self.max_evals}")
+            raise ValueError(f"'max_evals' must be >= 2, got {self.max_evals}")
 
 
 class OpenLoop(StepsizeRule):
@@ -98,7 +98,7 @@ class Harmonic(OpenLoop):
 
     def check_values(self):
         if not self.c >= 1:
-            raise ValueError(f"harmonic offset must be >= 1, got {self.c}")
+            raise ValueError(f"'c' must be >= 1, got {self.c}")
 
     def gamma(self, k):
         return self.c / (k + self.c)

@@ -1,4 +1,5 @@
 """Spec parsing, materialization, validation, and fingerprint stability."""
+import copy
 import json
 import math
 import re
@@ -65,7 +66,7 @@ def test_parse_rejects_non_object():
         parse_spec([1, 2, 3])
 
 
-@pytest.mark.parametrize("name", ["", None, 3, "has space", "has/slash"])
+@pytest.mark.parametrize("name", ["", None, 3, "has space", "has/slash", "has\x00nul"])
 def test_parse_rejects_bad_names(name):
     with pytest.raises(ValueError, match="'name'"):
         parse_spec(_solving_raw(name=name))
@@ -216,7 +217,8 @@ def test_parse_reads_a_null_section_as_omitted():
 
 
 @pytest.mark.parametrize("over, message", [
-    ({"name": None}, "'name' must be a nonempty string with no '/', '\\' or space, got None"),
+    ({"name": None}, "'name' must be a nonempty string with no '/', '\\', space or NUL, "
+                     "got None"),
     ({"seed": None}, "'seed' must be an integer, got None"),
     ({"checks": None}, "'checks' must be a list of objects, got None"),
     ({"checks": [{"kind": "monotonicity"}, 3]},
@@ -293,7 +295,8 @@ def test_validate_rejects_composite_on_a_vertex_polytope():
     ([[1.0, 0.0, 0.0], [0.0, math.nan, 1.0]], "'vertices' contains non-finite entries"),
     ([], "'vertices' must be a nonempty list of d-vectors"),
     ([[]], "'vertices' must be a nonempty list of d-vectors"),
-], ids=["nan", "empty", "zero-dimensional"])
+    ([[1.0, 0.0], [1.0]], "'vertices' rows differ in length: row 0 has 2 entries, row 1 has 1"),
+], ids=["nan", "empty", "zero-dimensional", "ragged"])
 def test_validate_names_the_vertices_of_a_bad_vertex_polytope(vertices, message):
     raw = _solving_raw()
     raw["problem"]["set"] = {"kind": "vertex_polytope", "vertices": vertices}
@@ -753,6 +756,46 @@ def test_every_section_class_reads_its_fields_and_refuses_assignment(table, kind
     for name in types:
         with pytest.raises(AttributeError, match="read-only"):
             setattr(section, name, getattr(section, name))
+
+
+# (class, its other fields, a vector field, an integer value for that field)
+_VECTOR_FIELDS = [
+    (geometry.Box, {"dim": 2, "upper": [2.0, 3.0]}, "lower", [1, 0]),
+    (geometry.Box, {"dim": 2, "lower": [-2.0, -3.0]}, "upper", [1, 0]),
+    (geometry.VertexPolytope, {}, "vertices", [[1, 0], [0, 1]]),
+    (objectives.Quadratic, {}, "b", [1, 0]),
+    (objectives.PowerNorm, {"sigma": 1.5}, "b", [1, 0]),
+    (objectives.Linear, {}, "c", [1, 0]),
+    (checks.FiniteTermination, {}, "final_x", [1, 0]),
+    (checks.ScheduleBounds, {"horizon": 10}, "gamma0s", [1, 1]),
+]
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["int-list", "int64-array"])
+@pytest.mark.parametrize("cls, others, name, ints", _VECTOR_FIELDS,
+                         ids=[f"{cls.kind}.{name}" for cls, _, name, _ in _VECTOR_FIELDS])
+def test_every_vector_field_holds_a_private_finite_float64_array(cls, others, name, ints,
+                                                                 as_array):
+    given = np.array(ints, dtype=np.int64) if as_array else copy.deepcopy(ints)
+    section = cls(**others, **{name: given})
+    held = getattr(section, name)
+    assert isinstance(held, np.ndarray) and held.dtype == np.float64
+    assert not held.flags.writeable
+    assert held.tolist() == ints
+    # the caller's input, written after the build, does not reach the section
+    if as_array:
+        given.flat[0] = 7
+    elif isinstance(given[0], list):
+        given[0][0] = 7
+    else:
+        given[0] = 7
+    assert held.tolist() == ints
+    if not issubclass(cls, checks.Check):
+        assert section.descriptor()[name] is held
+    bad = np.array(ints, dtype=float)
+    bad.flat[0] = math.inf
+    with pytest.raises(ValueError, match=rf"^'{name}' contains non-finite entries$"):
+        cls(**others, **{name: bad if as_array else bad.tolist()})
 
 
 @pytest.mark.parametrize("desc", [

@@ -95,7 +95,9 @@ def test_simplex_optimum_holds_under_two_and_a_half_n_vectors():
     (lambda v: PowerNorm(1.5, v), "'b'"),
     (Linear, "'c'"),
 ], ids=["quadratic", "power_norm", "linear"])
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+# an integer past float64's range, as json reads a long literal, is not finite
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 10**400],
+                         ids=["inf", "-inf", "nan", "int-1e400"])
 def test_objective_data_must_be_finite(make, name, bad):
     with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
         make([bad, 1.0, 0.0])

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwlab import (
+    Box,
     DHRecursion,
     Harmonic,
     LineSearch,
     OpenLoop,
     Power,
     ProjectedGradient,
+    TAlpha,
     line_search,
     line_search_quadratic_exact,
     rule_from_descriptor,
@@ -252,14 +254,19 @@ def test_rule_parameter_validation():
     # a Python call gets the checks and messages a spec gets
     for build, message in [
         (lambda: Harmonic(True), "'c' must be a finite number, got True"),
-        (lambda: Harmonic(0.5), "harmonic offset must be >= 1, got 0.5"),
+        (lambda: Harmonic(0.5), "'c' must be >= 1, got 0.5"),
         (lambda: Power(1.0, True), "'p' must be a number in (0, 1], got True"),
         (lambda: Power(2.0, 0.5), "'gamma0' must be a number in (0, 1], got 2.0"),
         (lambda: DHRecursion(0.0), "'gamma0' must be a number in (0, 1], got 0.0"),
         (lambda: LineSearch(math.inf, 200), "'tol' must be a finite positive number, got inf"),
         (lambda: ProjectedGradient(0), "'step' must be a finite positive number, got 0"),
+        # a range a field's type does not hold names the field in the same form
+        (lambda: LineSearch(1e-10, 1), "'max_evals' must be >= 2, got 1"),
+        (lambda: TAlpha(2.5), "'alpha' must lie in (1, 2), got 2.5"),
+        (lambda: Box(2, [0.0, 1.0], [1.0, 1.0]),
+         "'lower' must be strictly below 'upper' componentwise"),
     ]:
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
             build()
 
 
