@@ -9,7 +9,10 @@ Holder constant (a Lipschitz constant where nu = 1), where known. A `Problem`
 holds them as the kind's `objective()` record. `fwlab.schema` reads a kind's
 vector data (b or c) as a finite read-only float64 copy, so a caller's later
 write cannot change the objective behind its descriptor, which hands out that
-same array; `fit` checks its length against the set's.
+same array; `fit` checks its length against the set's. The two kinds that
+subtract b, `Quadratic` and `PowerNorm`, also give `value_into(x)`: value(x)'s
+bits, with x - b written over x, which `Problem.phi_into` calls on a line
+search's trial points so that no n-vector temporary is made.
 
 The scalar t^alpha objective is defined on t >= 0 only, and does not fit a
 set that reaches below 0. The nonsmooth max objective carries a pointwise
@@ -49,8 +52,7 @@ class Objective:
 
     `segment_min(slope, d)`, when set, is the exact minimizer over gamma in
     [0,1] of f(x + gamma d), given the slope <f'(x), d>. It takes no x and no
-    gradient: a line-search row holds x, d, the trial array and `value`'s
-    temporary.
+    gradient: a line-search row holds x, d and the trial array.
 
     `Problem` calls `fit(feasible_set)`: a ValueError where f is not defined
     on the set, else a function giving f's minimizer there, or None.
@@ -107,6 +109,11 @@ class Quadratic(_Kind):
         d = x - self.b
         return 0.5 * float(d.dot(d))
 
+    def value_into(self, x: Vector) -> float:
+        """value(x), the same bits, with x - b written over x."""
+        np.subtract(x, self.b, out=x)
+        return 0.5 * float(x.dot(x))
+
     def grad(self, x: Vector) -> Vector:
         return x - self.b
 
@@ -144,6 +151,10 @@ class PowerNorm(_Kind):
 
     def value(self, x: Vector) -> float:
         return l2_norm(x - self.b) ** self.sigma
+
+    def value_into(self, x: Vector) -> float:
+        """value(x), the same bits, with x - b written over x."""
+        return l2_norm(np.subtract(x, self.b, out=x)) ** self.sigma
 
     def grad(self, x: Vector) -> Vector:
         d = x - self.b

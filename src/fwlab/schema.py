@@ -64,8 +64,16 @@ def typed(name: str, typ: str, v):
 
 def _check(name: str, typ: str, v) -> None:
     """Raise where v is not of the type named typ; a `Matrix` list's rows are
-    checked as vectors, each as given, and must be of one length."""
+    checked as vectors, each as given, and must be of one length. A number
+    type rejects an integer that no float64 holds, which json reads from a
+    long integer literal, without printing its digits."""
     types, what, in_range = _TYPES[typ]
+    if types == (int, float) and isinstance(v, int) and not isinstance(v, bool):
+        try:
+            float(v)
+        except OverflowError:
+            raise ValueError(f"'{name}' must be {what}, got an integer past "
+                             f"float64's range") from None
     if (not isinstance(v, types) or (isinstance(v, bool) and typ != "bool")
             or (in_range is not None and not in_range(v))
             or isinstance(v, np.ndarray)  # as a descriptor() hands it out

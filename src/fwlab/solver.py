@@ -71,6 +71,27 @@ class Problem:
             v += self.composite.value(x)
         return v
 
+    def phi_into(self, trial: Vector) -> float:
+        """phi(trial), the same bits, from a scratch array that f may overwrite:
+        g(trial) is taken first, then f by the kind's `value_into`. A record
+        whose `value` is not the kind's own method, as `dataclasses.replace`
+        swaps one in, gets `phi` itself, so every value goes through it."""
+        value_into = self._value_into
+        if value_into is None:
+            return self.phi(trial)
+        if self.composite is None:
+            return value_into(trial)
+        g = self.composite.value(trial)
+        return value_into(trial) + g
+
+    @cached_property
+    def _value_into(self) -> Callable[[Vector], float] | None:
+        """The kind's `value_into` while `objective.value` is its bound `value`."""
+        value = self.objective.value
+        kind = getattr(value, "__self__", None)
+        value_into = getattr(kind, "value_into", None)
+        return value_into if value_into is not None and value == kind.value else None
+
     def descriptor(self) -> dict:
         return {
             "set": self.feasible_set.descriptor(),
@@ -275,9 +296,9 @@ def _searcher(problem: Problem, rule: LineSearch
     # the closed form minimizes f alone, so it serves only when phi = f
     segment_min = problem.objective.segment_min if problem.composite is None else None
     # each search writes its trial points x + t * d into one array, made at
-    # its first trial and dropped when it returns: it is never alive beside a
-    # row's gradient or oracle call, so a composite row's peak, which its
-    # oracle's working vectors set, is no higher under a search than open-loop
+    # its first trial and dropped when it returns, and phi_into evaluates f in
+    # it: it is never alive beside a row's gradient or oracle call, so a row's
+    # peak is no higher under a search than open-loop
     point = None
 
     def phi_along(x: Vector, d: Vector, t: float) -> float:
@@ -285,7 +306,7 @@ def _searcher(problem: Problem, rule: LineSearch
         if point is None:
             point = np.empty_like(x)
         np.multiply(d, t, out=point)
-        return problem.phi(np.add(x, point, out=point))
+        return problem.phi_into(np.add(x, point, out=point))
 
     def searched(k: int, x: Vector, slope: float, d: Vector) -> tuple[float, Vector]:
         nonlocal point
@@ -321,11 +342,12 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
     writes x_{k+1} into d, so an open-loop row holds three n-vectors (x, the
     gradient and d, then x, d and x_{k+1} - x). A line search reads only the
     slope <grad, d> of the gradient, which the gap already takes, so the
-    gradient is dropped before its first trial point: a line-search row holds
-    x, d, the trial array and `value`'s temporary. Each value is the same bits
-    as the out-of-place expression. The loop never writes into x, so a
-    C-contiguous float64 x0 is the first iterate itself, not a copy; `final_x`
-    never shares x0's memory.
+    gradient is dropped before its first trial point, and `Problem.phi_into`
+    evaluates f in the trial array itself: a line-search row also holds three,
+    x, d and the trial array (a swapped-in `value` adds its own temporaries).
+    Each value is the same bits as the out-of-place expression. The loop never
+    writes into x, so a C-contiguous float64 x0 is the first iterate itself,
+    not a copy; `final_x` never shares x0's memory.
     """
     rule.validate(problem, stop)
     # a strided or non-float64 x0 is converted into a copy

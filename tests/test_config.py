@@ -21,7 +21,7 @@ from fwlab.config import (
     validate_spec,
 )
 from fwlab.geometry import Box, L1Ball, Simplex
-from fwlab.schema import field_types
+from fwlab.schema import field_types, typed
 from fwlab.stepsize import Harmonic, ProjectedGradient
 
 
@@ -724,6 +724,33 @@ def _mistyped_sections():
 def test_validate_rejects_a_mistyped_section_field_by_name(valid, raw, match):
     validate_spec(parse_spec(valid))
     with pytest.raises(ValueError, match=rf"^smoke: {match}"):
+        validate_spec(parse_spec(raw))
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["+10**400", "-10**400"])
+@pytest.mark.parametrize("typ", ["float", "Positive", "NonNegative", "Fraction", "Order"])
+def test_a_number_field_rejects_an_integer_past_float64s_range_by_name(typ, sign):
+    # -inf < 10**400 < inf holds for a Python int, so a float field let it
+    # through; a rejection that did fire (Fraction, a negative Positive)
+    # printed all 401 digits
+    with pytest.raises(ValueError) as exc:
+        typed("c", typ, sign * 10**400)
+    assert re.fullmatch(r"'c' must be .*, got an integer past float64's range",
+                        str(exc.value))
+    good = 2 if typ == "Order" else 1
+    assert typed("c", typ, good) == good  # an int in range is kept as written
+
+
+@pytest.mark.parametrize("section, desc, field", [
+    ("rule", {"kind": "harmonic", "c": 2.0}, "c"),
+    ("stop", {"max_iter": 5}, "gap_tol"),
+])
+def test_validate_rejects_an_integer_past_float64s_range_before_the_solve(
+        section, desc, field):
+    # the harmonic c passed and Harmonic.gamma raised a bare OverflowError
+    raw = _spec_with(section, {**desc, field: 10**400})
+    with pytest.raises(ValueError, match=rf"^smoke: {section}: '{field}' must be a finite "
+                                         rf".*, got an integer past float64's range$"):
         validate_spec(parse_spec(raw))
 
 
