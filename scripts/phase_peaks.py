@@ -16,9 +16,8 @@ begins:
 
 Each phase's peak is in MB (1e6 bytes) above the memory in use when the run
 began, and in n-vectors of 8n bytes, n the spec's dimension. A spec is first
-run once untraced at seed + 1, a configuration that differs in every vector,
-so lazy imports and first calls are paid and the fingerprint memo misses as
-in a fresh run. --root runs the fwlab sources and workloads of another
+run once untraced at seed + 1, so lazy imports and first calls are paid
+before the traced run. --root runs the fwlab sources and workloads of another
 checkout with this script. Prints one JSON object.
 """
 import os

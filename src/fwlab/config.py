@@ -137,10 +137,9 @@ def build_stop(spec: ExperimentSpec) -> StopRule:
 def spec_fingerprint(spec: ExperimentSpec) -> str:
     """Fingerprint of the full solve configuration; empty for analysis-only specs.
 
-    The spec's parts are built afresh; `config_fingerprint` renders the text
-    only when the configuration differs in some bit from the one it rendered
-    last (its memo holds one entry), so right after a run's solve this repeat
-    costs a key walk over the raw float64 bytes, not a render.
+    The spec's parts are built afresh, and `config_fingerprint` hashes their
+    canonical bytes, a float vector's as its raw float64 bytes, so a repeat
+    right after a run's solve costs one more walk over those bytes.
     """
     if not spec.is_solving():
         return ""

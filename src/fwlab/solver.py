@@ -30,10 +30,11 @@ REASON_FINITE_TERMINATION = "finite_termination"
 ROW_COLUMNS = ("obj", "gap", "gamma", "step_norm")
 TRACE_CSV_COLUMNS = ("k",) + ROW_COLUMNS
 
-# items per format call when an artifact or a fingerprint's canonical text
-# is rendered: floats, or a bounds CSV's (k, value) pairs; a trace CSV
-# formats RENDER_CHUNK // 5 rows a call. Pieces stream to their file or hash,
-# so a rendering holds O(RENDER_CHUNK) memory whatever the vector's length
+# items per format call when an artifact is rendered: floats, or a bounds
+# CSV's (k, value) pairs; a trace CSV formats RENDER_CHUNK // 5 rows a call.
+# A fingerprint hashes a float vector's bytes RENDER_CHUNK floats at a time.
+# Pieces stream to their file or hash, so a rendering or a fingerprint holds
+# O(RENDER_CHUNK) memory whatever the vector's length
 RENDER_CHUNK = 1024
 
 
@@ -152,31 +153,24 @@ class SolveTrace:
         return float(self.rows[-1, 0])
 
 
-# the configuration rendered last, as (key, fingerprint): a run hashes its
-# configuration in the solve, in the drift check and in the summary, and the
-# repeats walk the key instead of rendering the text again. A hit returns
-# what a render would, so callers share this state unseen but in time; one
-# entry, so a sequence of runs keeps nothing of the configurations before
-_last_rendered: tuple[bytes, str] = (b"", "")
-
-
 def config_fingerprint(problem_desc: dict, rule_desc: dict, x0, stop_desc: dict,
                        seed: int | None) -> str:
-    """sha256 over a canonical rendering of the full solve configuration.
+    """sha256 over the canonical bytes of the full solve configuration.
 
     The canonical form is compact JSON (separators "," and ":") with the keys
-    of every object sorted and every float written as the string of its
-    "%.17g" rendering, so equal doubles always hash alike; a float64 array
-    renders as the nested list of its floats. Keys must be strings. The
-    rendering streams into the hash in pieces, so no whole text is held.
-
-    The last configuration rendered is remembered, one entry only, under a
-    key: the sha256 of the same walk with each float vector written as its
-    raw float64 bytes instead of its text. Identical configurations hashed
-    back to back thus render once; a configuration that differs in any bit,
-    -0.0 against 0.0 included, misses and renders afresh.
+    of every object sorted and every float scalar written as the string of
+    its "%.17g" rendering, but each float vector written as a NUL byte, its
+    length as 8 little-endian bytes and its "<f8" bytes. A float vector is a
+    nonempty list or tuple whose items are all floats (np.float64 included)
+    or a nonempty 1-D float64 array of either byte order; any other array
+    counts as its `tolist()`, and an empty vector is `[]`, like every empty
+    list. So equal vectors hash alike whatever their form, and vectors that
+    differ in any bit (-0.0 against 0.0, or two NaN payloads) hash apart.
+    JSON escapes a NUL inside a string, so the bytes parse back into one
+    configuration. Keys must be strings. The bytes stream into the hash a
+    RENDER_CHUNK of floats at a time: no text and no copy of a vector is
+    held whole.
     """
-    global _last_rendered
     payload = {
         "problem": problem_desc,
         "rule": rule_desc,
@@ -184,19 +178,10 @@ def config_fingerprint(problem_desc: dict, rule_desc: dict, x0, stop_desc: dict,
         "stop": stop_desc,
         "seed": seed,
     }
-    key = _sha256(_canonical_pieces(payload, _vector_bits)).digest()
-    last_key, fingerprint = _last_rendered
-    if key != last_key:
-        fingerprint = _sha256(_canonical_pieces(payload)).hexdigest()
-        _last_rendered = (key, fingerprint)
-    return fingerprint
-
-
-def _sha256(pieces):
     digest = hashlib.sha256()
-    for piece in pieces:
-        digest.update(piece.encode() if isinstance(piece, str) else piece)
-    return digest
+    for piece in _canonical_pieces(payload):
+        digest.update(piece)
+    return digest.hexdigest()
 
 
 def chunks(v):
@@ -206,62 +191,39 @@ def chunks(v):
         yield chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
 
 
-def _vector_text(v):
-    """A float vector's canonical text, one format call per chunk."""
-    lead = "["
-    for chunk in chunks(v):
-        yield lead + ",".join(['"%.17g"'] * len(chunk)) % tuple(chunk)
-        lead = ","
-    yield "]" if len(v) else "[]"
-
-
-def _vector_bits(v):
-    """A float vector for the memo key: per chunk, a NUL tag, the chunk's
-    length and its raw float64 bytes. A slice of an array goes in as it is; a
-    list goes in converted a chunk at a time.
-
-    The canonical text holds no NUL, as JSON escapes it in strings, so the
-    key's bytes parse back into the walk's text pieces and float chunks
-    alone: equal keys mean equal canonical text.
-    """
-    yield "["
-    for start in range(0, len(v), RENDER_CHUNK):
-        chunk = np.ascontiguousarray(v[start:start + RENDER_CHUNK], dtype=np.float64)
-        yield b"\0" + len(chunk).to_bytes(8, "little")
-        yield chunk
-    yield "]"
-
-
-def _canonical_pieces(v, vector=_vector_text):
-    """The canonical text of v, in pieces; a float vector, a list of plain
-    floats or a 1-D float64 array, goes through `vector`, which renders its
-    text unless the walk computes a memo key."""
+def _canonical_pieces(v):
+    """The canonical bytes of v, in bytes-like pieces; a float vector's come
+    a RENDER_CHUNK of floats at a time, as "<f8" arrays, views where the
+    vector already holds those bytes in a row."""
     if isinstance(v, float):
-        yield '"%.17g"' % v
+        yield b'"%.17g"' % v
     elif isinstance(v, dict):
         for k in v:
             if not isinstance(k, str):
                 raise TypeError(f"fingerprint keys must be strings, got {k!r}")
-        lead = "{"
+        lead = b"{"
         for k in sorted(v):
-            yield lead + json.dumps(k) + ":"
-            yield from _canonical_pieces(v[k], vector)
-            lead = ","
-        yield "}" if v else "{}"
-    elif isinstance(v, np.ndarray) and (v.dtype != np.float64 or v.ndim == 0):
-        yield from _canonical_pieces(v.tolist(), vector)
-    elif (isinstance(v, np.ndarray) and v.ndim == 1) or \
-            (isinstance(v, (list, tuple)) and v and set(map(type, v)) == {float}):
-        yield from vector(v)
-    elif isinstance(v, (list, tuple, np.ndarray)):  # an array here is 2-D or more
-        lead = "["
+            yield lead + json.dumps(k).encode() + b":"
+            yield from _canonical_pieces(v[k])
+            lead = b","
+        yield b"}" if v else b"{}"
+    elif isinstance(v, np.ndarray) and (v.ndim == 0 or v.dtype.kind != "f"
+                                        or v.dtype.itemsize != 8):  # not float64
+        yield from _canonical_pieces(v.tolist())
+    elif (isinstance(v, np.ndarray) and v.ndim == 1 and len(v)) or (
+            isinstance(v, (list, tuple)) and v and all(isinstance(u, float) for u in v)):
+        yield b"\0" + len(v).to_bytes(8, "little")
+        for start in range(0, len(v), RENDER_CHUNK):
+            yield np.ascontiguousarray(v[start:start + RENDER_CHUNK], dtype="<f8")
+    elif isinstance(v, (list, tuple, np.ndarray)):  # an array here is empty or 2-D or more
+        lead = b"["
         for u in v:
             yield lead
-            yield from _canonical_pieces(u, vector)
-            lead = ","
-        yield "]" if len(v) else "[]"
+            yield from _canonical_pieces(u)
+            lead = b","
+        yield b"]" if len(v) else b"[]"
     else:
-        yield json.dumps(v)
+        yield json.dumps(v).encode()
 
 
 def _gap(problem: Problem, x: Vector, grad: Vector,
@@ -355,7 +317,7 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
     del x0  # once a step's result replaces x, no name here keeps x0 alive
     if not problem.feasible_set.contains(x, 1e-9):
         raise ValueError("x0 is not feasible (tolerance 1e-9)")
-    # rendered before the loop, while no row's vectors are alive
+    # hashed before the loop, while no row's vectors are alive
     fingerprint = config_fingerprint(problem.descriptor(), rule.descriptor(), x,
                                      stop.descriptor(), seed)
     # every other rule steps itself; the search stays here, where bench/tracer.py

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -101,19 +102,21 @@ def json_values():
     ), max_leaves=12)
 
 
-def _canon(v):
-    """Every float becomes its "%.17g" string, dict keys sorted, all else kept."""
+def canon_bytes(v) -> bytes:
+    """The fingerprint's canonical bytes, one-shot: compact JSON with sorted
+    keys and every float scalar as the string of its "%.17g" rendering, but a
+    nonempty list or tuple of floats (np.float64 included) as a NUL byte, its
+    length as 8 little-endian bytes and its float64 bytes; an array is its
+    list. This is the reference the streamed `_canonical_pieces` must match."""
+    if isinstance(v, np.ndarray):
+        return canon_bytes(v.tolist())
+    if isinstance(v, (list, tuple)) and v and all(isinstance(u, float) for u in v):
+        return b"\0" + struct.pack("<Q", len(v)) + np.asarray(v, "<f8").tobytes()
     if isinstance(v, float):
-        return "%.17g" % v
+        return ('"%.17g"' % v).encode()
     if isinstance(v, dict):
-        return {k: _canon(u) for k, u in sorted(v.items())}
+        return b"{" + b",".join(json.dumps(k).encode() + b":" + canon_bytes(u)
+                                for k, u in sorted(v.items())) + b"}"
     if isinstance(v, (list, tuple)):
-        return [_canon(u) for u in v]
-    return v
-
-
-def canon_text(v) -> str:
-    """The fingerprint's canonical form, one-shot: `_canon`, then json.dumps
-    renders the result compactly with sorted keys. This is the reference the
-    streamed `_canonical_pieces` must match as text."""
-    return json.dumps(_canon(v), sort_keys=True, separators=(",", ":"))
+        return b"[" + b",".join(map(canon_bytes, v)) + b"]"
+    return json.dumps(v).encode()

@@ -864,21 +864,22 @@ def test_fingerprint_normalizes_defaulted_rule_fields():
 
 # one spec per rule kind, each rule's descriptor as the hand-written
 # descriptor() methods gave it (value types included: an int gpa step stays an
-# int), and the spec's fingerprint as those methods hashed it
+# int), and the spec's fingerprint as those methods hashed it: the sha256 of
+# conftest.canon_bytes of the spec's configuration
 _PINNED_RULES = [
     ({"kind": "line_search"}, {"kind": "line_search", "tol": 1e-10, "max_evals": 200},
-     "466e7b18ce86919c74d7e2ac5e5492343131c6cf0a68a1facf890a7a202f611c"),
+     "2afbc17b5baa1c201ab3d8dfae67c0b531cb4e290fb87a1d3976b6b8535e501c"),
     ({"kind": "line_search", "tol": 1e-8, "max_evals": 50},
      {"kind": "line_search", "tol": 1e-8, "max_evals": 50},
-     "38db95b3e6b37b033d88319114e4bf461900ac3420b5fd9d4b5bd69791571eda"),
+     "19ff145657efd5e6d94af20748cffbdc0df4b0b113d3ff0c4ee309f6fb2d43a2"),
     ({"kind": "harmonic", "c": 2.0}, {"kind": "harmonic", "c": 2.0},
-     "95b13ac0e23d951658aa6f31ab073fb9fcfb6fe963542a8f1a4969ea8091f099"),
+     "2e339a8668fda071b92f27ef17d3ee1d62e4a42fd96333705d5ffa26c587d573"),
     ({"kind": "power", "gamma0": 1.0, "p": 0.5}, {"kind": "power", "gamma0": 1.0, "p": 0.5},
-     "b5918fd07f560bdf99641bc8d1d94ac62cc0d848151a889e733119209d1a2bb5"),
+     "c28cd0faf5480f31e61ed79ae098e8f536d3ef52d12e5d107c633a9808b71e1b"),
     ({"kind": "dh_recursion", "gamma0": 0.5}, {"kind": "dh_recursion", "gamma0": 0.5},
-     "71e4170eacc3f87f8a65312de758ccbfb88191f300ee448dab835ca84a7b8916"),
+     "46faa669a76a7497cfd55a79b64a8a48b17145d28270b8aa102ba91fc03b6e30"),
     ({"kind": "gpa", "step": 1}, {"kind": "gpa", "step": 1},
-     "18d6b8245807c77af753c93f7cf2aa1dbeb593944fe6b98d71bd0e18464278a1"),
+     "81c58ae8e64d2a00838810de1439e3f32d97177ada5849e47a918d5bb5e1b57c"),
 ]
 
 
@@ -905,24 +906,24 @@ _PIN_BOX = {"kind": "box", "dim": 3, "lower": [-1.0, 0, -2.5], "upper": [1.0, 2,
 # as the spec gave them, but a set's vectors as its read-only float64 arrays
 _PINNED_SECTIONS = [
     ("set", _on_set(_SIMPLEX), {"kind": "simplex", "dim": 3},
-     "95b13ac0e23d951658aa6f31ab073fb9fcfb6fe963542a8f1a4969ea8091f099"),
+     "2e339a8668fda071b92f27ef17d3ee1d62e4a42fd96333705d5ffa26c587d573"),
     ("set", _on_set({"kind": "l1_ball", "dim": 3, "radius": 2.0}),
      {"kind": "l1_ball", "dim": 3, "radius": 2.0},
-     "32749252ed73ca3ae19f37a55acd2bbae42b963d5cdb1a17f47f4fe2d90b29ba"),
+     "484561034387c4d4f9928011051cd119ef1151aeac01649a5a8c78a4d69b3a56"),
     ("set", _on_set({"kind": "l2_ball", "dim": 3, "radius": 1}),
      {"kind": "l2_ball", "dim": 3, "radius": 1},
-     "8ab28a8a95d4037c957b50a695470a181774359585ead3b457cec4dcc340ecc7"),
+     "8e6e647754b368531331b5fbcdaf933a55fc79f76c643a71a2b9e7394aa13ac8"),
     ("set", _on_set(_PIN_BOX),
      {"kind": "box", "dim": 3, "lower": np.array([-1.0, 0.0, -2.5]),
       "upper": np.array([1.0, 2.0, 0.5])},
-     "5ac743849491c651e06839d93b9d4025456ee4b92b1ccfdd5872c823f712df2e"),
+     "c04104b86d645aa500ef595e0c5d8cad504e6d07a0447d9bae3d97e2cdee1ef9"),
     ("set", _on_set({"kind": "vertex_polytope", "vertices": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1]]}),
      {"kind": "vertex_polytope", "vertices": np.eye(3)},
-     "69d9523280ead69452cc529432a0f018e9e05d3bdd3fbfc941978add7aae1229"),
+     "e8e1447682e83b8a74325dde61f9c49e0d68ffefe6b7f8c7bee0baa6ced2f932"),
     ("composite", _on_set(_PIN_BOX, {"kind": "l1", "lam": 0.5}), {"kind": "l1", "lam": 0.5},
-     "73570f2b8f442ff4846430d546b14951f6904c8b4f65464bb37d4cc67eb4ce41"),
+     "412cf3e83b2f4966ce5fca71ffe9fc3bc7eed52d7b6d9168b83921f0a1666271"),
     ("stop", {"stop": {"max_iter": 5, "gap_tol": 0}}, {"max_iter": 5, "gap_tol": 0},
-     "9e4bf718a729497ff07ee975cf5175b9d0579331199eecabd58fef211a582955"),
+     "9b7695cbe9c53d2a6a60dabe4c18f9f9fd632f0f4b7b176662d80db57d63a1c6"),
 ]
 
 

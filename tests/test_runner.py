@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import canon_text, json_floats, json_values
+from conftest import canon_bytes, json_floats, json_values
 from references import compare_csv_per_cell, window_check_by_mask
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -449,8 +449,8 @@ def test_reproduce_all_summaries_are_the_stdlib_indented_json(reproduced_all):
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
 
 
-def _canonical(v) -> str:
-    return "".join(_canonical_pieces(v))
+def _canonical(v) -> bytes:
+    return b"".join(_canonical_pieces(v))
 
 
 def _indented(v) -> str:
@@ -485,9 +485,10 @@ def _edge_floats(n: int) -> np.ndarray:
 @pytest.mark.parametrize("n", CHUNK_LENGTHS)
 def test_streamed_canonical_json_matches_the_one_shot_rendering(n):
     v = _edge_floats(n)
-    want = canon_text(v.tolist())
-    for form in (v, v.tolist(), tuple(v.tolist()), v[::-1][::-1]):
-        assert _canonical(form).encode() == want.encode()
+    want = canon_bytes(v.tolist())
+    for form in (v, v.tolist(), [np.float64(u) for u in v], tuple(v.tolist()),
+                 v.astype(">f8"), v[::-1][::-1]):
+        assert _canonical(form) == want
     # as the fingerprint hashes it: array descriptors and x0 against lists;
     # the problem descriptor is written out, since an objective rejects
     # non-finite data
@@ -497,15 +498,17 @@ def test_streamed_canonical_json_matches_the_one_shot_rendering(n):
                         "set": {"dim": n, "kind": "simplex"}},
             "rule": {"c": 2.0}, "x0": v.tolist(), "stop": {"max_iter": 1}, "seed": 7}
     assert config_fingerprint(problem_desc, {"c": 2.0}, v, {"max_iter": 1}, 7) \
-        == hashlib.sha256(canon_text(desc).encode()).hexdigest()
+        == hashlib.sha256(canon_bytes(desc)).hexdigest()
 
 
 def test_streamed_canonical_json_of_empty_and_2d_arrays():
     rows = _edge_floats(3 * (RENDER_CHUNK + 1)).reshape(3, RENDER_CHUNK + 1)
+    narrow = np.linspace(-1.0, 1.0, 2 * RENDER_CHUNK + 2, dtype=np.float32).reshape(2, -1)
     for arr in (np.empty(0), np.empty((0, 3)), np.empty((3, 0)), rows, rows.T,
+                rows.astype(">f8"), narrow, narrow[0],
                 rows[:, :RENDER_CHUNK].reshape(2, 3, -1), np.arange(5), np.float64(-0.0),
                 np.array(math.nan)):
-        assert _canonical(arr).encode() == canon_text(np.asarray(arr).tolist()).encode()
+        assert _canonical(arr) == canon_bytes(np.asarray(arr).tolist())
 
 
 @pytest.mark.parametrize("n", CHUNK_LENGTHS)

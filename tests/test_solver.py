@@ -46,7 +46,7 @@ from fwlab.solver import (
     _gap,
 )
 
-from conftest import canon_text, fw_gap, json_floats, json_values, replay_iterates
+from conftest import canon_bytes, fw_gap, json_floats, json_values, replay_iterates
 
 
 def _simplex_quadratic(n=3):
@@ -105,13 +105,13 @@ def test_fingerprint_is_rendered_before_the_loop_allocates_a_row():
             tracemalloc.stop()
 
     vector = 8 * n
-    # the rendering streams a chunk at a time into the hash: less than one
+    # the byte walk streams a chunk at a time into the hash: less than one
     # n-vector, whatever n is
     assert peak_bytes(lambda: config_fingerprint(
         problem.descriptor(), rule.descriptor(), x0, stop.descriptor(), None)) < vector
     # an open-loop row holds x, the gradient and the direction, written into
     # the oracle's answer and then holding the next iterate: six n-vectors
-    # when each step made a new array; the fingerprint, rendered first, adds
+    # when each step made a new array; the fingerprint, hashed first, adds
     # nothing on top of them
     assert peak_bytes(lambda: solve(problem, rule, x0=x0, stop=stop)) < 3.5 * vector
 
@@ -889,7 +889,7 @@ def test_config_fingerprint_canonicalizes_float_rendering():
 
 @given(problem=st.dictionaries(st.text(max_size=3), json_values(), max_size=3),
        b=st.lists(json_floats(), max_size=6), x0=st.lists(json_floats(), max_size=6),
-       entry=json_floats().filter(lambda v: v == v),  # NaN: every neighbour renders "nan"
+       entry=json_floats().filter(lambda v: v == v),  # NaN: its neighbour is itself
        at=st.integers(0, 6), in_x0=st.booleans(), seed=st.one_of(st.none(), st.integers()))
 @example(problem={}, b=[], x0=[], entry=0.0, at=0, in_x0=True, seed=None)
 @example(problem={}, b=[], x0=[], entry=-0.0, at=0, in_x0=False, seed=None)
@@ -900,21 +900,46 @@ def test_config_fingerprint_repeats_and_misses_on_one_bit(problem, b, x0, entry,
 
     def fingerprint_and_reference():
         problem_desc = {**problem, "b": b}  # b a list, x0 an array: both vector leaves
-        text = canon_text({"problem": problem_desc, "rule": rule, "x0": x0, "stop": stop,
-                           "seed": seed})
+        canon = canon_bytes({"problem": problem_desc, "rule": rule, "x0": x0, "stop": stop,
+                             "seed": seed})
         return (config_fingerprint(problem_desc, rule, np.array(x0), stop, seed),
-                hashlib.sha256(text.encode()).hexdigest())
+                hashlib.sha256(canon).hexdigest())
 
     vector = x0 if in_x0 else b
     vector.insert(at, entry)
     got, want = fingerprint_and_reference()
     assert got == want
-    assert fingerprint_and_reference()[0] == want  # the repeat, from the memo
-    # back to back: a signed zero flips its sign, any other float moves one ulp toward 0
+    # a signed zero flips its sign, any other float moves one ulp toward 0
     vector[min(at, len(vector) - 1)] = -entry if entry == 0 else float(np.nextafter(entry, 0.0))
     other, other_want = fingerprint_and_reference()
     assert other == other_want != want
 
+
+_ONE_VECTOR = np.random.default_rng(5).standard_normal(2049)
+_ONE_VECTOR[::7] = np.resize([0.0, -0.0, 5e-324, -math.inf, math.nan, 1e308, 0.1],
+                              len(_ONE_VECTOR[::7]))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_one_configuration_has_one_fingerprint_in_every_vector_form(monkeypatch, chunk):
+    monkeypatch.setattr(fwlab.solver, "RENDER_CHUNK", chunk)
+
+    def forms(v):
+        return (v.tolist(), [np.float64(u) for u in v], tuple(v.tolist()), v,
+                v.astype(">f8"), v[::-1][::-1])
+
+    def fingerprints(v):
+        return {config_fingerprint({"kind": "quadratic", "b": b}, {"kind": "harmonic"}, x0,
+                                   {"max_iter": 3}, 1)
+                for b, x0 in zip(forms(v), forms(v)[::-1])}
+
+    base = fingerprints(_ONE_VECTOR)
+    assert len(base) == 1
+    for i in (0, 7, 1, 2048):  # 0.0 against -0.0 and ulp steps, at both ends
+        flipped = _ONE_VECTOR.copy()
+        flipped.view(np.uint64)[i] ^= np.uint64(1 << (63 if i % 7 == 0 else 0))
+        other = fingerprints(flipped)
+        assert len(other) == 1 and other != base
 
 
 @given(st.one_of(json_values(),
@@ -923,40 +948,38 @@ def test_config_fingerprint_repeats_and_misses_on_one_bit(problem, b, x0, entry,
 @settings(max_examples=300)
 def test_canonical_json_equals_the_canon_reference(v):
     def canonical(u):
-        return "".join(_canonical_pieces(u))
+        return b"".join(_canonical_pieces(u))
 
     if isinstance(v, dict) and any(not isinstance(k, str) for k in v):
         with pytest.raises(TypeError, match="keys must be strings"):
             canonical(v)
         return
-    assert canonical(v) == canon_text(v)
-    assert canonical({"v": v}) == canon_text({"v": v})
+    assert canonical(v) == canon_bytes(v)
+    assert canonical({"v": v}) == canon_bytes({"v": v})
 
 
 def test_canonical_json_rejects_keys_that_are_not_strings():
     for key in (1, 1.5, True, None):
         with pytest.raises(TypeError, match="keys must be strings"):
-            "".join(_canonical_pieces({"problem": {key: 2.0}}))
+            b"".join(_canonical_pieces({"problem": {key: 2.0}}))
 
 
-def test_config_fingerprint_at_large_n_holds_no_string_per_float():
+def test_config_fingerprint_at_large_n_peaks_under_50_kb():
     n = 100_000
     rng = np.random.default_rng(0)
     problem_desc = Problem(Simplex(n), Quadratic(rng.normal(size=n))).descriptor()
     x0 = rng.random(n)
-    peaks = []
-    for _ in range(2):  # a render, then a repeat that the memo answers
-        tracemalloc.start()
-        try:
-            config_fingerprint(problem_desc, Harmonic(2.0).descriptor(), x0,
-                               StopRule(10).descriptor(), 1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        config_fingerprint(problem_desc, Harmonic(2.0).descriptor(), x0,
+                           StopRule(10).descriptor(), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     # one str object per float, as json.dumps of a canonicalized list needs,
-    # peaks at 28 MB; the streamed rendering holds one chunk's floats and
-    # text, and the memo key's walk streams the same chunks as bytes
-    assert max(peaks) < 1_000_000
+    # peaks at 28 MB, and a "%.17g" text of one chunk at about 0.1 MB; the
+    # byte walk hashes each chunk of b and x0 from a view of the array
+    assert peak < 50_000
 
 
 # --- CSV round-trip ---------------------------------------------------------------------
