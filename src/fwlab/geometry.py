@@ -20,6 +20,19 @@ from .schema import Count, Matrix, Positive, Tagged, build, kinds
 
 Vector = np.ndarray
 
+# items per block of every bounded-memory loop: the simplex projection's
+# divisors, a schedule's stepsizes, a fingerprint's floats and an artifact's
+# cells each go BLOCK at a time, so each holds O(BLOCK) memory whatever n
+BLOCK = 1024
+
+
+def blocks(n: int, width: int = 1):
+    """The slices of range(n), in order, of max(1, BLOCK // width) indices
+    each but the last: rows of `width` items, about BLOCK items a slice.
+    BLOCK is read at each call."""
+    step = max(1, BLOCK // width)
+    return (slice(start, min(start + step, n)) for start in range(0, n, step))
+
 
 def fit_shape(name: str, arr: Vector, dim: int) -> Vector:
     """arr, the field `name`, where its shape is (dim,); a ValueError else."""
@@ -422,10 +435,6 @@ def _row_count(total: int, limit: int | None) -> int:
     return min(total, limit)
 
 
-# divisors 1, 2, ... made at a time by the simplex projection: 32 kB
-_DIVISOR_BLOCK = 4096
-
-
 def _project_onto_simplex_face(x: Vector, total: float) -> Vector:
     """Euclidean projection onto {z >= 0, sum z = total} by sort and threshold.
 
@@ -440,9 +449,8 @@ def _project_onto_simplex_face(x: Vector, total: float) -> Vector:
     u = np.sort(x)[::-1]
     q = np.cumsum(u)
     q -= total
-    for start in range(0, x.size, _DIVISOR_BLOCK):
-        block = q[start:start + _DIVISOR_BLOCK]
-        np.divide(block, np.arange(start + 1.0, start + 1.0 + block.size), out=block)
+    for s in blocks(x.size):
+        np.divide(q[s], np.arange(s.start + 1.0, s.stop + 1.0), out=q[s])
     above = u > q
     rho = x.size - 1 - int(above[::-1].argmax())
     if not above[rho]:  # argmax finds no True: x holds a NaN or an infinity

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +26,8 @@ from .config import (
     spec_fingerprint,
     validate_spec,
 )
-from .solver import (
-    RENDER_CHUNK,
-    SolveTrace,
-    chunks,
-    solve,
-    trace_summary,
-    write_trace_csv,
-)
+from .geometry import blocks
+from .solver import SolveTrace, format_rows, solve, trace_summary, write_trace_csv
 
 # bench/tracer.py patches this name beside `solve`; it goes once the tracer
 # traces the solve loop through one stable seam
@@ -72,9 +65,8 @@ def _write_bounds_csv(path: Path,
     with open(path, "w") as fh:
         for bound, ks, values in bounds:
             fh.write(f"# bound kind={bound.kind}\nk,bound\n")
-            for k_chunk, v_chunk in zip(chunks(ks), chunks(values)):
-                pairs = tuple(chain.from_iterable(zip(k_chunk, v_chunk)))
-                fh.write(("%d,%.17g\n" * (len(pairs) // 2)) % pairs)
+            for s in blocks(len(ks), 2):
+                fh.write(format_rows("%d,%.17g\n", (ks[s], values[s])))
 
 
 def _indented_pieces(v, pad: str = ""):
@@ -83,8 +75,9 @@ def _indented_pieces(v, pad: str = ""):
 
     A numeric array renders as its `tolist()`, row by row past one dimension. A
     flat list of plain floats and ints, or a 1-D array (as `trace_summary`
-    hands out final_x), goes through the C encoder a chunk per call; a number's
-    JSON text has no ", ", so splitting the compact text there gives the items.
+    hands out final_x), goes through the C encoder a `blocks` slice per call;
+    a number's JSON text has no ", ", so splitting the compact text there
+    gives the items.
     """
     inner = pad + "  "
     sep = ",\n" + inner
@@ -99,7 +92,8 @@ def _indented_pieces(v, pad: str = ""):
     elif array and v.ndim and len(v) or isinstance(v, (list, tuple)) and v:
         lead = "[\n" + inner
         if (v.ndim == 1) if array else set(map(type, v)) <= {float, int}:
-            for chunk in chunks(v):
+            for s in blocks(len(v)):
+                chunk = v[s].tolist() if array else v[s]
                 yield lead + json.dumps(chunk)[1:-1].replace(", ", sep)
                 lead = sep
         else:
@@ -229,16 +223,17 @@ def _same(a, b) -> bool:
 
 
 def _compare_csv_pieces(names: list[str], traces: list[SolveTrace]):
-    """The wide CSV of `compare`, in pieces of about RENDER_CHUNK cells, one
-    format call each. The traces that still have a row k change only where
-    one ends, so the rows between two such ends share one row format."""
+    """The wide CSV of `compare`, one `format_rows` call per `geometry.blocks`
+    slice of (1 + 2p)-cell rows. The traces that still have a row k change
+    only where one ends, so the rows between two such ends share one row
+    format, and those rows are blocked on their own."""
     yield ",".join(["k"] + [f"{col}_{name}" for name in names for col in ("obj", "gap")]) + "\n"
     lengths = [len(t.rows) for t in traces]
-    step = max(1, RENDER_CHUNK // (1 + 2 * len(traces)))
-    edges = sorted(set(range(0, max(lengths), step)).union(lengths))
-    for start, end in zip(edges, edges[1:]):
+    ends = sorted({0, *lengths})
+    for start, end in zip(ends, ends[1:]):
         live = [length > start for length in lengths]
-        cols = [np.arange(start, end, dtype=float)]
-        cols += [t.rows[start:end, :2] for t, on in zip(traces, live) if on]
         row = "%d" + "".join(",%.17g,%.17g" if on else ",," for on in live) + "\n"
-        yield (row * (end - start)) % tuple(np.column_stack(cols).ravel().tolist())
+        for s in blocks(end - start, 1 + 2 * len(traces)):
+            lo, hi = start + s.start, start + s.stop
+            yield format_rows(row, [np.arange(lo, hi, dtype=float)]
+                              + [t.rows[lo:hi, :2] for t, on in zip(traces, live) if on])

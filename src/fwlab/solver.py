@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import FeasibleSet, Vector, VertexPolytope, l2_norm
+from .geometry import FeasibleSet, Vector, VertexPolytope, blocks, l2_norm
 from .objectives import CompositePart, Objective, _Kind
 from .schema import Count, NonNegative, Tagged, _show, field_dict
 from .stepsize import LineSearch, StepsizeRule, line_search, step_toward
@@ -29,13 +29,6 @@ REASON_FINITE_TERMINATION = "finite_termination"
 
 ROW_COLUMNS = ("obj", "gap", "gamma", "step_norm")
 TRACE_CSV_COLUMNS = ("k",) + ROW_COLUMNS
-
-# items per format call when an artifact is rendered: floats, or a bounds
-# CSV's (k, value) pairs; a trace CSV formats RENDER_CHUNK // 5 rows a call.
-# A fingerprint hashes a float vector's bytes RENDER_CHUNK floats at a time.
-# Pieces stream to their file or hash, so a rendering or a fingerprint holds
-# O(RENDER_CHUNK) memory whatever the vector's length
-RENDER_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -167,9 +160,9 @@ def config_fingerprint(problem_desc: dict, rule_desc: dict, x0, stop_desc: dict,
     list. So equal vectors hash alike whatever their form, and vectors that
     differ in any bit (-0.0 against 0.0, or two NaN payloads) hash apart.
     JSON escapes a NUL inside a string, so the bytes parse back into one
-    configuration. Keys must be strings. The bytes stream into the hash a
-    RENDER_CHUNK of floats at a time: no text and no copy of a vector is
-    held whole.
+    configuration. Keys must be strings. The bytes stream into the hash one
+    `geometry.blocks` slice of a vector at a time: no text and no copy of a
+    vector is held whole.
     """
     payload = {
         "problem": problem_desc,
@@ -184,16 +177,9 @@ def config_fingerprint(problem_desc: dict, rule_desc: dict, x0, stop_desc: dict,
     return digest.hexdigest()
 
 
-def chunks(v):
-    """v in consecutive slices of RENDER_CHUNK items; an array's come out as lists."""
-    for start in range(0, len(v), RENDER_CHUNK):
-        chunk = v[start:start + RENDER_CHUNK]
-        yield chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
-
-
 def _canonical_pieces(v):
     """The canonical bytes of v, in bytes-like pieces; a float vector's come
-    a RENDER_CHUNK of floats at a time, as "<f8" arrays, views where the
+    one `geometry.blocks` slice at a time, as "<f8" arrays, views where the
     vector already holds those bytes in a row."""
     if isinstance(v, float):
         yield b'"%.17g"' % v
@@ -213,8 +199,8 @@ def _canonical_pieces(v):
     elif (isinstance(v, np.ndarray) and v.ndim == 1 and len(v)) or (
             isinstance(v, (list, tuple)) and v and all(isinstance(u, float) for u in v)):
         yield b"\0" + len(v).to_bytes(8, "little")
-        for start in range(0, len(v), RENDER_CHUNK):
-            yield np.ascontiguousarray(v[start:start + RENDER_CHUNK], dtype="<f8")
+        for s in blocks(len(v)):
+            yield np.ascontiguousarray(v[s], dtype="<f8")
     elif isinstance(v, (list, tuple, np.ndarray)):  # an array here is empty or 2-D or more
         lead = b"["
         for u in v:
@@ -369,16 +355,20 @@ def solve(problem: Problem, rule: StepsizeRule, x0, stop: StopRule,
                       x.copy() if k == 0 else x, fingerprint)
 
 
+def format_rows(row: str, cols) -> str:
+    """The text of `row` % each row of the columns side by side, in one
+    format call; a float column's cells format as Python floats."""
+    return (row * len(cols[0])) % tuple(np.column_stack(cols).ravel().tolist())
+
+
 def _trace_csv_pieces(trace: SolveTrace):
-    """CSV rendering with 17-significant-digit floats (exact round-trip), in
-    pieces of RENDER_CHUNK // 5 rows, one format call each; k is the row
-    index, an integral float beside each chunk, which %d writes as an int."""
+    """CSV rendering with 17-significant-digit floats (exact round-trip), one
+    `format_rows` call per `geometry.blocks` slice of 5-cell rows; k is the
+    row index, an integral float beside the rows, which %d writes as an int."""
     yield ",".join(TRACE_CSV_COLUMNS) + "\n"
-    step = RENDER_CHUNK // len(TRACE_CSV_COLUMNS)
-    for start in range(0, len(trace.rows), step):
-        chunk = trace.rows[start:start + step]
-        cells = np.column_stack((np.arange(start, start + len(chunk), dtype=float), chunk))
-        yield ("%d,%.17g,%.17g,%.17g,%.17g\n" * len(chunk)) % tuple(cells.ravel().tolist())
+    for s in blocks(len(trace.rows), len(TRACE_CSV_COLUMNS)):
+        yield format_rows("%d,%.17g,%.17g,%.17g,%.17g\n",
+                          (np.arange(s.start, s.stop, dtype=float), trace.rows[s]))
 
 
 def trace_to_csv(trace: SolveTrace) -> str:

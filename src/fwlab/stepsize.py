@@ -16,12 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Vector, VertexPolytope
+from .geometry import Vector, VertexPolytope, blocks
 from .schema import Fraction, Positive, Tagged, build, kinds
-
-# stepsizes per block when a schedule or its envelope is evaluated to a
-# horizon: the temporaries of a formula hold O(SCHEDULE_BLOCK) memory
-SCHEDULE_BLOCK = 4096
 
 
 class StepsizeRule(Tagged):
@@ -80,7 +76,7 @@ class OpenLoop(StepsizeRule):
         """`advance(k, x, grad, d)`: gamma_k and x_{k+1}, written into d, for
         k = 0, 1, ... in turn."""
         # the blocks of `values(max_iter)`, each evaluated when the rows reach
-        # it: the same bits in O(SCHEDULE_BLOCK) memory, whatever the budget
+        # it: the same bits in O(BLOCK) memory, whatever the budget
         gammas = itertools.chain.from_iterable(map(self.gamma, _blocks(max_iter)))
 
         def advance(k, x, grad, d):
@@ -244,9 +240,10 @@ def dh_envelope_holds(rule: DHRecursion, horizon: int) -> bool:
 
 
 def _blocks(upto: int):
-    """Consecutive blocks of k = 0..upto as floats, at most SCHEDULE_BLOCK each."""
-    for start in range(0, upto + 1, SCHEDULE_BLOCK):
-        yield np.arange(start, min(start + SCHEDULE_BLOCK, upto + 1), dtype=float)
+    """k = 0..upto as floats, one array per slice of `geometry.blocks`, so the
+    temporaries of a formula evaluated to a horizon hold O(BLOCK) memory."""
+    for s in blocks(upto + 1):
+        yield np.arange(s.start, s.stop, dtype=float)
 
 
 _RULE_KINDS = kinds(LineSearch, Harmonic, Power, DHRecursion, ProjectedGradient)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import fwlab.geometry
 from fwlab import (
     Box,
     L1Ball,
@@ -18,7 +19,7 @@ from fwlab import (
     config_fingerprint,
     set_from_descriptor,
 )
-from fwlab.geometry import _project_onto_simplex_face, l2_norm
+from fwlab.geometry import BLOCK, _project_onto_simplex_face, blocks, l2_norm
 
 from conftest import projectable_sets, small_sets
 from references import box_lmo_l1, l2_ball_lmo_l1, project_onto_simplex_face
@@ -100,7 +101,7 @@ def composite_oracle_cases(draw):
 
 
 def _large_composite_oracle_case(n=4099, lam=0.3):
-    # past one 4096-element block: every kind of cost and side, tiled
+    # thousands of entries: every kind of cost and side, tiled
     rng = np.random.default_rng(0)
     pool = np.array([0.0, -0.0, 1.0, -1.0, 2.0, math.nan, math.inf, -math.inf, lam, -lam])
     c = np.where(rng.random(n) < 0.5, rng.choice(pool, n), rng.normal(size=n))
@@ -191,6 +192,13 @@ def _one_hot(n: int, i: int, value: float, zero: float) -> list:
     return [value if j == i % n else zero for j in range(n)]
 
 
+def _tied_entries(n: int) -> list:
+    # ties and signed zeros; at a total of 1 or more the -1.0 entries fall
+    # below the threshold, whose index, near 5n/6, passes the first divisor
+    # block once n > 1.2 BLOCK
+    return np.resize([0.0, -0.0, 1e-300, 1e-3, 1e-3, -1.0], n).tolist()
+
+
 @given(st.one_of(
     st.lists(_PROJECTION_ENTRIES, min_size=1, max_size=40),  # ties and signed zeros
     st.builds(_one_hot, st.integers(1, 40), st.integers(0, 39), _PROJECTION_ENTRIES,
@@ -200,11 +208,27 @@ def _one_hot(n: int, i: int, value: float, zero: float) -> list:
 @example([1.0, 0.0, 0.0], 1.0)
 @example([-0.0, -0.0], 1.0)
 @example([0.5, 0.5, 0.5], 1.0)
+@example(_tied_entries(BLOCK - 1), 1e-3)
+@example(_tied_entries(BLOCK), 2.5)
+@example(_tied_entries(BLOCK + 1), 1.0)
+@example(_tied_entries(2 * BLOCK + 1), 2.5)
 def test_simplex_projection_is_bitwise_the_out_of_place_formula(entries, total):
     x = np.array(entries)
     got = _project_onto_simplex_face(x, total)
     assert got.tobytes() == project_onto_simplex_face(x, total).tobytes()
     assert got.flags.c_contiguous and got.flags.writeable
+
+
+@given(st.integers(0, 5 * BLOCK), st.integers(1, 2 * BLOCK + 1), st.sampled_from([1, 7, 1024]))
+def test_blocks_tile_the_range_in_order_in_slices_of_the_block_size(n, width, block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fwlab.geometry, "BLOCK", block)
+        slices = list(blocks(n, width))
+    step = max(1, block // width)
+    # they tile range(n) in order, their stops within n, as callers read them
+    assert [i for s in slices for i in range(s.start, s.stop)] == list(range(n))
+    assert all(0 < s.stop - s.start <= step and s.step is None for s in slices)
+    assert len(slices) == math.ceil(n / step)
 
 
 @pytest.mark.parametrize("x", [[math.inf, 0.0, 0.0], [math.nan, 0.0, 1.0], [math.nan] * 2])

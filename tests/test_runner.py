@@ -23,6 +23,7 @@ from fwlab import Box, Problem, Quadratic, checks, config_fingerprint, stepsize
 from fwlab.analysis import fit_rate
 from fwlab.cases import CASE_NAMES, case_specs
 from fwlab.config import build_problem, parse_spec, validate_spec
+from fwlab.geometry import BLOCK
 from fwlab.runner import (
     _compare_csv_pieces,
     _indented_pieces,
@@ -33,7 +34,6 @@ from fwlab.runner import (
     run_experiment,
 )
 from fwlab.solver import (
-    RENDER_CHUNK,
     SolveTrace,
     _canonical_pieces,
     trace_to_csv,
@@ -468,7 +468,7 @@ def test_indented_json_equals_the_stdlib_rendering(v):
 
 # --- streamed writers at chunk boundaries ------------------------------------------
 
-CHUNK_LENGTHS = (RENDER_CHUNK - 1, RENDER_CHUNK, RENDER_CHUNK + 1, 2 * RENDER_CHUNK + 1)
+CHUNK_LENGTHS = (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)
 _EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320,
           2.2250738585072009e-308, -1.7976931348623157e308, 0.1]
 
@@ -502,11 +502,11 @@ def test_streamed_canonical_json_matches_the_one_shot_rendering(n):
 
 
 def test_streamed_canonical_json_of_empty_and_2d_arrays():
-    rows = _edge_floats(3 * (RENDER_CHUNK + 1)).reshape(3, RENDER_CHUNK + 1)
-    narrow = np.linspace(-1.0, 1.0, 2 * RENDER_CHUNK + 2, dtype=np.float32).reshape(2, -1)
+    rows = _edge_floats(3 * (BLOCK + 1)).reshape(3, BLOCK + 1)
+    narrow = np.linspace(-1.0, 1.0, 2 * BLOCK + 2, dtype=np.float32).reshape(2, -1)
     for arr in (np.empty(0), np.empty((0, 3)), np.empty((3, 0)), rows, rows.T,
                 rows.astype(">f8"), narrow, narrow[0],
-                rows[:, :RENDER_CHUNK].reshape(2, 3, -1), np.arange(5), np.float64(-0.0),
+                rows[:, :BLOCK].reshape(2, 3, -1), np.arange(5), np.float64(-0.0),
                 np.array(math.nan)):
         assert _canonical(arr) == canon_bytes(np.asarray(arr).tolist())
 
@@ -527,8 +527,8 @@ def test_streamed_summary_json_matches_the_stdlib(n):
 
 
 @pytest.mark.parametrize("array", [
-    np.array([0, 1, 0]), np.eye(3), np.arange(6).reshape(2, 3), np.arange(RENDER_CHUNK + 2),
-    np.linspace(-1.0, 1.0, RENDER_CHUNK + 1, dtype=np.float32), np.array([-0.0, 5e-324]),
+    np.array([0, 1, 0]), np.eye(3), np.arange(6).reshape(2, 3), np.arange(BLOCK + 2),
+    np.linspace(-1.0, 1.0, BLOCK + 1, dtype=np.float32), np.array([-0.0, 5e-324]),
     np.array([True, False]), np.empty(0), np.empty((3, 0)), np.empty((0, 3)), np.array(2.5),
     np.array(7), np.zeros((2, 2, 2))], ids=lambda a: f"{a.dtype}{list(a.shape)}")
 def test_summary_renders_a_numeric_array_as_its_list(array):
@@ -554,8 +554,8 @@ def test_specs_built_with_numeric_arrays_run_and_write_their_listed_summary(tmp_
     assert polytope_spec["problem"]["set"]["vertices"] == np.eye(3).tolist()
 
 
-# a trace CSV formats RENDER_CHUNK // 5 rows per call
-ROW_CHUNK = RENDER_CHUNK // 5
+# a trace CSV formats BLOCK // 5 rows per call
+ROW_CHUNK = BLOCK // 5
 ROW_CHUNK_LENGTHS = (ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 1)
 
 
@@ -614,22 +614,22 @@ def test_a_long_bound_check_and_its_writers_hold_o_chunk_memory(tmp_path):
     # k and curve, its slack and one working array: 32
     assert _peak_above_base(checks.evaluate_check, check, ctx) <= 35 * rows
     assert ctx.bounds and ctx.bounds[0][1].size == rows - 1
-    # the writers hold O(RENDER_CHUNK) memory whatever the trace's length
+    # the writers hold O(BLOCK) memory whatever the trace's length
     assert _peak_above_base(_write_bounds_csv, tmp_path / "b.csv", ctx.bounds) < 0.25e6
     assert _peak_above_base(write_trace_csv, trace, tmp_path / "t.csv") < 0.1e6
 
 
 def test_summary_of_a_long_run_is_the_stdlib_indented_json(tmp_path):
-    n = RENDER_CHUNK + 1
+    n = BLOCK + 1
     b = np.nan_to_num(_edge_floats(n)).clip(-9.0, 9.0)  # keeps -0.0 and subnormals
     raw = _raw(problem={"set": {"kind": "simplex", "dim": n},
                         "objective": {"kind": "quadratic", "b": b.tolist()}},
-               stop={"max_iter": RENDER_CHUNK}, checks=[])
+               stop={"max_iter": BLOCK}, checks=[])
     report = run_experiment(parse_spec(raw), tmp_path)
     text = Path(report.summary_path).read_text()
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
     assert text.count("\n") > 2 * n  # b and final_x, one float a line
-    assert len(Path(report.trace_path).read_text().splitlines()) == RENDER_CHUNK + 2
+    assert len(Path(report.trace_path).read_text().splitlines()) == BLOCK + 2
 
 
 def test_summary_rendering_leaves_no_garbage_for_the_cycle_collector(tmp_path):
@@ -678,8 +678,9 @@ def _edge_trace(n: int, seed: int) -> SolveTrace:
     return SolveTrace(rows, "max_iter", np.zeros(1))
 
 
-# a compare CSV of p traces formats RENDER_CHUNK // (1 + 2p) rows per call
-_STEP1, _STEP3 = RENDER_CHUNK // 3, RENDER_CHUNK // 7
+# a compare CSV of p traces formats BLOCK // (1 + 2p) rows per call, the
+# rows up to each trace's end blocked on their own
+_STEP1, _STEP3 = BLOCK // 3, BLOCK // 7
 
 
 @pytest.mark.parametrize("lengths", [

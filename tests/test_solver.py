@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fwlab.geometry
 import fwlab.solver
 from fwlab import (
     Box,
@@ -920,9 +921,9 @@ _ONE_VECTOR[::7] = np.resize([0.0, -0.0, 5e-324, -math.inf, math.nan, 1e308, 0.1
                               len(_ONE_VECTOR[::7]))
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 4096])
-def test_one_configuration_has_one_fingerprint_in_every_vector_form(monkeypatch, chunk):
-    monkeypatch.setattr(fwlab.solver, "RENDER_CHUNK", chunk)
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_one_configuration_has_one_fingerprint_in_every_vector_form(monkeypatch, block):
+    monkeypatch.setattr(fwlab.geometry, "BLOCK", block)
 
     def forms(v):
         return (v.tolist(), [np.float64(u) for u in v], tuple(v.tolist()), v,

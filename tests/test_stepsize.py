@@ -20,7 +20,8 @@ from fwlab import (
     line_search_quadratic_exact,
     rule_from_descriptor,
 )
-from fwlab.stepsize import SCHEDULE_BLOCK, dh_envelope_holds
+from fwlab.geometry import BLOCK
+from fwlab.stepsize import dh_envelope_holds
 
 from references import schedule_one_shot
 
@@ -213,14 +214,14 @@ def test_dh_envelope_check_holds_one_horizon_length_array():
 
 _UNIT = st.floats(0.0, 1.0, exclude_min=True)
 # a horizon on either side of each of the first block boundaries, or any below them
-_BOUNDARY = st.sampled_from([m * SCHEDULE_BLOCK + d for m in (1, 2, 3) for d in (-2, -1, 0, 1)])
+_BOUNDARY = st.sampled_from([m * BLOCK + d for m in (1, 2, 3) for d in range(-2, 3)])
 
 
 @settings(max_examples=60)
 @given(st.one_of(st.builds(Harmonic, st.floats(1.0, 1e6)),
                  st.builds(Power, _UNIT, _UNIT),
                  st.builds(DHRecursion, _UNIT)),
-       st.one_of(_BOUNDARY, st.integers(0, 3 * SCHEDULE_BLOCK + 2)))
+       st.one_of(_BOUNDARY, st.integers(0, 3 * BLOCK + 2)))
 def test_blocked_schedule_is_the_one_shot_schedule_bit_for_bit(rule, upto):
     assert rule.values(upto).tobytes() == schedule_one_shot(rule, upto).tobytes()
 
